@@ -10,14 +10,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 
 #include "common/contracts.hpp"
 #include "common/format.hpp"
 #include "common/parallel.hpp"
-#include "common/thread_annotations.hpp"
 #include "common/rng.hpp"
 #include "common/telemetry.hpp"
 #include "ml/gemm.hpp"
@@ -481,59 +479,6 @@ std::string telemetry_overhead_case() {
       overhead_pct);
 }
 
-// Per-acquisition cost of the annotated Mutex over a plain std::mutex on an
-// uncontended guarded-counter fold. At the production runtime level (fast)
-// the lock-order validator is dormant: lock() adds one relaxed atomic load
-// (audit_active) and unlock() one thread-local read (tracking_any), so the
-// acceptance bar is overhead <= 2%. The audit arm routes every acquisition
-// through the out-of-line rank validator and is reported for visibility
-// only. In an EXPLORA_CHECK_LEVEL=off build both hooks fold away at compile
-// time — the wrapper is a std::mutex plus one dormant pointer member, the
-// fast arm takes the identical code path as plain, and the delta reads as
-// timer noise.
-std::string lock_overhead_case() {
-  constexpr int kAcquisitions = 2'000'000;
-  std::mutex plain;
-  common::Mutex annotated("bench.lock_overhead", common::lockrank::kLeaf);
-
-  std::uint64_t counter = 0;
-  const auto fold_plain = [&] {
-    for (int i = 0; i < kAcquisitions; ++i) {
-      std::lock_guard<std::mutex> lock(plain);
-      counter += static_cast<std::uint64_t>(i);
-    }
-  };
-  const auto fold_annotated = [&] {
-    for (int i = 0; i < kAcquisitions; ++i) {
-      common::MutexLock lock(annotated);
-      counter += static_cast<std::uint64_t>(i);
-    }
-  };
-
-  double plain_s = 0.0;
-  double fast_s = 0.0;
-  double audit_s = 0.0;
-  {
-    contracts::ScopedCheckLevel fast(contracts::CheckLevel::kFast);
-    plain_s = time_best(fold_plain);
-    fast_s = time_best(fold_annotated);
-  }
-  {
-    contracts::ScopedCheckLevel audit(contracts::CheckLevel::kAudit);
-    audit_s = time_best(fold_annotated);
-  }
-  benchmark::DoNotOptimize(counter);
-
-  const double overhead_pct =
-      (fast_s / std::max(plain_s, 1e-12) - 1.0) * 100.0;
-  return common::format(
-      "    {{\"case\": \"lock_overhead\", \"acquisitions\": {}, "
-      "\"plain_seconds\": {:.6f}, \"annotated_fast_seconds\": {:.6f}, "
-      "\"annotated_audit_seconds\": {:.6f}, \"fast_overhead_percent\": "
-      "{:.2f}}}",
-      kAcquisitions, plain_s, fast_s, audit_s, overhead_pct);
-}
-
 std::string forward_batch_case(std::size_t batch) {
   common::Rng rng(6);
   ml::Mlp mlp({16, 64, 64, 8}, ml::Activation::kTanh, ml::Activation::kLinear,
@@ -750,7 +695,6 @@ void report_parallel_speedup() {
   json += wire_codec_case(3000) + ",\n";
   json += trace_replay_case(3000) + ",\n";
   json += contract_overhead_case(10) + ",\n";
-  json += lock_overhead_case() + ",\n";
   json += telemetry_overhead_case() + "\n";
   json += "  ]\n}\n";
 

@@ -14,10 +14,10 @@ namespace {
 std::atomic<LogLevel> g_level{LogLevel::kWarn};
 
 /// Serializes sink writes so lines emitted by concurrent pool workers
-/// never interleave. Highest rank in the table: logging is legal while
+/// never interleave. Always the innermost lock: logging is legal while
 /// holding any other lock, and must itself call out to nothing.
 Mutex& sink_mutex() {
-  static Mutex mutex("log.sink", lockrank::kLogSink);
+  static Mutex mutex;
   return mutex;
 }
 

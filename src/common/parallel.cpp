@@ -39,7 +39,7 @@ struct ThreadPool::Job {
   const std::function<void(std::size_t, std::size_t)>* body = nullptr;
   // atomics-ok: claim-ticket (chunk claim; results land in disjoint slots)
   std::atomic<std::size_t> next{0};
-  Mutex mutex{"pool.job", lockrank::kPoolJob};
+  Mutex mutex;
   CondVar done_cv;
   std::size_t done EXPLORA_GUARDED_BY(mutex) = 0;
   /// First failure wins.

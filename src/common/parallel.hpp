@@ -101,7 +101,7 @@ class ThreadPool {
 
   std::size_t thread_count_ = 1;
   std::vector<std::thread> workers_;
-  Mutex mutex_{"pool.queue", lockrank::kPoolQueue};
+  Mutex mutex_;
   CondVar wake_;
   std::deque<std::function<void()>> tasks_ EXPLORA_GUARDED_BY(mutex_);
   bool stopping_ EXPLORA_GUARDED_BY(mutex_) = false;

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstring>
 #include <fstream>
+#include <system_error>
 
 #include "common/format.hpp"
 
@@ -43,17 +44,27 @@ void BinaryWriter::write_f64_vector(const std::vector<double>& v) {
 }
 
 void BinaryWriter::save(const std::filesystem::path& path) const {
+  std::error_code ec;
   const auto parent = path.parent_path();
-  if (!parent.empty()) std::filesystem::create_directories(parent);
+  if (!parent.empty()) std::filesystem::create_directories(parent, ec);
+  if (ec) throw SerializeError("cannot create directory " + parent.string());
   const auto tmp = path.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) throw SerializeError("cannot open " + tmp + " for writing");
-    out.write(reinterpret_cast<const char*>(buffer_.data()),
-              static_cast<std::streamsize>(buffer_.size()));
-    if (!out) throw SerializeError("short write to " + tmp);
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  if (!out) throw SerializeError("cannot open " + tmp + " for writing");
+  out.write(reinterpret_cast<const char*>(buffer_.data()),
+            static_cast<std::streamsize>(buffer_.size()));
+  // close() flushes the buffered tail; its failure counts as a short write.
+  out.close();
+  if (!out) {
+    std::filesystem::remove(tmp, ec);
+    throw SerializeError("short write to " + tmp);
   }
-  std::filesystem::rename(tmp, path);
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) {
+    std::filesystem::remove(tmp, ec);
+    throw SerializeError("cannot move " + tmp + " into place at " +
+                         path.string());
+  }
 }
 
 BinaryReader::BinaryReader(std::vector<std::uint8_t> data, std::uint64_t magic,

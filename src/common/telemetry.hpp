@@ -413,8 +413,7 @@ class Registry {
 
   // Writers (metric creation) are rare and front-loaded; snapshots and
   // size() read shared.
-  mutable common::SharedMutex mutex_{"telemetry.registry",
-                                     common::lockrank::kTelemetryRegistry};
+  mutable common::SharedMutex mutex_;
   std::map<std::string, std::unique_ptr<Entry>, std::less<>> metrics_
       EXPLORA_GUARDED_BY(mutex_);
   // atomics-ok: approx-snapshot (tick clock; single writer, racy readers ok)

@@ -11,26 +11,19 @@
 // The annotated types are the only sanctioned mutex primitives in src/ —
 // tools/lint_concurrency.py fails the build on raw std::mutex /
 // std::lock_guard / std::unique_lock / std::scoped_lock /
-// std::condition_variable anywhere else. Each Mutex carries a name and a
-// rank from common::lockrank; at audit check level the lock-order
-// validator (common/lockorder.hpp) enforces rank discipline dynamically,
-// complementing the static analysis.
+// std::condition_variable anywhere else. They add nothing at runtime: a
+// Mutex is a std::mutex, and lock order is checked by ThreadSanitizer's
+// lock-order-inversion detector (the `tsan` preset; DESIGN.md §9).
 //
 //   class Registry {
-//     mutable SharedMutex mutex_{"telemetry.registry",
-//                                lockrank::kTelemetryRegistry};
+//     mutable SharedMutex mutex_;
 //     std::map<...> metrics_ EXPLORA_GUARDED_BY(mutex_);
 //   };
-//
-// At EXPLORA_CHECK_LEVEL=off every validator hook folds away and Mutex is
-// a plain std::mutex plus one dormant pointer member.
 #pragma once
 
 #include <condition_variable>  // conc-ok: raw-mutex (the wrapper layer itself)
 #include <mutex>               // conc-ok: raw-mutex (the wrapper layer itself)
 #include <shared_mutex>        // conc-ok: raw-mutex (the wrapper layer itself)
-
-#include "common/lockorder.hpp"
 
 // ---- clang thread-safety attribute macros ----------------------------------
 
@@ -43,15 +36,6 @@
 #define EXPLORA_CAPABILITY(x) EXPLORA_THREAD_ANNOTATION(capability(x))
 #define EXPLORA_SCOPED_CAPABILITY EXPLORA_THREAD_ANNOTATION(scoped_lockable)
 #define EXPLORA_GUARDED_BY(x) EXPLORA_THREAD_ANNOTATION(guarded_by(x))
-#define EXPLORA_PT_GUARDED_BY(x) EXPLORA_THREAD_ANNOTATION(pt_guarded_by(x))
-#define EXPLORA_ACQUIRED_BEFORE(...) \
-  EXPLORA_THREAD_ANNOTATION(acquired_before(__VA_ARGS__))
-#define EXPLORA_ACQUIRED_AFTER(...) \
-  EXPLORA_THREAD_ANNOTATION(acquired_after(__VA_ARGS__))
-#define EXPLORA_REQUIRES(...) \
-  EXPLORA_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define EXPLORA_REQUIRES_SHARED(...) \
-  EXPLORA_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 #define EXPLORA_ACQUIRE(...) \
   EXPLORA_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
 #define EXPLORA_ACQUIRE_SHARED(...) \
@@ -62,61 +46,23 @@
   EXPLORA_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
 #define EXPLORA_TRY_ACQUIRE(...) \
   EXPLORA_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-#define EXPLORA_EXCLUDES(...) \
-  EXPLORA_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
-#define EXPLORA_RETURN_CAPABILITY(x) \
-  EXPLORA_THREAD_ANNOTATION(lock_returned(x))
-#define EXPLORA_NO_THREAD_SAFETY_ANALYSIS \
-  EXPLORA_THREAD_ANNOTATION(no_thread_safety_analysis)
 
 // ---- annotated mutex types -------------------------------------------------
 
 namespace explora::common {
 
-// Inline ABI namespace: the method bodies below fold differently per
-// EXPLORA_CHECK_LEVEL, and a test TU may pin the level below the build-wide
-// value (tests/test_lockorder_off.cpp). Keying the types on the level keeps
-// each TU's inline code self-consistent in a mixed-level link — see the
-// matching note in common/lockorder.hpp.
-inline namespace EXPLORA_LOCK_ABI {
-
-/// std::mutex with a capability annotation, a lock-class name, and a rank
-/// from common::lockrank. Locking goes through the lock-order validator at
-/// audit level; at EXPLORA_CHECK_LEVEL=off the hooks fold away entirely.
+/// std::mutex with a capability annotation, so clang can prove every
+/// EXPLORA_GUARDED_BY access happens under it. Lock order between mutexes
+/// is checked by ThreadSanitizer's lock-order-inversion detector.
 class EXPLORA_CAPABILITY("mutex") Mutex {
  public:
-  /// @param name lock-class name; same-name mutexes share one class.
-  /// @param rank position in the lockrank table (strictly increasing
-  ///        acquisition order is enforced at audit level).
-  explicit Mutex(const char* name, int rank)
-      : info_(lockorder::kCompiledIn ? lockorder::register_mutex(name, rank)
-                                     : nullptr) {}
+  Mutex() = default;
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  void lock() EXPLORA_ACQUIRE() {
-    if constexpr (lockorder::kCompiledIn) {
-      if (lockorder::audit_active()) {
-        lockorder::lock_audited(info_, native_);
-        return;
-      }
-    }
-    native_.lock();
-  }
-
-  void unlock() EXPLORA_RELEASE() {
-    if constexpr (lockorder::kCompiledIn) {
-      if (lockorder::tracking_any()) lockorder::release_tracked(info_);
-    }
-    native_.unlock();
-  }
-
+  void lock() EXPLORA_ACQUIRE() { native_.lock(); }
+  void unlock() EXPLORA_RELEASE() { native_.unlock(); }
   [[nodiscard]] bool try_lock() EXPLORA_TRY_ACQUIRE(true) {
-    if constexpr (lockorder::kCompiledIn) {
-      if (lockorder::audit_active()) {
-        return lockorder::try_lock_audited(info_, native_);
-      }
-    }
     return native_.try_lock();
   }
 
@@ -124,57 +70,22 @@ class EXPLORA_CAPABILITY("mutex") Mutex {
   friend class CondVar;
 
   std::mutex native_;  // conc-ok: raw-mutex (the annotated wrapper itself)
-  // Present at every check level so the layout never varies; nullptr when
-  // the validator is compiled out.
-  lockorder::MutexInfo* const info_;
 };
 
 /// std::shared_mutex counterpart: exclusive writers, shared readers.
 class EXPLORA_CAPABILITY("shared_mutex") SharedMutex {
  public:
-  explicit SharedMutex(const char* name, int rank)
-      : info_(lockorder::kCompiledIn ? lockorder::register_mutex(name, rank)
-                                     : nullptr) {}
+  SharedMutex() = default;
   SharedMutex(const SharedMutex&) = delete;
   SharedMutex& operator=(const SharedMutex&) = delete;
 
-  void lock() EXPLORA_ACQUIRE() {
-    if constexpr (lockorder::kCompiledIn) {
-      if (lockorder::audit_active()) {
-        lockorder::lock_audited(info_, native_);
-        return;
-      }
-    }
-    native_.lock();
-  }
-
-  void unlock() EXPLORA_RELEASE() {
-    if constexpr (lockorder::kCompiledIn) {
-      if (lockorder::tracking_any()) lockorder::release_tracked(info_);
-    }
-    native_.unlock();
-  }
-
-  void lock_shared() EXPLORA_ACQUIRE_SHARED() {
-    if constexpr (lockorder::kCompiledIn) {
-      if (lockorder::audit_active()) {
-        lockorder::lock_shared_audited(info_, native_);
-        return;
-      }
-    }
-    native_.lock_shared();
-  }
-
-  void unlock_shared() EXPLORA_RELEASE_SHARED() {
-    if constexpr (lockorder::kCompiledIn) {
-      if (lockorder::tracking_any()) lockorder::release_tracked(info_);
-    }
-    native_.unlock_shared();
-  }
+  void lock() EXPLORA_ACQUIRE() { native_.lock(); }
+  void unlock() EXPLORA_RELEASE() { native_.unlock(); }
+  void lock_shared() EXPLORA_ACQUIRE_SHARED() { native_.lock_shared(); }
+  void unlock_shared() EXPLORA_RELEASE_SHARED() { native_.unlock_shared(); }
 
  private:
   std::shared_mutex native_;  // conc-ok: raw-mutex (the annotated wrapper)
-  lockorder::MutexInfo* const info_;
 };
 
 /// RAII exclusive lock on a Mutex (std::lock_guard equivalent).
@@ -240,8 +151,6 @@ class CondVar {
   /// Atomically releases `held`'s mutex, blocks, and re-acquires it before
   /// returning. Spurious wakeups happen; loop on the predicate.
   void wait(MutexLock& held) {
-    // The held lock stays on the validator's per-thread stack throughout:
-    // a blocked waiter still owns its critical section for rank purposes.
     std::unique_lock<std::mutex> native(  // conc-ok: raw-mutex (CondVar impl)
         held.mutex_.native_, std::adopt_lock);
     cv_.wait(native);
@@ -254,7 +163,5 @@ class CondVar {
  private:
   std::condition_variable cv_;  // conc-ok: raw-mutex (CondVar impl)
 };
-
-}  // inline namespace
 
 }  // namespace explora::common

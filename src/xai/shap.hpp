@@ -149,16 +149,14 @@ class ShapExplainer {
   // atomics-ok: commutative-counter (model-eval tally; order-free add fold)
   std::atomic<std::uint64_t> evaluations_ = 0;
 
-  // Lowest rank in the table: base_values() holds it across a model call,
-  // which may fan out onto the pool (whose locks rank higher).
-  common::Mutex base_mutex_{"shap.base_cache",
-                            common::lockrank::kShapBaseCache};
+  // The one lock nest: base_values() holds this across a model call,
+  // which may fan out onto the pool and take its queue and job locks.
+  common::Mutex base_mutex_;
   std::optional<Vector> base_cache_ EXPLORA_GUARDED_BY(base_mutex_);
 
   // Scratch freelist; acquired briefly from pool workers that hold no
-  // other lock (rank sits above the pool locks, below telemetry).
-  common::Mutex scratch_mutex_{"shap.probe_scratch",
-                               common::lockrank::kShapScratch};
+  // other lock.
+  common::Mutex scratch_mutex_;
   std::vector<ml::Matrix> scratch_pool_ EXPLORA_GUARDED_BY(scratch_mutex_);
 
   // Telemetry (xai.shap.*), bound at construction. model_evals mirrors

@@ -1,9 +1,7 @@
-// Tests for the RIC message codec entry points (oran/codec), which
-// delegate to the shared oran/wire layer. Message fixtures live in
+// Tests for the RIC message frame entry points in oran/wire
+// (encode_message_frame / decode_message_frame). Message fixtures live in
 // tests/support/wire_fixtures.hpp, shared with test_wire, test_replay and
 // the codec property sweeps.
-#include "oran/codec.hpp"
-
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -19,7 +17,8 @@ using testfix::sample_report;
 
 TEST(Codec, KpmIndicationRoundTrip) {
   const RicMessage original = make_kpm_indication("e2term", sample_report());
-  const RicMessage decoded = decode_message(encode_message(original));
+  const RicMessage decoded =
+      wire::decode_message_frame(wire::encode_message_frame(original));
   EXPECT_EQ(decoded.type, MessageType::kKpmIndication);
   EXPECT_EQ(decoded.sender, "e2term");
   const auto& report = decoded.kpm().report;
@@ -35,7 +34,8 @@ TEST(Codec, KpmIndicationRoundTrip) {
 TEST(Codec, RanControlRoundTrip) {
   const RicMessage original =
       make_ran_control("drl_xapp", sample_control(), 42, 7);
-  const RicMessage decoded = decode_message(encode_message(original));
+  const RicMessage decoded =
+      wire::decode_message_frame(wire::encode_message_frame(original));
   EXPECT_EQ(decoded.type, MessageType::kRanControl);
   EXPECT_EQ(decoded.sender, "drl_xapp");
   EXPECT_EQ(decoded.ran_control().control, sample_control());
@@ -45,7 +45,8 @@ TEST(Codec, RanControlRoundTrip) {
 
 TEST(Codec, ControlAckRoundTrip) {
   const RicMessage original = make_ran_control_ack("e2term", 99);
-  const RicMessage decoded = decode_message(encode_message(original));
+  const RicMessage decoded =
+      wire::decode_message_frame(wire::encode_message_frame(original));
   EXPECT_EQ(decoded.type, MessageType::kRanControlAck);
   EXPECT_EQ(decoded.sender, "e2term");
   EXPECT_EQ(decoded.control_ack().seq, 99u);
@@ -54,22 +55,27 @@ TEST(Codec, ControlAckRoundTrip) {
 TEST(Codec, EmptyReportRoundTrip) {
   const RicMessage original =
       make_kpm_indication("e2term", netsim::KpiReport{});
-  const RicMessage decoded = decode_message(encode_message(original));
+  const RicMessage decoded =
+      wire::decode_message_frame(wire::encode_message_frame(original));
   for (std::size_t s = 0; s < netsim::kNumSlices; ++s) {
     EXPECT_TRUE(decoded.kpm().report.slices[s].tx_bitrate_mbps.empty());
   }
 }
 
 TEST(Codec, RejectsTruncatedWire) {
-  auto wire = encode_message(make_ran_control("x", sample_control(), 1));
-  wire.resize(wire.size() - 3);
-  EXPECT_THROW((void)decode_message(wire), common::SerializeError);
+  auto bytes =
+      wire::encode_message_frame(make_ran_control("x", sample_control(), 1));
+  bytes.resize(bytes.size() - 3);
+  EXPECT_THROW((void)wire::decode_message_frame(bytes),
+               common::SerializeError);
 }
 
 TEST(Codec, RejectsTrailingGarbage) {
-  auto wire = encode_message(make_ran_control("x", sample_control(), 1));
-  wire.push_back(0xFF);
-  EXPECT_THROW((void)decode_message(wire), common::SerializeError);
+  auto bytes =
+      wire::encode_message_frame(make_ran_control("x", sample_control(), 1));
+  bytes.push_back(0xFF);
+  EXPECT_THROW((void)wire::decode_message_frame(bytes),
+               common::SerializeError);
 }
 
 TEST(Codec, RejectsOutOfRangeSchedulerPolicy) {
@@ -90,7 +96,7 @@ TEST(Codec, RejectsOutOfRangeSchedulerPolicy) {
   frame.u64_field(1, static_cast<std::uint64_t>(MessageType::kRanControl));
   frame.string_field(2, "x");
   frame.bytes_field(4, ran_control.buffer());
-  EXPECT_THROW((void)decode_message(frame.buffer()),
+  EXPECT_THROW((void)wire::decode_message_frame(frame.buffer()),
                common::SerializeError);
 }
 
@@ -105,14 +111,16 @@ TEST(Codec, RejectsMismatchedTypeAndPayload) {
   frame.u64_field(1, static_cast<std::uint64_t>(MessageType::kRanControlAck));
   frame.string_field(2, "x");
   frame.bytes_field(4, ran_control.buffer());  // field 4 = ran_control
-  EXPECT_THROW((void)decode_message(frame.buffer()),
+  EXPECT_THROW((void)wire::decode_message_frame(frame.buffer()),
                common::SerializeError);
 }
 
 TEST(Codec, RejectsWrongMagic) {
-  auto wire = encode_message(make_ran_control("x", sample_control(), 1));
-  wire[0] ^= 0xFF;
-  EXPECT_THROW((void)decode_message(wire), common::SerializeError);
+  auto bytes =
+      wire::encode_message_frame(make_ran_control("x", sample_control(), 1));
+  bytes[0] ^= 0xFF;
+  EXPECT_THROW((void)wire::decode_message_frame(bytes),
+               common::SerializeError);
 }
 
 TEST(Codec, FuzzRandomBytesNeverCrash) {
@@ -122,20 +130,21 @@ TEST(Codec, FuzzRandomBytesNeverCrash) {
     for (auto& byte : junk) {
       byte = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
     }
-    EXPECT_THROW((void)decode_message(junk), common::SerializeError);
+    EXPECT_THROW((void)wire::decode_message_frame(junk),
+                 common::SerializeError);
   }
 }
 
 TEST(Codec, FuzzBitflipsEitherDecodeOrThrow) {
   // Single-bit corruptions of a valid frame must never crash: they either
   // still decode (the flip hit a payload value) or throw cleanly.
-  const auto wire =
-      encode_message(make_kpm_indication("e2term", sample_report()));
-  for (std::size_t bit = 0; bit < wire.size() * 8; bit += 7) {
-    auto corrupted = wire;
+  const auto bytes = wire::encode_message_frame(
+      make_kpm_indication("e2term", sample_report()));
+  for (std::size_t bit = 0; bit < bytes.size() * 8; bit += 7) {
+    auto corrupted = bytes;
     corrupted[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
     try {
-      (void)decode_message(corrupted);
+      (void)wire::decode_message_frame(corrupted);
     } catch (const common::SerializeError&) {
       // acceptable outcome
     }

@@ -105,5 +105,20 @@ TEST(Serialize, SaveCreatesParentDirectories) {
   std::filesystem::remove_all(dir.parent_path());
 }
 
+TEST(Serialize, SaveOntoNonEmptyDirectoryThrowsAndLeavesNoTemp) {
+  // The final rename cannot replace a non-empty directory: that failure
+  // must surface as SerializeError and the temp file must not linger.
+  const auto path = std::filesystem::temp_directory_path() /
+                    "explora_serialize_dir_target";
+  std::filesystem::remove_all(path);
+  std::filesystem::create_directories(path / "occupant");
+  BinaryWriter writer(kMagic, kVersion);
+  writer.write_u32(1);
+  EXPECT_THROW(writer.save(path), SerializeError);
+  EXPECT_FALSE(std::filesystem::exists(path.string() + ".tmp"));
+  EXPECT_TRUE(std::filesystem::is_directory(path / "occupant"));
+  std::filesystem::remove_all(path);
+}
+
 }  // namespace
 }  // namespace explora::common

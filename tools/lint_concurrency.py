@@ -2,23 +2,16 @@
 """Concurrency-coverage lint for the EXPLORA C++ sources.
 
 The concurrency model (DESIGN.md §9) routes every lock through the
-annotated types in common/thread_annotations.hpp: each mutex carries a
-lock-class name and a rank from common/lockorder.hpp, clang's
-thread-safety analysis sees the capability annotations, and the runtime
-lock-order validator sees every acquisition. All three guarantees die
-silently the moment someone declares a plain std::mutex, so this lint
-enforces the funnel:
+annotated types in common/thread_annotations.hpp, so clang's
+thread-safety analysis sees the capability annotations on every guarded
+member. That guarantee dies silently the moment someone declares a plain
+std::mutex, so this lint enforces the funnel:
 
   raw-mutex          std::mutex / shared_mutex / recursive_* / timed_* /
                      lock_guard / unique_lock / scoped_lock / shared_lock /
-                     condition_variable(_any) anywhere outside the plumbing
-                     layer itself (common/thread_annotations.hpp and
-                     common/lockorder.{hpp,cpp}, which wrap the primitives
-                     and are exempt by path)
-  unranked-mutex     a Mutex/SharedMutex declaration whose initialiser does
-                     not name a lockrank:: constant - ad-hoc numeric ranks
-                     dodge the single ordering table that makes the
-                     validator's verdicts meaningful
+                     condition_variable(_any) anywhere outside the wrapper
+                     layer itself (common/thread_annotations.hpp, which is
+                     exempt by path)
   unguarded-mutable  in a file that owns a Mutex/SharedMutex, a `mutable`
                      member that is neither the guard itself nor annotated
                      EXPLORA_GUARDED_BY - mutable members of lock-owning
@@ -41,15 +34,10 @@ import sys
 import lintlib
 from lintlib import line_of, statement_span, strip_comments_and_strings
 
-# The annotation layer and the validator beneath it wrap the raw
-# primitives; they are the one place std:: synchronisation types may
-# appear (declarations there still carry conc-ok markers as
-# documentation, but signatures mentioning std::mutex& are inherent).
-RAW_MUTEX_EXEMPT = {
-    "src/common/thread_annotations.hpp",
-    "src/common/lockorder.hpp",
-    "src/common/lockorder.cpp",
-}
+# The annotation layer wraps the raw primitives; it is the one place
+# std:: synchronisation types may appear (its declarations still carry
+# conc-ok markers as documentation).
+RAW_MUTEX_EXEMPT = {"src/common/thread_annotations.hpp"}
 
 RAW_MUTEX = re.compile(
     r"\bstd::(?:recursive_timed_mutex|recursive_mutex|shared_timed_mutex"
@@ -60,7 +48,7 @@ RAW_MUTEX = re.compile(
 
 # A Mutex/SharedMutex variable or member declaration: the annotated type,
 # an identifier, then an initialiser or terminator. Type references
-# (`Mutex&`), the wrapper classes themselves (`MutexLock`, `MutexInfo`)
+# (`Mutex&`), the RAII wrappers (`MutexLock`, `WriterMutexLock`)
 # and constructor declarations (`Mutex(...)`) do not match.
 MUTEX_DECL = re.compile(
     r"\b(?:common::)?(?:SharedMutex|Mutex)\s+(\w+)\s*[;({=]"
@@ -68,8 +56,7 @@ MUTEX_DECL = re.compile(
 
 MUTABLE = re.compile(r"\bmutable\b(?!\s*(?:\{|noexcept|->))")  # skip lambdas
 
-GUARDED = re.compile(r"\bEXPLORA_(?:PT_)?GUARDED_BY\s*\(")
-LOCKRANK = re.compile(r"\block(?:rank)?::k\w+")
+GUARDED = re.compile(r"\bEXPLORA_GUARDED_BY\s*\(")
 MUTEX_TYPE = re.compile(r"\b(?:common::)?(?:SharedMutex|Mutex)\b")
 
 CONC_OK = lintlib.marker_pattern("conc-ok")
@@ -100,20 +87,7 @@ def lint_text(raw: str, code: str, raw_mutex_exempt: bool = False):
             if not conc_allowed(raw_lines, lineno, "raw-mutex"):
                 findings.append((lineno, "raw-mutex", match.group(0)))
 
-    owns_mutex = False
-    for match in MUTEX_DECL.finditer(code):
-        owns_mutex = True
-        lineno = line_of(code, match.start())
-        statement, _ = statement_span(code, match.start())
-        if LOCKRANK.search(statement):
-            continue
-        if not conc_allowed(raw_lines, lineno, "unranked-mutex"):
-            findings.append(
-                (lineno, "unranked-mutex",
-                 f"{match.group(0).rstrip('({=; ')} without a lockrank::")
-            )
-
-    if owns_mutex:
+    if MUTEX_DECL.search(code):
         for match in MUTABLE.finditer(code):
             lineno = line_of(code, match.start())
             statement, last_line = statement_span(code, match.start())
@@ -142,32 +116,18 @@ def self_test() -> int:
     """
     raw_good = """
     std::mutex native_;  // conc-ok: raw-mutex (the wrapper itself)
-    common::Mutex guarded_{"pool.queue", common::lockrank::kPoolQueue};
+    common::Mutex guarded_;
     // a comment naming std::lock_guard is fine
     const char* doc = "std::mutex is banned outside the wrapper";
     """
-    unranked_bad = """
-    Mutex unranked_;
-    SharedMutex named_only_{"telemetry.registry"};
-    common::Mutex numeric_{"x.y", 40};
-    """
-    unranked_good = """
-    Mutex ranked_{"pool.queue", lockrank::kPoolQueue};
-    mutable common::SharedMutex mutex_{"telemetry.registry",
-                                       common::lockrank::kTelemetryRegistry};
-    static Mutex sink("log.sink", lockrank::kLogSink);
-    Mutex legacy_;  // conc-ok: unranked-mutex (rank attached in ctor body)
-    MutexLock lock(ranked_);
-    void lock_audited(MutexInfo* info);
-    """
     mutable_bad = """
-    Mutex mu_{"x.y", lockrank::kLeaf};
+    Mutex mu_;
     mutable int cache_ = 0;
     mutable double scratch_[8];
     """
     mutable_good = """
-    Mutex mu_{"x.y", lockrank::kLeaf};
-    mutable common::SharedMutex rw_{"a.b", lockrank::kLeaf};
+    Mutex mu_;
+    mutable common::SharedMutex rw_;
     mutable int hits_ EXPLORA_GUARDED_BY(mu_) = 0;
     mutable long spilled_
         EXPLORA_GUARDED_BY(mu_) = 0;
@@ -175,6 +135,7 @@ def self_test() -> int:
     auto f = [count]() mutable { return count + 1; };
     """
     mutable_no_mutex = """
+    MutexLock lock(mu_);
     mutable int memo_ = 0;
     """
 
@@ -182,17 +143,13 @@ def self_test() -> int:
         return lint_text(raw, strip_comments_and_strings(raw), exempt)
 
     raw_bad_findings = run(raw_bad)
-    unranked_bad_findings = run(unranked_bad)
     mutable_bad_findings = run(mutable_bad)
-    bad = raw_bad_findings + unranked_bad_findings + mutable_bad_findings
-    good = (run(raw_good) + run(unranked_good) + run(mutable_good)
-            + run(mutable_no_mutex) + run(raw_bad, exempt=True))
+    bad = raw_bad_findings + mutable_bad_findings
+    good = (run(raw_good) + run(mutable_good) + run(mutable_no_mutex)
+            + run(raw_bad, exempt=True))
 
     ok = {rule for _, rule, _ in raw_bad_findings} == {"raw-mutex"}
     ok = ok and len(raw_bad_findings) >= 7
-    ok = ok and ({rule for _, rule, _ in unranked_bad_findings}
-                 == {"unranked-mutex"})
-    ok = ok and len(unranked_bad_findings) == 3
     ok = ok and ({rule for _, rule, _ in mutable_bad_findings}
                  == {"unguarded-mutable"})
     ok = ok and len(mutable_bad_findings) == 2
