@@ -1,8 +1,8 @@
 #include "common/serialize.hpp"
 
 #include <bit>
+#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <system_error>
 
 #include "common/format.hpp"
@@ -11,145 +11,276 @@ namespace explora::common {
 
 namespace {
 
+// Packed doubles and fixed64 values are copied as native bytes.
 static_assert(std::endian::native == std::endian::little,
-              "serialization assumes a little-endian host");
+              "the binary format assumes a little-endian host");
 
-template <typename T>
-void append_raw(std::vector<std::uint8_t>& buffer, T value) {
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(&value);
-  buffer.insert(buffer.end(), bytes, bytes + sizeof(T));
+/// Varints are LEB128, at most 10 bytes for 64 bits; the 10th byte may
+/// only carry the top bit of the value.
+constexpr std::size_t kMaxVarintBytes = 10;
+
+[[nodiscard]] std::uint64_t zigzag_encode(std::int64_t v) noexcept {
+  return (static_cast<std::uint64_t>(v) << 1) ^
+         static_cast<std::uint64_t>(v >> 63);
+}
+
+[[nodiscard]] std::int64_t zigzag_decode(std::uint64_t v) noexcept {
+  return static_cast<std::int64_t>(v >> 1) ^
+         -static_cast<std::int64_t>(v & 1);
 }
 
 }  // namespace
 
-BinaryWriter::BinaryWriter(std::uint64_t magic, std::uint32_t version) {
-  append_raw(buffer_, magic);
-  append_raw(buffer_, version);
+std::string to_string(WireType type) {
+  switch (type) {
+    case WireType::kVarint:
+      return "varint";
+    case WireType::kFixed64:
+      return "fixed64";
+    case WireType::kBytes:
+      return "bytes";
+  }
+  return "unknown";
 }
 
-void BinaryWriter::write_u32(std::uint32_t v) { append_raw(buffer_, v); }
-void BinaryWriter::write_u64(std::uint64_t v) { append_raw(buffer_, v); }
-void BinaryWriter::write_i64(std::int64_t v) { append_raw(buffer_, v); }
-void BinaryWriter::write_f64(double v) { append_raw(buffer_, v); }
+// ---- Writer ----------------------------------------------------------------
 
-void BinaryWriter::write_string(const std::string& s) {
-  write_u64(s.size());
-  buffer_.insert(buffer_.end(), s.begin(), s.end());
+void Writer::header(const StreamFormat& format) {
+  for (std::size_t i = 0; i < 4; ++i) {
+    buffer_.push_back(static_cast<std::uint8_t>(format.magic >> (8 * i)));
+  }
+  buffer_.push_back(format.major);
+  buffer_.push_back(format.minor);
 }
 
-void BinaryWriter::write_f64_vector(const std::vector<double>& v) {
-  write_u64(v.size());
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(v.data());
-  buffer_.insert(buffer_.end(), bytes, bytes + v.size() * sizeof(double));
+void Writer::varint(std::uint64_t v) {
+  while (v >= 0x80) {
+    buffer_.push_back(static_cast<std::uint8_t>(v) | 0x80u);
+    v >>= 7;
+  }
+  buffer_.push_back(static_cast<std::uint8_t>(v));
 }
 
-void BinaryWriter::save(const std::filesystem::path& path) const {
+void Writer::zigzag(std::int64_t v) { varint(zigzag_encode(v)); }
+
+void Writer::fixed64(std::uint64_t v) {
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(&v);
+  buffer_.insert(buffer_.end(), bytes, bytes + sizeof(v));
+}
+
+void Writer::f64(double v) { fixed64(std::bit_cast<std::uint64_t>(v)); }
+
+void Writer::bytes(std::span<const std::uint8_t> v) {
+  varint(v.size());
+  buffer_.insert(buffer_.end(), v.begin(), v.end());
+}
+
+void Writer::f64_list(std::span<const double> v) {
+  varint(v.size_bytes());
+  const auto* raw = reinterpret_cast<const std::uint8_t*>(v.data());
+  buffer_.insert(buffer_.end(), raw, raw + v.size_bytes());
+}
+
+void Writer::tag(std::uint32_t field_id, WireType type) {
+  varint((static_cast<std::uint64_t>(field_id) << 3) |
+         static_cast<std::uint64_t>(type));
+}
+
+void Writer::u64_field(std::uint32_t field_id, std::uint64_t v) {
+  tag(field_id, WireType::kVarint);
+  varint(v);
+}
+
+void Writer::i64_field(std::uint32_t field_id, std::int64_t v) {
+  tag(field_id, WireType::kVarint);
+  zigzag(v);
+}
+
+void Writer::bool_field(std::uint32_t field_id, bool v) {
+  tag(field_id, WireType::kVarint);
+  varint(v ? 1 : 0);
+}
+
+void Writer::f64_field(std::uint32_t field_id, double v) {
+  tag(field_id, WireType::kFixed64);
+  f64(v);
+}
+
+void Writer::bytes_field(std::uint32_t field_id,
+                         std::span<const std::uint8_t> v) {
+  tag(field_id, WireType::kBytes);
+  bytes(v);
+}
+
+void Writer::string_field(std::uint32_t field_id, std::string_view v) {
+  bytes_field(field_id,
+              std::span<const std::uint8_t>(
+                  reinterpret_cast<const std::uint8_t*>(v.data()), v.size()));
+}
+
+void Writer::f64_list_field(std::uint32_t field_id,
+                            std::span<const double> v) {
+  tag(field_id, WireType::kBytes);
+  f64_list(v);
+}
+
+// ---- Reader ----------------------------------------------------------------
+
+void Reader::require(std::size_t n) const {
+  // Overflow-safe: compare against the remaining bytes, never pos_ + n.
+  if (n > remaining()) throw SerializeError("truncated input");
+}
+
+std::uint8_t Reader::header(const StreamFormat& format) {
+  require(6);
+  std::uint32_t magic = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    magic |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
+  }
+  const std::uint8_t major = data_[pos_ + 4];
+  const std::uint8_t minor = data_[pos_ + 5];
+  pos_ += 6;
+  if (magic != format.magic) {
+    throw SerializeError(common::format("bad {} magic", format.name));
+  }
+  if (major != format.major) {
+    throw SerializeError(common::format(
+        "incompatible {} format: input has major version {}, this reader "
+        "supports major version {}",
+        format.name, major, format.major));
+  }
+  return minor;
+}
+
+std::uint64_t Reader::varint() {
+  std::uint64_t value = 0;
+  for (std::size_t i = 0; i < kMaxVarintBytes; ++i) {
+    require(1);
+    const std::uint8_t b = data_[pos_++];
+    if (i == kMaxVarintBytes - 1 && (b & ~std::uint8_t{1}) != 0) {
+      throw SerializeError("varint overflows 64 bits");
+    }
+    value |= static_cast<std::uint64_t>(b & 0x7F) << (7 * i);
+    if ((b & 0x80) == 0) return value;
+  }
+  throw SerializeError("varint longer than 10 bytes");
+}
+
+std::int64_t Reader::zigzag() { return zigzag_decode(varint()); }
+
+std::uint64_t Reader::fixed64() {
+  require(sizeof(std::uint64_t));
+  std::uint64_t value;
+  std::memcpy(&value, data_.data() + pos_, sizeof(value));
+  pos_ += sizeof(value);
+  return value;
+}
+
+double Reader::f64() { return std::bit_cast<double>(fixed64()); }
+
+std::span<const std::uint8_t> Reader::bytes() {
+  const std::uint64_t size = varint();
+  require(size);
+  const auto out = data_.subspan(pos_, static_cast<std::size_t>(size));
+  pos_ += static_cast<std::size_t>(size);
+  return out;
+}
+
+std::vector<double> Reader::f64_list() {
+  const auto raw = bytes();
+  if (raw.size() % sizeof(double) != 0) {
+    throw SerializeError(common::format(
+        "packed double list of {} bytes is not a multiple of 8", raw.size()));
+  }
+  std::vector<double> out(raw.size() / sizeof(double));
+  // Empty list: data() may be null, and memcpy(null, .., 0) is UB.
+  if (!out.empty()) std::memcpy(out.data(), raw.data(), raw.size());
+  return out;
+}
+
+Reader::Tag Reader::tag() {
+  const std::uint64_t raw = varint();
+  const auto type_bits = static_cast<std::uint8_t>(raw & 0x7);
+  if (type_bits > static_cast<std::uint8_t>(WireType::kBytes)) {
+    throw SerializeError(
+        common::format("unknown wire type {} on the wire", type_bits));
+  }
+  const std::uint64_t field_id = raw >> 3;
+  if (field_id == 0 || field_id > 0xFFFFFFFFull) {
+    throw SerializeError(
+        common::format("invalid field id {} on the wire", field_id));
+  }
+  return Tag{static_cast<std::uint32_t>(field_id),
+             static_cast<WireType>(type_bits)};
+}
+
+void Reader::skip(WireType type) {
+  switch (type) {
+    case WireType::kVarint:
+      (void)varint();
+      return;
+    case WireType::kFixed64:
+      (void)fixed64();
+      return;
+    case WireType::kBytes:
+      (void)bytes();
+      return;
+  }
+  throw SerializeError("unknown wire type in skip");
+}
+
+// ---- files -------------------------------------------------------------------
+
+void write_file_atomic(const std::filesystem::path& path,
+                       std::span<const std::uint8_t> bytes) {
+  const std::string tmp = path.string() + ".tmp";
+  std::FILE* file = std::fopen(tmp.c_str(), "wb");
+  if (file == nullptr) {
+    throw SerializeError(common::format("cannot open '{}' for writing", tmp));
+  }
+  const std::size_t written =
+      bytes.empty() ? 0 : std::fwrite(bytes.data(), 1, bytes.size(), file);
+  // fclose flushes the buffered tail; its failure counts as a short write.
+  const bool flushed = std::fclose(file) == 0;
   std::error_code ec;
-  const auto parent = path.parent_path();
-  if (!parent.empty()) std::filesystem::create_directories(parent, ec);
-  if (ec) throw SerializeError("cannot create directory " + parent.string());
-  const auto tmp = path.string() + ".tmp";
-  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-  if (!out) throw SerializeError("cannot open " + tmp + " for writing");
-  out.write(reinterpret_cast<const char*>(buffer_.data()),
-            static_cast<std::streamsize>(buffer_.size()));
-  // close() flushes the buffered tail; its failure counts as a short write.
-  out.close();
-  if (!out) {
+  if (written != bytes.size() || !flushed) {
     std::filesystem::remove(tmp, ec);
-    throw SerializeError("short write to " + tmp);
+    throw SerializeError(common::format("short write to '{}'", tmp));
   }
   std::filesystem::rename(tmp, path, ec);
   if (ec) {
     std::filesystem::remove(tmp, ec);
-    throw SerializeError("cannot move " + tmp + " into place at " +
-                         path.string());
+    throw SerializeError(common::format("cannot move '{}' into place at '{}'",
+                                        tmp, path.string()));
   }
 }
 
-BinaryReader::BinaryReader(std::vector<std::uint8_t> data, std::uint64_t magic,
-                           std::uint32_t version)
-    : data_(std::move(data)) {
-  if (read_u64() != magic) throw SerializeError("bad magic header");
-  const auto got = read_u32();
-  if (got != version) {
+std::vector<std::uint8_t> read_file(const std::filesystem::path& path) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) {
     throw SerializeError(
-        format("version mismatch: file has {}, expected {}", got, version));
+        common::format("cannot open '{}' for reading", path.string()));
   }
-}
-
-BinaryReader BinaryReader::load(const std::filesystem::path& path,
-                                std::uint64_t magic, std::uint32_t version) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) throw SerializeError("cannot open " + path.string());
-  const auto size = static_cast<std::size_t>(in.tellg());
-  in.seekg(0);
-  std::vector<std::uint8_t> data(size);
-  in.read(reinterpret_cast<char*>(data.data()),
-          static_cast<std::streamsize>(size));
-  if (!in) throw SerializeError("short read from " + path.string());
-  return BinaryReader(std::move(data), magic, version);
-}
-
-void BinaryReader::require(std::size_t bytes) const {
-  // Overflow-safe: compare against the remaining bytes, never pos_ + bytes
-  // (a hostile length field could wrap the addition).
-  if (bytes > data_.size() - pos_) {
-    throw SerializeError("truncated input");
+  // Read straight into the buffer, doubling it until a short read. The
+  // file size only sizes the first attempt: a directory has none, and a
+  // file may change between the size query and the read.
+  std::error_code ec;
+  const std::uintmax_t size_hint = std::filesystem::file_size(path, ec);
+  std::vector<std::uint8_t> bytes(ec ? 4096 : size_hint + 1);
+  std::size_t size = 0;
+  while (true) {
+    size += std::fread(bytes.data() + size, 1, bytes.size() - size, file);
+    if (size < bytes.size()) break;
+    bytes.resize(2 * bytes.size());
   }
-}
-
-std::uint32_t BinaryReader::read_u32() {
-  require(sizeof(std::uint32_t));
-  std::uint32_t v;
-  std::memcpy(&v, data_.data() + pos_, sizeof(v));
-  pos_ += sizeof(v);
-  return v;
-}
-
-std::uint64_t BinaryReader::read_u64() {
-  require(sizeof(std::uint64_t));
-  std::uint64_t v;
-  std::memcpy(&v, data_.data() + pos_, sizeof(v));
-  pos_ += sizeof(v);
-  return v;
-}
-
-std::int64_t BinaryReader::read_i64() {
-  require(sizeof(std::int64_t));
-  std::int64_t v;
-  std::memcpy(&v, data_.data() + pos_, sizeof(v));
-  pos_ += sizeof(v);
-  return v;
-}
-
-double BinaryReader::read_f64() {
-  require(sizeof(double));
-  double v;
-  std::memcpy(&v, data_.data() + pos_, sizeof(v));
-  pos_ += sizeof(v);
-  return v;
-}
-
-std::string BinaryReader::read_string() {
-  const auto size = read_u64();
-  require(size);
-  std::string s(reinterpret_cast<const char*>(data_.data() + pos_), size);
-  pos_ += size;
-  return s;
-}
-
-std::vector<double> BinaryReader::read_f64_vector() {
-  const auto size = read_u64();
-  if (size > (data_.size() - pos_) / sizeof(double)) {
-    throw SerializeError("truncated input");
+  bytes.resize(size);
+  const bool read_error = std::ferror(file) != 0;
+  std::fclose(file);
+  if (read_error) {
+    throw SerializeError(
+        common::format("error reading '{}'", path.string()));
   }
-  std::vector<double> v(size);
-  if (size != 0) {  // empty vector: data() may be null, and memcpy(null,..,0) is UB
-    std::memcpy(v.data(), data_.data() + pos_, size * sizeof(double));
-    pos_ += size * sizeof(double);
-  }
-  return v;
+  return bytes;
 }
 
 }  // namespace explora::common

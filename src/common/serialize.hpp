@@ -1,14 +1,29 @@
-// Tiny binary serialization for model weights and cached artifacts.
+// The project's one binary format (DESIGN.md §13): varint / zigzag /
+// fixed64 / length-prefixed bytes / packed doubles, a six-byte stream
+// header and atomic whole-file I/O. RIC frames and `.etrace` files add a
+// tagged field grammar on top (oran/wire); model weights are written as
+// an untagged sequence of the same primitives. Every read is bounds-
+// checked against the remaining input and every failure — malformed or
+// truncated input, a foreign magic, an incompatible major version, an
+// I/O error — throws SerializeError; malformed input can never touch
+// memory out of bounds.
 //
-// Format: little-endian, no alignment, with a magic header and version so
-// stale caches are rejected instead of misread. Only trivially encodable
-// primitives plus vectors/strings are supported — deliberately minimal.
+//   header  := magic:u32le major:u8 minor:u8
+//   varint  := LEB128, at most 10 bytes
+//   zigzag  := varint of (v << 1) ^ (v >> 63)
+//   fixed64 := 8 bytes little-endian
+//   bytes   := len:varint byte[len]
+//   f64s    := bytes holding len / 8 little-endian IEEE-754 doubles
+//   tag     := varint of field_id << 3 | wire_type      (field_id >= 1)
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace explora::common {
@@ -19,52 +34,111 @@ class SerializeError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Append-only binary encoder.
-class BinaryWriter {
+/// Identity of one binary stream kind, written as its six-byte header.
+/// Readers reject a different magic or major version; a newer minor only
+/// adds content an older reader can skip.
+struct StreamFormat {
+  const char* name;  ///< names the format in error messages
+  std::uint32_t magic;
+  std::uint8_t major;
+  std::uint8_t minor;
+};
+
+/// The three value encodings a field tag can announce.
+enum class WireType : std::uint8_t {
+  kVarint = 0,
+  kFixed64 = 1,
+  kBytes = 2,
+};
+
+[[nodiscard]] std::string to_string(WireType type);
+
+/// Append-only encoder.
+class Writer {
  public:
-  /// @param magic 8-byte tag identifying the artifact type.
-  /// @param version format version embedded in the header.
-  BinaryWriter(std::uint64_t magic, std::uint32_t version);
+  /// Stream header: magic, major and minor version.
+  void header(const StreamFormat& format);
 
-  void write_u32(std::uint32_t v);
-  void write_u64(std::uint64_t v);
-  void write_i64(std::int64_t v);
-  void write_f64(double v);
-  void write_string(const std::string& s);
-  void write_f64_vector(const std::vector<double>& v);
+  void varint(std::uint64_t v);
+  /// ZigZag-encoded signed varint (small magnitudes stay small).
+  void zigzag(std::int64_t v);
+  void fixed64(std::uint64_t v);
+  void f64(double v);
+  /// Length-prefixed bytes.
+  void bytes(std::span<const std::uint8_t> v);
+  /// Packed doubles: length-prefixed size * 8 raw little-endian values.
+  void f64_list(std::span<const double> v);
+  void tag(std::uint32_t field_id, WireType type);
 
-  [[nodiscard]] const std::vector<std::uint8_t>& buffer() const noexcept {
+  void u64_field(std::uint32_t field_id, std::uint64_t v);
+  void i64_field(std::uint32_t field_id, std::int64_t v);
+  void bool_field(std::uint32_t field_id, bool v);
+  void f64_field(std::uint32_t field_id, double v);
+  void bytes_field(std::uint32_t field_id, std::span<const std::uint8_t> v);
+  void string_field(std::uint32_t field_id, std::string_view v);
+  void f64_list_field(std::uint32_t field_id, std::span<const double> v);
+
+  [[nodiscard]] const std::vector<std::uint8_t>& buffer() const& noexcept {
     return buffer_;
   }
-  /// Writes the buffer atomically (temp file + rename).
-  void save(const std::filesystem::path& path) const;
+  [[nodiscard]] std::vector<std::uint8_t> take() && noexcept {
+    return std::move(buffer_);
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return buffer_.size(); }
 
  private:
   std::vector<std::uint8_t> buffer_;
 };
 
-/// Sequential binary decoder; validates magic/version on construction.
-class BinaryReader {
+/// Strict sequential decoder over a borrowed byte span. The span must
+/// outlive the reader.
+class Reader {
  public:
-  BinaryReader(std::vector<std::uint8_t> data, std::uint64_t magic,
-               std::uint32_t version);
-  /// Loads from disk; throws SerializeError when missing or malformed.
-  static BinaryReader load(const std::filesystem::path& path,
-                           std::uint64_t magic, std::uint32_t version);
+  explicit Reader(std::span<const std::uint8_t> data) noexcept
+      : data_(data) {}
 
-  [[nodiscard]] std::uint32_t read_u32();
-  [[nodiscard]] std::uint64_t read_u64();
-  [[nodiscard]] std::int64_t read_i64();
-  [[nodiscard]] double read_f64();
-  [[nodiscard]] std::string read_string();
-  [[nodiscard]] std::vector<double> read_f64_vector();
+  /// Validates magic and major version; returns the stream's minor.
+  std::uint8_t header(const StreamFormat& format);
+
+  [[nodiscard]] std::uint64_t varint();
+  [[nodiscard]] std::int64_t zigzag();
+  [[nodiscard]] std::uint64_t fixed64();
+  [[nodiscard]] double f64();
+  /// Length-prefixed bytes; the returned span borrows from the input.
+  [[nodiscard]] std::span<const std::uint8_t> bytes();
+  /// Packed doubles; throws unless the length is a multiple of 8.
+  [[nodiscard]] std::vector<double> f64_list();
+
+  struct Tag {
+    std::uint32_t field_id = 0;
+    WireType type = WireType::kVarint;
+  };
+  /// Reads and validates one field tag (field_id >= 1, known wire type).
+  [[nodiscard]] Tag tag();
+  /// Skips one value of the given wire type (unknown-field tolerance).
+  void skip(WireType type);
+
   [[nodiscard]] bool at_end() const noexcept { return pos_ == data_.size(); }
+  [[nodiscard]] std::size_t remaining() const noexcept {
+    return data_.size() - pos_;
+  }
 
  private:
-  void require(std::size_t bytes) const;
+  void require(std::size_t n) const;
 
-  std::vector<std::uint8_t> data_;
+  std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
 };
+
+/// Writes `bytes` to `path` atomically: a `<path>.tmp` sibling is written,
+/// flushed and renamed into place. Throws SerializeError on any failure
+/// and leaves no temp file behind. The parent directory must exist.
+void write_file_atomic(const std::filesystem::path& path,
+                       std::span<const std::uint8_t> bytes);
+
+/// Reads a whole file. Throws SerializeError when it cannot be opened or
+/// read (including when `path` names a directory).
+[[nodiscard]] std::vector<std::uint8_t> read_file(
+    const std::filesystem::path& path);
 
 }  // namespace explora::common

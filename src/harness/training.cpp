@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <system_error>
 
 #include "common/contracts.hpp"
 #include "common/format.hpp"
@@ -11,8 +12,11 @@ namespace explora::harness {
 
 namespace {
 
-constexpr std::uint64_t kSystemMagic = 0x4558504c4f524131ULL;  // "EXPLORA1"
-constexpr std::uint32_t kSystemVersion = 2;
+/// Model-file header. The major version is also part of the cache file
+/// name, so a stale cache of an older layout is never even opened.
+constexpr std::uint8_t kSystemVersion = 3;
+constexpr common::StreamFormat kSystemFormat{
+    "model", 0x4c444f4du /* "MODL" */, kSystemVersion, 0};
 
 /// Training-side environment loop: gNB + input window + latent encoding.
 /// (The RIC message plumbing is bypassed during training for speed; the
@@ -259,26 +263,26 @@ std::filesystem::path artifact_dir() {
 #endif
 }
 
-void save_system(const TrainedSystem& system,
-                 const std::filesystem::path& path) {
-  common::BinaryWriter writer(kSystemMagic, kSystemVersion);
-  writer.write_u32(static_cast<std::uint32_t>(system.profile));
+std::vector<std::uint8_t> serialize_system(const TrainedSystem& system) {
+  common::Writer writer;
+  writer.header(kSystemFormat);
+  writer.varint(static_cast<std::uint64_t>(system.profile));
   system.normalizer.serialize(writer);
   system.autoencoder->serialize(writer);
   system.agent->serialize(writer);
-  writer.save(path);
+  return std::move(writer).take();
 }
 
-TrainedSystem load_system(const std::filesystem::path& path,
-                          core::AgentProfile profile,
-                          const TrainingConfig& config) {
-  common::BinaryReader reader =
-      common::BinaryReader::load(path, kSystemMagic, kSystemVersion);
-  TrainedSystem system;
-  system.profile = static_cast<core::AgentProfile>(reader.read_u32());
-  if (system.profile != profile) {
+TrainedSystem deserialize_system(std::span<const std::uint8_t> bytes,
+                                 core::AgentProfile profile,
+                                 const TrainingConfig& config) {
+  common::Reader reader(bytes);
+  reader.header(kSystemFormat);
+  if (reader.varint() != static_cast<std::uint64_t>(profile)) {
     throw common::SerializeError("cached system has a different profile");
   }
+  TrainedSystem system;
+  system.profile = profile;
   system.normalizer.deserialize(reader);
   system.autoencoder = std::make_unique<ml::Autoencoder>(
       config.autoencoder, config.seed ^ 0xae);
@@ -286,7 +290,28 @@ TrainedSystem load_system(const std::filesystem::path& path,
   system.agent =
       std::make_unique<ml::PpoAgent>(config.ppo, config.seed ^ 0x99);
   system.agent->deserialize(reader);
+  if (!reader.at_end()) {
+    throw common::SerializeError(common::format(
+        "{} trailing bytes after the last model field", reader.remaining()));
+  }
   return system;
+}
+
+void save_system(const TrainedSystem& system,
+                 const std::filesystem::path& path) {
+  std::error_code ec;
+  const auto parent = path.parent_path();
+  if (!parent.empty()) std::filesystem::create_directories(parent, ec);
+  if (ec) {
+    throw common::SerializeError("cannot create directory " + parent.string());
+  }
+  common::write_file_atomic(path, serialize_system(system));
+}
+
+TrainedSystem load_system(const std::filesystem::path& path,
+                          core::AgentProfile profile,
+                          const TrainingConfig& config) {
+  return deserialize_system(common::read_file(path), profile, config);
 }
 
 TrainedSystem load_or_train(core::AgentProfile profile,

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "explora/reward.hpp"
@@ -98,7 +99,17 @@ struct DqnTrainingConfig {
 /// Artifact directory: $EXPLORA_ARTIFACTS or ./artifacts.
 [[nodiscard]] std::filesystem::path artifact_dir();
 
-/// Serialization for the artifact cache.
+/// Model-file bytes: header, profile, normalizer, autoencoder, agent.
+[[nodiscard]] std::vector<std::uint8_t> serialize_system(
+    const TrainedSystem& system);
+/// Inverse of serialize_system. Throws common::SerializeError on malformed
+/// or truncated input, trailing bytes, or a different profile or shape.
+[[nodiscard]] TrainedSystem deserialize_system(
+    std::span<const std::uint8_t> bytes, core::AgentProfile profile,
+    const TrainingConfig& config);
+
+/// The artifact cache: serialize_system bytes written atomically (parent
+/// directories created) and read back.
 void save_system(const TrainedSystem& system,
                  const std::filesystem::path& path);
 [[nodiscard]] TrainedSystem load_system(const std::filesystem::path& path,

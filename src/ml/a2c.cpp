@@ -216,16 +216,16 @@ double A2cAgent::update(const std::vector<Transition>& rollout,
   return total_loss / n;
 }
 
-void A2cAgent::serialize(common::BinaryWriter& writer) const {
-  writer.write_u64(config_.state_dim);
-  writer.write_u64(config_.hidden_dim);
+void A2cAgent::serialize(common::Writer& writer) const {
+  writer.varint(config_.state_dim);
+  writer.varint(config_.hidden_dim);
   actor_.serialize(writer);
   critic_.serialize(writer);
 }
 
-void A2cAgent::deserialize(common::BinaryReader& reader) {
-  if (reader.read_u64() != config_.state_dim ||
-      reader.read_u64() != config_.hidden_dim) {
+void A2cAgent::deserialize(common::Reader& reader) {
+  if (reader.varint() != config_.state_dim ||
+      reader.varint() != config_.hidden_dim) {
     throw common::SerializeError("A2C shape mismatch");
   }
   actor_.deserialize(reader);

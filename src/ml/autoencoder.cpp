@@ -115,18 +115,18 @@ double Autoencoder::evaluate(const std::vector<Vector>& dataset) const {
   return total / static_cast<double>(dataset.size());
 }
 
-void Autoencoder::serialize(common::BinaryWriter& writer) const {
-  writer.write_u64(config_.input_dim);
-  writer.write_u64(config_.hidden_dim);
-  writer.write_u64(config_.latent_dim);
+void Autoencoder::serialize(common::Writer& writer) const {
+  writer.varint(config_.input_dim);
+  writer.varint(config_.hidden_dim);
+  writer.varint(config_.latent_dim);
   encoder_.serialize(writer);
   decoder_.serialize(writer);
 }
 
-void Autoencoder::deserialize(common::BinaryReader& reader) {
-  if (reader.read_u64() != config_.input_dim ||
-      reader.read_u64() != config_.hidden_dim ||
-      reader.read_u64() != config_.latent_dim) {
+void Autoencoder::deserialize(common::Reader& reader) {
+  if (reader.varint() != config_.input_dim ||
+      reader.varint() != config_.hidden_dim ||
+      reader.varint() != config_.latent_dim) {
     throw common::SerializeError("autoencoder shape mismatch");
   }
   encoder_.deserialize(reader);

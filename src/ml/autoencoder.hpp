@@ -43,8 +43,8 @@ class Autoencoder {
 
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
-  void serialize(common::BinaryWriter& writer) const;
-  void deserialize(common::BinaryReader& reader);
+  void serialize(common::Writer& writer) const;
+  void deserialize(common::Reader& reader);
 
  private:
   Config config_;

@@ -73,9 +73,9 @@ DqnAgent::DqnAgent(Config config, std::uint64_t seed)
 
 void DqnAgent::sync_target() {
   // Copy weights via the serialization path (keeps one code path exact).
-  common::BinaryWriter writer(0x71, 1);
+  common::Writer writer;
   online_.serialize(writer);
-  common::BinaryReader reader(writer.buffer(), 0x71, 1);
+  common::Reader reader(writer.buffer());
   target_.deserialize(reader);
 }
 
@@ -246,15 +246,15 @@ double DqnAgent::update(const ReplayBuffer& buffer, common::Rng& rng) {
   return batch_loss / batch_n;
 }
 
-void DqnAgent::serialize(common::BinaryWriter& writer) const {
-  writer.write_u64(config_.state_dim);
-  writer.write_u64(config_.hidden_dim);
+void DqnAgent::serialize(common::Writer& writer) const {
+  writer.varint(config_.state_dim);
+  writer.varint(config_.hidden_dim);
   online_.serialize(writer);
 }
 
-void DqnAgent::deserialize(common::BinaryReader& reader) {
-  if (reader.read_u64() != config_.state_dim ||
-      reader.read_u64() != config_.hidden_dim) {
+void DqnAgent::deserialize(common::Reader& reader) {
+  if (reader.varint() != config_.state_dim ||
+      reader.varint() != config_.hidden_dim) {
     throw common::SerializeError("DQN shape mismatch");
   }
   online_.deserialize(reader);

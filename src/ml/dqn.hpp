@@ -96,8 +96,8 @@ class DqnAgent final : public PolicyAgent {
 
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
-  void serialize(common::BinaryWriter& writer) const;
-  void deserialize(common::BinaryReader& reader);
+  void serialize(common::Writer& writer) const;
+  void deserialize(common::Reader& reader);
 
  private:
   [[nodiscard]] static std::array<std::size_t, kNumHeads> head_sizes();

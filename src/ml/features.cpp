@@ -56,21 +56,21 @@ double KpiNormalizer::denormalize(netsim::Kpi kpi, netsim::Slice slice,
   return r.lo + unit * (r.hi - r.lo);
 }
 
-void KpiNormalizer::serialize(common::BinaryWriter& writer) const {
-  writer.write_u64(ranges_.size());
+void KpiNormalizer::serialize(common::Writer& writer) const {
+  writer.varint(ranges_.size());
   for (const Range& r : ranges_) {
-    writer.write_f64(r.lo);
-    writer.write_f64(r.hi);
+    writer.f64(r.lo);
+    writer.f64(r.hi);
   }
 }
 
-void KpiNormalizer::deserialize(common::BinaryReader& reader) {
-  if (reader.read_u64() != ranges_.size()) {
+void KpiNormalizer::deserialize(common::Reader& reader) {
+  if (reader.varint() != ranges_.size()) {
     throw common::SerializeError("normalizer size mismatch");
   }
   for (Range& r : ranges_) {
-    r.lo = reader.read_f64();
-    r.hi = reader.read_f64();
+    r.lo = reader.f64();
+    r.hi = reader.f64();
   }
 }
 

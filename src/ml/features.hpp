@@ -40,8 +40,8 @@ class KpiNormalizer {
   [[nodiscard]] double denormalize(netsim::Kpi kpi, netsim::Slice slice,
                                    double value) const;
 
-  void serialize(common::BinaryWriter& writer) const;
-  void deserialize(common::BinaryReader& reader);
+  void serialize(common::Writer& writer) const;
+  void deserialize(common::Reader& reader);
 
  private:
   struct Range {

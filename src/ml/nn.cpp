@@ -143,24 +143,24 @@ void DenseLayer::collect_parameters(std::vector<double*>& params,
   }
 }
 
-void DenseLayer::serialize(common::BinaryWriter& writer) const {
-  writer.write_u64(weights_.rows());
-  writer.write_u64(weights_.cols());
-  writer.write_u32(static_cast<std::uint32_t>(act_));
-  writer.write_f64_vector(
-      std::vector<double>(weights_.data().begin(), weights_.data().end()));
-  writer.write_f64_vector(bias_);
+void DenseLayer::serialize(common::Writer& writer) const {
+  writer.varint(weights_.rows());
+  writer.varint(weights_.cols());
+  writer.varint(static_cast<std::uint64_t>(act_));
+  writer.f64_list(weights_.data());
+  writer.f64_list(bias_);
 }
 
-void DenseLayer::deserialize(common::BinaryReader& reader) {
-  const auto rows = reader.read_u64();
-  const auto cols = reader.read_u64();
-  const auto act = static_cast<Activation>(reader.read_u32());
-  if (rows != weights_.rows() || cols != weights_.cols() || act != act_) {
+void DenseLayer::deserialize(common::Reader& reader) {
+  const auto rows = reader.varint();
+  const auto cols = reader.varint();
+  const auto act = reader.varint();
+  if (rows != weights_.rows() || cols != weights_.cols() ||
+      act != static_cast<std::uint64_t>(act_)) {
     throw common::SerializeError("layer shape mismatch on load");
   }
-  const auto weight_values = reader.read_f64_vector();
-  const auto bias_values = reader.read_f64_vector();
+  const auto weight_values = reader.f64_list();
+  const auto bias_values = reader.f64_list();
   if (weight_values.size() != weights_.size() ||
       bias_values.size() != bias_.size()) {
     throw common::SerializeError("layer payload size mismatch");
@@ -259,13 +259,13 @@ void Mlp::collect_parameters(std::vector<double*>& params,
   for (auto& layer : layers_) layer.collect_parameters(params, grads);
 }
 
-void Mlp::serialize(common::BinaryWriter& writer) const {
-  writer.write_u64(layers_.size());
+void Mlp::serialize(common::Writer& writer) const {
+  writer.varint(layers_.size());
   for (const auto& layer : layers_) layer.serialize(writer);
 }
 
-void Mlp::deserialize(common::BinaryReader& reader) {
-  const auto count = reader.read_u64();
+void Mlp::deserialize(common::Reader& reader) {
+  const auto count = reader.varint();
   if (count != layers_.size()) {
     throw common::SerializeError("network depth mismatch on load");
   }

@@ -61,8 +61,8 @@ class DenseLayer {
   void collect_parameters(std::vector<double*>& params,
                           std::vector<double*>& grads);
 
-  void serialize(common::BinaryWriter& writer) const;
-  void deserialize(common::BinaryReader& reader);
+  void serialize(common::Writer& writer) const;
+  void deserialize(common::Reader& reader);
 
  private:
   Matrix weights_;
@@ -105,8 +105,8 @@ class Mlp {
   void collect_parameters(std::vector<double*>& params,
                           std::vector<double*>& grads);
 
-  void serialize(common::BinaryWriter& writer) const;
-  void deserialize(common::BinaryReader& reader);
+  void serialize(common::Writer& writer) const;
+  void deserialize(common::Reader& reader);
 
  private:
   std::vector<DenseLayer> layers_;

@@ -333,16 +333,16 @@ double PpoAgent::update(const RolloutBuffer& buffer) {
   return last_epoch_loss;
 }
 
-void PpoAgent::serialize(common::BinaryWriter& writer) const {
-  writer.write_u64(config_.state_dim);
-  writer.write_u64(config_.hidden_dim);
+void PpoAgent::serialize(common::Writer& writer) const {
+  writer.varint(config_.state_dim);
+  writer.varint(config_.hidden_dim);
   actor_.serialize(writer);
   critic_.serialize(writer);
 }
 
-void PpoAgent::deserialize(common::BinaryReader& reader) {
-  if (reader.read_u64() != config_.state_dim ||
-      reader.read_u64() != config_.hidden_dim) {
+void PpoAgent::deserialize(common::Reader& reader) {
+  if (reader.varint() != config_.state_dim ||
+      reader.varint() != config_.hidden_dim) {
     throw common::SerializeError("agent shape mismatch");
   }
   actor_.deserialize(reader);

@@ -111,8 +111,8 @@ class PpoAgent final : public PolicyAgent {
 
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
-  void serialize(common::BinaryWriter& writer) const;
-  void deserialize(common::BinaryReader& reader);
+  void serialize(common::Writer& writer) const;
+  void deserialize(common::Reader& reader);
 
  private:
   /// Logit offsets per head inside the actor output.

@@ -1,9 +1,7 @@
 #include "oran/trace.hpp"
 
-#include <cstdio>
 #include <utility>
 
-#include "common/format.hpp"
 #include "oran/wire.hpp"
 
 namespace explora::oran::wire {
@@ -33,8 +31,6 @@ void wire_fields(V& v, TraceFrame& f) {
 
 namespace explora::oran {
 
-using common::SerializeError;
-
 RicMessage TraceFrame::decode() const {
   return wire::decode_message_frame(message);
 }
@@ -56,32 +52,25 @@ namespace {
 
 /// Appends one length-prefixed tagged-field body.
 template <typename T>
-void append_sized_body(wire::Writer& writer, T& value) {
-  wire::Writer body;
+void append_sized_body(common::Writer& writer, T& value) {
+  common::Writer body;
   wire::Encoder encoder(body);
   wire_fields(encoder, value);
-  writer.varint(body.size());
-  writer.raw(body.buffer());
+  writer.bytes(body.buffer());
 }
 
 /// Reads one length-prefixed body and decodes it into `out`.
 template <typename T>
-void read_sized_body(wire::Reader& reader, T& out) {
-  const auto bytes = reader.bytes();
-  wire::Reader body(bytes);
+void read_sized_body(common::Reader& reader, T& out) {
+  common::Reader body(reader.bytes());
   wire::decode_fields(body, out);
 }
 
 }  // namespace
 
 std::vector<std::uint8_t> TraceRecorder::serialize() const {
-  wire::Writer writer;
-  writer.byte(static_cast<std::uint8_t>(kTraceMagic & 0xFF));
-  writer.byte(static_cast<std::uint8_t>((kTraceMagic >> 8) & 0xFF));
-  writer.byte(static_cast<std::uint8_t>((kTraceMagic >> 16) & 0xFF));
-  writer.byte(static_cast<std::uint8_t>((kTraceMagic >> 24) & 0xFF));
-  writer.byte(kTraceMajor);
-  writer.byte(kTraceMinor);
+  common::Writer writer;
+  writer.header(kTraceFormat);
   wire::TraceHeader header{label_};
   append_sized_body(writer, header);
   for (const TraceFrame& frame : frames_) {
@@ -91,45 +80,12 @@ std::vector<std::uint8_t> TraceRecorder::serialize() const {
 }
 
 void TraceRecorder::save(const std::string& path) const {
-  const std::vector<std::uint8_t> bytes = serialize();
-  const std::string tmp = path + ".tmp";
-  std::FILE* file = std::fopen(tmp.c_str(), "wb");
-  if (file == nullptr) {
-    throw SerializeError(
-        common::format("cannot open trace file '{}' for writing", tmp));
-  }
-  const std::size_t written =
-      bytes.empty() ? 0 : std::fwrite(bytes.data(), 1, bytes.size(), file);
-  const bool flushed = std::fclose(file) == 0;
-  if (written != bytes.size() || !flushed) {
-    std::remove(tmp.c_str());
-    throw SerializeError(
-        common::format("short write to trace file '{}'", tmp));
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw SerializeError(
-        common::format("cannot move trace file into place at '{}'", path));
-  }
+  common::write_file_atomic(path, serialize());
 }
 
 TraceReplaySource TraceReplaySource::parse(std::span<const std::uint8_t> data) {
-  wire::Reader reader(data);
-  std::uint32_t magic = 0;
-  for (int shift = 0; shift < 32; shift += 8) {
-    magic |= static_cast<std::uint32_t>(reader.byte()) << shift;
-  }
-  if (magic != kTraceMagic) {
-    throw SerializeError("bad trace magic (not an .etrace stream)");
-  }
-  const std::uint8_t major = reader.byte();
-  [[maybe_unused]] const std::uint8_t minor = reader.byte();
-  if (major != kTraceMajor) {
-    throw SerializeError(common::format(
-        "incompatible trace format: file has major version {}, this reader "
-        "supports major version {}",
-        major, kTraceMajor));
-  }
+  common::Reader reader(data);
+  reader.header(kTraceFormat);
   TraceReplaySource out;
   wire::TraceHeader header;
   read_sized_body(reader, header);
@@ -143,24 +99,7 @@ TraceReplaySource TraceReplaySource::parse(std::span<const std::uint8_t> data) {
 }
 
 TraceReplaySource TraceReplaySource::load(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    throw SerializeError(
-        common::format("cannot open trace file '{}' for reading", path));
-  }
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t chunk[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), file)) > 0) {
-    bytes.insert(bytes.end(), chunk, chunk + n);
-  }
-  const bool read_error = std::ferror(file) != 0;
-  std::fclose(file);
-  if (read_error) {
-    throw SerializeError(
-        common::format("error reading trace file '{}'", path));
-  }
-  return parse(bytes);
+  return parse(common::read_file(path));
 }
 
 std::vector<const TraceFrame*> TraceReplaySource::frames_for(

@@ -6,7 +6,7 @@
 // simulator in the loop, and must reproduce the live attribution stream
 // byte-identically.
 //
-// File grammar (all multi-byte pieces via the oran/wire primitives):
+// File grammar (the common/serialize header and primitives):
 //
 //   file   := magic:u32le("ETRC") major:u8 minor:u8
 //             header_len:varint header frame*
@@ -27,6 +27,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/serialize.hpp"
 #include "oran/rmr.hpp"
 
 namespace explora::oran {
@@ -35,6 +36,8 @@ namespace explora::oran {
 inline constexpr std::uint32_t kTraceMagic = 0x43525445u;
 inline constexpr std::uint8_t kTraceMajor = 1;
 inline constexpr std::uint8_t kTraceMinor = 0;
+inline constexpr common::StreamFormat kTraceFormat{"trace", kTraceMagic,
+                                                   kTraceMajor, kTraceMinor};
 
 /// One recorded delivery: which tick it happened at (simulation clock at
 /// delivery time), which router dispatch round, which endpoint received

@@ -4,221 +4,6 @@
 
 namespace explora::oran::wire {
 
-namespace {
-
-/// Varints are LEB128, at most 10 bytes for 64 bits; the 10th byte may
-/// only carry the top bit of the value.
-constexpr std::size_t kMaxVarintBytes = 10;
-
-[[nodiscard]] std::uint64_t zigzag_encode(std::int64_t v) noexcept {
-  return (static_cast<std::uint64_t>(v) << 1) ^
-         static_cast<std::uint64_t>(v >> 63);
-}
-
-[[nodiscard]] std::int64_t zigzag_decode(std::uint64_t v) noexcept {
-  return static_cast<std::int64_t>(v >> 1) ^
-         -static_cast<std::int64_t>(v & 1);
-}
-
-}  // namespace
-
-std::string to_string(WireType type) {
-  switch (type) {
-    case WireType::kVarint:
-      return "varint";
-    case WireType::kFixed64:
-      return "fixed64";
-    case WireType::kBytes:
-      return "bytes";
-  }
-  return "unknown";
-}
-
-// ---- Writer ----------------------------------------------------------------
-
-void Writer::varint(std::uint64_t v) {
-  while (v >= 0x80) {
-    buffer_.push_back(static_cast<std::uint8_t>(v) | 0x80u);
-    v >>= 7;
-  }
-  buffer_.push_back(static_cast<std::uint8_t>(v));
-}
-
-void Writer::zigzag(std::int64_t v) { varint(zigzag_encode(v)); }
-
-void Writer::fixed64(std::uint64_t v) {
-  for (std::size_t i = 0; i < 8; ++i) {
-    buffer_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void Writer::byte(std::uint8_t v) { buffer_.push_back(v); }
-
-void Writer::raw(std::span<const std::uint8_t> bytes) {
-  buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
-}
-
-void Writer::tag(std::uint32_t field_id, WireType type) {
-  varint((static_cast<std::uint64_t>(field_id) << 3) |
-         static_cast<std::uint64_t>(type));
-}
-
-void Writer::u64_field(std::uint32_t field_id, std::uint64_t v) {
-  tag(field_id, WireType::kVarint);
-  varint(v);
-}
-
-void Writer::i64_field(std::uint32_t field_id, std::int64_t v) {
-  tag(field_id, WireType::kVarint);
-  zigzag(v);
-}
-
-void Writer::bool_field(std::uint32_t field_id, bool v) {
-  tag(field_id, WireType::kVarint);
-  varint(v ? 1 : 0);
-}
-
-void Writer::f64_field(std::uint32_t field_id, double v) {
-  tag(field_id, WireType::kFixed64);
-  fixed64(std::bit_cast<std::uint64_t>(v));
-}
-
-void Writer::bytes_field(std::uint32_t field_id,
-                         std::span<const std::uint8_t> v) {
-  tag(field_id, WireType::kBytes);
-  varint(v.size());
-  raw(v);
-}
-
-void Writer::string_field(std::uint32_t field_id, std::string_view v) {
-  tag(field_id, WireType::kBytes);
-  varint(v.size());
-  buffer_.insert(buffer_.end(), v.begin(), v.end());
-}
-
-void Writer::f64_list_field(std::uint32_t field_id,
-                            std::span<const double> v) {
-  tag(field_id, WireType::kBytes);
-  varint(v.size() * sizeof(double));
-  for (const double x : v) {
-    const auto raw_bits = std::bit_cast<std::uint64_t>(x);
-    for (std::size_t i = 0; i < 8; ++i) {
-      buffer_.push_back(static_cast<std::uint8_t>(raw_bits >> (8 * i)));
-    }
-  }
-}
-
-// ---- Reader ----------------------------------------------------------------
-
-void Reader::require(std::size_t n) const {
-  // Overflow-safe: compare against the remaining bytes, never pos_ + n.
-  if (n > data_.size() - pos_) {
-    throw SerializeError("truncated wire input");
-  }
-}
-
-std::uint64_t Reader::varint() {
-  std::uint64_t value = 0;
-  for (std::size_t i = 0; i < kMaxVarintBytes; ++i) {
-    require(1);
-    const std::uint8_t b = data_[pos_++];
-    if (i == kMaxVarintBytes - 1 && (b & ~std::uint8_t{1}) != 0) {
-      throw SerializeError("varint overflows 64 bits");
-    }
-    value |= static_cast<std::uint64_t>(b & 0x7F) << (7 * i);
-    if ((b & 0x80) == 0) return value;
-  }
-  throw SerializeError("varint longer than 10 bytes");
-}
-
-std::int64_t Reader::zigzag() { return zigzag_decode(varint()); }
-
-std::uint64_t Reader::fixed64() {
-  require(8);
-  std::uint64_t value = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    value |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-  }
-  pos_ += 8;
-  return value;
-}
-
-std::uint8_t Reader::byte() {
-  require(1);
-  return data_[pos_++];
-}
-
-Reader::Tag Reader::tag() {
-  const std::uint64_t raw = varint();
-  const auto type_bits = static_cast<std::uint8_t>(raw & 0x7);
-  if (type_bits > static_cast<std::uint8_t>(WireType::kBytes)) {
-    throw SerializeError(
-        common::format("unknown wire type {} on the wire", type_bits));
-  }
-  const std::uint64_t field_id = raw >> 3;
-  if (field_id == 0 || field_id > 0xFFFFFFFFull) {
-    throw SerializeError(
-        common::format("invalid field id {} on the wire", field_id));
-  }
-  return Tag{static_cast<std::uint32_t>(field_id),
-             static_cast<WireType>(type_bits)};
-}
-
-std::span<const std::uint8_t> Reader::bytes() {
-  const std::uint64_t size = varint();
-  if (size > remaining()) {
-    throw SerializeError("truncated wire input");
-  }
-  const auto out = data_.subspan(pos_, static_cast<std::size_t>(size));
-  pos_ += static_cast<std::size_t>(size);
-  return out;
-}
-
-void Reader::skip(WireType type) {
-  switch (type) {
-    case WireType::kVarint:
-      (void)varint();
-      return;
-    case WireType::kFixed64:
-      (void)fixed64();
-      return;
-    case WireType::kBytes:
-      (void)bytes();
-      return;
-  }
-  throw SerializeError("unknown wire type in skip");
-}
-
-// ---- frame header ----------------------------------------------------------
-
-void write_frame_header(Writer& writer) {
-  for (std::size_t i = 0; i < 4; ++i) {
-    writer.byte(static_cast<std::uint8_t>(kFrameMagic >> (8 * i)));
-  }
-  writer.byte(kWireMajor);
-  writer.byte(kWireMinor);
-}
-
-FrameVersion read_frame_header(Reader& reader) {
-  std::uint32_t magic = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    magic |= static_cast<std::uint32_t>(reader.byte()) << (8 * i);
-  }
-  if (magic != kFrameMagic) {
-    throw SerializeError("bad wire frame magic");
-  }
-  FrameVersion version;
-  version.major = reader.byte();
-  version.minor = reader.byte();
-  if (version.major != kWireMajor) {
-    throw SerializeError(common::format(
-        "incompatible wire format: frame has major version {}, this "
-        "decoder supports major version {}",
-        version.major, kWireMajor));
-  }
-  return version;
-}
-
 // ---- Decoder error helpers --------------------------------------------------
 
 void Decoder::throw_out_of_range(const char* name, std::uint64_t raw,

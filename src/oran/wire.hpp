@@ -1,9 +1,9 @@
-// The versioned binary wire layer (DESIGN.md §13): a field-tag/varint
-// serialization format in the spirit of protobuf wire encoding, driven by
-// one per-type field list — `wire_fields(visitor, value)` — that a binary
-// encoder, a strict bounds-checked decoder and a JSON view all walk. This
-// replaces per-type hand-rolled parsers (the old oran/codec byte layout)
-// with a single grammar:
+// The versioned RIC message grammar (DESIGN.md §13): a field-tag/varint
+// format in the spirit of protobuf wire encoding, driven by one per-type
+// field list — `wire_fields(visitor, value)` — that a binary encoder, a
+// strict bounds-checked decoder and a JSON view all walk. The byte-level
+// primitives (header, varint, tag, packed doubles) are the project's one
+// binary format in common/serialize; this file only adds the grammar:
 //
 //   frame   := magic:u32le major:u8 minor:u8 field*
 //   field   := tag:varint value
@@ -22,7 +22,6 @@
 #pragma once
 
 #include <array>
-#include <bit>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -38,7 +37,10 @@
 
 namespace explora::oran::wire {
 
+using common::Reader;
 using common::SerializeError;
+using common::WireType;
+using common::Writer;
 
 /// Frame magic: "EWIR" as a little-endian u32.
 inline constexpr std::uint32_t kFrameMagic = 0x52495745u;
@@ -47,99 +49,8 @@ inline constexpr std::uint8_t kWireMajor = 1;
 /// Format minor version: newer minors may add fields; old decoders skip
 /// them, old frames simply lack them.
 inline constexpr std::uint8_t kWireMinor = 0;
-
-/// The three value encodings a tag can announce.
-enum class WireType : std::uint8_t {
-  kVarint = 0,
-  kFixed64 = 1,
-  kBytes = 2,
-};
-
-[[nodiscard]] std::string to_string(WireType type);
-
-/// Append-only tagged-field encoder (no header; frames add their own).
-class Writer {
- public:
-  void varint(std::uint64_t v);
-  /// ZigZag-encoded signed varint (small magnitudes stay small).
-  void zigzag(std::int64_t v);
-  void fixed64(std::uint64_t v);
-  void byte(std::uint8_t v);
-  void raw(std::span<const std::uint8_t> bytes);
-  void tag(std::uint32_t field_id, WireType type);
-
-  void u64_field(std::uint32_t field_id, std::uint64_t v);
-  void i64_field(std::uint32_t field_id, std::int64_t v);
-  void bool_field(std::uint32_t field_id, bool v);
-  void f64_field(std::uint32_t field_id, double v);
-  void bytes_field(std::uint32_t field_id, std::span<const std::uint8_t> v);
-  void string_field(std::uint32_t field_id, std::string_view v);
-  /// Packed doubles: one bytes field holding size * 8 raw little-endian
-  /// IEEE-754 values.
-  void f64_list_field(std::uint32_t field_id, std::span<const double> v);
-
-  [[nodiscard]] const std::vector<std::uint8_t>& buffer() const& noexcept {
-    return buffer_;
-  }
-  [[nodiscard]] std::vector<std::uint8_t> take() && noexcept {
-    return std::move(buffer_);
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return buffer_.size(); }
-
- private:
-  std::vector<std::uint8_t> buffer_;
-};
-
-/// Strict sequential decoder over a borrowed byte span. Every read is
-/// bounds-checked; all failures throw SerializeError, never read out of
-/// bounds. The span must outlive the reader.
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> data) noexcept
-      : data_(data) {}
-
-  [[nodiscard]] std::uint64_t varint();
-  [[nodiscard]] std::int64_t zigzag();
-  [[nodiscard]] std::uint64_t fixed64();
-  [[nodiscard]] std::uint8_t byte();
-
-  struct Tag {
-    std::uint32_t field_id = 0;
-    WireType type = WireType::kVarint;
-  };
-  /// Reads and validates one field tag (field_id >= 1, known wire type).
-  [[nodiscard]] Tag tag();
-
-  /// Length-prefixed bytes; the returned span borrows from the input.
-  [[nodiscard]] std::span<const std::uint8_t> bytes();
-
-  /// Skips one value of the given wire type (unknown-field tolerance).
-  void skip(WireType type);
-
-  [[nodiscard]] bool at_end() const noexcept { return pos_ == data_.size(); }
-  [[nodiscard]] std::size_t remaining() const noexcept {
-    return data_.size() - pos_;
-  }
-  [[nodiscard]] std::size_t pos() const noexcept { return pos_; }
-
- private:
-  void require(std::size_t n) const;
-
-  std::span<const std::uint8_t> data_;
-  std::size_t pos_ = 0;
-};
-
-/// Writes the frame header (magic + format version) onto a writer.
-void write_frame_header(Writer& writer);
-
-struct FrameVersion {
-  std::uint8_t major = 0;
-  std::uint8_t minor = 0;
-};
-
-/// Reads and validates a frame header. Throws on bad magic; throws an
-/// error naming both versions when the major version is incompatible.
-FrameVersion read_frame_header(Reader& reader);
+inline constexpr common::StreamFormat kFrameFormat{"wire frame", kFrameMagic,
+                                                   kWireMajor, kWireMinor};
 
 // ---------------------------------------------------------------------------
 // Visitors. Each serializable type defines exactly one
@@ -266,7 +177,7 @@ class Decoder {
   void f64(std::uint32_t id, const char* name, double& v) {
     if (!take(id)) return;
     expect(WireType::kFixed64, name);
-    v = std::bit_cast<double>(reader_->fixed64());
+    v = reader_->f64();
   }
   void str(std::uint32_t id, const char* name, std::string& v) {
     if (!take(id)) return;
@@ -286,20 +197,7 @@ class Decoder {
   void f64_list(std::uint32_t id, const char* name, std::vector<double>& v) {
     if (!take(id)) return;
     expect(WireType::kBytes, name);
-    const auto bytes = reader_->bytes();
-    if (bytes.size() % sizeof(double) != 0) {
-      throw SerializeError(std::string("packed double list '") + name +
-                           "' has a length that is not a multiple of 8");
-    }
-    v.assign(bytes.size() / sizeof(double), 0.0);
-    for (std::size_t i = 0; i < v.size(); ++i) {
-      std::uint64_t raw = 0;
-      for (std::size_t b = 0; b < sizeof(double); ++b) {
-        raw |= static_cast<std::uint64_t>(bytes[i * sizeof(double) + b])
-               << (8 * b);
-      }
-      v[i] = std::bit_cast<double>(raw);
-    }
+    v = reader_->f64_list();
   }
   void blob(std::uint32_t id, const char* name, std::vector<std::uint8_t>& v) {
     if (!take(id)) return;
@@ -519,7 +417,7 @@ class JsonView {
 template <typename T>
 [[nodiscard]] std::vector<std::uint8_t> encode_frame(const T& value) {
   Writer writer;
-  write_frame_header(writer);
+  writer.header(kFrameFormat);
   Encoder encoder(writer);
   // The encode pass only reads; the shared field list is declared on
   // mutable references so the decode pass can write through it.
@@ -532,7 +430,7 @@ template <typename T>
 template <typename T>
 [[nodiscard]] T decode_frame(std::span<const std::uint8_t> data) {
   Reader reader(data);
-  (void)read_frame_header(reader);
+  reader.header(kFrameFormat);
   T out{};
   decode_fields(reader, out);
   return out;

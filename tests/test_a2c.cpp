@@ -100,10 +100,10 @@ TEST(A2cAgent, LearnsContextualBandit) {
 
 TEST(A2cAgent, SerializeRoundTrip) {
   auto original = std::make_unique<A2cAgent>(small_config(), 11);
-  common::BinaryWriter writer(0xa2c, 1);
+  common::Writer writer;
   original->serialize(writer);
   auto loaded = std::make_unique<A2cAgent>(small_config(), 999);
-  common::BinaryReader reader(writer.buffer(), 0xa2c, 1);
+  common::Reader reader(writer.buffer());
   loaded->deserialize(reader);
   const Vector state{0.2, -0.6, 0.1, 0.9};
   EXPECT_EQ(original->act_greedy(state).action,

@@ -85,10 +85,10 @@ TEST(Autoencoder, SerializeRoundTrip) {
   Autoencoder original(small_config(), 19);
   original.train(data);
 
-  common::BinaryWriter writer(0xae, 1);
+  common::Writer writer;
   original.serialize(writer);
   Autoencoder loaded(small_config(), 999);
-  common::BinaryReader reader(writer.buffer(), 0xae, 1);
+  common::Reader reader(writer.buffer());
   loaded.deserialize(reader);
 
   const Vector probe(12, -0.3);
@@ -97,13 +97,13 @@ TEST(Autoencoder, SerializeRoundTrip) {
 
 TEST(Autoencoder, DeserializeRejectsWrongShape) {
   Autoencoder original(small_config(), 1);
-  common::BinaryWriter writer(0xae, 1);
+  common::Writer writer;
   original.serialize(writer);
 
   auto other_config = small_config();
   other_config.latent_dim = 4;
   Autoencoder other(other_config, 1);
-  common::BinaryReader reader(writer.buffer(), 0xae, 1);
+  common::Reader reader(writer.buffer());
   EXPECT_THROW(other.deserialize(reader), common::SerializeError);
 }
 

@@ -92,7 +92,7 @@ TEST(Codec, RejectsOutOfRangeSchedulerPolicy) {
   ran_control.bytes_field(1, control_body.buffer());
   ran_control.u64_field(2, 1);  // decision_id
   wire::Writer frame;
-  wire::write_frame_header(frame);
+  frame.header(wire::kFrameFormat);
   frame.u64_field(1, static_cast<std::uint64_t>(MessageType::kRanControl));
   frame.string_field(2, "x");
   frame.bytes_field(4, ran_control.buffer());
@@ -107,7 +107,7 @@ TEST(Codec, RejectsMismatchedTypeAndPayload) {
   wire::Writer ran_control;
   ran_control.u64_field(2, 5);  // decision_id only
   wire::Writer frame;
-  wire::write_frame_header(frame);
+  frame.header(wire::kFrameFormat);
   frame.u64_field(1, static_cast<std::uint64_t>(MessageType::kRanControlAck));
   frame.string_field(2, "x");
   frame.bytes_field(4, ran_control.buffer());  // field 4 = ran_control

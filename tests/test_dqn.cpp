@@ -126,10 +126,10 @@ TEST(DqnAgent, LearnsContextualBandit) {
 
 TEST(DqnAgent, SerializeRoundTrip) {
   auto original = std::make_unique<DqnAgent>(small_config(), 19);
-  common::BinaryWriter writer(0xd, 1);
+  common::Writer writer;
   original->serialize(writer);
   auto loaded = std::make_unique<DqnAgent>(small_config(), 555);
-  common::BinaryReader reader(writer.buffer(), 0xd, 1);
+  common::Reader reader(writer.buffer());
   loaded->deserialize(reader);
   const Vector state{0.1, 0.2, -0.1, 0.4};
   EXPECT_EQ(original->act_greedy(state).action,

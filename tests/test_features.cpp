@@ -63,11 +63,11 @@ TEST(KpiNormalizer, SerializeRoundTrip) {
   KpiNormalizer normalizer;
   normalizer.observe(make_report(1.0, 2.0, 3.0));
   normalizer.observe(make_report(4.0, 5.0, 6.0));
-  common::BinaryWriter writer(0x1, 1);
+  common::Writer writer;
   normalizer.serialize(writer);
 
   KpiNormalizer loaded;
-  common::BinaryReader reader(writer.buffer(), 0x1, 1);
+  common::Reader reader(writer.buffer());
   loaded.deserialize(reader);
   EXPECT_DOUBLE_EQ(
       loaded.normalize(netsim::Kpi::kTxPackets, netsim::Slice::kMmtc, 3.5),

@@ -232,12 +232,12 @@ TEST(Mlp, ForwardBatchMatchesInferBitwise) {
 TEST(Mlp, SerializeRoundTrip) {
   common::Rng rng(11);
   Mlp original({4, 8, 3}, Activation::kTanh, Activation::kLinear, rng);
-  common::BinaryWriter writer(0xabc, 1);
+  common::Writer writer;
   original.serialize(writer);
 
   common::Rng rng2(999);  // different init — must be overwritten by load
   Mlp loaded({4, 8, 3}, Activation::kTanh, Activation::kLinear, rng2);
-  common::BinaryReader reader(writer.buffer(), 0xabc, 1);
+  common::Reader reader(writer.buffer());
   loaded.deserialize(reader);
 
   const Vector input{0.1, 0.2, 0.3, 0.4};
@@ -251,11 +251,11 @@ TEST(Mlp, SerializeRoundTrip) {
 TEST(Mlp, DeserializeRejectsShapeMismatch) {
   common::Rng rng(13);
   Mlp original({4, 8, 3}, Activation::kTanh, Activation::kLinear, rng);
-  common::BinaryWriter writer(0xabc, 1);
+  common::Writer writer;
   original.serialize(writer);
 
   Mlp wrong_shape({4, 9, 3}, Activation::kTanh, Activation::kLinear, rng);
-  common::BinaryReader reader(writer.buffer(), 0xabc, 1);
+  common::Reader reader(writer.buffer());
   EXPECT_THROW(wrong_shape.deserialize(reader), common::SerializeError);
 }
 

@@ -173,11 +173,11 @@ TEST(PpoAgent, LearnsContextualBandit) {
 
 TEST(PpoAgent, SerializeRoundTrip) {
   auto original = std::make_unique<PpoAgent>(small_config(), 23);
-  common::BinaryWriter writer(0x990, 1);
+  common::Writer writer;
   original->serialize(writer);
 
   auto loaded = std::make_unique<PpoAgent>(small_config(), 777);
-  common::BinaryReader reader(writer.buffer(), 0x990, 1);
+  common::Reader reader(writer.buffer());
   loaded->deserialize(reader);
 
   Vector state{0.3, -0.1, 0.7, 0.0};
