@@ -99,21 +99,28 @@ double Rng::exponential(double rate) noexcept {
 }
 
 std::uint32_t Rng::poisson(double mean) noexcept {
+  return PoissonSampler(mean)(*this);
+}
+
+PoissonSampler::PoissonSampler(double mean)
+    : mean_(mean), threshold_(mean < 64.0 ? std::exp(-mean) : 0.0) {
   EXPLORA_EXPECTS(mean >= 0.0);
-  if (mean == 0.0) return 0;  // det-ok: float-eq (degenerate-rate short-circuit)
-  if (mean < 64.0) {
+}
+
+std::uint32_t PoissonSampler::operator()(Rng& rng) const noexcept {
+  if (mean_ == 0.0) return 0;  // det-ok: float-eq (degenerate-rate short-circuit)
+  if (mean_ < 64.0) {
     // Knuth's multiplication method.
-    const double threshold = std::exp(-mean);
     std::uint32_t count = 0;
-    double product = uniform();
-    while (product > threshold) {
+    double product = rng.uniform();
+    while (product > threshold_) {
       ++count;
-      product *= uniform();
+      product *= rng.uniform();
     }
     return count;
   }
   // Normal approximation with continuity correction for large means.
-  const double draw = normal(mean, std::sqrt(mean));
+  const double draw = rng.normal(mean_, std::sqrt(mean_));
   return draw <= 0.0 ? 0u : static_cast<std::uint32_t>(draw + 0.5);
 }
 

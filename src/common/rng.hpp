@@ -63,7 +63,7 @@ class Rng {
   /// Exponential with the given rate (lambda > 0).
   [[nodiscard]] double exponential(double rate) noexcept;
   /// Poisson-distributed count with the given mean (Knuth for small means,
-  /// normal approximation above 64).
+  /// normal approximation above 64; see PoissonSampler).
   [[nodiscard]] std::uint32_t poisson(double mean) noexcept;
   /// True with probability p (clamped to [0,1]).
   [[nodiscard]] bool bernoulli(double p) noexcept;
@@ -84,6 +84,24 @@ class Rng {
   std::array<std::uint64_t, 4> state_{};
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;
+};
+
+/// Poisson draws at one fixed mean. Rng::poisson builds one per call; a
+/// source that always draws at the same mean keeps one, so Knuth's
+/// exp(-mean) threshold is computed once rather than on every draw. Both
+/// paths consume the generator identically.
+class PoissonSampler {
+ public:
+  /// @param mean expected count (>= 0).
+  explicit PoissonSampler(double mean);
+
+  /// Knuth's multiplication method for means below 64, the normal
+  /// approximation above; a zero mean returns 0 without drawing.
+  [[nodiscard]] std::uint32_t operator()(Rng& rng) const noexcept;
+
+ private:
+  double mean_;
+  double threshold_;  ///< exp(-mean) on the Knuth path
 };
 
 }  // namespace explora::common

@@ -63,13 +63,19 @@ std::uint32_t cqi_bytes_per_prb(std::uint32_t cqi) {
 
 UeChannel::UeChannel(double distance_m, const ChannelConfig& config,
                      common::Rng rng)
-    : distance_m_(distance_m), config_(config), rng_(rng) {
+    : distance_m_(distance_m),
+      config_(config),
+      // AR(1) shadowing: rho-correlated Gaussian with stationary sigma.
+      innovation_sigma_(config.shadowing_sigma_db *
+                        std::sqrt(1.0 - config.shadowing_rho *
+                                            config.shadowing_rho)),
+      rng_(rng) {
   EXPLORA_EXPECTS(distance_m > 1.0);
   set_distance(distance_m);
   if (config_.fading_enabled) {
     // Warm-start shadowing from its stationary distribution.
     shadowing_db_ = rng_.normal(0.0, config_.shadowing_sigma_db);
-    fading_gain_ = rng_.exponential(1.0);
+    set_fading_gain(rng_.exponential(1.0));
   }
   refresh_sinr();
 }
@@ -111,33 +117,23 @@ void UeChannel::advance() noexcept {
                             mobility_.max_distance_m));
   }
   if (!config_.fading_enabled) return;
-  // AR(1) shadowing: rho-correlated Gaussian with stationary sigma.
-  const double innovation_sigma =
-      config_.shadowing_sigma_db *
-      std::sqrt(1.0 - config_.shadowing_rho * config_.shadowing_rho);
   shadowing_db_ = config_.shadowing_rho * shadowing_db_ +
-                  rng_.normal(0.0, innovation_sigma);
+                  rng_.normal(0.0, innovation_sigma_);
   if (++ttis_into_block_ >= config_.fading_block_ttis) {
     ttis_into_block_ = 0;
-    fading_gain_ = rng_.exponential(1.0);  // Rayleigh power gain
+    set_fading_gain(rng_.exponential(1.0));  // Rayleigh power gain
   }
   refresh_sinr();
 }
 
+void UeChannel::set_fading_gain(double gain) noexcept {
+  fading_db_ = 10.0 * std::log10(std::max(gain, 1e-6));
+}
+
 void UeChannel::refresh_sinr() noexcept {
-  const double fading_db =
-      10.0 * std::log10(std::max(fading_gain_, 1e-6));
-  sinr_db_ = mean_snr_db_ + shadowing_db_ + fading_db;
-}
-
-std::uint32_t UeChannel::cqi() const noexcept { return sinr_to_cqi(sinr_db_); }
-
-std::uint32_t UeChannel::bytes_per_prb() const noexcept {
-  return cqi_bytes_per_prb(cqi());
-}
-
-double UeChannel::bits_per_prb() const noexcept {
-  return static_cast<double>(bytes_per_prb()) * 8.0;
+  sinr_db_ = mean_snr_db_ + shadowing_db_ + fading_db_;
+  cqi_ = sinr_to_cqi(sinr_db_);
+  bytes_per_prb_ = cqi_bytes_per_prb(cqi_);
 }
 
 }  // namespace explora::netsim

@@ -37,7 +37,9 @@ struct MobilityConfig {
 };
 
 /// Per-UE time-varying channel. Advance once per TTI; query SINR/CQI and
-/// the bytes one PRB can carry in the current TTI.
+/// the bytes one PRB can carry in the current TTI. CQI and bytes/PRB are
+/// derived whenever the SINR changes, so the schedulers' many queries per
+/// TTI read stored values.
 class UeChannel {
  public:
   /// @param distance_m UE-gNB distance in meters (> 1).
@@ -55,26 +57,36 @@ class UeChannel {
   /// Current post-fading SINR in dB.
   [[nodiscard]] double sinr_db() const noexcept { return sinr_db_; }
   /// Current CQI in [1, 15].
-  [[nodiscard]] std::uint32_t cqi() const noexcept;
+  [[nodiscard]] std::uint32_t cqi() const noexcept { return cqi_; }
   /// Transport-block bytes one PRB carries this TTI at the current CQI.
-  [[nodiscard]] std::uint32_t bytes_per_prb() const noexcept;
+  [[nodiscard]] std::uint32_t bytes_per_prb() const noexcept {
+    return bytes_per_prb_;
+  }
   /// Achievable rate this TTI in bits per PRB (for PF/WF metrics).
-  [[nodiscard]] double bits_per_prb() const noexcept;
+  [[nodiscard]] double bits_per_prb() const noexcept {
+    return static_cast<double>(bytes_per_prb_) * 8.0;
+  }
   [[nodiscard]] double distance_m() const noexcept { return distance_m_; }
 
   /// Moves the UE to a new distance (mobility / scenario changes).
   void set_distance(double distance_m);
 
  private:
+  /// Stores the dB value of a newly drawn Rayleigh power gain.
+  void set_fading_gain(double gain) noexcept;
+  /// Recomputes SINR, CQI and bytes/PRB from the current components.
   void refresh_sinr() noexcept;
 
   double distance_m_;
   ChannelConfig config_;
+  double innovation_sigma_;      ///< AR(1) shadowing innovation std-dev
   common::Rng rng_;
   double mean_snr_db_ = 0.0;     ///< distance-dependent component
   double shadowing_db_ = 0.0;    ///< AR(1) state
-  double fading_gain_ = 1.0;     ///< Rayleigh power gain, per block
+  double fading_db_ = 0.0;       ///< Rayleigh power gain per block [dB]
   double sinr_db_ = 0.0;
+  std::uint32_t cqi_ = 1;
+  std::uint32_t bytes_per_prb_ = 0;
   std::int64_t ttis_into_block_ = 0;
   MobilityConfig mobility_{};
   std::int64_t ttis_since_move_ = 0;

@@ -11,29 +11,13 @@ namespace explora::netsim {
 
 namespace {
 
-/// Serves one PRB worth of data to a UE; returns bytes actually sent.
-EXPLORA_REALTIME std::uint64_t serve_one_prb(Ue& ue) {
-  return ue.serve(ue.channel().bytes_per_prb());
+/// PRBs that drain `ue`'s buffer at this TTI's bytes/PRB (at least 2
+/// bytes/PRB, the CQI-1 floor).
+EXPLORA_REALTIME std::uint64_t prb_demand(const Ue& ue) noexcept {
+  const std::uint64_t per_prb = ue.channel().bytes_per_prb();
+  EXPLORA_ASSERT(per_prb > 0);
+  return (ue.buffer_bytes() + per_prb - 1) / per_prb;
 }
-
-/// Collects the subset of UEs with buffered data into `out`, a scratch
-/// vector owned by the scheduler: its capacity survives across TTIs, so
-/// after the first few TTIs of a configuration the grant loop runs
-/// allocation-free.
-EXPLORA_REALTIME void collect_backlogged(std::span<Ue*> ues,
-                                         std::vector<Ue*>& out) {
-  out.clear();
-  for (Ue* ue : ues) {
-    EXPLORA_EXPECTS(ue != nullptr);
-    // hotpath-ok: scratch retains capacity across TTIs; grows only when
-    // the attached-UE count grows (attach/detach, not the TTI loop).
-    if (ue->has_data()) out.push_back(ue);
-  }
-}
-
-}  // namespace
-
-namespace {
 
 // Upper bound kTotalPrbs: a slice can at most be granted the whole carrier.
 constexpr std::int64_t kPrbBounds[] = {0, 5, 10, 20, 30, 40, kTotalPrbs};
@@ -112,68 +96,125 @@ std::unique_ptr<Scheduler> make_scheduler(SchedulerPolicy policy,
   return nullptr;
 }
 
+EXPLORA_REALTIME void Scheduler::collect_backlogged(std::span<Ue*> ues) {
+  active_.clear();
+  grants_.clear();
+  for (Ue* ue : ues) {
+    EXPLORA_EXPECTS(ue != nullptr);
+    if (!ue->has_data()) continue;
+    // hotpath-ok: scratch retains capacity across TTIs; grows only when
+    // the attached-UE count grows (attach/detach, not the TTI loop).
+    active_.push_back(ue);
+    // hotpath-ok: grows with active_ above, same bound.
+    grants_.push_back(Grant{.demand = prb_demand(*ue)});
+  }
+}
+
+template <typename Before>
+EXPLORA_REALTIME void Scheduler::rank_active(Before before) {
+  order_.clear();
+  for (std::uint32_t i = 0; i < active_.size(); ++i) {
+    // hotpath-ok: grows with active_, same bound.
+    order_.push_back(i);
+  }
+  std::sort(order_.begin(), order_.end(), before);
+}
+
+EXPLORA_REALTIME std::uint32_t Scheduler::grant_in_order(
+    std::uint32_t budget) noexcept {
+  std::uint32_t remaining = budget;
+  for (const std::uint32_t i : order_) {
+    if (remaining == 0) break;
+    Grant& grant = grants_[i];
+    grant.prbs = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(remaining, grant.demand));
+    remaining -= grant.prbs;
+  }
+  return budget - remaining;
+}
+
+EXPLORA_REALTIME void Scheduler::serve_grants() {
+  // serve(k * b) sends min(k * b, buffer) and pops the same packets as k
+  // single-PRB serves, and a serve touches only its own UE, so one call
+  // per UE, in any order, serves exactly what granting PRB by PRB would.
+  for (std::size_t i = 0; i < active_.size(); ++i) {
+    Grant& grant = grants_[i];
+    if (grant.prbs == 0) continue;
+    grant.sent = active_[i]->serve(std::uint64_t{grant.prbs} *
+                                   active_[i]->channel().bytes_per_prb());
+  }
+}
+
 EXPLORA_REALTIME void RoundRobinScheduler::schedule_tti(
     std::span<Ue*> ues, std::uint32_t prb_budget) {
-  auto& active = active_scratch_;
-  collect_backlogged(ues, active);
-  if (active.empty() || prb_budget == 0) {
+  collect_backlogged(ues);
+  if (active_.empty() || prb_budget == 0) {
     record_grants(0, prb_budget);
     return;
   }
   // Rotate the starting user so the head position does not systematically
   // favour low UE ids when the budget is not a multiple of the user count.
-  next_ %= active.size();
-  std::size_t cursor = next_;
+  const std::size_t users = active_.size();
+  next_ %= users;
   std::uint32_t remaining = prb_budget;
-  // Cycle until the budget is spent or nobody has data left.
-  std::size_t idle_passes = 0;
-  while (remaining > 0 && idle_passes < active.size()) {
-    Ue& ue = *active[cursor];
-    cursor = (cursor + 1) % active.size();
-    if (!ue.has_data()) {
-      ++idle_passes;
-      continue;
+  while (remaining > 0) {
+    std::uint32_t open = 0;  // UEs with data left after their grant so far
+    std::uint64_t min_left = std::numeric_limits<std::uint64_t>::max();
+    for (const Grant& grant : grants_) {
+      if (grant.prbs == grant.demand) continue;
+      ++open;
+      min_left = std::min(min_left, grant.demand - grant.prbs);
     }
-    idle_passes = 0;
-    serve_one_prb(ue);
-    --remaining;
+    if (open == 0) break;  // every queue drains this TTI
+    if (remaining < open) {
+      // The last, partial round: one PRB each in cyclic order from next_.
+      for (std::size_t step = 0; remaining > 0; ++step) {
+        Grant& grant = grants_[(next_ + step) % users];
+        if (grant.prbs == grant.demand) continue;
+        ++grant.prbs;
+        --remaining;
+      }
+      break;
+    }
+    // Whole rounds give every open UE one PRB wherever the round starts;
+    // take as many as the budget allows before some UE drains.
+    const auto rounds = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(remaining / open, min_left));
+    for (Grant& grant : grants_) {
+      if (grant.prbs != grant.demand) grant.prbs += rounds;
+    }
+    remaining -= rounds * open;
   }
+  serve_grants();
   // A slice scheduler must never grant more PRBs than its slice owns,
   // or it would eat into another slice's share.
   EXPLORA_ENSURES_MSG(remaining <= prb_budget,
                       "RR served {} PRBs over a budget of {}",
                       prb_budget - remaining, prb_budget);
   record_grants(prb_budget - remaining, prb_budget);
-  next_ = (next_ + 1) % active.size();
+  next_ = (next_ + 1) % users;
 }
 
 EXPLORA_REALTIME void WaterfillingScheduler::schedule_tti(
     std::span<Ue*> ues, std::uint32_t prb_budget) {
-  auto& active = active_scratch_;
-  collect_backlogged(ues, active);
-  if (active.empty() || prb_budget == 0) {
+  collect_backlogged(ues);
+  if (active_.empty() || prb_budget == 0) {
     record_grants(0, prb_budget);
     return;
   }
   // Strongest channel first; ties broken by UE id for determinism.
-  std::sort(active.begin(), active.end(), [](const Ue* a, const Ue* b) {
-    if (a->channel().sinr_db() != b->channel().sinr_db()) {
-      return a->channel().sinr_db() > b->channel().sinr_db();
-    }
-    return a->id() < b->id();
+  rank_active([this](std::uint32_t a, std::uint32_t b) {
+    const UeChannel& ca = active_[a]->channel();
+    const UeChannel& cb = active_[b]->channel();
+    if (ca.sinr_db() != cb.sinr_db()) return ca.sinr_db() > cb.sinr_db();
+    return active_[a]->id() < active_[b]->id();
   });
-  std::uint32_t remaining = prb_budget;
-  for (Ue* ue : active) {
-    while (remaining > 0 && ue->has_data()) {
-      serve_one_prb(*ue);
-      --remaining;
-    }
-    if (remaining == 0) break;
-  }
-  EXPLORA_ENSURES_MSG(remaining <= prb_budget,
-                      "WF served {} PRBs over a budget of {}",
-                      prb_budget - remaining, prb_budget);
-  record_grants(prb_budget - remaining, prb_budget);
+  const std::uint32_t granted = grant_in_order(prb_budget);
+  serve_grants();
+  EXPLORA_ENSURES_MSG(granted <= prb_budget,
+                      "WF served {} PRBs over a budget of {}", granted,
+                      prb_budget);
+  record_grants(granted, prb_budget);
 }
 
 ProportionalFairScheduler::ProportionalFairScheduler(double alpha)
@@ -183,45 +224,36 @@ ProportionalFairScheduler::ProportionalFairScheduler(double alpha)
 
 EXPLORA_REALTIME void ProportionalFairScheduler::schedule_tti(
     std::span<Ue*> ues, std::uint32_t prb_budget) {
-  auto& active = active_scratch_;
-  collect_backlogged(ues, active);
-  auto& served_bits = served_bits_scratch_;
-  // hotpath-ok: scratch retains capacity across TTIs; grows only when the
-  // attached-UE count grows (attach/detach, not the TTI loop).
-  served_bits.assign(active.size(), 0.0);
+  collect_backlogged(ues);
   std::uint32_t granted = 0;
-  if (!active.empty() && prb_budget > 0) {
-    std::uint32_t remaining = prb_budget;
-    while (remaining > 0) {
-      // Pick the user with the best instantaneous-rate / average ratio.
-      double best_metric = -1.0;
-      std::size_t best = active.size();
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        if (!active[i]->has_data()) continue;
-        const double inst = active[i]->channel().bits_per_prb();
-        const double avg = std::max(active[i]->pf_average(), 1e-3);
-        const double metric = inst / avg;
-        if (metric > best_metric) {
-          best_metric = metric;
-          best = i;
-        }
-      }
-      if (best == active.size()) break;  // all drained
-      const std::uint64_t sent = serve_one_prb(*active[best]);
-      served_bits[best] += static_cast<double>(sent) * 8.0;
-      --remaining;
-    }
-    EXPLORA_ENSURES_MSG(remaining <= prb_budget,
-                        "PF served {} PRBs over a budget of {}",
-                        prb_budget - remaining, prb_budget);
-    granted = prb_budget - remaining;
+  if (!active_.empty() && prb_budget > 0) {
+    // Best instantaneous-rate / average ratio first; the lower index wins
+    // ties, as the first maximum of a linear scan would.
+    const auto metric = [this](std::uint32_t i) {
+      return active_[i]->channel().bits_per_prb() /
+             std::max(active_[i]->pf_average(), 1e-3);
+    };
+    rank_active([&metric](std::uint32_t a, std::uint32_t b) {
+      const double ma = metric(a);
+      const double mb = metric(b);
+      if (ma != mb) return ma > mb;
+      return a < b;
+    });
+    granted = grant_in_order(prb_budget);
+    serve_grants();
+    EXPLORA_ENSURES_MSG(granted <= prb_budget,
+                        "PF served {} PRBs over a budget of {}", granted,
+                        prb_budget);
   }
   record_grants(granted, prb_budget);
   // EWMA update for every tracked user, including the unserved ones (their
   // average decays, raising future priority) — standard PF bookkeeping.
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    double& avg = active[i]->pf_average();
-    avg = (1.0 - alpha_) * avg + alpha_ * served_bits[i];
+  // Served bits are integers far below 2^53, so one product equals a
+  // PRB-by-PRB sum exactly.
+  for (std::size_t i = 0; i < active_.size(); ++i) {
+    double& avg = active_[i]->pf_average();
+    avg = (1.0 - alpha_) * avg +
+          alpha_ * (static_cast<double>(grants_[i].sent) * 8.0);
   }
 }
 

@@ -48,12 +48,35 @@ class Scheduler {
   /// its budgeted PRBs it actually granted this TTI.
   void record_grants(std::uint32_t granted, std::uint32_t budget) noexcept;
 
-  /// Per-TTI backlogged-UE scratch shared by every policy. Hoisted into a
-  /// member so the grant loop never allocates in steady state: the vector
-  /// keeps its capacity across TTIs and only grows when UEs attach
-  /// (verified by the EXPLORA_REALTIME contract on schedule_tti, see
-  /// tools/lint_hotpath.py / DESIGN.md §11).
-  std::vector<Ue*> active_scratch_;
+  /// One backlogged UE's share of this TTI. A UE's bytes/PRB is fixed
+  /// within a TTI, so each policy's grant loop reduces to a PRB count per
+  /// UE, served in one call.
+  struct Grant {
+    std::uint64_t demand = 0;  ///< PRBs that drain the buffer
+    std::uint32_t prbs = 0;    ///< PRBs granted this TTI
+    std::uint64_t sent = 0;    ///< bytes served by serve_grants()
+  };
+
+  /// Fills active_ with the UEs in `ues` that have buffered data and
+  /// grants_ with one zero grant per active UE.
+  void collect_backlogged(std::span<Ue*> ues);
+  /// Sorts order_ (indices into active_) by `before`.
+  template <typename Before>
+  void rank_active(Before before);
+  /// Grants the UEs in order_ up to their demand, front to back, until
+  /// `budget` is spent; returns the PRBs granted.
+  std::uint32_t grant_in_order(std::uint32_t budget) noexcept;
+  /// Serves every active UE its granted PRBs in one call each.
+  void serve_grants();
+
+  // Per-TTI scratch shared by every policy, indexed like active_. Hoisted
+  // into members so the grant path never allocates in steady state: the
+  // vectors keep their capacity across TTIs and only grow when UEs attach
+  // (verified by the EXPLORA_REALTIME contract on schedule_tti, see
+  // tools/lint_hotpath.py / DESIGN.md §11).
+  std::vector<Ue*> active_;
+  std::vector<Grant> grants_;
+  std::vector<std::uint32_t> order_;
 
  private:
   /// prb_per_tti bucket upper bounds (+1 implicit overflow bucket).
@@ -83,7 +106,9 @@ class Scheduler {
 [[nodiscard]] std::unique_ptr<Scheduler> make_scheduler(
     SchedulerPolicy policy, double pf_alpha = 0.05);
 
-/// Round-robin PRB allocation over backlogged users.
+/// Round-robin PRB allocation over backlogged users: whole rounds of one
+/// PRB per UE with data left, then the leftover PRBs in cyclic order from
+/// a start offset that rotates every TTI.
 class RoundRobinScheduler final : public Scheduler {
  public:
   void schedule_tti(std::span<Ue*> ues, std::uint32_t prb_budget) override;
@@ -95,7 +120,8 @@ class RoundRobinScheduler final : public Scheduler {
   std::size_t next_ = 0;  ///< rotating start offset for fairness
 };
 
-/// Channel-greedy ("waterfilling") allocation: best CQI first.
+/// Channel-greedy ("waterfilling") allocation: best SINR first, each UE
+/// drained before the next is served.
 class WaterfillingScheduler final : public Scheduler {
  public:
   void schedule_tti(std::span<Ue*> ues, std::uint32_t prb_budget) override;
@@ -104,7 +130,10 @@ class WaterfillingScheduler final : public Scheduler {
   }
 };
 
-/// Proportional-fair allocation with EWMA throughput tracking.
+/// Proportional-fair allocation with EWMA throughput tracking. The metric
+/// rate / average is fixed within a TTI (the average updates after the
+/// grants), so UEs are drained in descending-metric order, the lower index
+/// first on ties.
 class ProportionalFairScheduler final : public Scheduler {
  public:
   explicit ProportionalFairScheduler(double alpha = 0.05);
@@ -116,9 +145,6 @@ class ProportionalFairScheduler final : public Scheduler {
 
  private:
   double alpha_;
-  /// Per-TTI served-bits tally, one slot per backlogged UE; member scratch
-  /// for the same no-steady-state-allocation reason as active_scratch_.
-  std::vector<double> served_bits_scratch_;
 };
 
 }  // namespace explora::netsim

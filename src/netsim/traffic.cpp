@@ -39,7 +39,7 @@ PoissonSource::PoissonSource(double rate_bps, std::uint32_t packet_bytes,
 }
 
 ArrivalBatch PoissonSource::arrivals(Tick /*now*/) {
-  const std::uint32_t packets = rng_.poisson(packets_per_tti_);
+  const std::uint32_t packets = packets_per_tti_(rng_);
   return ArrivalBatch{
       .bytes = static_cast<std::uint64_t>(packets) * packet_bytes_,
       .packets = packets,

@@ -45,7 +45,8 @@ class CbrSource final : public TrafficSource {
   double carry_bytes_ = 0.0;  ///< fractional accumulation between TTIs
 };
 
-/// Poisson packet-arrival source (memoryless inter-arrivals).
+/// Poisson packet-arrival source (memoryless inter-arrivals). The
+/// per-TTI mean never changes, so its sampler is built once.
 class PoissonSource final : public TrafficSource {
  public:
   /// @param rate_bps average offered bitrate (> 0).
@@ -61,7 +62,7 @@ class PoissonSource final : public TrafficSource {
  private:
   double rate_bps_;
   std::uint32_t packet_bytes_;
-  double packets_per_tti_;
+  common::PoissonSampler packets_per_tti_;
   common::Rng rng_;
 };
 

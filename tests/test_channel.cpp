@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 
@@ -123,17 +126,44 @@ TEST(UeChannel, SameSeedSameTrace) {
   }
 }
 
-// Property sweep: bytes_per_prb is always consistent with the CQI table.
+// Property sweep: CQI and bytes/PRB are stored when the SINR changes, so
+// after every advance() (mobility steps included) and every explicit
+// set_distance() they must equal a fresh mapping of the current SINR, with
+// fading on and off.
 class ChannelDistanceSweep : public ::testing::TestWithParam<double> {};
 
+void expect_fresh(const UeChannel& channel) {
+  ASSERT_EQ(channel.cqi(), sinr_to_cqi(channel.sinr_db()));
+  ASSERT_EQ(channel.bytes_per_prb(), cqi_bytes_per_prb(channel.cqi()));
+  ASSERT_DOUBLE_EQ(channel.bits_per_prb(),
+                   static_cast<double>(channel.bytes_per_prb()) * 8.0);
+}
+
 TEST_P(ChannelDistanceSweep, BytesMatchCqiTable) {
-  ChannelConfig config;
-  UeChannel channel(GetParam(), config, common::Rng(7));
-  for (int i = 0; i < 500; ++i) {
-    channel.advance();
-    EXPECT_EQ(channel.bytes_per_prb(), cqi_bytes_per_prb(channel.cqi()));
-    EXPECT_DOUBLE_EQ(channel.bits_per_prb(),
-                     static_cast<double>(channel.bytes_per_prb()) * 8.0);
+  for (const bool fading : {true, false}) {
+    SCOPED_TRACE(fading ? "fading on" : "fading off");
+    ChannelConfig config;
+    config.fading_enabled = fading;
+    UeChannel channel(GetParam(), config, common::Rng(7));
+    // Fast mobility: one random-walk step per simulated second.
+    channel.set_mobility({.speed_mps = 400.0,
+                          .min_distance_m = 50.0,
+                          .max_distance_m = 3500.0});
+    ASSERT_NO_FATAL_FAILURE(expect_fresh(channel));
+    common::Rng moves(9);
+    std::array<bool, 16> seen{};
+    for (int i = 0; i < 6000; ++i) {
+      channel.advance();
+      ASSERT_NO_FATAL_FAILURE(expect_fresh(channel)) << "advance " << i;
+      seen[channel.cqi()] = true;
+      if (i % 250 == 0) {
+        channel.set_distance(moves.uniform(60.0, 3400.0));
+        ASSERT_NO_FATAL_FAILURE(expect_fresh(channel)) << "move " << i;
+        seen[channel.cqi()] = true;
+      }
+    }
+    // The CQI must actually move, or the sweep proves nothing.
+    EXPECT_GE(std::count(seen.begin(), seen.end(), true), 8);
   }
 }
 

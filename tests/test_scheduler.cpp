@@ -3,10 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <memory>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/telemetry.hpp"
+#include "support/reference_scheduler.hpp"
 
 namespace explora::netsim {
 namespace {
@@ -202,6 +206,159 @@ TEST_P(SchedulerOrderingSweep, SumThroughputOrdering) {
 
 INSTANTIATE_TEST_SUITE_P(Budgets, SchedulerOrderingSweep,
                          ::testing::Values(5u, 10u, 20u, 50u));
+
+// ---- differential test against the per-PRB reference loops ---------------
+
+/// Seeded bursty arrivals. With a non-zero `unit` every packet size is a
+/// multiple of it, so a UE on a fixed channel whose unit is its bytes/PRB
+/// always holds a whole number of PRBs; otherwise sizes are arbitrary and
+/// the last PRB is usually partial.
+class BurstSource final : public TrafficSource {
+ public:
+  BurstSource(common::Rng rng, std::uint32_t unit) : rng_(rng), unit_(unit) {}
+  ArrivalBatch arrivals(Tick /*now*/) override {
+    const auto packets = static_cast<std::uint32_t>(rng_.uniform_int(0, 3));
+    const auto size = static_cast<std::uint32_t>(
+        unit_ > 0 ? unit_ * rng_.uniform_int(1, 12) : rng_.uniform_int(1, 900));
+    return {.bytes = std::uint64_t{packets} * size, .packets = packets};
+  }
+  double offered_bps() const noexcept override { return 0.0; }
+
+ private:
+  common::Rng rng_;
+  std::uint32_t unit_;
+};
+
+/// One slice's UEs, built deterministically from `seed`; two calls with the
+/// same seed give twins that evolve identically under equal grants.
+std::vector<std::unique_ptr<Ue>> make_slice(std::uint64_t seed) {
+  common::Rng rng(seed);
+  const auto users = static_cast<std::uint32_t>(rng.uniform_int(1, 12));
+  ChannelConfig config;
+  config.fading_enabled = rng.bernoulli(0.5);
+  // A few shared distances make equal SINRs (WF id ties) and equal PF
+  // metrics (index ties) likely on the fading-free channel.
+  const std::array<double, 3> shared = {300.0, 1200.0, 2600.0};
+  std::vector<std::uint32_t> ids(users);
+  for (std::uint32_t i = 0; i < users; ++i) ids[i] = i;
+  rng.shuffle(ids);
+  std::vector<std::unique_ptr<Ue>> ues;
+  for (std::uint32_t i = 0; i < users; ++i) {
+    const double distance = rng.bernoulli(0.3)
+                                ? shared[rng.index(shared.size())]
+                                : rng.uniform(100.0, 4000.0);
+    UeChannel channel(distance, config, rng.fork(2 * i));
+    const std::uint32_t unit =
+        !config.fading_enabled && rng.bernoulli(0.5) ? channel.bytes_per_prb()
+                                                     : 0;
+    const auto capacity =
+        static_cast<std::uint64_t>(rng.uniform_int(2'000, 200'000));
+    ues.push_back(std::make_unique<Ue>(
+        ids[i], Slice::kEmbb, channel,
+        std::make_unique<BurstSource>(rng.fork(2 * i + 1), unit), capacity));
+  }
+  return ues;
+}
+
+/// Shapes the sweep saw, so the test fails if it stops exercising them.
+struct Coverage {
+  std::array<bool, 16> cqi{};
+  std::uint64_t whole_prb_buffers = 0;
+  std::uint64_t partial_prb_buffers = 0;
+};
+
+/// Runs one seeded case: `ttis` TTIs of the production scheduler against
+/// the reference loop on twin UE sets, comparing after every TTI.
+void run_case(SchedulerPolicy policy, std::uint64_t seed, int ttis,
+              Coverage& coverage) {
+  constexpr double kAlpha = 0.05;
+  telemetry::ScopedEnabled telemetry_on(true);
+  telemetry::ScopedRegistry scoped;
+  telemetry::Counter& granted =
+      scoped.registry().counter("netsim.scheduler.prb_granted");
+  auto scheduler = make_scheduler(policy, kAlpha);
+  auto ues = make_slice(seed);
+  auto twins = make_slice(seed);
+  std::vector<Ue*> raw;
+  std::vector<Ue*> raw_twins;
+  for (std::size_t i = 0; i < ues.size(); ++i) {
+    raw.push_back(ues[i].get());
+    raw_twins.push_back(twins[i].get());
+  }
+  common::Rng budgets(seed ^ 0x5eedULL);
+  std::size_t rr_next = 0;
+  for (int t = 0; t < ttis; ++t) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed << " tti " << t);
+    for (std::size_t i = 0; i < ues.size(); ++i) {
+      ues[i]->begin_tti(t);
+      twins[i]->begin_tti(t);
+      const UeChannel& channel = ues[i]->channel();
+      coverage.cqi[channel.cqi()] = true;
+      if (ues[i]->has_data()) {
+        (ues[i]->buffer_bytes() % channel.bytes_per_prb() == 0
+             ? coverage.whole_prb_buffers
+             : coverage.partial_prb_buffers) += 1;
+      }
+    }
+    const auto budget = static_cast<std::uint32_t>(budgets.uniform_int(0, 50));
+    const std::uint64_t granted_before = granted.value();
+    scheduler->schedule_tti(raw, budget);
+    scheduler->flush_telemetry();
+    std::uint32_t expected_granted = 0;
+    switch (policy) {
+      case SchedulerPolicy::kRoundRobin:
+        expected_granted =
+            reference::round_robin_tti(raw_twins, budget, rr_next);
+        break;
+      case SchedulerPolicy::kWaterfilling:
+        expected_granted = reference::waterfilling_tti(raw_twins, budget);
+        break;
+      case SchedulerPolicy::kProportionalFair:
+        expected_granted =
+            reference::proportional_fair_tti(raw_twins, budget, kAlpha);
+        break;
+    }
+    if (telemetry::kCompiledIn) {
+      ASSERT_EQ(granted.value() - granted_before, expected_granted);
+    }
+    for (std::size_t i = 0; i < ues.size(); ++i) {
+      SCOPED_TRACE(::testing::Message() << "ue index " << i);
+      const UeWindowCounters got = ues[i]->harvest_window();
+      const UeWindowCounters want = twins[i]->harvest_window();
+      ASSERT_EQ(got.tx_bytes, want.tx_bytes);
+      ASSERT_EQ(got.tx_packets, want.tx_packets);
+      ASSERT_EQ(got.dropped_bytes, want.dropped_bytes);
+      ASSERT_EQ(ues[i]->buffer_bytes(), twins[i]->buffer_bytes());
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(ues[i]->pf_average()),
+                std::bit_cast<std::uint64_t>(twins[i]->pf_average()));
+    }
+  }
+}
+
+class SchedulerDifferential
+    : public ::testing::TestWithParam<SchedulerPolicy> {};
+
+TEST_P(SchedulerDifferential, GrantsMatchPerPrbReference) {
+  Coverage coverage;
+  for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+    run_case(GetParam(), seed, 40, coverage);
+    if (HasFatalFailure()) return;
+  }
+  for (std::uint32_t cqi = 1; cqi <= 15; ++cqi) {
+    EXPECT_TRUE(coverage.cqi[cqi]) << "CQI " << cqi << " never drawn";
+  }
+  EXPECT_GT(coverage.whole_prb_buffers, 0u);
+  EXPECT_GT(coverage.partial_prb_buffers, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, SchedulerDifferential,
+    ::testing::Values(SchedulerPolicy::kRoundRobin,
+                      SchedulerPolicy::kWaterfilling,
+                      SchedulerPolicy::kProportionalFair),
+    [](const ::testing::TestParamInfo<SchedulerPolicy>& param) {
+      return to_string(param.param);
+    });
 
 }  // namespace
 }  // namespace explora::netsim

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/rng.hpp"
 
 namespace explora::netsim {
@@ -108,6 +110,70 @@ INSTANTIATE_TEST_SUITE_P(
                                          TrafficProfile::kTrf2),
                        ::testing::Values(Slice::kEmbb, Slice::kMmtc,
                                          Slice::kUrllc)));
+
+// ---- Poisson draws: the precomputed threshold changes no draw -------------
+
+/// Rng::poisson as written before PoissonSampler existed, recomputing
+/// Knuth's exp(-mean) threshold on every draw.
+std::uint32_t per_draw_poisson(common::Rng& rng, double mean) {
+  if (mean == 0.0) return 0;
+  if (mean < 64.0) {
+    const double threshold = std::exp(-mean);
+    std::uint32_t count = 0;
+    double product = rng.uniform();
+    while (product > threshold) {
+      ++count;
+      product *= rng.uniform();
+    }
+    return count;
+  }
+  const double draw = rng.normal(mean, std::sqrt(mean));
+  return draw <= 0.0 ? 0u : static_cast<std::uint32_t>(draw + 0.5);
+}
+
+class PoissonDrawsUnchanged : public ::testing::TestWithParam<double> {};
+
+TEST_P(PoissonDrawsUnchanged, MatchPerDrawThreshold) {
+  const double mean = GetParam();
+  common::Rng rng(91);
+  common::Rng reference(91);
+  std::uint64_t total = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const std::uint32_t expected = per_draw_poisson(reference, mean);
+    ASSERT_EQ(rng.poisson(mean), expected) << "draw " << i;
+    total += expected;
+  }
+  // Same follow-on state: the Box-Muller cache the normal path leaves
+  // behind, then the raw stream.
+  EXPECT_EQ(rng.normal(), reference.normal());
+  EXPECT_EQ(rng.normal(), reference.normal());
+  EXPECT_EQ(rng(), reference());
+  if (mean == 0.0) return;  // a source needs a positive rate
+  EXPECT_GT(total, 0u);
+
+  constexpr std::uint32_t kPacketBytes = 125;
+  const double rate_bps = mean * 8.0 * kPacketBytes * 1000.0;
+  // The per-TTI mean exactly as PoissonSource derives it from its rate.
+  const double source_mean = rate_bps / 8.0 / kPacketBytes / 1000.0;
+  PoissonSource source(rate_bps, kPacketBytes, common::Rng(92));
+  common::Rng source_reference(92);
+  // Each draw starts from the generator state the previous one left, so a
+  // long run of equal counts also pins the source's follow-on state; the
+  // normal path alternates between drawing and using its cached variate.
+  for (int i = 0; i < 2000; ++i) {
+    const std::uint32_t expected =
+        per_draw_poisson(source_reference, source_mean);
+    const ArrivalBatch batch = source.arrivals(i);
+    ASSERT_EQ(batch.packets, expected) << "draw " << i;
+    ASSERT_EQ(batch.bytes, std::uint64_t{expected} * kPacketBytes);
+  }
+}
+
+// 0.0446 is TRF1's mMTC mean per TTI; 64 and 200 take the normal
+// approximation, which no TRF profile reaches.
+INSTANTIATE_TEST_SUITE_P(Means, PoissonDrawsUnchanged,
+                         ::testing::Values(0.0, 0.0446, 1.0, 63.9, 64.0,
+                                           200.0));
 
 }  // namespace
 }  // namespace explora::netsim
