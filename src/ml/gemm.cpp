@@ -11,6 +11,7 @@
 
 #include "common/analysis_annotations.hpp"
 #include "common/contracts.hpp"
+#include "ml/tanh.hpp"
 
 namespace explora::ml::gemm {
 
@@ -50,7 +51,7 @@ EXPLORA_REALTIME void scalar_kernel(const double* w, std::size_t out,
           break;
         }
         case Epilogue::kBiasTanh:
-          row_out[r] = std::tanh(acc + bias[r]);
+          row_out[r] = fdlibm_tanh(acc + bias[r]);
           break;
       }
     }
@@ -76,7 +77,7 @@ EXPLORA_REALTIME void apply_epilogue(double* dst, const double* acc,
       return;
     case Epilogue::kBiasTanh:
       for (std::size_t l = 0; l < valid; ++l) {
-        dst[l] = std::tanh(acc[l] + bias[r0 + l]);
+        dst[l] = fdlibm_tanh(acc[l] + bias[r0 + l]);
       }
       return;
   }
@@ -118,7 +119,9 @@ namespace {
       return true;
     case Backend::kAvx2:
 #if defined(__x86_64__) || defined(__i386__)
-      return __builtin_cpu_supports("avx2") != 0;
+      // The tanh epilogue's fused sites (ml/tanh.hpp) are FMA instructions.
+      return __builtin_cpu_supports("avx2") != 0 &&
+             __builtin_cpu_supports("fma") != 0;
 #else
       return false;
 #endif

@@ -10,11 +10,15 @@
 // order — the exact dependency chain of the naive scalar loop. The SIMD
 // backends vectorize ACROSS output neurons (each vector lane owns one r
 // and keeps its own sequential-over-c chain, reading a packed transposed
-// weight panel) and never use FMA or horizontal reductions, so their
-// results are byte-identical to the scalar fallback on every input. That
-// invariant is what keeps golden traces and SHAP attributions unchanged
-// when EXPLORA_SIMD toggles; tests/test_gemm.cpp enforces it per shape
-// and tools/lint_determinism.py bans raw intrinsics outside these kernels.
+// weight panel) and never accumulate with FMA or horizontal reductions,
+// so their results are byte-identical to the scalar fallback on every
+// input. The tanh epilogue is ml::fdlibm_tanh (ml/tanh.hpp) in every
+// backend: the SIMD ones run a lane-wise copy of its operation sequence,
+// fused sites included. That invariant is what keeps golden traces and
+// SHAP attributions unchanged when EXPLORA_SIMD toggles;
+// tests/test_gemm.cpp and tests/test_tanh.cpp enforce it, and
+// tools/lint_determinism.py bans raw intrinsics outside these kernels and
+// libm's tanh under src/.
 //
 // Backend selection: the best compiled-in backend the CPU supports is
 // picked on first use (avx512 > avx2 > neon > scalar); the EXPLORA_SIMD

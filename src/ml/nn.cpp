@@ -26,19 +26,6 @@ namespace {
 
 }  // namespace
 
-void apply_activation(Activation act, std::span<double> values) noexcept {
-  switch (act) {
-    case Activation::kLinear:
-      return;
-    case Activation::kRelu:
-      for (double& v : values) v = v > 0.0 ? v : 0.0;
-      return;
-    case Activation::kTanh:
-      for (double& v : values) v = std::tanh(v);
-      return;
-  }
-}
-
 void apply_activation_grad(Activation act, std::span<const double> activated,
                            std::span<double> grad) noexcept {
   EXPLORA_EXPECTS(activated.size() == grad.size());

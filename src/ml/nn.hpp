@@ -17,8 +17,6 @@ namespace explora::ml {
 
 enum class Activation : std::uint8_t { kLinear = 0, kRelu = 1, kTanh = 2 };
 
-/// Applies an activation in place.
-void apply_activation(Activation act, std::span<double> values) noexcept;
 /// Multiplies `grad` in place by the activation derivative, given the
 /// *post-activation* values in `activated`.
 void apply_activation_grad(Activation act, std::span<const double> activated,

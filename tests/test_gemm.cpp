@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -16,6 +15,7 @@
 #include "common/rng.hpp"
 #include "ml/matrix.hpp"
 #include "ml/nn.hpp"
+#include "ml/tanh.hpp"
 #include "xai/shap.hpp"
 
 namespace explora {
@@ -35,7 +35,8 @@ std::vector<Backend> simd_backends() {
 
 /// Naive triple loop in the contract's reduction order — deliberately
 /// separate from detail::scalar_kernel so the reference cannot share a
-/// bug with the implementation.
+/// bug with the implementation. Its tanh is the repo's port, not the
+/// host libm's, so the oracle means the same on every host.
 std::vector<double> naive_reference(const std::vector<double>& w,
                                     std::size_t out, std::size_t in,
                                     const std::vector<double>& x,
@@ -52,7 +53,7 @@ std::vector<double> naive_reference(const std::vector<double>& w,
       double v = acc;
       if (epilogue != Epilogue::kNone) v += bias[r];
       if (epilogue == Epilogue::kBiasRelu) v = v > 0.0 ? v : 0.0;
-      if (epilogue == Epilogue::kBiasTanh) v = std::tanh(v);
+      if (epilogue == Epilogue::kBiasTanh) v = ml::fdlibm_tanh(v);
       y[b * out + r] = v;
     }
   }

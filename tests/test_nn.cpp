@@ -69,17 +69,6 @@ TEST(Softmax, NumericallyStableOnLargeLogits) {
   EXPECT_NEAR(logits[0] + logits[1], 1.0, 1e-12);
 }
 
-TEST(Activations, ReluAndTanh) {
-  Vector values{-1.0, 0.0, 2.0};
-  apply_activation(Activation::kRelu, values);
-  EXPECT_DOUBLE_EQ(values[0], 0.0);
-  EXPECT_DOUBLE_EQ(values[2], 2.0);
-
-  Vector t{0.5};
-  apply_activation(Activation::kTanh, t);
-  EXPECT_NEAR(t[0], std::tanh(0.5), 1e-12);
-}
-
 /// Numerical gradient check: perturb each parameter and compare the loss
 /// slope with the analytic gradient from backward().
 TEST(Mlp, GradientsMatchNumericalDifferentiation) {

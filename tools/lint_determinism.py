@@ -36,6 +36,11 @@ artifacts. This lint bans the constructs that historically break it:
                      byte-identity contract of DESIGN.md §10; new kernels
                      must live in an approved file, compiled with
                      -ffp-contract=off and covered by tests/test_gemm.cpp
+  libm-tanh          std::tanh / tanh( / __builtin_tanh under src/ - the
+                     host libm's tanh bits vary with the libm version and
+                     the CPU's FMA support, and golden traces pin tanh's
+                     bits; every tanh runs ml::fdlibm_tanh (ml/tanh.hpp) or
+                     its lane-wise copies in the gemm_<isa>.cpp kernels
 
 A finding on a line carrying `// det-ok: <rule> (<reason>)` is suppressed;
 the marker documents why the construct is safe at that site (e.g. an
@@ -76,6 +81,13 @@ SIMD_INTRINSIC = re.compile(
     r"\b_mm\d*_\w+\s*\(|\b__m(?:128|256|512)[di]?\b"
     r"|\bimmintrin\.h\b|\barm_neon\.h\b|\bfloat64x\d_t\b"
     r"|\bv(?:ld1q|st1q|dupq|mulq|addq|fmaq)_f64\b"
+)
+
+# The host libm's tanh, in any spelling; the repo's port is named
+# fdlibm_tanh, which none of these alternatives match.
+LIBM_TANH = re.compile(
+    r"(?<![\w.>])(?:std::|::)?tanh[fl]?\s*\("
+    r"|\bstd::tanh[fl]?\b|\b__builtin_tanh[fl]?\b"
 )
 
 CONTRACT_MACRO = re.compile(r"\bEXPLORA_(?:EXPECTS|ENSURES|ASSERT|AUDIT)(_MSG)?\s*\(")
@@ -158,11 +170,17 @@ RANGE_FOR = re.compile(r"for\s*\(\s*[^;:()]*?:\s*([\w.\->]+)\s*\)")
 
 def lint_text(raw: str, code: str, unordered_names: set[str],
               fault_path: bool = False, telemetry_path: bool = False,
-              kernel_file: bool = False):
+              kernel_file: bool = False, src_file: bool = False):
     """All findings for one stripped source `code` (raw kept for det-ok)."""
     raw_lines = raw.splitlines()
     code_lines = code.splitlines()
     findings = []
+
+    if src_file:
+        for match in LIBM_TANH.finditer(code):
+            lineno = line_of(code, match.start())
+            if not allowed(raw_lines, lineno, "libm-tanh"):
+                findings.append((lineno, "libm-tanh", match.group(0).strip()))
 
     if not kernel_file:
         for match in SIMD_INTRINSIC.finditer(code):
@@ -268,6 +286,20 @@ def self_test() -> int:
     const char* doc = "__m512d lives in gemm_avx512.cpp";
     matrix.multiply_batch(x, y);
     """
+    tanh_bad = """
+    double a = std::tanh(x);
+    double b = tanh(x);
+    double c = ::tanh(x);
+    long double d = tanhl(x);
+    double e = __builtin_tanh(x);
+    using std::tanh;
+    """
+    tanh_good = """
+    double a = ml::fdlibm_tanh(x);
+    // std::tanh( in a comment is fine
+    const char* doc = "tanh(x) lives in ml/tanh.hpp";
+    case Epilogue::kBiasTanh: apply_tanh(v); layer.tanh_grad(y);
+    """
     bad_code = strip_comments_and_strings(bad)
     bad_findings = lint_text(bad, bad_code, declared_unordered_names(bad_code))
     good_code = strip_comments_and_strings(good)
@@ -285,6 +317,14 @@ def self_test() -> int:
     telemetry_good_code = strip_comments_and_strings(telemetry_good)
     telemetry_good_findings = lint_text(telemetry_good, telemetry_good_code,
                                         set(), telemetry_path=True)
+    tanh_bad_code = strip_comments_and_strings(tanh_bad)
+    tanh_bad_findings = lint_text(tanh_bad, tanh_bad_code, set(),
+                                  src_file=True)
+    tanh_good_code = strip_comments_and_strings(tanh_good)
+    tanh_good_findings = lint_text(tanh_good, tanh_good_code, set(),
+                                   src_file=True)
+    # Outside src/ (tools/) the rule does not apply.
+    tanh_tools_findings = lint_text(tanh_bad, tanh_bad_code, set())
     simd_bad_code = strip_comments_and_strings(simd_bad)
     simd_bad_findings = lint_text(simd_bad, simd_bad_code, set())
     simd_good_code = strip_comments_and_strings(simd_good)
@@ -309,10 +349,15 @@ def self_test() -> int:
     ok = ok and len(simd_bad_findings) >= 4
     ok = ok and not simd_good_findings
     ok = ok and not simd_kernel_findings
+    ok = ok and {rule for _, rule, _ in tanh_bad_findings} == {"libm-tanh"}
+    ok = ok and len(tanh_bad_findings) == 6
+    ok = ok and not tanh_good_findings
+    ok = ok and not tanh_tools_findings
     bad_findings = (bad_findings + fault_bad_findings + telemetry_bad_findings
-                    + simd_bad_findings)
+                    + simd_bad_findings + tanh_bad_findings)
     good_findings = (good_findings + fault_good_findings
-                     + telemetry_good_findings + simd_good_findings)
+                     + telemetry_good_findings + simd_good_findings
+                     + tanh_good_findings)
     return lintlib.self_test_verdict(ok, bad_findings, good_findings)
 
 
@@ -341,9 +386,11 @@ def main() -> int:
         telemetry_path = bool(TELEMETRY_PATH_FILE.search(path.name))
         kernel_file = bool(KERNEL_FILE.search(path.name))
         rel = path.relative_to(root).as_posix()
+        src_file = rel.startswith("src/")
         for lineno, rule, snippet in lint_text(raws[path], stripped[path],
                                                unordered_names, fault_path,
-                                               telemetry_path, kernel_file):
+                                               telemetry_path, kernel_file,
+                                               src_file):
             findings.append((rel, lineno, rule, snippet))
 
     return lintlib.report_findings(
