@@ -1,6 +1,7 @@
 #include "explora/explain_service.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/contracts.hpp"
 #include "xai/agent_model.hpp"
@@ -15,6 +16,14 @@ using xai::serving::Tier;
 
 constexpr std::array<std::int64_t, 11> kLatencyBounds{1,  2,   4,   8,   16, 32,
                                                       64, 128, 256, 512, 1024};
+
+bool same_bits(std::span<const double> a, std::span<const double> b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](double l, double r) {
+                      return std::bit_cast<std::uint64_t>(l) ==
+                             std::bit_cast<std::uint64_t>(r);
+                    });
+}
 
 }  // namespace
 
@@ -284,6 +293,13 @@ void ExplainService::execute(InFlight& slot, Tick now) {
 
 std::vector<double> ExplainService::shap_attribution(
     const xai::serving::Request& request, Tier tier) {
+  const auto hit = std::find_if(
+      shap_tables_.begin(), shap_tables_.end(), [&](const ShapTable& t) {
+        return t.valid && t.tier == tier && t.context == request.context &&
+               same_bits(t.x, request.x);
+      });
+  if (hit != shap_tables_.end()) return hit->phi[request.output_index];
+
   ml::AgentAction chosen;
   chosen.prb_choice = request.context[0];
   chosen.sched_choice = {request.context[1], request.context[2],
@@ -298,7 +314,16 @@ std::vector<double> ExplainService::shap_attribution(
   shap_config.pool = config_.pool;
   xai::ShapExplainer explainer(xai::head_probability_model(agent_, chosen),
                                background_, shap_config);
-  return explainer.explain(request.x, request.output_index);
+  ShapTable& table = shap_tables_[next_shap_table_];
+  next_shap_table_ = (next_shap_table_ + 1) % kShapTableCapacity;
+  table.valid = false;
+  table.phi = explainer.explain_all_outputs(request.x);
+  EXPLORA_EXPECTS(request.output_index < table.phi.size());
+  table.x = request.x;
+  table.context = request.context;
+  table.tier = tier;
+  table.valid = true;
+  return table.phi[request.output_index];
 }
 
 void ExplainService::shed(const xai::serving::Request& request,

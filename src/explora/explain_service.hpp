@@ -23,6 +23,13 @@
 // Fault injection (for the chaos sweep's slow-explainer impairment and
 // the breaker path) draws from a named RNG fork, so fault sequences are
 // part of the deterministic stream too.
+//
+// The two SHAP tiers share work through a small FIFO memo of full
+// explain_all_outputs tables keyed by (bits of x, chosen action, tier):
+// requests for different heads of the same snapshot read rows of one
+// table instead of each recomputing it (DESIGN.md §12.5). The lookup runs
+// after the fault draws and breaker accounting, and a memo hit returns
+// the bytes a fresh explainer would, so the decision stream is unchanged.
 #pragma once
 
 #include <array>
@@ -98,7 +105,13 @@ class ExplainService {
     double eval_failure_probability = 0.0;
   };
 
-  /// @param agent policy under explanation (must outlive the service).
+  /// SHAP tables memoised FIFO (DESIGN.md §12.5). Two SHAP tiers x two
+  /// workers covers the requests of one loop decision.
+  static constexpr std::size_t kShapTableCapacity = 4;
+
+  /// @param agent policy under explanation. It must outlive the service
+  ///        and must not change while the service lives: memoised SHAP
+  ///        tables are keyed by snapshot, action and tier, not by weights.
   /// @param background latent background rows for SHAP marginalization
   ///        (truncated to config.max_background).
   /// @param surrogate distilled tree for the surrogate tier; may be null
@@ -201,12 +214,24 @@ class ExplainService {
     std::vector<double> attribution;
   };
 
+  /// One memoised explain_all_outputs table; background, seed and
+  /// permutation count are fixed per service, so they are not in the key.
+  struct ShapTable {
+    bool valid = false;
+    std::vector<double> x;
+    std::array<std::uint32_t, 8> context{};
+    xai::serving::Tier tier = xai::serving::Tier::kExact;
+    std::vector<ml::Vector> phi;  ///< [output][feature]
+  };
+
   void complete_finished(xai::serving::Tick now);
   void dispatch_queued(xai::serving::Tick now);
   /// Computes the attribution for `slot` at its chosen tier; applies
   /// eval-fault injection and breaker accounting. May downgrade the
   /// slot's tier (fault fallback).
   void execute(InFlight& slot, xai::serving::Tick now);
+  /// Row `request.output_index` of the request snapshot's SHAP table at
+  /// `tier`, computed on a memo miss and stored FIFO.
   [[nodiscard]] std::vector<double> shap_attribution(
       const xai::serving::Request& request, xai::serving::Tier tier);
   void shed(const xai::serving::Request& request,
@@ -223,6 +248,8 @@ class ExplainService {
   common::Rng fault_rng_;
   std::vector<InFlight> workers_;
   std::vector<CacheEntry> cache_;  ///< one last-good slot per output head
+  std::array<ShapTable, kShapTableCapacity> shap_tables_{};
+  std::size_t next_shap_table_ = 0;  ///< FIFO victim
   std::vector<ExplanationResult> drained_;
   std::vector<std::size_t> finished_scratch_;
   xai::serving::Request pop_scratch_;

@@ -4,9 +4,10 @@
 // tier walk-down, caching, fault fallback, determinism).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
-#include <cstring>
+#include <bit>
 #include <set>
 #include <thread>
 #include <vector>
@@ -16,7 +17,9 @@
 #include "explora/explain_service.hpp"
 #include "ml/features.hpp"
 #include "ml/ppo.hpp"
+#include "xai/agent_model.hpp"
 #include "xai/serving.hpp"
+#include "xai/shap.hpp"
 #include "xai/tree.hpp"
 
 namespace explora {
@@ -335,6 +338,16 @@ ExplainService::Config small_config() {
   return config;
 }
 
+// Bit-pattern equality of two attributions: as strict as comparing their
+// bytes, and safe on the empty attribution of a shed notice.
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](double l, double r) {
+                      return std::bit_cast<std::uint64_t>(l) ==
+                             std::bit_cast<std::uint64_t>(r);
+                    });
+}
+
 struct ServiceFixture {
   telemetry::ScopedRegistry registry;
   ml::PpoAgent agent{11};
@@ -514,9 +527,7 @@ TEST(ExplainService, RepeatedRunsProduceByteIdenticalStreams) {
     EXPECT_EQ(a[i].shed_reason, b[i].shed_reason);
     EXPECT_EQ(a[i].latency, b[i].latency);
     ASSERT_EQ(a[i].attribution.size(), b[i].attribution.size());
-    EXPECT_EQ(0, std::memcmp(a[i].attribution.data(),
-                             b[i].attribution.data(),
-                             a[i].attribution.size() * sizeof(double)));
+    EXPECT_TRUE(same_bits(a[i].attribution, b[i].attribution));
   }
 }
 
@@ -538,10 +549,128 @@ TEST(ExplainService, AttributionStreamIsThreadCountInvariant) {
   ASSERT_EQ(b.size(), 2u);
   for (std::size_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(a[i].attribution.size(), b[i].attribution.size());
-    EXPECT_EQ(0, std::memcmp(a[i].attribution.data(),
-                             b[i].attribution.data(),
-                             a[i].attribution.size() * sizeof(double)));
+    EXPECT_TRUE(same_bits(a[i].attribution, b[i].attribution));
   }
+}
+
+// ---------------------------------------------------------------------------
+// ExplainService SHAP memo: one table per (snapshot, action, tier)
+// ---------------------------------------------------------------------------
+
+// Submits one request whose deadline fits `tier` and no dearer tier, runs
+// the otherwise idle service until it is delivered, and returns it.
+ExplanationResult serve_at(ExplainService& service, const ml::Vector& x,
+                           std::uint32_t head, const ml::AgentAction& action,
+                           Tier tier, xai::serving::Tick now) {
+  const CostModel& costs = service.config().costs;
+  const xai::serving::Tick deadline =
+      tier == Tier::kExact ? 0 : now + 1 + costs.cost(tier);
+  EXPECT_TRUE(service.submit(x, head, action, now, deadline).accepted);
+  service.run_until(now, now + 1 + costs.cost(Tier::kExact));
+  auto results = service.drain();
+  EXPECT_EQ(results.size(), 1u);
+  if (results.empty()) return {};
+  EXPECT_EQ(results[0].tier, tier);
+  return results[0];
+}
+
+std::uint64_t shap_explanations() {
+  return telemetry::Scope("xai.shap").counter("explanations").value();
+}
+
+TEST(ExplainService, MemoisedRowsMatchAFreshExplainerForEveryHeadAndTier) {
+  ServiceFixture fx;
+  const ExplainService::Config& config = fx.service.config();
+  xai::serving::Tick now = 100;
+  for (const Tier tier : {Tier::kExact, Tier::kSampled}) {
+    xai::ShapExplainer::Config shap;
+    shap.mode = tier == Tier::kExact ? xai::ShapExplainer::Mode::kExact
+                                     : xai::ShapExplainer::Mode::kSampling;
+    shap.permutations = config.sampled_permutations;
+    shap.max_background = config.max_background;
+    shap.seed = config.seed;
+    for (std::uint32_t head = 0; head < ml::kNumHeads; ++head) {
+      const ExplanationResult served =
+          serve_at(fx.service, probe_latent(), head, some_action(), tier, now);
+      now += 200;
+      xai::ShapExplainer fresh(
+          xai::head_probability_model(fx.agent, some_action()),
+          make_background(4), shap);
+      const ml::Vector expected = fresh.explain(probe_latent(), head);
+      ASSERT_EQ(served.attribution.size(), expected.size());
+      EXPECT_TRUE(same_bits(served.attribution, expected))
+          << "tier " << to_string(tier) << " head " << head;
+    }
+  }
+}
+
+TEST(ExplainService, MemoRecomputesWhenSnapshotActionOrTierChanges) {
+  ServiceFixture fx;
+  xai::serving::Tick now = 100;
+  const auto serve = [&](const ml::Vector& x, std::uint32_t head,
+                         const ml::AgentAction& action, Tier tier) {
+    (void)serve_at(fx.service, x, head, action, tier, now);
+    now += 200;
+    return shap_explanations();
+  };
+  ml::Vector flipped = probe_latent();
+  flipped[3] = std::bit_cast<double>(std::bit_cast<std::uint64_t>(flipped[3]) ^
+                                     std::uint64_t{1});
+  ml::AgentAction other = some_action();
+  other.prb_choice += 1;
+
+  EXPECT_EQ(serve(probe_latent(), 0, some_action(), Tier::kExact), 1u);
+  EXPECT_EQ(serve(probe_latent(), 1, some_action(), Tier::kExact), 1u);
+  EXPECT_EQ(serve(flipped, 1, some_action(), Tier::kExact), 2u);
+  EXPECT_EQ(serve(probe_latent(), 1, other, Tier::kExact), 3u);
+  EXPECT_EQ(serve(probe_latent(), 1, some_action(), Tier::kSampled), 4u);
+  // All four tables fit the memo, so none of them is computed again.
+  EXPECT_EQ(serve(probe_latent(), 2, some_action(), Tier::kExact), 4u);
+  EXPECT_EQ(serve(flipped, 2, some_action(), Tier::kExact), 4u);
+  EXPECT_EQ(serve(probe_latent(), 2, other, Tier::kExact), 4u);
+  EXPECT_EQ(serve(probe_latent(), 2, some_action(), Tier::kSampled), 4u);
+}
+
+TEST(ExplainService, FourHeadsServedOnTwoTiersComputeTwoTables) {
+  ExplainService::Config config = small_config();
+  config.workers = ml::kNumHeads;  // every request dispatches in one tick
+  ServiceFixture fx(config);
+  const CostModel& costs = fx.service.config().costs;
+  const xai::serving::Tick now = 100;
+  for (std::uint32_t head = 0; head < ml::kNumHeads; ++head) {
+    // Odd heads get a deadline that only the sampled tier fits.
+    const xai::serving::Tick deadline =
+        head % 2 == 0 ? 0 : now + 1 + costs.cost(Tier::kSampled);
+    ASSERT_TRUE(
+        fx.service.submit(probe_latent(), head, some_action(), now, deadline)
+            .accepted);
+  }
+  fx.service.run_until(now, now + 1 + costs.cost(Tier::kExact));
+  ASSERT_EQ(fx.service.drain().size(), std::size_t{ml::kNumHeads});
+  const auto stats = fx.service.stats();
+  EXPECT_EQ(stats.served_by_tier[static_cast<std::size_t>(Tier::kExact)], 2u);
+  EXPECT_EQ(stats.served_by_tier[static_cast<std::size_t>(Tier::kSampled)],
+            2u);
+  EXPECT_EQ(shap_explanations(), 2u);
+}
+
+TEST(ExplainService, MemoEvictsTheOldestSnapshotFirst) {
+  ServiceFixture fx;
+  xai::serving::Tick now = 100;
+  const auto serve = [&](std::size_t k) {
+    ml::Vector x = probe_latent();
+    x[0] += 0.01 * static_cast<double>(k);
+    (void)serve_at(fx.service, x, 0, some_action(), Tier::kExact, now);
+    now += 200;
+    return shap_explanations();
+  };
+  constexpr std::size_t kCapacity = ExplainService::kShapTableCapacity;
+  for (std::size_t k = 0; k <= kCapacity; ++k) {
+    EXPECT_EQ(serve(k), k + 1);
+  }
+  // Snapshot kCapacity evicted snapshot 0, the oldest, and no other.
+  EXPECT_EQ(serve(1), kCapacity + 1);
+  EXPECT_EQ(serve(0), kCapacity + 2);
 }
 
 TEST(ExplainService, SharedLadderStalenessForcesCachedOnlyResults) {
