@@ -15,11 +15,13 @@
 #include "explora/graph.hpp"
 #include "explora/transitions.hpp"
 #include "ml/autoencoder.hpp"
+#include "ml/gemm.hpp"
 #include "ml/ppo.hpp"
 #include "netsim/gnb.hpp"
 #include "netsim/scenario.hpp"
 #include "oran/rmr.hpp"
 #include "oran/wire.hpp"
+#include "xai/agent_model.hpp"
 #include "xai/shap.hpp"
 #include "xai/tree.hpp"
 
@@ -203,6 +205,54 @@ void BM_MlpForwardBatch(benchmark::State& state) {
                           static_cast<std::int64_t>(batch));
 }
 BENCHMARK(BM_MlpForwardBatch)->Arg(64)->Arg(256);
+
+// One dense layer of the HT-shaped PPO actor (9 -> 64 -> 64 -> 34) through
+// the dispatched GEMM kernel, weight packing included: batch 1 is the
+// decide path, batch 64 a SHAP probe chunk.
+void BM_GemmLayer(benchmark::State& state) {
+  const auto in = static_cast<std::size_t>(state.range(0));
+  const auto out = static_cast<std::size_t>(state.range(1));
+  const auto batch = static_cast<std::size_t>(state.range(2));
+  const auto epilogue = static_cast<ml::gemm::Epilogue>(state.range(3));
+  common::Rng rng(8);
+  std::vector<double> w(out * in);
+  std::vector<double> x(batch * in);
+  std::vector<double> bias(out);
+  for (auto& v : w) v = rng.normal(0.0, 0.3);
+  for (auto& v : x) v = rng.normal(0.0, 1.0);
+  for (auto& v : bias) v = rng.normal(0.0, 0.1);
+  std::vector<double> y(batch * out);
+  state.SetLabel(ml::gemm::to_string(ml::gemm::active_backend()));
+  for (auto _ : state) {
+    ml::gemm::run(w.data(), out, in, x.data(), batch, y.data(), bias.data(),
+                  epilogue);
+    benchmark::DoNotOptimize(y.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(batch * out));
+}
+BENCHMARK(BM_GemmLayer)
+    ->ArgNames({"in", "out", "batch", "epilogue"})
+    ->ArgsProduct({{9}, {64}, {1, 64}, {1, 3}})
+    ->ArgsProduct({{64}, {64, 34}, {1, 64}, {1, 3}});
+
+// The SHAP model call on one 64-row probe chunk: the HT-shaped PPO actor
+// plus the chosen-component probabilities of every head.
+void BM_ShapProbeChunk(benchmark::State& state) {
+  const ml::PpoAgent agent(7);
+  common::Rng rng(9);
+  ml::Matrix probes(64, ml::kLatentDim);
+  for (auto& v : probes.data()) v = rng.normal(0.0, 1.0);
+  const auto chosen =
+      agent.act_greedy(probes.data().subspan(0, ml::kLatentDim)).action;
+  const auto model = xai::head_probability_model(agent, chosen);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model(probes));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          64);
+}
+BENCHMARK(BM_ShapProbeChunk);
 
 // ---- substrate hot paths ---------------------------------------------------
 

@@ -25,24 +25,6 @@ std::size_t sample_categorical(std::span<const double> probs,
 
 }  // namespace
 
-std::array<std::size_t, kNumHeads> A2cAgent::head_sizes() {
-  std::array<std::size_t, kNumHeads> sizes{};
-  sizes[0] = netsim::prb_catalog().size();
-  for (std::size_t s = 0; s < netsim::kNumSlices; ++s) {
-    sizes[1 + s] = netsim::kNumSchedulerPolicies;
-  }
-  return sizes;
-}
-
-std::array<std::size_t, kNumHeads + 1> A2cAgent::head_offsets() const {
-  const auto sizes = head_sizes();
-  std::array<std::size_t, kNumHeads + 1> offsets{};
-  for (std::size_t h = 0; h < kNumHeads; ++h) {
-    offsets[h + 1] = offsets[h] + sizes[h];
-  }
-  return offsets;
-}
-
 A2cAgent::A2cAgent(std::uint64_t seed) : A2cAgent(Config{}, seed) {}
 
 A2cAgent::A2cAgent(Config config, std::uint64_t seed)
@@ -133,18 +115,10 @@ std::vector<Vector> A2cAgent::head_distributions(
   return split_softmax(logits, unit);
 }
 
-std::vector<std::vector<Vector>> A2cAgent::head_distributions(
-    const Matrix& states) const {
-  const Matrix logits = actor_.forward_batch(states);
-  std::array<double, kNumHeads> unit{};
-  unit.fill(1.0);
-  std::vector<std::vector<Vector>> results;
-  results.reserve(states.rows());
-  for (std::size_t r = 0; r < states.rows(); ++r) {
-    results.push_back(split_softmax(
-        logits.data().subspan(r * logits.cols(), logits.cols()), unit));
-  }
-  return results;
+Matrix A2cAgent::chosen_probabilities(const Matrix& states,
+                                      const AgentAction& chosen) const {
+  Matrix logits = actor_.forward_batch(states);
+  return softmax_chosen(logits, chosen, "A2C");
 }
 
 double A2cAgent::value(std::span<const double> state) const {

@@ -45,9 +45,10 @@ class A2cAgent final : public PolicyAgent {
       const std::array<double, kNumHeads>& temperatures) const override;
   [[nodiscard]] std::vector<Vector> head_distributions(
       std::span<const double> state) const override;
-  /// Batched: all states flow through the actor as one forward_batch.
-  [[nodiscard]] std::vector<std::vector<Vector>> head_distributions(
-      const Matrix& states) const override;
+  /// Batched: all states flow through the actor as one forward_batch,
+  /// then each head is softmaxed in place (softmax_chosen).
+  [[nodiscard]] Matrix chosen_probabilities(
+      const Matrix& states, const AgentAction& chosen) const override;
 
   [[nodiscard]] double value(std::span<const double> state) const;
 
@@ -63,8 +64,6 @@ class A2cAgent final : public PolicyAgent {
   void deserialize(common::Reader& reader);
 
  private:
-  [[nodiscard]] static std::array<std::size_t, kNumHeads> head_sizes();
-  [[nodiscard]] std::array<std::size_t, kNumHeads + 1> head_offsets() const;
   [[nodiscard]] std::vector<Vector> split_softmax(
       std::span<const double> logits,
       const std::array<double, kNumHeads>& temperatures) const;

@@ -18,6 +18,21 @@ namespace explora::ml {
 /// Number of categorical heads: PRB split + one scheduler per slice.
 inline constexpr std::size_t kNumHeads = 1 + netsim::kNumSlices;
 
+/// Offsets of each head's logits (or Q-values) in a policy output row:
+/// head h spans [offsets[h], offsets[h + 1]).
+[[nodiscard]] std::array<std::size_t, kNumHeads + 1> head_offsets();
+
+/// The component `action` takes in each head, in head order.
+[[nodiscard]] std::array<std::size_t, kNumHeads> head_choices(
+    const AgentAction& action) noexcept;
+
+/// Softmaxes each head's span of every row of `logits` in place (the
+/// ml::softmax the single-state paths run, audits included) and returns
+/// rows x kNumHeads: the probability of `chosen`'s component of each head.
+/// `agent` names the caller in the simplex audit's message.
+[[nodiscard]] Matrix softmax_chosen(Matrix& logits, const AgentAction& chosen,
+                                    const char* agent);
+
 /// Policy evaluation output for one state.
 struct PolicyDecision {
   AgentAction action{};
@@ -49,21 +64,16 @@ class PolicyAgent {
   [[nodiscard]] virtual std::vector<Vector> head_distributions(
       std::span<const double> state) const = 0;
 
-  /// Batched variant: one state per row of `states`, one per-head result
-  /// per row. The default walks rows through the single-state overload;
-  /// agents backed by an Mlp override it to push the whole batch through
-  /// each layer as one blocked-GEMM sweep (same arithmetic per row, so the
-  /// results are bit-identical to the default).
-  [[nodiscard]] virtual std::vector<std::vector<Vector>> head_distributions(
-      const Matrix& states) const {
-    std::vector<std::vector<Vector>> results;
-    results.reserve(states.rows());
-    for (std::size_t r = 0; r < states.rows(); ++r) {
-      results.push_back(head_distributions(
-          states.data().subspan(r * states.cols(), states.cols())));
-    }
-    return results;
-  }
+  /// Batched probabilities of `chosen`'s components, the numbers SHAP
+  /// explains: row r, column h holds the probability head h assigns to
+  /// `chosen`'s component at state row r — bit-identical to
+  /// head_distributions(row r)[h][chosen's component of head h]. The
+  /// default walks rows through the single-state overload; agents backed
+  /// by an Mlp override it to push the whole batch through each layer as
+  /// one blocked-GEMM sweep and softmax each head in place (same
+  /// arithmetic per row, no per-row allocation).
+  [[nodiscard]] virtual Matrix chosen_probabilities(
+      const Matrix& states, const AgentAction& chosen) const;
 };
 
 }  // namespace explora::ml

@@ -35,24 +35,6 @@ const DqnExperience& ReplayBuffer::sample(common::Rng& rng) const {
   return buffer_[rng.index(buffer_.size())];
 }
 
-std::array<std::size_t, kNumHeads> DqnAgent::head_sizes() {
-  std::array<std::size_t, kNumHeads> sizes{};
-  sizes[0] = netsim::prb_catalog().size();
-  for (std::size_t s = 0; s < netsim::kNumSlices; ++s) {
-    sizes[1 + s] = netsim::kNumSchedulerPolicies;
-  }
-  return sizes;
-}
-
-std::array<std::size_t, kNumHeads + 1> DqnAgent::head_offsets() const {
-  const auto sizes = head_sizes();
-  std::array<std::size_t, kNumHeads + 1> offsets{};
-  for (std::size_t h = 0; h < kNumHeads; ++h) {
-    offsets[h + 1] = offsets[h] + sizes[h];
-  }
-  return offsets;
-}
-
 DqnAgent::DqnAgent(std::uint64_t seed) : DqnAgent(Config{}, seed) {}
 
 DqnAgent::DqnAgent(Config config, std::uint64_t seed)
@@ -106,9 +88,7 @@ PolicyDecision DqnAgent::act_greedy(std::span<const double> state) const {
   PolicyDecision decision;
   decision.action = greedy_from(q, offsets);
   const auto heads = head_distributions(state);
-  const auto chosen = std::array<std::size_t, kNumHeads>{
-      decision.action.prb_choice, decision.action.sched_choice[0],
-      decision.action.sched_choice[1], decision.action.sched_choice[2]};
+  const auto chosen = head_choices(decision.action);
   for (std::size_t h = 0; h < kNumHeads; ++h) {
     decision.head_probs[h] = heads[h][chosen[h]];
     decision.log_prob += std::log(std::max(heads[h][chosen[h]], 1e-12));

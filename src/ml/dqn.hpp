@@ -77,9 +77,6 @@ class DqnAgent final : public PolicyAgent {
       const std::array<double, kNumHeads>& temperatures) const override;
   [[nodiscard]] std::vector<Vector> head_distributions(
       std::span<const double> state) const override;
-  /// Keep the base class's batched overload visible alongside the
-  /// single-state override above.
-  using PolicyAgent::head_distributions;
 
   // --- training ---------------------------------------------------------------
   /// Epsilon-greedy action for environment interaction (training time).
@@ -100,8 +97,6 @@ class DqnAgent final : public PolicyAgent {
   void deserialize(common::Reader& reader);
 
  private:
-  [[nodiscard]] static std::array<std::size_t, kNumHeads> head_sizes();
-  [[nodiscard]] std::array<std::size_t, kNumHeads + 1> head_offsets() const;
   /// Q-values of every head component, from the given network.
   [[nodiscard]] Vector q_values(const Mlp& network,
                                 std::span<const double> state) const;

@@ -1,9 +1,11 @@
-// Scalar reference kernel + runtime backend dispatch. This translation
-// unit is compiled with -ffp-contract=off (see src/ml/CMakeLists.txt) so
-// the compiler can never fuse the mul+add below into an FMA — the scalar
-// reduction order is the byte-identity contract every backend honors.
+// Scalar reference kernel, the x86 backends' shared weight packing and
+// runtime backend dispatch. Like every TU, this one is compiled with
+// -ffp-contract=off (root CMakeLists.txt) so the compiler can never fuse
+// the mul+add below into an FMA — the scalar reduction order is the
+// byte-identity contract every backend honors.
 #include "ml/gemm.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -56,6 +58,37 @@ EXPLORA_REALTIME void scalar_kernel(const double* w, std::size_t out,
       }
     }
   }
+}
+
+std::size_t pack_panels(const double* w, std::size_t out, std::size_t in,
+                        common::AlignedVector<double>& packed) {
+  constexpr std::size_t kWidth = kPanelWidth;
+  const std::size_t panels = (out + kWidth - 1) / kWidth;
+  // hotpath-ok: thread-local panel scratch reaches steady-state capacity
+  // after the first call per layer shape; resize is then a no-op.
+  packed.resize(panels * in * kWidth);
+  for (std::size_t p = 0; p < panels; ++p) {
+    const double* rows = w + p * kWidth * in;
+    double* panel = packed.data() + p * in * kWidth;
+    const std::size_t valid = std::min(kWidth, out - p * kWidth);
+    if (valid == kWidth) {
+      // Full panels copy without a per-lane bound test: for the small
+      // layers of the agents, packing costs more than a batch-1 product.
+      for (std::size_t c = 0; c < in; ++c) {
+#pragma GCC unroll 8
+        for (std::size_t l = 0; l < kWidth; ++l) {
+          panel[c * kWidth + l] = rows[l * in + c];
+        }
+      }
+      continue;
+    }
+    for (std::size_t c = 0; c < in; ++c) {
+      for (std::size_t l = 0; l < kWidth; ++l) {
+        panel[c * kWidth + l] = l < valid ? rows[l * in + c] : 0.0;
+      }
+    }
+  }
+  return panels;
 }
 
 EXPLORA_REALTIME void apply_epilogue(double* dst, const double* acc,

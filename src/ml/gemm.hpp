@@ -31,6 +31,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "common/aligned.hpp"
+
 namespace explora::ml::gemm {
 
 enum class Backend : std::uint8_t {
@@ -108,6 +110,17 @@ void neon_kernel(const double* w, std::size_t out, std::size_t in,
                  const double* x, std::size_t batch, double* y,
                  const double* bias, Epilogue epilogue);
 #endif
+
+/// Output neurons per packed weight panel of the x86 backends: one 512-bit
+/// register, or two 256-bit halves.
+inline constexpr std::size_t kPanelWidth = 8;
+
+/// Packs w (out x in, row-major) into the x86 backends' transposed panels,
+/// resizing `packed` to fit: panel p holds neurons [p*8, p*8+8), the 8
+/// weights of input c contiguous at offset c*8 (one aligned vector load
+/// per (panel, c)), lanes past `out` zero. Returns the panel count.
+std::size_t pack_panels(const double* w, std::size_t out, std::size_t in,
+                        common::AlignedVector<double>& packed);
 
 /// Scalar epilogue over one packed tile; shared by the SIMD backends so
 /// the finisher semantics can't drift from scalar_kernel's.

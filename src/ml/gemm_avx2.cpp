@@ -1,13 +1,21 @@
-// AVX2 backend: 4 batch rows x 8 output neurons per tile, packed
+// AVX2 backend: 6 batch rows x 8 output neurons per tile, packed
 // transposed weight panels, separate mul + add (never FMA).
+//
+// Register residency: micro_tile is a template over its rows R and every
+// loop over them carries `#pragma GCC unroll`, so the default -O2 build
+// keeps all 2 x R = 12 accumulators (each panel's low and high half) in
+// ymm registers across the c loop; with the two weight halves, the
+// broadcast and one product that fills the 16 registers without a spill.
+// Batch tails run the same template at their exact height (1..5 rows).
 //
 // Determinism: vector lane l of a panel owns output neuron r0+l and
 // accumulates w[r0+l][c] * x[b][c] for c = 0,1,2,... — the same serial
 // dependency chain the scalar kernel runs, just eight neurons at a time.
 // No horizontal reduction ever happens, so every output double is
 // byte-identical to detail::scalar_kernel. The TU is compiled with
-// -mavx2 -mfma -ffp-contract=off (src/ml/CMakeLists.txt) so the compiler
-// cannot re-fuse the explicit mul/add pairs.
+// -mavx2 -mfma (src/ml/CMakeLists.txt) and, like every TU,
+// -ffp-contract=off, so the compiler cannot re-fuse the explicit mul/add
+// pairs.
 //
 // The tanh epilogue is tanh4(): a lane-wise copy of ml::fdlibm_tanh's
 // operation sequence (ml/tanh.cpp). Its fused sites are the only FMA
@@ -31,31 +39,10 @@ namespace {
 
 using namespace tanh_constants;
 
-constexpr std::size_t kPanel = 8;  ///< output neurons per packed panel
-constexpr std::size_t kBatchTile = 4;  ///< batch rows per microkernel call
-
-/// Packs w (out x in, row-major) into transposed panels: panel p holds
-/// neurons [p*8, p*8+8); within a panel the 8 weights of input c are
-/// contiguous at offset c*8. Lanes past `out` are zero (their results are
-/// discarded). Thread-local so concurrent pool workers never share it.
-std::size_t pack_weights(const double* w, std::size_t out, std::size_t in,
-                         common::AlignedVector<double>& packed) {
-  const std::size_t panels = (out + kPanel - 1) / kPanel;
-  // hotpath-ok: thread-local panel scratch reaches steady-state capacity
-  // after the first call per layer shape; resize is then a no-op.
-  packed.resize(panels * in * kPanel);
-  for (std::size_t p = 0; p < panels; ++p) {
-    const std::size_t r0 = p * kPanel;
-    double* panel = packed.data() + p * in * kPanel;
-    for (std::size_t c = 0; c < in; ++c) {
-      for (std::size_t l = 0; l < kPanel; ++l) {
-        panel[c * kPanel + l] =
-            r0 + l < out ? w[(r0 + l) * in + c] : 0.0;
-      }
-    }
-  }
-  return panels;
-}
+constexpr std::size_t kPanel = kPanelWidth;  ///< neurons per packed panel
+constexpr std::size_t kLanes = 4;     ///< doubles per ymm register
+constexpr std::size_t kHalves = kPanel / kLanes;  ///< registers per panel
+constexpr std::size_t kTileRows = 6;  ///< batch rows per full tile
 
 [[nodiscard]] __m256d set1(double v) { return _mm256_set1_pd(v); }
 
@@ -162,62 +149,102 @@ void store_tanh4(double* dst, __m256d v) {
   }
 }
 
-/// One (BT batch rows) x (8 neurons) tile: BT*2 independent accumulators,
-/// each lane advancing its own strictly-sequential c-chain.
-template <std::size_t BT>
-void micro_tile(const double* panel, std::size_t in, const double* x,
-                std::size_t x_stride, double* y, std::size_t y_stride,
-                const double* bias, std::size_t r0, std::size_t valid,
-                Epilogue epilogue) {
-  __m256d acc_lo[BT];
-  __m256d acc_hi[BT];
-  for (std::size_t bt = 0; bt < BT; ++bt) {
-    acc_lo[bt] = _mm256_setzero_pd();
-    acc_hi[bt] = _mm256_setzero_pd();
-  }
-  for (std::size_t c = 0; c < in; ++c) {
-    const __m256d w_lo = _mm256_load_pd(panel + c * kPanel);
-    const __m256d w_hi = _mm256_load_pd(panel + c * kPanel + 4);
-    for (std::size_t bt = 0; bt < BT; ++bt) {
-      const __m256d xv = _mm256_set1_pd(x[bt * x_stride + c]);
-      acc_lo[bt] = _mm256_add_pd(acc_lo[bt], _mm256_mul_pd(w_lo, xv));
-      acc_hi[bt] = _mm256_add_pd(acc_hi[bt], _mm256_mul_pd(w_hi, xv));
-    }
-  }
-  // Full panels store vectorized: one add for the bias (the same single
-  // rounding as scalar), relu via max with acc as the first operand —
-  // VMAXPD returns the *second* operand on a NaN/equal-zero first operand,
-  // exactly matching the scalar `v > 0.0 ? v : 0.0` (which yields +0.0 for
-  // -0.0 and NaN inputs) — and tanh via tanh4.
-  if (valid == kPanel) {
-    const bool none = epilogue == Epilogue::kNone;
-    const __m256d b_lo = none ? _mm256_setzero_pd()
-                              : _mm256_loadu_pd(bias + r0);
-    const __m256d b_hi = none ? _mm256_setzero_pd()
-                              : _mm256_loadu_pd(bias + r0 + 4);
-    for (std::size_t bt = 0; bt < BT; ++bt) {
-      __m256d v_lo = none ? acc_lo[bt] : _mm256_add_pd(acc_lo[bt], b_lo);
-      __m256d v_hi = none ? acc_hi[bt] : _mm256_add_pd(acc_hi[bt], b_hi);
-      if (epilogue == Epilogue::kBiasRelu) {
-        v_lo = _mm256_max_pd(v_lo, _mm256_setzero_pd());
-        v_hi = _mm256_max_pd(v_hi, _mm256_setzero_pd());
-      }
-      double* dst = y + bt * y_stride + r0;
-      if (epilogue == Epilogue::kBiasTanh) {
-        store_tanh4(dst, v_lo);
-        store_tanh4(dst + 4, v_hi);
-        continue;
-      }
-      _mm256_storeu_pd(dst, v_lo);
-      _mm256_storeu_pd(dst + 4, v_hi);
-    }
+/// Finishes one row of one panel from its spilled accumulator. Full panels
+/// store vectorized: one add for the bias (the same single rounding as
+/// scalar), relu via max with acc as the first operand — VMAXPD returns
+/// the *second* operand on a NaN/equal-zero first operand, exactly
+/// matching the scalar `v > 0.0 ? v : 0.0` (which yields +0.0 for -0.0 and
+/// NaN inputs) — and tanh via tanh4. Partial panels take the scalar
+/// epilogue.
+void finish_panel(double* dst, const double* acc, const double* bias,
+                  std::size_t r0, std::size_t valid, Epilogue epilogue) {
+  if (valid != kPanel) {
+    apply_epilogue(dst, acc, bias, r0, valid, epilogue);
     return;
   }
-  alignas(32) double tile[kPanel];
-  for (std::size_t bt = 0; bt < BT; ++bt) {
-    _mm256_store_pd(tile, acc_lo[bt]);
-    _mm256_store_pd(tile + 4, acc_hi[bt]);
-    apply_epilogue(y + bt * y_stride + r0, tile, bias, r0, valid, epilogue);
+  for (std::size_t half = 0; half < kPanel; half += kLanes) {
+    __m256d v = _mm256_load_pd(acc + half);
+    if (epilogue != Epilogue::kNone) {
+      v = _mm256_add_pd(v, _mm256_loadu_pd(bias + r0 + half));
+    }
+    if (epilogue == Epilogue::kBiasRelu) {
+      v = _mm256_max_pd(v, _mm256_setzero_pd());
+    }
+    if (epilogue == Epilogue::kBiasTanh) {
+      store_tanh4(dst + half, v);
+      continue;
+    }
+    _mm256_storeu_pd(dst + half, v);
+  }
+}
+
+/// One (R batch rows) x (8 neurons) tile: 2*R independent 4-lane
+/// accumulators (a panel's low and high halves), each lane advancing its
+/// own strictly-sequential c-chain. R is compile-time and every loop over
+/// it carries `#pragma GCC unroll`, so at -O2 each accumulator is its own
+/// ymm register (not a stack slot) for the whole c loop. The accumulators
+/// are spilled once, after it, for the epilogue.
+template <std::size_t R>
+void micro_tile(const double* panel, std::size_t in, const double* x,
+                double* y, std::size_t out, const double* bias,
+                std::size_t r0, Epilogue epilogue) {
+  __m256d acc[R][kHalves];
+#pragma GCC unroll 8
+  for (std::size_t i = 0; i < R; ++i) {
+#pragma GCC unroll 2
+    for (std::size_t h = 0; h < kHalves; ++h) acc[i][h] = _mm256_setzero_pd();
+  }
+  for (std::size_t c = 0; c < in; ++c) {
+    __m256d wv[kHalves];
+#pragma GCC unroll 2
+    for (std::size_t h = 0; h < kHalves; ++h) {
+      wv[h] = _mm256_load_pd(panel + c * kPanel + h * kLanes);
+    }
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < R; ++i) {
+      const __m256d xv = _mm256_set1_pd(x[i * in + c]);
+#pragma GCC unroll 2
+      for (std::size_t h = 0; h < kHalves; ++h) {
+        acc[i][h] = _mm256_add_pd(acc[i][h], _mm256_mul_pd(wv[h], xv));
+      }
+    }
+  }
+  alignas(32) double tile[R][kPanel];
+#pragma GCC unroll 8
+  for (std::size_t i = 0; i < R; ++i) {
+#pragma GCC unroll 2
+    for (std::size_t h = 0; h < kHalves; ++h) {
+      _mm256_store_pd(tile[i] + h * kLanes, acc[i][h]);
+    }
+  }
+  const std::size_t valid = out - r0 < kPanel ? out - r0 : kPanel;
+  for (std::size_t i = 0; i < R; ++i) {
+    finish_panel(y + i * out + r0, tile[i], bias, r0, valid, epilogue);
+  }
+}
+
+/// R batch rows against every panel.
+template <std::size_t R>
+void row_block(const double* packed, std::size_t panels, std::size_t in,
+               const double* x, double* y, std::size_t out,
+               const double* bias, Epilogue epilogue) {
+  for (std::size_t p = 0; p < panels; ++p) {
+    micro_tile<R>(packed + p * in * kPanel, in, x, y, out, bias, p * kPanel,
+                  epilogue);
+  }
+}
+
+/// The batch tail (rows < kTileRows), dispatched to its exact tile height.
+template <std::size_t R>
+void tail_block(std::size_t rows, const double* packed, std::size_t panels,
+                std::size_t in, const double* x, double* y, std::size_t out,
+                const double* bias, Epilogue epilogue) {
+  if constexpr (R > 0) {
+    if (rows == R) {
+      row_block<R>(packed, panels, in, x, y, out, bias, epilogue);
+      return;
+    }
+    tail_block<R - 1>(rows, packed, panels, in, x, y, out, bias, epilogue);
   }
 }
 
@@ -227,27 +254,18 @@ EXPLORA_REALTIME void avx2_kernel(const double* w, std::size_t out,
                                   std::size_t in, const double* x,
                                   std::size_t batch, double* y,
                                   const double* bias, Epilogue epilogue) {
+  // Per thread, so concurrent pool workers never share it.
   thread_local common::AlignedVector<double> t_packed;
-  const std::size_t panels = pack_weights(w, out, in, t_packed);
+  const std::size_t panels = pack_panels(w, out, in, t_packed);
+  const double* packed = t_packed.data();
 
   std::size_t b = 0;
-  for (; b + kBatchTile <= batch; b += kBatchTile) {
-    for (std::size_t p = 0; p < panels; ++p) {
-      const std::size_t r0 = p * kPanel;
-      const std::size_t valid = out - r0 < kPanel ? out - r0 : kPanel;
-      micro_tile<kBatchTile>(t_packed.data() + p * in * kPanel, in,
-                             x + b * in, in, y + b * out, out, bias, r0,
-                             valid, epilogue);
-    }
+  for (; b + kTileRows <= batch; b += kTileRows) {
+    row_block<kTileRows>(packed, panels, in, x + b * in, y + b * out, out,
+                         bias, epilogue);
   }
-  for (; b < batch; ++b) {
-    for (std::size_t p = 0; p < panels; ++p) {
-      const std::size_t r0 = p * kPanel;
-      const std::size_t valid = out - r0 < kPanel ? out - r0 : kPanel;
-      micro_tile<1>(t_packed.data() + p * in * kPanel, in, x + b * in, in,
-                    y + b * out, out, bias, r0, valid, epilogue);
-    }
-  }
+  tail_block<kTileRows - 1>(batch - b, packed, panels, in, x + b * in,
+                            y + b * out, out, bias, epilogue);
 }
 
 }  // namespace explora::ml::gemm::detail

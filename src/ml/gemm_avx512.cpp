@@ -1,5 +1,14 @@
-// AVX-512 backend: 8 batch rows x 8 output neurons per tile, one 512-bit
-// register per packed weight panel column, separate mul + add (never FMA).
+// AVX-512 backend: 6 batch rows x 2 panels of 8 output neurons per tile,
+// one 512-bit register per (row, panel) accumulator, separate mul + add
+// (never FMA).
+//
+// Register residency: micro_tile is a template over its rows R and panels
+// P, and every loop over them carries `#pragma GCC unroll`, so the default
+// -O2 build keeps all R x P = 12 accumulators in zmm registers across the
+// c loop (2 weight loads, 6 broadcasts, 12 mul + 12 add per input column)
+// instead of reloading and spilling them per column. Batch tails run the
+// same template at their exact height (1..5 rows), and an odd last panel
+// runs with P = 1.
 //
 // Determinism: identical contract to the AVX2 backend — vector lane l of a
 // panel owns output neuron r0+l and accumulates w[r0+l][c] * x[b][c] for
@@ -7,8 +16,10 @@
 // reductions, so every output double is byte-identical to
 // detail::scalar_kernel. The wider registers only change *which* neurons
 // advance together (all 8 of a panel in one register instead of two
-// 4-lane halves), never the per-neuron arithmetic order. The TU is
-// compiled with -mavx512f -ffp-contract=off (src/ml/CMakeLists.txt).
+// 4-lane halves), never the per-neuron arithmetic order; the tile shape
+// likewise only changes which chains advance side by side. The TU is
+// compiled with -mavx512f (src/ml/CMakeLists.txt) and, like every TU,
+// -ffp-contract=off.
 //
 // The tanh epilogue is tanh8(): a lane-wise copy of ml::fdlibm_tanh's
 // operation sequence (ml/tanh.cpp), using only AVX512F instructions.
@@ -30,30 +41,9 @@ namespace {
 
 using namespace tanh_constants;
 
-constexpr std::size_t kPanel = 8;      ///< output neurons per packed panel
-constexpr std::size_t kBatchTile = 8;  ///< batch rows per microkernel call
-
-/// Same packed layout as the AVX2 backend: panel p holds neurons
-/// [p*8, p*8+8), the 8 weights of input c contiguous at offset c*8 —
-/// exactly one aligned 512-bit load per (panel, c). Pad lanes are zero.
-std::size_t pack_weights(const double* w, std::size_t out, std::size_t in,
-                         common::AlignedVector<double>& packed) {
-  const std::size_t panels = (out + kPanel - 1) / kPanel;
-  // hotpath-ok: thread-local panel scratch reaches steady-state capacity
-  // after the first call per layer shape; resize is then a no-op.
-  packed.resize(panels * in * kPanel);
-  for (std::size_t p = 0; p < panels; ++p) {
-    const std::size_t r0 = p * kPanel;
-    double* panel = packed.data() + p * in * kPanel;
-    for (std::size_t c = 0; c < in; ++c) {
-      for (std::size_t l = 0; l < kPanel; ++l) {
-        panel[c * kPanel + l] =
-            r0 + l < out ? w[(r0 + l) * in + c] : 0.0;
-      }
-    }
-  }
-  return panels;
-}
+constexpr std::size_t kPanel = kPanelWidth;  ///< neurons per packed panel
+constexpr std::size_t kTileRows = 6;    ///< batch rows per full tile
+constexpr std::size_t kTilePanels = 2;  ///< panels per full tile
 
 [[nodiscard]] __m512d set1(double v) { return _mm512_set1_pd(v); }
 
@@ -167,50 +157,106 @@ void store_tanh8(double* dst, __m512d v) {
   }
 }
 
-/// One (BT batch rows) x (8 neurons) tile: BT independent 8-lane
-/// accumulators, each lane advancing its own strictly-sequential c-chain.
-template <std::size_t BT>
-void micro_tile(const double* panel, std::size_t in, const double* x,
-                std::size_t x_stride, double* y, std::size_t y_stride,
-                const double* bias, std::size_t r0, std::size_t valid,
-                Epilogue epilogue) {
-  __m512d acc[BT];
-  for (std::size_t bt = 0; bt < BT; ++bt) acc[bt] = _mm512_setzero_pd();
-  for (std::size_t c = 0; c < in; ++c) {
-    const __m512d wv = _mm512_load_pd(panel + c * kPanel);
-    for (std::size_t bt = 0; bt < BT; ++bt) {
-      const __m512d xv = _mm512_set1_pd(x[bt * x_stride + c]);
-      acc[bt] = _mm512_add_pd(acc[bt], _mm512_mul_pd(wv, xv));
-    }
-  }
-  // Full panels store vectorized: one add for the bias (the same single
-  // rounding as scalar), relu via max with acc as the first operand —
-  // VMAXPD returns the *second* operand on a NaN/equal-zero first operand,
-  // exactly matching the scalar `v > 0.0 ? v : 0.0` (which yields +0.0 for
-  // -0.0 and NaN inputs) — and tanh via tanh8.
-  if (valid == kPanel) {
-    const __m512d bv = epilogue == Epilogue::kNone
-                           ? _mm512_setzero_pd()
-                           : _mm512_loadu_pd(bias + r0);
-    for (std::size_t bt = 0; bt < BT; ++bt) {
-      double* dst = y + bt * y_stride + r0;
-      __m512d v = epilogue == Epilogue::kNone ? acc[bt]
-                                              : _mm512_add_pd(acc[bt], bv);
-      if (epilogue == Epilogue::kBiasRelu) {
-        v = _mm512_max_pd(v, _mm512_setzero_pd());
-      }
-      if (epilogue == Epilogue::kBiasTanh) {
-        store_tanh8(dst, v);
-        continue;
-      }
-      _mm512_storeu_pd(dst, v);
-    }
+/// Finishes one row of one panel from its spilled accumulator. Full panels
+/// store vectorized: one add for the bias (the same single rounding as
+/// scalar), relu via max with acc as the first operand — VMAXPD returns
+/// the *second* operand on a NaN/equal-zero first operand, exactly
+/// matching the scalar `v > 0.0 ? v : 0.0` (which yields +0.0 for -0.0 and
+/// NaN inputs) — and tanh via tanh8. Partial panels take the scalar
+/// epilogue.
+void finish_panel(double* dst, const double* acc, const double* bias,
+                  std::size_t r0, std::size_t valid, Epilogue epilogue) {
+  if (valid != kPanel) {
+    apply_epilogue(dst, acc, bias, r0, valid, epilogue);
     return;
   }
-  alignas(64) double tile[kPanel];
-  for (std::size_t bt = 0; bt < BT; ++bt) {
-    _mm512_store_pd(tile, acc[bt]);
-    apply_epilogue(y + bt * y_stride + r0, tile, bias, r0, valid, epilogue);
+  __m512d v = _mm512_load_pd(acc);
+  if (epilogue != Epilogue::kNone) {
+    v = _mm512_add_pd(v, _mm512_loadu_pd(bias + r0));
+  }
+  if (epilogue == Epilogue::kBiasRelu) {
+    v = _mm512_max_pd(v, _mm512_setzero_pd());
+  }
+  if (epilogue == Epilogue::kBiasTanh) {
+    store_tanh8(dst, v);
+    return;
+  }
+  _mm512_storeu_pd(dst, v);
+}
+
+/// One (R batch rows) x (P panels of 8 neurons) tile: R*P independent
+/// 8-lane accumulators, each lane advancing its own strictly-sequential
+/// c-chain. R and P are compile-time and every loop over them carries
+/// `#pragma GCC unroll`, so at -O2 each accumulator is its own zmm
+/// register (not a stack slot) for the whole c loop. The accumulators are
+/// spilled once, after it, for the per-panel epilogue.
+template <std::size_t R, std::size_t P>
+void micro_tile(const double* panels, std::size_t in, const double* x,
+                double* y, std::size_t out, const double* bias,
+                std::size_t r0, Epilogue epilogue) {
+  __m512d acc[R][P];
+#pragma GCC unroll 8
+  for (std::size_t i = 0; i < R; ++i) {
+#pragma GCC unroll 8
+    for (std::size_t p = 0; p < P; ++p) acc[i][p] = _mm512_setzero_pd();
+  }
+  for (std::size_t c = 0; c < in; ++c) {
+    __m512d wv[P];
+#pragma GCC unroll 8
+    for (std::size_t p = 0; p < P; ++p) {
+      wv[p] = _mm512_load_pd(panels + p * in * kPanel + c * kPanel);
+    }
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < R; ++i) {
+      const __m512d xv = _mm512_set1_pd(x[i * in + c]);
+#pragma GCC unroll 8
+      for (std::size_t p = 0; p < P; ++p) {
+        acc[i][p] = _mm512_add_pd(acc[i][p], _mm512_mul_pd(wv[p], xv));
+      }
+    }
+  }
+  alignas(64) double tile[R][P][kPanel];
+#pragma GCC unroll 8
+  for (std::size_t i = 0; i < R; ++i) {
+#pragma GCC unroll 8
+    for (std::size_t p = 0; p < P; ++p) _mm512_store_pd(tile[i][p], acc[i][p]);
+  }
+  for (std::size_t p = 0; p < P; ++p) {
+    const std::size_t rp = r0 + p * kPanel;
+    const std::size_t valid = out - rp < kPanel ? out - rp : kPanel;
+    for (std::size_t i = 0; i < R; ++i) {
+      finish_panel(y + i * out + rp, tile[i][p], bias, rp, valid, epilogue);
+    }
+  }
+}
+
+/// R batch rows against every panel: pairs of panels, then the odd one.
+template <std::size_t R>
+void row_block(const double* packed, std::size_t panels, std::size_t in,
+               const double* x, double* y, std::size_t out,
+               const double* bias, Epilogue epilogue) {
+  std::size_t p = 0;
+  for (; p + kTilePanels <= panels; p += kTilePanels) {
+    micro_tile<R, kTilePanels>(packed + p * in * kPanel, in, x, y, out, bias,
+                               p * kPanel, epilogue);
+  }
+  if (p < panels) {
+    micro_tile<R, 1>(packed + p * in * kPanel, in, x, y, out, bias,
+                     p * kPanel, epilogue);
+  }
+}
+
+/// The batch tail (rows < kTileRows), dispatched to its exact tile height.
+template <std::size_t R>
+void tail_block(std::size_t rows, const double* packed, std::size_t panels,
+                std::size_t in, const double* x, double* y, std::size_t out,
+                const double* bias, Epilogue epilogue) {
+  if constexpr (R > 0) {
+    if (rows == R) {
+      row_block<R>(packed, panels, in, x, y, out, bias, epilogue);
+      return;
+    }
+    tail_block<R - 1>(rows, packed, panels, in, x, y, out, bias, epilogue);
   }
 }
 
@@ -220,27 +266,18 @@ EXPLORA_REALTIME void avx512_kernel(const double* w, std::size_t out,
                                     std::size_t in, const double* x,
                                     std::size_t batch, double* y,
                                     const double* bias, Epilogue epilogue) {
+  // Per thread, so concurrent pool workers never share it.
   thread_local common::AlignedVector<double> t_packed;
-  const std::size_t panels = pack_weights(w, out, in, t_packed);
+  const std::size_t panels = pack_panels(w, out, in, t_packed);
+  const double* packed = t_packed.data();
 
   std::size_t b = 0;
-  for (; b + kBatchTile <= batch; b += kBatchTile) {
-    for (std::size_t p = 0; p < panels; ++p) {
-      const std::size_t r0 = p * kPanel;
-      const std::size_t valid = out - r0 < kPanel ? out - r0 : kPanel;
-      micro_tile<kBatchTile>(t_packed.data() + p * in * kPanel, in,
-                             x + b * in, in, y + b * out, out, bias, r0,
-                             valid, epilogue);
-    }
+  for (; b + kTileRows <= batch; b += kTileRows) {
+    row_block<kTileRows>(packed, panels, in, x + b * in, y + b * out, out,
+                         bias, epilogue);
   }
-  for (; b < batch; ++b) {
-    for (std::size_t p = 0; p < panels; ++p) {
-      const std::size_t r0 = p * kPanel;
-      const std::size_t valid = out - r0 < kPanel ? out - r0 : kPanel;
-      micro_tile<1>(t_packed.data() + p * in * kPanel, in, x + b * in, in,
-                    y + b * out, out, bias, r0, valid, epilogue);
-    }
-  }
+  tail_block<kTileRows - 1>(batch - b, packed, panels, in, x + b * in,
+                            y + b * out, out, bias, epilogue);
 }
 
 }  // namespace explora::ml::gemm::detail

@@ -71,34 +71,6 @@ void RolloutBuffer::compute_gae(double gamma, double lambda,
   for (double& a : advantages_) a = (a - mean) / stddev;
 }
 
-std::array<std::size_t, kNumHeads> PpoAgent::head_sizes() {
-  std::array<std::size_t, kNumHeads> sizes{};
-  sizes[0] = netsim::prb_catalog().size();
-  for (std::size_t s = 0; s < netsim::kNumSlices; ++s) {
-    sizes[1 + s] = netsim::kNumSchedulerPolicies;
-  }
-  return sizes;
-}
-
-std::array<std::size_t, kNumHeads + 1> PpoAgent::head_offsets() const {
-  const auto sizes = head_sizes();
-  std::array<std::size_t, kNumHeads + 1> offsets{};
-  for (std::size_t h = 0; h < kNumHeads; ++h) {
-    offsets[h + 1] = offsets[h] + sizes[h];
-  }
-  return offsets;
-}
-
-std::array<std::size_t, kNumHeads> PpoAgent::action_indices(
-    const AgentAction& action) {
-  std::array<std::size_t, kNumHeads> indices{};
-  indices[0] = action.prb_choice;
-  for (std::size_t s = 0; s < netsim::kNumSlices; ++s) {
-    indices[1 + s] = action.sched_choice[s];
-  }
-  return indices;
-}
-
 PpoAgent::PpoAgent(std::uint64_t seed) : PpoAgent(Config{}, seed) {}
 
 PpoAgent::PpoAgent(Config config, std::uint64_t seed)
@@ -220,17 +192,10 @@ std::vector<Vector> PpoAgent::head_distributions(
   return split_softmax(logits, uniform_temperatures(1.0));
 }
 
-std::vector<std::vector<Vector>> PpoAgent::head_distributions(
-    const Matrix& states) const {
-  const Matrix logits = actor_.forward_batch(states);
-  std::vector<std::vector<Vector>> results;
-  results.reserve(states.rows());
-  for (std::size_t r = 0; r < states.rows(); ++r) {
-    results.push_back(split_softmax(
-        logits.data().subspan(r * logits.cols(), logits.cols()),
-        uniform_temperatures(1.0)));
-  }
-  return results;
+Matrix PpoAgent::chosen_probabilities(const Matrix& states,
+                                      const AgentAction& chosen) const {
+  Matrix logits = actor_.forward_batch(states);
+  return softmax_chosen(logits, chosen, "PPO");
 }
 
 double PpoAgent::update(const RolloutBuffer& buffer) {
@@ -271,7 +236,7 @@ double PpoAgent::update(const RolloutBuffer& buffer) {
         // ---- Actor ----
         const Vector& logits = actor_.forward(step.state);
         const auto heads = split_softmax(logits, uniform_temperatures(1.0));
-        const auto chosen = action_indices(step.action);
+        const auto chosen = head_choices(step.action);
         double new_log_prob = 0.0;
         for (std::size_t h = 0; h < kNumHeads; ++h) {
           new_log_prob += std::log(std::max(heads[h][chosen[h]], kProbFloor));

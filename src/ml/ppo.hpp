@@ -101,9 +101,10 @@ class PpoAgent final : public PolicyAgent {
   /// Full per-head probability vectors for a state (used by SHAP / XAI).
   [[nodiscard]] std::vector<Vector> head_distributions(
       std::span<const double> state) const override;
-  /// Batched: all states flow through the actor as one forward_batch.
-  [[nodiscard]] std::vector<std::vector<Vector>> head_distributions(
-      const Matrix& states) const override;
+  /// Batched: all states flow through the actor as one forward_batch,
+  /// then each head is softmaxed in place (softmax_chosen).
+  [[nodiscard]] Matrix chosen_probabilities(
+      const Matrix& states, const AgentAction& chosen) const override;
 
   /// One PPO update over the buffer (which must have GAE computed).
   /// Returns the mean total loss of the final epoch.
@@ -115,15 +116,10 @@ class PpoAgent final : public PolicyAgent {
   void deserialize(common::Reader& reader);
 
  private:
-  /// Logit offsets per head inside the actor output.
-  [[nodiscard]] std::array<std::size_t, kNumHeads + 1> head_offsets() const;
-  [[nodiscard]] static std::array<std::size_t, kNumHeads> head_sizes();
   /// Splits raw logits into per-head softmax distributions.
   [[nodiscard]] std::vector<Vector> split_softmax(
       std::span<const double> logits,
       const std::array<double, kNumHeads>& temperatures) const;
-  [[nodiscard]] static std::array<std::size_t, kNumHeads> action_indices(
-      const AgentAction& action);
 
   Config config_;
   common::Rng init_rng_;

@@ -1,5 +1,5 @@
 // Scalar port of fdlibm tanh + expm1 (see ml/tanh.hpp for the contract).
-// Compiled with -ffp-contract=off (src/ml/CMakeLists.txt): every fusion
+// Compiled with -ffp-contract=off (root CMakeLists.txt): every fusion
 // below is an explicit std::fma, and every other operation rounds alone.
 #include "ml/tanh.hpp"
 

@@ -1,25 +1,11 @@
 #include "xai/agent_model.hpp"
 
-#include "common/contracts.hpp"
-
 namespace explora::xai {
 
 MatrixModelFn head_probability_model(const ml::PolicyAgent& agent,
                                      const ml::AgentAction& chosen) {
   return [&agent, chosen](const ml::Matrix& probes) {
-    const auto per_row = agent.head_distributions(probes);
-    ml::Matrix out(probes.rows(), ml::kNumHeads);
-    for (std::size_t r = 0; r < per_row.size(); ++r) {
-      const auto& heads = per_row[r];
-      EXPLORA_EXPECTS(heads.size() == ml::kNumHeads);
-      EXPLORA_EXPECTS(chosen.prb_choice < heads[0].size());
-      out(r, 0) = heads[0][chosen.prb_choice];
-      for (std::size_t s = 0; s < netsim::kNumSlices; ++s) {
-        EXPLORA_EXPECTS(chosen.sched_choice[s] < heads[1 + s].size());
-        out(r, 1 + s) = heads[1 + s][chosen.sched_choice[s]];
-      }
-    }
-    return out;
+    return agent.chosen_probabilities(probes, chosen);
   };
 }
 

@@ -11,12 +11,12 @@
 namespace explora::xai {
 
 /// Wraps `agent` into a MatrixModelFn: row r of the result holds the
-/// per-head probabilities of `chosen`'s components at probe row r. The
-/// whole probe matrix flows through the agent's batched
-/// head_distributions — for Mlp-backed agents that is one blocked-GEMM
-/// sweep per layer instead of one forward pass per probe, with
-/// bit-identical probabilities. The agent must outlive the returned
-/// callable; safe to invoke concurrently.
+/// per-head probabilities of `chosen`'s components at probe row r. It
+/// forwards the whole probe matrix to PolicyAgent::chosen_probabilities —
+/// for Mlp-backed agents that is one blocked-GEMM sweep per layer and an
+/// in-place softmax per head, with no per-probe allocation and
+/// probabilities bit-identical to head_distributions. The agent must
+/// outlive the returned callable; safe to invoke concurrently.
 [[nodiscard]] MatrixModelFn head_probability_model(
     const ml::PolicyAgent& agent, const ml::AgentAction& chosen);
 

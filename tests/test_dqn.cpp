@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 
+#include "ml/a2c.hpp"
 #include "ml/ppo.hpp"
 #include "netsim/types.hpp"
 
@@ -156,6 +159,49 @@ TEST(PolicyAgentInterface, DqnAndPpoAreInterchangeable) {
     const PolicyDecision sampled = agent->act(state, rng, temps);
     EXPECT_LT(sampled.action.prb_choice, netsim::prb_catalog().size());
     EXPECT_EQ(agent->head_distributions(state).size(), kNumHeads);
+  }
+}
+
+// The batched chosen-probability path (what SHAP evaluates) must agree
+// bit for bit with the single-state distributions, for the Mlp-backed
+// overrides (PPO, A2C) and the row-by-row default (DQN), on a probe count
+// that is no multiple of any GEMM tile and with the last component of
+// every head among the chosen ones.
+TEST(PolicyAgentInterface, ChosenProbabilitiesMatchHeadDistributions) {
+  const auto ppo = std::make_unique<PpoAgent>(41);
+  const auto a2c = std::make_unique<A2cAgent>(43);
+  const auto dqn = std::make_unique<DqnAgent>(47);
+  const std::array<const PolicyAgent*, 3> agents{ppo.get(), a2c.get(),
+                                                 dqn.get()};
+
+  common::Rng rng(49);
+  Matrix probes(37, kLatentDim);
+  for (double& v : probes.data()) v = rng.normal(0.0, 1.5);
+
+  const std::size_t last_prb = netsim::prb_catalog().size() - 1;
+  const std::size_t last_sched = netsim::kNumSchedulerPolicies - 1;
+  const std::array<AgentAction, 3> chosen_actions{
+      AgentAction{.prb_choice = 0, .sched_choice = {0, 0, 0}},
+      AgentAction{.prb_choice = last_prb / 2, .sched_choice = {1, 0, 2}},
+      AgentAction{.prb_choice = last_prb,
+                  .sched_choice = {last_sched, last_sched, last_sched}},
+  };
+  for (const PolicyAgent* agent : agents) {
+    for (const AgentAction& chosen : chosen_actions) {
+      const Matrix batched = agent->chosen_probabilities(probes, chosen);
+      ASSERT_EQ(batched.rows(), probes.rows());
+      ASSERT_EQ(batched.cols(), kNumHeads);
+      const auto choices = head_choices(chosen);
+      for (std::size_t r = 0; r < probes.rows(); ++r) {
+        const auto heads = agent->head_distributions(
+            probes.data().subspan(r * probes.cols(), probes.cols()));
+        for (std::size_t h = 0; h < kNumHeads; ++h) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(batched(r, h)),
+                    std::bit_cast<std::uint64_t>(heads[h][choices[h]]))
+              << "row " << r << " head " << h;
+        }
+      }
+    }
   }
 }
 

@@ -134,6 +134,44 @@ TEST(GemmBackends, SimdByteIdenticalToScalarAcrossShapes) {
   }
 }
 
+// Every (out, batch) pair up to 40 x 20 at the layer widths the agents
+// use: odd panel counts, partial last panels and every batch-tail height,
+// whatever tile shape a backend picks. The output buffers start with
+// different fill values, so a cell a backend never writes also fails.
+TEST(GemmBackends, TileBoundarySweep) {
+  const auto backends = simd_backends();
+  if (backends.empty()) GTEST_SKIP() << "no SIMD backend compiled/supported";
+
+  common::Rng rng(17);
+  for (const std::size_t in : std::array<std::size_t, 3>{1, 9, 64}) {
+    std::vector<double> w(40 * in);
+    std::vector<double> x(20 * in);
+    std::vector<double> bias(40);
+    for (auto& v : w) v = rng.normal(0.0, 1.0);
+    for (auto& v : x) v = rng.normal(0.0, 1.0);
+    for (auto& v : bias) v = rng.normal(0.0, 1.0);
+    for (std::size_t out = 1; out <= 40; ++out) {
+      for (std::size_t batch = 1; batch <= 20; ++batch) {
+        for (Epilogue ep : {Epilogue::kNone, Epilogue::kBias,
+                            Epilogue::kBiasRelu, Epilogue::kBiasTanh}) {
+          std::vector<double> scalar_y(batch * out, -7.0);
+          run_backend(Backend::kScalar, w, out, in, x, batch, bias, ep,
+                      scalar_y);
+          for (Backend backend : backends) {
+            std::vector<double> simd_y(batch * out, 3.0);
+            run_backend(backend, w, out, in, x, batch, bias, ep, simd_y);
+            ASSERT_EQ(0, std::memcmp(simd_y.data(), scalar_y.data(),
+                                     simd_y.size() * sizeof(double)))
+                << ml::gemm::to_string(backend) << " out=" << out
+                << " in=" << in << " batch=" << batch
+                << " epilogue=" << static_cast<int>(ep);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(GemmBackends, EmptyBatchAndZeroOutAreNoOps) {
   const double w = 1.0;
   const double x = 2.0;

@@ -34,8 +34,8 @@ artifacts. This lint bans the constructs that historically break it:
                      (src/ml/gemm_<isa>.cpp) - ad-hoc vectorization is how
                      FMA/reassociation sneaks in and silently breaks the
                      byte-identity contract of DESIGN.md §10; new kernels
-                     must live in an approved file, compiled with
-                     -ffp-contract=off and covered by tests/test_gemm.cpp
+                     must live in an approved file and be covered by
+                     tests/test_gemm.cpp
   libm-tanh          std::tanh / tanh( / __builtin_tanh under src/ - the
                      host libm's tanh bits vary with the libm version and
                      the CPU's FMA support, and golden traces pin tanh's
@@ -75,7 +75,8 @@ RULES = {
 DET_OK = lintlib.marker_pattern("det-ok")
 
 # SIMD kernels live only in these files (runtime-dispatched by ml/gemm.cpp,
-# pinned to -ffp-contract=off); intrinsics anywhere else are findings.
+# compiled with -ffp-contract=off like every TU); intrinsics anywhere else
+# are findings.
 KERNEL_FILE = re.compile(r"gemm_(?:avx2|avx512|neon|sve|rvv)\.cpp$")
 SIMD_INTRINSIC = re.compile(
     r"\b_mm\d*_\w+\s*\(|\b__m(?:128|256|512)[di]?\b"
