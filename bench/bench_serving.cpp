@@ -5,7 +5,7 @@
 // FNV-1a result-stream digest as a deterministic JSON SLO report.
 //
 //   bench_serving [--requests N] [--seed S] [--out FILE]
-//                 [--check] [--threads-check] [--tsan-enqueue]
+//                 [--check] [--threads-check]
 //
 //   --check          enforce the committed SLO thresholds (CI gate):
 //                    zero queue overflow, full request accounting,
@@ -13,20 +13,16 @@
 //                    nonzero demotions on the slow arm.
 //   --threads-check  run every arm under ThreadPool(1) and ThreadPool(4)
 //                    and require byte-identical result-stream digests.
-//   --tsan-enqueue   concurrent producer/consumer stress over the
-//                    bounded queue (the CI tsan leg); no JSON output.
 //
 // Everything is tick-clocked and seeded: two runs with the same flags
 // produce byte-identical JSON on any machine and thread count.
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -51,7 +47,6 @@ struct CliOptions {
   std::string out_file;
   bool check = false;
   bool threads_check = false;
-  bool tsan_enqueue = false;
 };
 
 void usage() {
@@ -61,8 +56,7 @@ void usage() {
       "  --seed S         arrival/latent stream seed (default 2027)\n"
       "  --out FILE       write the JSON SLO report here (default stdout)\n"
       "  --check          enforce committed SLO thresholds\n"
-      "  --threads-check  byte-compare digests across thread pools {1,4}\n"
-      "  --tsan-enqueue   concurrent enqueue stress (tsan leg)\n",
+      "  --threads-check  byte-compare digests across thread pools {1,4}\n",
       stderr);
 }
 
@@ -373,63 +367,6 @@ bool threads_check(const CliOptions& options) {
   return ok;
 }
 
-/// Concurrent enqueue/dequeue stress for the tsan CI leg: 4 producers
-/// push_blocking, 2 consumers pop_blocking, every id delivered exactly
-/// once (validated via count and id-sum).
-int tsan_enqueue_stress() {
-  constexpr std::size_t kProducers = 4;
-  constexpr std::size_t kConsumers = 2;
-  constexpr std::uint64_t kPerProducer = 5000;
-  constexpr std::uint64_t kTotal = kProducers * kPerProducer;
-  xai::serving::BoundedRequestQueue queue(16, 4);
-
-  std::atomic<std::uint64_t> popped{0};
-  std::atomic<std::uint64_t> id_sum{0};
-  std::vector<std::thread> threads;
-  for (std::size_t c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&queue, &popped, &id_sum] {
-      xai::serving::Request out;
-      out.x.resize(4);
-      while (popped.load(std::memory_order_acquire) < kTotal) {
-        if (queue.pop_blocking(out, 2048)) {
-          id_sum.fetch_add(out.id, std::memory_order_relaxed);
-          popped.fetch_add(1, std::memory_order_acq_rel);
-        }
-      }
-    });
-  }
-  for (std::size_t p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&queue, p] {
-      const std::array<std::uint32_t, 4> context{
-          static_cast<std::uint32_t>(p), 0, 0, 0};
-      const std::vector<double> x{1.0, 2.0, 3.0, 4.0};
-      for (std::uint64_t i = 0; i < kPerProducer; ++i) {
-        const std::uint64_t id = p * kPerProducer + i + 1;
-        queue.push_blocking(id, 0, context, 0, 1 << 20, x);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  const std::uint64_t want_sum = kTotal * (kTotal + 1) / 2;
-  if (popped.load() != kTotal || id_sum.load() != want_sum) {
-    std::fprintf(stderr,
-                 "bench_serving: tsan-enqueue FAIL — popped %llu/%llu, "
-                 "id sum %llu (want %llu)\n",
-                 static_cast<unsigned long long>(popped.load()),
-                 static_cast<unsigned long long>(kTotal),
-                 static_cast<unsigned long long>(id_sum.load()),
-                 static_cast<unsigned long long>(want_sum));
-    return 1;
-  }
-  std::fprintf(stderr,
-               "bench_serving: tsan-enqueue ok — %llu requests, every id "
-               "delivered exactly once, high water %zu/%zu\n",
-               static_cast<unsigned long long>(kTotal),
-               queue.high_water(), queue.capacity());
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -453,15 +390,11 @@ int main(int argc, char** argv) {
       options.check = true;
     } else if (arg == "--threads-check") {
       options.threads_check = true;
-    } else if (arg == "--tsan-enqueue") {
-      options.tsan_enqueue = true;
     } else {
       usage();
       return 2;
     }
   }
-  if (options.tsan_enqueue) return tsan_enqueue_stress();
-
   std::vector<ArmResult> arms;
   arms.reserve(kArms.size());
   for (const ArmSpec& spec : kArms) {

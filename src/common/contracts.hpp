@@ -44,7 +44,6 @@
 #include <utility>
 
 #include "common/format.hpp"
-#include "common/interleave.hpp"
 
 #ifndef EXPLORA_CHECK_LEVEL
 #define EXPLORA_CHECK_LEVEL 2
@@ -147,14 +146,14 @@ class SingleThreadScope {
   void exit() noexcept { active_.fetch_sub(1, std::memory_order_acq_rel); }
 
   /// Open-scope count (approximate under concurrency; exact once all
-  /// scopes have exited). Exposed for the interleaving model checker.
+  /// scopes have exited). Lets tests check that every scope was closed.
   [[nodiscard]] int active() const noexcept {
     return active_.load(std::memory_order_acquire);
   }
 
  private:
-  common::interleave::Atomic<int> active_{0};
-  common::interleave::Atomic<std::thread::id> owner_{};
+  std::atomic<int> active_{0};
+  std::atomic<std::thread::id> owner_{};
 };
 
 namespace detail {

@@ -106,7 +106,7 @@ Histogram::Histogram(std::span<const std::int64_t> bounds)
                           std::adjacent_find(bounds_.begin(), bounds_.end()) ==
                               bounds_.end(),
                       "histogram bounds must be strictly increasing");
-  buckets_ = std::make_unique<common::interleave::Atomic<std::uint64_t>[]>(
+  buckets_ = std::make_unique<std::atomic<std::uint64_t>[]>(
       bounds_.size() + 1);
   for (std::size_t i = 0; i <= bounds_.size(); ++i) {
     // atomics-ok: pre-publication-init (no reader can exist before the ctor returns)

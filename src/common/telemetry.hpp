@@ -42,7 +42,6 @@
 #include <vector>
 
 #include "common/analysis_annotations.hpp"
-#include "common/interleave.hpp"
 #include "common/thread_annotations.hpp"
 
 #ifndef EXPLORA_TELEMETRY_LEVEL
@@ -61,7 +60,7 @@ namespace detail {
 inline std::atomic<bool> g_enabled{true};
 
 // atomics-ok: monotone-cas (commutative min fold; readers tolerate staleness)
-inline void update_min(common::interleave::Atomic<std::int64_t>& target,
+inline void update_min(std::atomic<std::int64_t>& target,
                        std::int64_t value) noexcept {
   std::int64_t current = target.load(std::memory_order_relaxed);
   // hotpath-ok: bounded monotone CAS - every retry means another thread
@@ -73,7 +72,7 @@ inline void update_min(common::interleave::Atomic<std::int64_t>& target,
 }
 
 // atomics-ok: monotone-cas (commutative max fold; readers tolerate staleness)
-inline void update_max(common::interleave::Atomic<std::int64_t>& target,
+inline void update_max(std::atomic<std::int64_t>& target,
                        std::int64_t value) noexcept {
   std::int64_t current = target.load(std::memory_order_relaxed);
   // hotpath-ok: bounded monotone CAS - every retry means another thread
@@ -134,7 +133,7 @@ class Counter {
 
  private:
   // atomics-ok: commutative-counter (order-free add fold)
-  common::interleave::Atomic<std::uint64_t> value_{0};
+  std::atomic<std::uint64_t> value_{0};
 };
 
 /// Last-written level (queue depths, in-flight counts). Merge rule: the
@@ -163,7 +162,7 @@ class Gauge {
 
  private:
   // atomics-ok: approx-snapshot (last-write level; no data published through it)
-  common::interleave::Atomic<std::int64_t> value_{0};
+  std::atomic<std::int64_t> value_{0};
 };
 
 /// Fixed-bucket histogram over integer values. Bucket i counts values
@@ -221,15 +220,15 @@ class Histogram {
 
   std::vector<std::int64_t> bounds_;
   // atomics-ok: commutative-counter (order-free add folds)
-  std::unique_ptr<common::interleave::Atomic<std::uint64_t>[]> buckets_;
+  std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;
   // atomics-ok: commutative-counter (order-free add fold)
-  common::interleave::Atomic<std::uint64_t> count_{0};
+  std::atomic<std::uint64_t> count_{0};
   // atomics-ok: commutative-counter (order-free add fold)
-  common::interleave::Atomic<std::int64_t> sum_{0};
+  std::atomic<std::int64_t> sum_{0};
   // atomics-ok: monotone-cas (min fold via detail::update_min)
-  common::interleave::Atomic<std::int64_t> min_;
+  std::atomic<std::int64_t> min_;
   // atomics-ok: monotone-cas (max fold via detail::update_max)
-  common::interleave::Atomic<std::int64_t> max_;
+  std::atomic<std::int64_t> max_;
 };
 
 /// Single-thread batching front end for a shared Histogram: observe() is
@@ -318,15 +317,15 @@ class SpanStat {
 
  private:
   // atomics-ok: commutative-counter (order-free add fold)
-  common::interleave::Atomic<std::uint64_t> count_{0};
+  std::atomic<std::uint64_t> count_{0};
   // atomics-ok: commutative-counter (order-free add fold)
-  common::interleave::Atomic<std::int64_t> total_{0};
+  std::atomic<std::int64_t> total_{0};
   // Sentinels so the first record() always wins both CAS races.
   // atomics-ok: monotone-cas (min fold via detail::update_min)
-  common::interleave::Atomic<std::int64_t> min_{
+  std::atomic<std::int64_t> min_{
       std::numeric_limits<std::int64_t>::max()};
   // atomics-ok: monotone-cas (max fold via detail::update_max)
-  common::interleave::Atomic<std::int64_t> max_{
+  std::atomic<std::int64_t> max_{
       std::numeric_limits<std::int64_t>::min()};
 };
 

@@ -38,8 +38,7 @@ ExplainService::ExplainService(const ml::PolicyAgent& agent,
       config_(config),
       queue_(config.queue_capacity,
              background_.empty() ? 0 : background_.front().size()),
-      fault_rng_(common::Rng(config.seed).fork("serving.eval_faults")),
-      pop_scratch_() {
+      fault_rng_(common::Rng(config.seed).fork("serving.eval_faults")) {
   EXPLORA_EXPECTS_MSG(!background_.empty(),
                       "ExplainService needs background rows for SHAP");
   if (background_.size() > config_.max_background) {
@@ -61,7 +60,6 @@ ExplainService::ExplainService(const ml::PolicyAgent& agent,
     slot.request.x.resize(queue_.feature_dim());
     slot.attribution.reserve(queue_.feature_dim());
   }
-  pop_scratch_.x.resize(queue_.feature_dim());
   cache_.resize(ml::kNumHeads);
 
   telemetry::Scope scope("explora.serving");
@@ -103,7 +101,7 @@ ExplainService::SubmitResult ExplainService::submit(
   ++submitted_;
   tm_submitted_->add(1);
   SubmitResult result;
-  result.id = next_id_.fetch_add(1, std::memory_order_relaxed);
+  result.id = next_id_++;
   if (deadline == 0) deadline = now + config_.default_deadline;
 
   if (queue_.depth() + busy_workers() >= config_.in_flight_budget) {
@@ -194,21 +192,14 @@ void ExplainService::dispatch_queued(Tick now) {
     // A shed request frees the slot again, so keep popping until this
     // slot actually holds work (or the queue runs dry).
     while (!slot.active) {
-      if (!queue_.try_pop(pop_scratch_)) return;
-      const Tick budget = pop_scratch_.deadline - now;
+      if (!queue_.try_pop(slot.request)) return;
+      const Tick budget = slot.request.deadline - now;
       const Tier floor = ladder_->active_tier();
       const auto fit = config_.costs.cheapest_tier_fitting(budget, floor);
       if (!fit.has_value()) {
-        shed(pop_scratch_, ShedReason::kDeadlineInfeasible, now);
+        shed(slot.request, ShedReason::kDeadlineInfeasible, now);
         continue;
       }
-      slot.request.id = pop_scratch_.id;
-      slot.request.output_index = pop_scratch_.output_index;
-      slot.request.submitted = pop_scratch_.submitted;
-      slot.request.deadline = pop_scratch_.deadline;
-      slot.request.context = pop_scratch_.context;
-      std::copy(pop_scratch_.x.begin(), pop_scratch_.x.end(),
-                slot.request.x.begin());
       slot.tier = *fit;
       slot.degraded = slot.tier != Tier::kExact;
       slot.from_cache = false;

@@ -252,9 +252,7 @@ class ExplainService {
   std::size_t next_shap_table_ = 0;  ///< FIFO victim
   std::vector<ExplanationResult> drained_;
   std::vector<std::size_t> finished_scratch_;
-  xai::serving::Request pop_scratch_;
-  // atomics-ok: id-allocator (uniqueness only; no ordering implied by ids)
-  std::atomic<std::uint64_t> next_id_{1};
+  std::uint64_t next_id_ = 1;
   std::uint64_t last_breaker_trips_ = 0;
 
   std::uint64_t submitted_ = 0;

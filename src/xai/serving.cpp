@@ -1,7 +1,6 @@
 #include "xai/serving.hpp"
 
 #include <algorithm>
-#include <thread>
 
 namespace explora::xai::serving {
 
@@ -77,15 +76,9 @@ std::string_view to_string(CircuitBreaker::State state) noexcept {
 
 BoundedRequestQueue::BoundedRequestQueue(std::size_t capacity,
                                          std::size_t feature_dim)
-    : capacity_(round_up_pow2(std::max<std::size_t>(capacity, 2))),
-      mask_(capacity_ - 1),
-      feature_dim_(feature_dim),
-      slots_(std::make_unique<Slot[]>(capacity_)) {
-  for (std::size_t i = 0; i < capacity_; ++i) {
-    // atomics-ok: pre-publication-init (no reader can exist before the ctor returns)
-    slots_[i].sequence.store(i, std::memory_order_relaxed);
-    slots_[i].request.x.resize(feature_dim_);
-  }
+    : feature_dim_(feature_dim),
+      slots_(round_up_pow2(std::max<std::size_t>(capacity, 2))) {
+  for (Request& slot : slots_) slot.x.resize(feature_dim_);
 }
 
 bool BoundedRequestQueue::try_push(std::uint64_t id,
@@ -94,25 +87,8 @@ bool BoundedRequestQueue::try_push(std::uint64_t id,
                                    Tick submitted, Tick deadline,
                                    std::span<const double> x) noexcept {
   EXPLORA_EXPECTS(x.size() == feature_dim_);
-  std::size_t pos = enqueue_pos_.load(std::memory_order_relaxed);
-  Slot* slot = nullptr;
-  for (;;) {
-    slot = &slots_[pos & mask_];
-    const std::size_t seq = slot->sequence.load(std::memory_order_acquire);
-    const auto diff = static_cast<std::intptr_t>(seq) -
-                      static_cast<std::intptr_t>(pos);
-    if (diff == 0) {
-      if (enqueue_pos_.compare_exchange_weak(pos, pos + 1,
-                                             std::memory_order_relaxed)) {
-        break;
-      }
-    } else if (diff < 0) {
-      return false;  // ring full
-    } else {
-      pos = enqueue_pos_.load(std::memory_order_relaxed);
-    }
-  }
-  Request& req = slot->request;
+  if (depth_ == slots_.size()) return false;  // ring full
+  Request& req = slots_[(head_ + depth_) & (slots_.size() - 1)];
   req.id = id;
   req.output_index = output_index;
   req.submitted = submitted;
@@ -124,69 +100,24 @@ bool BoundedRequestQueue::try_push(std::uint64_t id,
                     std::min(context.size(), req.context.size())),
             req.context.begin());
   std::copy(x.begin(), x.end(), req.x.begin());
-  slot->sequence.store(pos + 1, std::memory_order_release);
-
-  // Best-effort high-water tracking: exact under the single-threaded
-  // deterministic driver, a snapshot under concurrent stress.
-  const std::size_t d = depth();
-  std::size_t hw = high_water_.load(std::memory_order_relaxed);
-  // hotpath-ok: bounded monotone CAS - every retry means another pusher
-  // already raised the watermark past us, so iterations <= concurrent pushers
-  while (d > hw && !high_water_.compare_exchange_weak(
-                       hw, d, std::memory_order_relaxed)) {
-  }
+  ++depth_;
+  high_water_ = std::max(high_water_, depth_);
   return true;
 }
 
 bool BoundedRequestQueue::try_pop(Request& out) noexcept {
   EXPLORA_EXPECTS(out.x.size() == feature_dim_);
-  std::size_t pos = dequeue_pos_.load(std::memory_order_relaxed);
-  Slot* slot = nullptr;
-  for (;;) {
-    slot = &slots_[pos & mask_];
-    const std::size_t seq = slot->sequence.load(std::memory_order_acquire);
-    const auto diff = static_cast<std::intptr_t>(seq) -
-                      static_cast<std::intptr_t>(pos + 1);
-    if (diff == 0) {
-      if (dequeue_pos_.compare_exchange_weak(pos, pos + 1,
-                                             std::memory_order_relaxed)) {
-        break;
-      }
-    } else if (diff < 0) {
-      return false;  // ring empty
-    } else {
-      pos = dequeue_pos_.load(std::memory_order_relaxed);
-    }
-  }
-  const Request& req = slot->request;
+  if (depth_ == 0) return false;  // ring empty
+  const Request& req = slots_[head_];
   out.id = req.id;
   out.output_index = req.output_index;
   out.submitted = req.submitted;
   out.deadline = req.deadline;
   out.context = req.context;
   std::copy(req.x.begin(), req.x.end(), out.x.begin());
-  slot->sequence.store(pos + capacity_, std::memory_order_release);
+  head_ = (head_ + 1) & (slots_.size() - 1);
+  --depth_;
   return true;
-}
-
-void BoundedRequestQueue::push_blocking(
-    std::uint64_t id, std::uint32_t output_index,
-    std::span<const std::uint32_t> context, Tick submitted, Tick deadline,
-    std::span<const double> x) noexcept {
-  // hotpath-ok: stress-driver-only unbounded spin, never on a serving path -
-  // annotated callers are flagged at the call site (block-queue-blocking)
-  while (!try_push(id, output_index, context, submitted, deadline, x)) {
-    std::this_thread::yield();
-  }
-}
-
-bool BoundedRequestQueue::pop_blocking(Request& out,
-                                       std::size_t spin_limit) noexcept {
-  for (std::size_t spin = 0; spin < spin_limit; ++spin) {
-    if (try_pop(out)) return true;
-    std::this_thread::yield();
-  }
-  return false;
 }
 
 // ---------------------------------------------------------------------------

@@ -2,13 +2,12 @@
 // deterministic building blocks the explanation-as-a-service layer
 // (explora/explain_service) composes in front of the explainers.
 //
-//   - BoundedRequestQueue: a fixed-capacity lock-free MPMC ring (Vyukov
-//     sequence-number scheme). Admission is try_push — it either claims a
-//     pre-sized slot or reports "full"; nothing ever grows, blocks or
-//     locks, so the enqueue path can sit on the realtime tier of the
-//     hot-path analyzer. The *_blocking convenience variants spin and are
-//     for stress drivers only — the analyzer's sink table flags them in
-//     annotated code (tools/lint_hotpath.py "block-queue-blocking").
+//   - BoundedRequestQueue: a fixed-capacity FIFO ring. Admission is
+//     try_push — it either fills a pre-sized slot or reports "full";
+//     nothing ever grows, blocks or locks, so the enqueue path can sit on
+//     the realtime tier of the hot-path analyzer. Like the service that
+//     owns it, the ring is single-threaded: the tick-clocked serving loop
+//     is its only producer and consumer.
 //   - DegradationLadder: one hysteresis state machine over the serving
 //     tiers exact → sampled → surrogate → cached, driven by an integer
 //     fixed-point pressure EWMA, unified with the staleness watchdog
@@ -26,11 +25,9 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -38,7 +35,6 @@
 
 #include "common/analysis_annotations.hpp"
 #include "common/contracts.hpp"
-#include "common/interleave.hpp"
 
 namespace explora::xai::serving {
 
@@ -93,21 +89,11 @@ struct Request {
   std::vector<double> x;
 };
 
-/// Fixed-capacity lock-free MPMC ring buffer (Vyukov sequence scheme).
-/// Capacity is rounded up to a power of two; every slot's feature vector
-/// is sized once at construction. try_push/try_pop are wait-free in the
-/// uncontended case and never allocate, lock or block — the admission
-/// path of the serving layer is built on exactly these two calls.
-///
-/// depth()/high_water() are *approximate snapshots*: each reads the two
-/// positions with independent relaxed loads, so under concurrent pushes
-/// and pops the pair may come from different instants and the raw
-/// difference can momentarily under- or overflow the true occupancy.
-/// Both are therefore clamped into [0, capacity] — a caller can never
-/// observe an impossible depth — but within that range the value is
-/// best-effort, not linearizable. They are exact under single-threaded
-/// use (the deterministic driver, which is what feeds telemetry and the
-/// load ladder).
+/// Fixed-capacity FIFO ring buffer. Capacity is rounded up to a power of
+/// two (minimum 2); every slot's feature vector is sized once at
+/// construction, so try_push/try_pop never allocate, lock or block — the
+/// admission path of the serving layer is built on exactly these two calls.
+/// Not thread-safe: one thread pushes and pops (the serving loop).
 class BoundedRequestQueue {
  public:
   /// @param capacity requested depth bound (rounded up to a power of two).
@@ -117,8 +103,8 @@ class BoundedRequestQueue {
   BoundedRequestQueue(const BoundedRequestQueue&) = delete;
   BoundedRequestQueue& operator=(const BoundedRequestQueue&) = delete;
 
-  /// Admission: claims a slot and copies the request into it. Returns
-  /// false when the ring is full. Never allocates, locks or blocks.
+  /// Admission: copies the request into the tail slot. Returns false when
+  /// the ring is full. Never allocates, locks or blocks.
   EXPLORA_REALTIME bool try_push(std::uint64_t id, std::uint32_t output_index,
                                  std::span<const std::uint32_t> context,
                                  Tick submitted, Tick deadline,
@@ -128,55 +114,20 @@ class BoundedRequestQueue {
   /// feature_dim() elements (pre-size it once). Returns false when empty.
   EXPLORA_REALTIME bool try_pop(Request& out) noexcept;
 
-  /// Spinning convenience variants for stress drivers (the tsan enqueue
-  /// leg). NOT for serving paths: they busy-wait until space/data shows
-  /// up, which is exactly the unbounded stall admission control exists to
-  /// prevent — the hot-path analyzer's sink table flags any use of them
-  /// inside annotated code.
-  void push_blocking(std::uint64_t id, std::uint32_t output_index,
-                     std::span<const std::uint32_t> context, Tick submitted,
-                     Tick deadline, std::span<const double> x) noexcept;
-  bool pop_blocking(Request& out, std::size_t spin_limit) noexcept;
-
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+  [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
   [[nodiscard]] std::size_t feature_dim() const noexcept {
     return feature_dim_;
   }
-  /// Approximate occupancy snapshot, clamped into [0, capacity] (see the
-  /// class comment: the two relaxed loads are not taken atomically, so a
-  /// pop landing between them could otherwise underflow head - tail into
-  /// a huge bogus value).
-  [[nodiscard]] std::size_t depth() const noexcept {
-    const std::size_t head = enqueue_pos_.load(std::memory_order_relaxed);
-    const std::size_t tail = dequeue_pos_.load(std::memory_order_relaxed);
-    const std::size_t raw = head >= tail ? head - tail : 0;
-    return raw < capacity_ ? raw : capacity_;
-  }
-  /// Deepest depth() ever observed right after a successful push
-  /// (approximate under concurrency, same caveat as depth()).
-  [[nodiscard]] std::size_t high_water() const noexcept {
-    return high_water_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::size_t depth() const noexcept { return depth_; }
+  /// Deepest depth() ever reached right after a successful push.
+  [[nodiscard]] std::size_t high_water() const noexcept { return high_water_; }
 
  private:
-  struct Slot {
-    common::interleave::Atomic<std::size_t> sequence{0};
-    Request request;
-  };
-
-  std::size_t capacity_;
-  std::size_t mask_;
   std::size_t feature_dim_;
-  std::unique_ptr<Slot[]> slots_;
-  // Pairing discipline (tools/lint_atomics.py): the positions are pure
-  // claim tickets — the slot sequence numbers carry the release/acquire
-  // publication edges — and the high-water mark is a monotone CAS fold.
-  // atomics-ok: claim-ticket (slot claim; sequence release/acquire publishes)
-  alignas(64) common::interleave::Atomic<std::size_t> enqueue_pos_{0};
-  // atomics-ok: claim-ticket (slot claim; sequence release/acquire publishes)
-  alignas(64) common::interleave::Atomic<std::size_t> dequeue_pos_{0};
-  // atomics-ok: monotone-cas (telemetry watermark, raise-only)
-  common::interleave::Atomic<std::size_t> high_water_{0};
+  std::vector<Request> slots_;
+  std::size_t head_ = 0;  ///< slot index of the oldest request
+  std::size_t depth_ = 0;
+  std::size_t high_water_ = 0;
 };
 
 // ---------------------------------------------------------------------------

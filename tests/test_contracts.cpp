@@ -285,6 +285,24 @@ TEST(ParallelContractScopes, NestedScopesOnOneThreadAreFine) {
   EXPECT_EQ(contracts::check_level(), contracts::CheckLevel::kFast);
 }
 
+TEST(InterleaveScope, NestedEntersOnOneVirtualThreadAreFine) {
+  contracts::ScopedContractHandler guard(&throwing_handler);
+  contracts::SingleThreadScope scope;
+  // One worker thread nests two scopes; the owner check only rejects a
+  // second thread, so neither enter fires and the scope ends balanced.
+  bool balanced_inside = false;
+  std::thread worker([&] {
+    scope.enter("outer");
+    scope.enter("inner");
+    balanced_inside = scope.active() == 2;
+    scope.exit();
+    scope.exit();
+  });
+  worker.join();
+  EXPECT_TRUE(balanced_inside);
+  EXPECT_EQ(scope.active(), 0);
+}
+
 TEST(ParallelContractScopes, SecondThreadLevelInstallCaught) {
   contracts::ScopedContractHandler guard(&throwing_handler);
   contracts::ScopedCheckLevel held(contracts::CheckLevel::kFast);
@@ -334,6 +352,37 @@ TEST(ParallelContractScopes, SecondThreadRegistryInstallCaught) {
   other.join();
   EXPECT_TRUE(caught);
   EXPECT_EQ(&telemetry::active_registry(), &held.registry());
+}
+
+TEST(ParallelContractScopes, RejectedEnterLeavesTheScopeBalanced) {
+  contracts::ScopedContractHandler guard(&throwing_handler);
+  contracts::SingleThreadScope scope;
+  scope.enter("holder");
+  bool caught = false;
+  std::thread rejected([&] {
+    try {
+      scope.enter("second thread");
+      FAIL() << "cross-thread enter should have fired";
+    } catch (const ViolationError&) {
+      caught = true;
+    }
+  });
+  rejected.join();
+  EXPECT_TRUE(caught);
+  EXPECT_EQ(scope.active(), 1);  // the rejected enter counted nothing
+  scope.exit();
+  EXPECT_EQ(scope.active(), 0);
+
+  // With the holder gone, another thread may take the scope.
+  bool entered = false;
+  std::thread next([&] {
+    scope.enter("next holder");
+    entered = scope.active() == 1;
+    scope.exit();
+  });
+  next.join();
+  EXPECT_TRUE(entered);
+  EXPECT_EQ(scope.active(), 0);
 }
 
 }  // namespace

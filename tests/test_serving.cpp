@@ -1,4 +1,4 @@
-// Unit tests for the explanation-serving layer: the bounded MPMC queue,
+// Unit tests for the explanation-serving layer: the bounded FIFO queue,
 // the unified degradation ladder, the circuit breaker, and the
 // ExplainService composed from them (admission, deadline shedding,
 // tier walk-down, caching, fault fallback, determinism).
@@ -6,10 +6,8 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -92,38 +90,6 @@ TEST(BoundedRequestQueue, FifoOrderCapacityBoundAndWraparound) {
 TEST(BoundedRequestQueue, CapacityRoundsUpToPowerOfTwo) {
   BoundedRequestQueue queue(5, 1);
   EXPECT_EQ(queue.capacity(), 8u);
-}
-
-TEST(BoundedRequestQueue, ConcurrentEnqueueDeliversEveryRequestOnce) {
-  constexpr std::size_t kProducers = 4;
-  constexpr std::uint64_t kPerProducer = 200;
-  BoundedRequestQueue queue(8, 2);
-
-  std::atomic<std::uint64_t> popped{0};
-  std::set<std::uint64_t> seen;
-  std::thread consumer([&] {
-    Request out;
-    out.x.resize(2);
-    while (popped.load() < kProducers * kPerProducer) {
-      if (queue.pop_blocking(out, 1024)) {
-        seen.insert(out.id);
-        popped.fetch_add(1);
-      }
-    }
-  });
-  std::vector<std::thread> producers;
-  for (std::size_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&queue, p] {
-      const std::vector<double> x{static_cast<double>(p), 1.0};
-      for (std::uint64_t i = 0; i < kPerProducer; ++i) {
-        queue.push_blocking(p * kPerProducer + i + 1, 0, ctx(0), 0, 100, x);
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  consumer.join();
-  EXPECT_EQ(seen.size(), kProducers * kPerProducer);  // each exactly once
-  EXPECT_LE(queue.high_water(), queue.capacity());
 }
 
 // ---------------------------------------------------------------------------
@@ -269,6 +235,57 @@ TEST(CircuitBreaker, HalfOpenProbeFailureReopensImmediately) {
   breaker.record_failure(7);  // one probe failure suffices
   EXPECT_EQ(breaker.state(), CircuitBreaker::State::kOpen);
   EXPECT_EQ(breaker.trips(), 2u);
+}
+
+TEST(CircuitBreaker, EveryOrderingOfTwoCallersKeepsInvariants) {
+  // The breaker is externally synchronized, so whole calls are the unit
+  // of interleaving. Caller A is a failing eval path, caller B the
+  // tick/probe path; the 6 orderings of their calls are every case.
+  BreakerConfig config;
+  config.failure_threshold = 2;
+  config.open_ticks = 2;
+  config.successes_to_close = 1;
+
+  std::array<char, 4> order{'A', 'A', 'B', 'B'};
+  std::set<CircuitBreaker::State> end_states;
+  bool saw_trip = false;
+  bool saw_no_trip = false;
+  int orderings = 0;
+  do {
+    CircuitBreaker breaker(config);
+    int a_calls = 0;
+    int b_calls = 0;
+    for (const char caller : order) {
+      if (caller == 'A') {
+        breaker.record_failure(++a_calls);  // ticks 1 and 2
+      } else if (b_calls++ == 0) {
+        breaker.on_tick(5);
+      } else {
+        breaker.record_success(6);
+      }
+      EXPECT_EQ(breaker.allow_eval(),
+                breaker.state() != CircuitBreaker::State::kOpen);
+      EXPECT_LE(breaker.trips(), 1u);
+      EXPECT_GE(breaker.consecutive_failures(), 0);
+      EXPECT_LE(breaker.consecutive_failures(), 2);
+    }
+    if (breaker.trips() == 0) {
+      // A success between the two failures reset the streak.
+      EXPECT_EQ(breaker.state(), CircuitBreaker::State::kClosed);
+      saw_no_trip = true;
+    } else {
+      saw_trip = true;
+    }
+    end_states.insert(breaker.state());
+    ++orderings;
+  } while (std::next_permutation(order.begin(), order.end()));
+
+  EXPECT_EQ(orderings, 6);
+  EXPECT_TRUE(saw_trip);
+  EXPECT_TRUE(saw_no_trip);
+  // Where the probe lands relative to the trip decides the end state.
+  EXPECT_EQ(end_states.count(CircuitBreaker::State::kClosed), 1u);
+  EXPECT_EQ(end_states.count(CircuitBreaker::State::kOpen), 1u);
 }
 
 TEST(CostModel, WalksDownToTheCheapestFittingTier) {

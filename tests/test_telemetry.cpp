@@ -307,9 +307,19 @@ TEST(Telemetry, ConcurrentRecordingIsExactAndRaceFree) {
                         span.record(static_cast<std::int64_t>(i % 13));
                       }
                     });
+  std::int64_t value_sum = 0;
+  std::int64_t span_sum = 0;
+  for (std::size_t i = 0; i < kIterations; ++i) {
+    value_sum += static_cast<std::int64_t>(i % 997);
+    span_sum += static_cast<std::int64_t>(i % 13);
+  }
   EXPECT_EQ(counter.value(), kIterations);
   EXPECT_EQ(histogram.count(), kIterations);
+  EXPECT_EQ(histogram.sum(), value_sum);
+  EXPECT_EQ(histogram.min(), 0);
+  EXPECT_EQ(histogram.max(), 996);
   EXPECT_EQ(span.count(), kIterations);
+  EXPECT_EQ(span.total(), span_sum);
   EXPECT_EQ(span.min(), 0);
   EXPECT_EQ(span.max(), 12);
   std::uint64_t bucket_total = 0;
@@ -317,6 +327,66 @@ TEST(Telemetry, ConcurrentRecordingIsExactAndRaceFree) {
     bucket_total += histogram.bucket_count(i);
   }
   EXPECT_EQ(bucket_total, kIterations);
+}
+
+TEST(InterleaveTelemetry, RelaxedFoldsAreExactInEverySchedule) {
+  if (!kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
+  static constexpr std::int64_t kBounds[] = {10, 100};
+  // Two callers, each recording counter -> histogram -> span with a
+  // distinct value, so min/max/sum/bucket placement all notice a lost or
+  // doubled fold. Every ordering of the six steps (20 of them) is run in
+  // turn, then the two callers run once more on real threads.
+  constexpr std::array<std::int64_t, 2> kValues{5, 500};
+  auto check = [](const Counter& counter, const Histogram& histogram,
+                  const SpanStat& span) {
+    EXPECT_EQ(counter.value(), 2u);
+    EXPECT_EQ(histogram.count(), 2u);
+    EXPECT_EQ(histogram.sum(), 505);
+    EXPECT_EQ(histogram.min(), 5);
+    EXPECT_EQ(histogram.max(), 500);
+    EXPECT_EQ(histogram.bucket_count(0), 1u);
+    EXPECT_EQ(histogram.bucket_count(1), 0u);
+    EXPECT_EQ(histogram.bucket_count(2), 1u);
+    EXPECT_EQ(span.count(), 2u);
+    EXPECT_EQ(span.total(), 1010);
+    EXPECT_EQ(span.min(), 10);
+    EXPECT_EQ(span.max(), 1000);
+  };
+
+  int schedules = 0;
+  for (unsigned mask = 0; mask < 64; ++mask) {
+    if (__builtin_popcount(mask) != 3) continue;  // three steps per caller
+    Counter counter;
+    Histogram histogram(kBounds);
+    SpanStat span;
+    std::array<int, 2> next_step{0, 0};
+    for (int slot = 0; slot < 6; ++slot) {
+      const std::size_t caller = (mask >> slot) & 1u;
+      const std::int64_t value = kValues[caller];
+      switch (next_step[caller]++) {
+        case 0: counter.add(1); break;
+        case 1: histogram.observe(value); break;
+        default: span.record(value * 2); break;
+      }
+    }
+    check(counter, histogram, span);
+    ++schedules;
+  }
+  EXPECT_EQ(schedules, 20);
+
+  Counter counter;
+  Histogram histogram(kBounds);
+  SpanStat span;
+  common::ThreadPool pool(2);
+  pool.parallel_for(0, kValues.size(), /*grain=*/1,
+                    [&](std::size_t begin, std::size_t end) {
+                      for (std::size_t i = begin; i < end; ++i) {
+                        counter.add(1);
+                        histogram.observe(kValues[i]);
+                        span.record(kValues[i] * 2);
+                      }
+                    });
+  check(counter, histogram, span);
 }
 
 }  // namespace

@@ -51,13 +51,6 @@ done
 # discipline).
 run_step "lints" tools/lint.sh
 
-# Model-check flavor: rebuilds with the interleave::Atomic shims
-# instrumented and exhaustively explores the Interleave suites
-# (DESIGN.md SS14). Fine-grained schedules only exist in this flavor.
-run_step "configure:model-check" cmake --preset model-check
-run_step "build:model-check" cmake --build --preset model-check -j
-run_step "test:model-check" ctest --preset model-check -j "$(nproc)"
-
 if command -v clang++ >/dev/null 2>&1; then
   # Clang proves every EXPLORA_GUARDED_BY member is only touched under its
   # mutex; -Werror=thread-safety makes any gap a build failure.

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Cross-TU atomics discipline lint for the EXPLORA C++ sources.
 
-The lock-free core (DESIGN.md SS14) is small by policy: every use of
-std::atomic / interleave::Atomic / compiler atomic intrinsics must live
-in an explicitly allowlisted file, and every atomic operation must spell
+Atomic machinery (DESIGN.md SS14) is kept small by policy: every use of
+std::atomic / compiler atomic intrinsics must live in an explicitly
+allowlisted file, and every atomic operation must spell
 out its memory_order. On top of those local rules, the lint builds a
 cross-translation-unit table of atomic variables (declarations in
 headers, operations in any allowlisted TU, keyed by variable name) and
@@ -64,24 +64,16 @@ from lintlib import line_of, strip_comments_and_strings
 
 #: Files allowed to contain atomic machinery, with the reason each earns
 #: its slot. Everything else under src/ must use the abstractions these
-#: files export (queues, counters, scopes) instead of raw atomics.
+#: files export (counters, scopes) instead of raw atomics.
 ALLOWLIST: dict[str, str] = {
     "src/common/contracts.hpp":
         "single-writer scope guard + contract-handler gate",
-    "src/common/interleave.hpp":
-        "the model-check Atomic shim itself (instrumentation layer)",
-    "src/common/interleave.cpp":
-        "model-check scheduler internals",
     "src/common/log.cpp": "log-level gate flag",
     "src/common/parallel.cpp": "work-claim ticket for the chunked pool",
     "src/common/telemetry.hpp":
         "relaxed counter/gauge/histogram/span folds",
     "src/common/telemetry.cpp": "histogram bucket folds",
-    "src/explora/explain_service.hpp": "explanation id allocator",
-    "src/explora/explain_service.cpp": "explanation id allocator",
     "src/ml/gemm.cpp": "SIMD backend dispatch slot",
-    "src/xai/serving.hpp": "bounded MPMC request queue (Vyukov ring)",
-    "src/xai/serving.cpp": "bounded MPMC request queue (Vyukov ring)",
     "src/xai/shap.hpp": "model-eval tally",
     "src/xai/shap.cpp": "model-eval tally",
 }
@@ -95,17 +87,14 @@ VOCABULARY = frozenset([
     "pre-publication-init",  # store before any reader thread can exist
     "approx-snapshot",       # racy read of a best-effort statistic
     "dispatch-slot",         # any racing reader sees a valid value
-    "id-allocator",          # uniqueness only; ids imply no ordering
     "claim-ticket",          # slot claim; a separate release publishes
     "owner-handoff",         # ownership transfer documented at the site
     "bounded-retry",         # retry count bounded by concurrent writers
-    "model-check-shim",      # the interleave instrumentation layer
 ])
 
 #: Any atomic machinery at all - the allowlist gate.
 ATOMIC_TOKEN = re.compile(
     r"\bstd\s*::\s*atomic(?:_(?:flag|ref|thread_fence|signal_fence))?\b"
-    r"|\binterleave\s*::\s*Atomic\b"
     r"|\b__atomic_\w+|\b__sync_\w+")
 
 #: Member operations whose memory_order argument we audit. clear() and
@@ -127,15 +116,15 @@ ORDER_TOKEN = re.compile(
     r"\bmemory_order(?:_|\s*::\s*)"
     r"(relaxed|consume|acquire|release|acq_rel|seq_cst)\b")
 
-#: Identifiers that forward a memory_order parameter (the interleave
-#: shim, wrappers taking an `order` argument): explicit by construction.
+#: Identifiers that forward a memory_order parameter (wrappers taking an
+#: `order` argument): explicit by construction.
 FORWARDED_ORDER = re.compile(r"\b(?:order|success|failure|mo)\b")
 
 #: Declaration heads: the atomic template whose variable name follows the
 #: closing angle bracket (possibly through `[]>`, `&`, `*` for
 #: unique_ptr-of-array and reference parameters).
 DECL_TOKEN = re.compile(
-    r"\b(?:std\s*::\s*atomic|(?:[\w:]+\s*::\s*)?Atomic)\s*<")
+    r"\bstd\s*::\s*atomic\s*<")
 
 ATOMICS_OK = re.compile(r"//\s*atomics-ok:\s*([\w-]+)(?:\s*\(([^)]*)\))?")
 
@@ -272,7 +261,7 @@ class Var:
 def scan_decls(rel: str, code: str, raw_lines: list[str],
                variables: dict[str, Var]) -> None:
     """Registers every atomic variable declared in one allowlisted file:
-    `std::atomic<T> name`, `interleave::Atomic<T> name`, atomics behind
+    `std::atomic<T> name`, atomics behind
     `unique_ptr<...[]>`, and reference parameters."""
     for m in DECL_TOKEN.finditer(code):
         open_angle = code.index("<", m.start())

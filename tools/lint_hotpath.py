@@ -116,11 +116,6 @@ SINKS: list[tuple[str, str, re.Pattern[str]]] = [
                 r"|shared_lock)\b")),
     (BLOCKS, "block-wait",
      re.compile(r"(?:\.|->)\s*(?:wait|wait_for|wait_until)\s*\(")),
-    # The serving queue's spinning convenience calls (xai/serving.hpp):
-    # busy-waits for stress drivers only, never for annotated paths —
-    # admission must use try_push/try_pop.
-    (BLOCKS, "block-queue-blocking",
-     re.compile(r"(?:\.|->)\s*(?:push_blocking|pop_blocking)\s*\(")),
     (BLOCKS, "block-sleep",
      re.compile(r"\bstd\s*::\s*this_thread\b|\bsleep(?:_for|_until)\s*\(")),
     (BLOCKS, "block-io",
@@ -134,8 +129,8 @@ SINKS: list[tuple[str, str, re.Pattern[str]]] = [
     # unbounded occupancy on a hot path. `for (;;)` CAS claim loops are
     # deliberately not flagged: a lock-free retry that loses only when a
     # peer succeeds is system-wide progress, not waiting. Loops that spin
-    # by design (stress drivers, bounded monotone folds) carry reasoned
-    # `// hotpath-ok:` waivers.
+    # by design (bounded monotone folds) carry reasoned `// hotpath-ok:`
+    # waivers.
     (SPINS, "spin-cas-retry",
      re.compile(r"while\s*\([^;{}]*?\bcompare_exchange_(?:weak|strong)\b")),
     (SPINS, "spin-try-retry",
