@@ -8,12 +8,14 @@
 #include <string_view>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "ml/nn.hpp"
 #include "explora/distill.hpp"
 #include "explora/edbr.hpp"
 #include "explora/graph.hpp"
 #include "explora/transitions.hpp"
+#include "ml/agent.hpp"
 #include "ml/autoencoder.hpp"
 #include "ml/gemm.hpp"
 #include "ml/ppo.hpp"
@@ -253,6 +255,62 @@ void BM_ShapProbeChunk(benchmark::State& state) {
                           64);
 }
 BENCHMARK(BM_ShapProbeChunk);
+
+// The chosen-component softmax of one 64-row probe chunk of PPO logits
+// (64 x 34: the probe path's share of BM_ShapProbeChunk).
+void BM_SoftmaxChosen(benchmark::State& state) {
+  const std::size_t cols = ml::head_offsets()[ml::kNumHeads];
+  common::Rng rng(9);
+  ml::Matrix logits(64, cols);
+  for (auto& v : logits.data()) v = rng.normal(0.0, 2.0);
+  ml::AgentAction chosen;
+  chosen.prb_choice = 3;
+  chosen.sched_choice = {0, 1, 2};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ml::softmax_chosen(logits, chosen, "PPO"));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          64);
+}
+BENCHMARK(BM_SoftmaxChosen);
+
+// One SHAP table (every head's attribution) at loop_serve's serving shape:
+// PpoAgent, 4 background rows, 8 permutations, a one-thread pool. The
+// exact table evaluates all 2^9 coalitions; the sampled one is built the
+// way ExplainService builds it after the exact table of the same
+// snapshot: from that table's coalition values.
+void BM_ShapTable(benchmark::State& state, xai::ShapExplainer::Mode mode) {
+  const ml::PpoAgent agent(7);
+  common::Rng rng(11);
+  std::vector<ml::Vector> background(4, ml::Vector(ml::kLatentDim));
+  for (auto& row : background) {
+    for (auto& v : row) v = rng.normal(0.0, 1.0);
+  }
+  ml::Vector x(ml::kLatentDim);
+  for (auto& v : x) v = rng.normal(0.0, 1.0);
+  const auto chosen = agent.act_greedy(x).action;
+  common::ThreadPool one(1);
+  xai::ShapExplainer::Config config;
+  config.permutations = 8;
+  config.max_background = 4;
+  config.pool = &one;
+  config.mode = xai::ShapExplainer::Mode::kExact;
+  xai::ShapExplainer exact(xai::head_probability_model(agent, chosen),
+                           background, config);
+  config.mode = xai::ShapExplainer::Mode::kSampling;
+  xai::ShapExplainer sampled(xai::head_probability_model(agent, chosen),
+                             background, config);
+  const ml::Matrix values = exact.coalition_table(x);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mode == xai::ShapExplainer::Mode::kExact
+                                 ? exact.explain_all_outputs(x)
+                                 : sampled.explain_all_outputs(x, values));
+  }
+}
+BENCHMARK_CAPTURE(BM_ShapTable, exact, xai::ShapExplainer::Mode::kExact)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ShapTable, sampled, xai::ShapExplainer::Mode::kSampling)
+    ->Unit(benchmark::kMicrosecond);
 
 // ---- substrate hot paths ---------------------------------------------------
 

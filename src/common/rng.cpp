@@ -103,7 +103,7 @@ std::uint32_t Rng::poisson(double mean) noexcept {
 }
 
 PoissonSampler::PoissonSampler(double mean)
-    : mean_(mean), threshold_(mean < 64.0 ? std::exp(-mean) : 0.0) {
+    : mean_(mean), threshold_(mean < 64.0 ? std::exp(-mean) : 0.0) {  // det-ok: libm-transcendental (ROADMAP item 3)
   EXPLORA_EXPECTS(mean >= 0.0);
 }
 

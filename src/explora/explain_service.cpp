@@ -282,14 +282,21 @@ void ExplainService::execute(InFlight& slot, Tick now) {
   slot.active = true;
 }
 
-std::vector<double> ExplainService::shap_attribution(
-    const xai::serving::Request& request, Tier tier) {
+const ExplainService::ShapTable* ExplainService::find_shap_table(
+    const xai::serving::Request& request, Tier tier) const {
   const auto hit = std::find_if(
       shap_tables_.begin(), shap_tables_.end(), [&](const ShapTable& t) {
         return t.valid && t.tier == tier && t.context == request.context &&
                same_bits(t.x, request.x);
       });
-  if (hit != shap_tables_.end()) return hit->phi[request.output_index];
+  return hit == shap_tables_.end() ? nullptr : &*hit;
+}
+
+std::vector<double> ExplainService::shap_attribution(
+    const xai::serving::Request& request, Tier tier) {
+  if (const ShapTable* hit = find_shap_table(request, tier)) {
+    return hit->phi[request.output_index];
+  }
 
   ml::AgentAction chosen;
   chosen.prb_choice = request.context[0];
@@ -305,11 +312,23 @@ std::vector<double> ExplainService::shap_attribution(
   shap_config.pool = config_.pool;
   xai::ShapExplainer explainer(xai::head_probability_model(agent_, chosen),
                                background_, shap_config);
+  // Computed before the FIFO victim is overwritten: the victim may be the
+  // exact entry a sampled table reads from.
+  ml::Matrix values;
+  std::vector<ml::Vector> phi;
+  if (tier == Tier::kExact) {
+    values = explainer.coalition_table(request.x);
+    phi = explainer.explain_all_outputs(request.x, values);
+  } else if (const ShapTable* exact = find_shap_table(request, Tier::kExact)) {
+    phi = explainer.explain_all_outputs(request.x, exact->values);
+  } else {
+    phi = explainer.explain_all_outputs(request.x);
+  }
+  EXPLORA_EXPECTS(request.output_index < phi.size());
   ShapTable& table = shap_tables_[next_shap_table_];
   next_shap_table_ = (next_shap_table_ + 1) % kShapTableCapacity;
-  table.valid = false;
-  table.phi = explainer.explain_all_outputs(request.x);
-  EXPLORA_EXPECTS(request.output_index < table.phi.size());
+  table.phi = std::move(phi);
+  table.values = std::move(values);
   table.x = request.x;
   table.context = request.context;
   table.tier = tier;

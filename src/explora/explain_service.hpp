@@ -27,7 +27,9 @@
 // The two SHAP tiers share work through a small FIFO memo of full
 // explain_all_outputs tables keyed by (bits of x, chosen action, tier):
 // requests for different heads of the same snapshot read rows of one
-// table instead of each recomputing it (DESIGN.md §12.5). The lookup runs
+// table instead of each recomputing it, and a sampled table reads its
+// coalition values from a resident exact entry of the same snapshot
+// instead of re-running the model (DESIGN.md §12.5). The lookup runs
 // after the fault draws and breaker accounting, and a memo hit returns
 // the bytes a fresh explainer would, so the decision stream is unchanged.
 #pragma once
@@ -222,6 +224,10 @@ class ExplainService {
     std::array<std::uint32_t, 8> context{};
     xai::serving::Tier tier = xai::serving::Tier::kExact;
     std::vector<ml::Vector> phi;  ///< [output][feature]
+    /// Exact tier only: its coalition_table, v(S) at x (2^N x kNumHeads),
+    /// which a sampled request for the same snapshot reads its
+    /// permutation prefixes from.
+    ml::Matrix values;
   };
 
   void complete_finished(xai::serving::Tick now);
@@ -231,9 +237,13 @@ class ExplainService {
   /// slot's tier (fault fallback).
   void execute(InFlight& slot, xai::serving::Tick now);
   /// Row `request.output_index` of the request snapshot's SHAP table at
-  /// `tier`, computed on a memo miss and stored FIFO.
+  /// `tier`, computed on a memo miss and stored FIFO. A sampled miss reads
+  /// v(S) from a resident exact table of the same snapshot, if any.
   [[nodiscard]] std::vector<double> shap_attribution(
       const xai::serving::Request& request, xai::serving::Tier tier);
+  /// The resident memo entry for the request's snapshot at `tier`, or null.
+  [[nodiscard]] const ShapTable* find_shap_table(
+      const xai::serving::Request& request, xai::serving::Tier tier) const;
   void shed(const xai::serving::Request& request,
             xai::serving::ShedReason reason, xai::serving::Tick now);
 

@@ -26,11 +26,14 @@ inline constexpr std::size_t kNumHeads = 1 + netsim::kNumSlices;
 [[nodiscard]] std::array<std::size_t, kNumHeads> head_choices(
     const AgentAction& action) noexcept;
 
-/// Softmaxes each head's span of every row of `logits` in place (the
-/// ml::softmax the single-state paths run, audits included) and returns
-/// rows x kNumHeads: the probability of `chosen`'s component of each head.
-/// `agent` names the caller in the simplex audit's message.
-[[nodiscard]] Matrix softmax_chosen(Matrix& logits, const AgentAction& chosen,
+/// Softmaxes each head's span of every row of `logits` and returns rows x
+/// kNumHeads: the probability of `chosen`'s component of each head,
+/// bit-identical to ml::softmax on that span (audited against it). Rows
+/// run gemm::kSoftmaxLanes at a time, one per vector lane
+/// (gemm::softmax_chosen_lanes on a transposed copy of each row group).
+/// `agent` names the caller in the audit's message.
+[[nodiscard]] Matrix softmax_chosen(const Matrix& logits,
+                                    const AgentAction& chosen,
                                     const char* agent);
 
 /// Policy evaluation output for one state.

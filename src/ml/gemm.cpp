@@ -1,8 +1,8 @@
-// Scalar reference kernel, the x86 backends' shared weight packing and
-// runtime backend dispatch. Like every TU, this one is compiled with
-// -ffp-contract=off (root CMakeLists.txt) so the compiler can never fuse
-// the mul+add below into an FMA — the scalar reduction order is the
-// byte-identity contract every backend honors.
+// Scalar reference kernels (GEMM, exp, chosen softmax), the x86 backends'
+// shared weight packing and runtime backend dispatch. Like every TU, this
+// one is compiled with -ffp-contract=off (root CMakeLists.txt) so the
+// compiler can never fuse the mul+add below into an FMA — the scalar
+// reduction order is the byte-identity contract every backend honors.
 #include "ml/gemm.hpp"
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 
 #include "common/analysis_annotations.hpp"
 #include "common/contracts.hpp"
+#include "ml/exp.hpp"
 #include "ml/tanh.hpp"
 
 namespace explora::ml::gemm {
@@ -113,6 +114,33 @@ EXPLORA_REALTIME void apply_epilogue(double* dst, const double* acc,
         dst[l] = fdlibm_tanh(acc[l] + bias[r0 + l]);
       }
       return;
+  }
+}
+
+EXPLORA_REALTIME void scalar_exp_array(const double* x, double* y,
+                                       std::size_t n) noexcept {
+  for (std::size_t i = 0; i < n; ++i) y[i] = glibc_exp(x[i]);
+}
+
+EXPLORA_REALTIME void scalar_softmax_chosen_lanes(const double* block,
+                                                  std::size_t width,
+                                                  std::size_t chosen,
+                                                  double* probs) noexcept {
+  constexpr std::size_t kLanes = kSoftmaxLanes;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    // std::max_element's scan: the first of equal maxima wins.
+    double peak = block[l];
+    for (std::size_t j = 1; j < width; ++j) {
+      if (peak < block[j * kLanes + l]) peak = block[j * kLanes + l];
+    }
+    double sum = 0.0;
+    double picked = 0.0;
+    for (std::size_t j = 0; j < width; ++j) {
+      const double e = glibc_exp(block[j * kLanes + l] - peak);
+      sum += e;
+      if (j == chosen) picked = e;
+    }
+    probs[l] = picked / sum;
   }
 }
 
@@ -241,6 +269,46 @@ EXPLORA_REALTIME void run(const double* w, std::size_t out, std::size_t in,
 #endif
     default:
       detail::scalar_kernel(w, out, in, x, batch, y, bias, epilogue);
+      return;
+  }
+}
+
+EXPLORA_REALTIME void exp_array(const double* x, double* y, std::size_t n) {
+  switch (active_backend()) {
+#if defined(EXPLORA_SIMD_AVX2)
+    case Backend::kAvx2:
+      detail::avx2_exp_array(x, y, n);
+      return;
+#endif
+#if defined(EXPLORA_SIMD_AVX512)
+    case Backend::kAvx512:
+      detail::avx512_exp_array(x, y, n);
+      return;
+#endif
+    default:
+      detail::scalar_exp_array(x, y, n);
+      return;
+  }
+}
+
+EXPLORA_REALTIME void softmax_chosen_lanes(const double* block,
+                                           std::size_t width,
+                                           std::size_t chosen,
+                                           double* probs) {
+  EXPLORA_EXPECTS(chosen < width);
+  switch (active_backend()) {
+#if defined(EXPLORA_SIMD_AVX2)
+    case Backend::kAvx2:
+      detail::avx2_softmax_chosen_lanes(block, width, chosen, probs);
+      return;
+#endif
+#if defined(EXPLORA_SIMD_AVX512)
+    case Backend::kAvx512:
+      detail::avx512_softmax_chosen_lanes(block, width, chosen, probs);
+      return;
+#endif
+    default:
+      detail::scalar_softmax_chosen_lanes(block, width, chosen, probs);
       return;
   }
 }

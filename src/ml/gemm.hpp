@@ -14,11 +14,12 @@
 // so their results are byte-identical to the scalar fallback on every
 // input. The tanh epilogue is ml::fdlibm_tanh (ml/tanh.hpp) in every
 // backend: the SIMD ones run a lane-wise copy of its operation sequence,
-// fused sites included. That invariant is what keeps golden traces and
-// SHAP attributions unchanged when EXPLORA_SIMD toggles;
-// tests/test_gemm.cpp and tests/test_tanh.cpp enforce it, and
-// tools/lint_determinism.py bans raw intrinsics outside these kernels and
-// libm's tanh under src/.
+// fused sites included. So do exp_array and softmax_chosen_lanes (the
+// SHAP probe softmax) with ml::glibc_exp (ml/exp.hpp). That invariant is
+// what keeps golden traces and SHAP attributions unchanged when
+// EXPLORA_SIMD toggles; tests/test_gemm.cpp, tests/test_tanh.cpp and
+// tests/test_exp.cpp enforce it, and tools/lint_determinism.py bans raw
+// intrinsics outside these kernels and libm's tanh and exp under src/.
 //
 // Backend selection: the best compiled-in backend the CPU supports is
 // picked on first use (avx512 > avx2 > neon > scalar); the EXPLORA_SIMD
@@ -87,6 +88,25 @@ class ScopedBackend {
 void run(const double* w, std::size_t out, std::size_t in, const double* x,
          std::size_t batch, double* y, const double* bias, Epilogue epilogue);
 
+/// y[i] = ml::glibc_exp(x[i]) for i < n (ml/exp.hpp), on the active
+/// backend's lanes; byte-identical to the scalar port on every backend.
+void exp_array(const double* x, double* y, std::size_t n);
+
+/// Independent softmaxes that softmax_chosen_lanes() runs side by side,
+/// one per vector lane: a 512-bit register, or two 256-bit halves.
+inline constexpr std::size_t kSoftmaxLanes = 8;
+
+/// probs[l] = the probability softmax l of kSoftmaxLanes assigns to its
+/// element `chosen`. Each softmax has `width` (> chosen) logits, element j
+/// of softmax l at block[j * kSoftmaxLanes + l] (so element j of every
+/// lane is one vector load). Each lane runs ml::softmax's arithmetic in
+/// its element order — first-maximum peak scan, exp(v - peak) by
+/// ml::glibc_exp's bits, a sequential sum from 0 — then divides its
+/// chosen term by the sum, so probs[l] is bit-identical to element
+/// `chosen` of ml::softmax on lane l.
+void softmax_chosen_lanes(const double* block, std::size_t width,
+                          std::size_t chosen, double* probs);
+
 namespace detail {
 
 /// Portable reference kernel — the reduction-order contract in executable
@@ -94,16 +114,27 @@ namespace detail {
 void scalar_kernel(const double* w, std::size_t out, std::size_t in,
                    const double* x, std::size_t batch, double* y,
                    const double* bias, Epilogue epilogue);
+/// Reference exp_array / softmax_chosen_lanes (ml::glibc_exp per
+/// element); the scalar and NEON backends run these.
+void scalar_exp_array(const double* x, double* y, std::size_t n) noexcept;
+void scalar_softmax_chosen_lanes(const double* block, std::size_t width,
+                                 std::size_t chosen, double* probs) noexcept;
 
 #if defined(EXPLORA_SIMD_AVX2)
 void avx2_kernel(const double* w, std::size_t out, std::size_t in,
                  const double* x, std::size_t batch, double* y,
                  const double* bias, Epilogue epilogue);
+void avx2_exp_array(const double* x, double* y, std::size_t n) noexcept;
+void avx2_softmax_chosen_lanes(const double* block, std::size_t width,
+                               std::size_t chosen, double* probs) noexcept;
 #endif
 #if defined(EXPLORA_SIMD_AVX512)
 void avx512_kernel(const double* w, std::size_t out, std::size_t in,
                    const double* x, std::size_t batch, double* y,
                    const double* bias, Epilogue epilogue);
+void avx512_exp_array(const double* x, double* y, std::size_t n) noexcept;
+void avx512_softmax_chosen_lanes(const double* block, std::size_t width,
+                                 std::size_t chosen, double* probs) noexcept;
 #endif
 #if defined(EXPLORA_SIMD_NEON)
 void neon_kernel(const double* w, std::size_t out, std::size_t in,

@@ -31,12 +31,14 @@
 
 #include "common/aligned.hpp"
 #include "common/analysis_annotations.hpp"
+#include "ml/exp.hpp"
 #include "ml/tanh.hpp"
 
 namespace explora::ml::gemm::detail {
 
 namespace {
 
+using namespace exp_constants;
 using namespace tanh_constants;
 
 constexpr std::size_t kPanel = kPanelWidth;  ///< neurons per packed panel
@@ -248,7 +250,105 @@ void tail_block(std::size_t rows, const double* packed, std::size_t panels,
   }
 }
 
+/// glibc_exp on 4 lanes — the AVX2 twin of gemm_avx512.cpp's exp8, op for
+/// op. Lanes at or above kExpVectorMax, inf and NaN come back as bits of
+/// `scalar_lanes` for the caller to recompute with the scalar port.
+[[nodiscard]] __m256d exp4(__m256d v, int& scalar_lanes) {
+  const __m256d abs_v = _mm256_andnot_pd(set1(-0.0), v);
+  scalar_lanes = _mm256_movemask_pd(
+      _mm256_cmp_pd(abs_v, set1(kExpVectorMax), _CMP_NLT_UQ));
+  const __m256d tiny = less_than(abs_v, kExpVectorMin);
+  const __m256d shifted = _mm256_fmadd_pd(v, set1(kInvLn2N), set1(kShift));
+  const __m256i ki = _mm256_castpd_si256(shifted);
+  const __m256d kd = _mm256_sub_pd(shifted, set1(kShift));
+  const __m256d r = _mm256_fmadd_pd(
+      kd, set1(kNegLn2LoN), _mm256_fmadd_pd(kd, set1(kNegLn2HiN), v));
+  const __m256i idx = _mm256_slli_epi64(
+      _mm256_and_si256(ki, _mm256_set1_epi64x(
+                               static_cast<long long>(kTableSize - 1))),
+      1);
+  const __m256i all_lanes = _mm256_set1_epi64x(-1);
+  const __m256d tail = _mm256_mask_i64gather_pd(
+      _mm256_setzero_pd(), reinterpret_cast<const double*>(kTable), idx,
+      _mm256_castsi256_pd(all_lanes), 8);
+  const __m256i scale_base = _mm256_mask_i64gather_epi64(
+      _mm256_setzero_si256(), reinterpret_cast<const long long*>(kTable + 1),
+      idx, all_lanes, 8);
+  const __m256d scale = _mm256_castsi256_pd(_mm256_add_epi64(
+      scale_base, _mm256_slli_epi64(ki, 52 - kTableBits)));
+  const __m256d r2 = _mm256_mul_pd(r, r);
+  const __m256d tmp = _mm256_fmadd_pd(
+      _mm256_mul_pd(r2, r2), _mm256_fmadd_pd(r, set1(kC5), set1(kC4)),
+      _mm256_fmadd_pd(_mm256_fmadd_pd(r, set1(kC3), set1(kC2)), r2,
+                      _mm256_add_pd(tail, r)));
+  const __m256d e = _mm256_fmadd_pd(scale, tmp, scale);
+  return select(tiny, e, _mm256_add_pd(set1(1.0), v));
+}
+
+/// exp4 with its fallback lanes recomputed by the scalar port.
+[[nodiscard]] __m256d exp4_exact(__m256d v) {
+  int scalar_lanes = 0;
+  const __m256d e = exp4(v, scalar_lanes);
+  if (scalar_lanes == 0) return e;
+  alignas(32) double args[kLanes];
+  alignas(32) double lanes[kLanes];
+  _mm256_store_pd(args, v);
+  _mm256_store_pd(lanes, e);
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    if ((scalar_lanes >> l) & 1) lanes[l] = glibc_exp(args[l]);
+  }
+  return _mm256_load_pd(lanes);
+}
+
 }  // namespace
+
+EXPLORA_REALTIME void avx2_exp_array(const double* x, double* y,
+                                     std::size_t n) noexcept {
+  std::size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    _mm256_storeu_pd(y + i, exp4_exact(_mm256_loadu_pd(x + i)));
+  }
+  for (; i < n; ++i) y[i] = glibc_exp(x[i]);
+}
+
+/// Each element j of the 8 softmaxes is two ymm halves; both halves
+/// advance together through the peak scan, the exp and the running sum,
+/// in the scalar element order.
+EXPLORA_REALTIME void avx2_softmax_chosen_lanes(const double* block,
+                                                std::size_t width,
+                                                std::size_t chosen,
+                                                double* probs) noexcept {
+  static_assert(kSoftmaxLanes == kPanel);
+  __m256d peak[kHalves];
+  __m256d sum[kHalves];
+  __m256d picked[kHalves];
+#pragma GCC unroll 2
+  for (std::size_t h = 0; h < kHalves; ++h) {
+    peak[h] = _mm256_loadu_pd(block + h * kLanes);
+    sum[h] = _mm256_setzero_pd();
+    picked[h] = _mm256_setzero_pd();
+  }
+  for (std::size_t j = 1; j < width; ++j) {
+#pragma GCC unroll 2
+    for (std::size_t h = 0; h < kHalves; ++h) {
+      const __m256d v = _mm256_loadu_pd(block + j * kPanel + h * kLanes);
+      peak[h] = select(_mm256_cmp_pd(peak[h], v, _CMP_LT_OQ), peak[h], v);
+    }
+  }
+  for (std::size_t j = 0; j < width; ++j) {
+#pragma GCC unroll 2
+    for (std::size_t h = 0; h < kHalves; ++h) {
+      const __m256d e = exp4_exact(_mm256_sub_pd(
+          _mm256_loadu_pd(block + j * kPanel + h * kLanes), peak[h]));
+      sum[h] = _mm256_add_pd(sum[h], e);
+      if (j == chosen) picked[h] = e;
+    }
+  }
+#pragma GCC unroll 2
+  for (std::size_t h = 0; h < kHalves; ++h) {
+    _mm256_storeu_pd(probs + h * kLanes, _mm256_div_pd(picked[h], sum[h]));
+  }
+}
 
 EXPLORA_REALTIME void avx2_kernel(const double* w, std::size_t out,
                                   std::size_t in, const double* x,

@@ -33,12 +33,14 @@
 
 #include "common/aligned.hpp"
 #include "common/analysis_annotations.hpp"
+#include "ml/exp.hpp"
 #include "ml/tanh.hpp"
 
 namespace explora::ml::gemm::detail {
 
 namespace {
 
+using namespace exp_constants;
 using namespace tanh_constants;
 
 constexpr std::size_t kPanel = kPanelWidth;  ///< neurons per packed panel
@@ -260,7 +262,94 @@ void tail_block(std::size_t rows, const double* packed, std::size_t panels,
   }
 }
 
+/// glibc_exp on 8 lanes: glibc's main path for kExpVectorMin <= |v| <
+/// kExpVectorMax and 1 + v below it. Lanes at or above kExpVectorMax, inf
+/// and NaN come back set in `scalar_lanes` for the caller to recompute
+/// with the scalar port. The table lookups are two gathers (tail bits and
+/// scale bits) at index 2 (k mod N); each fused site is one vfmadd.
+[[nodiscard]] __m512d exp8(__m512d v, __mmask8& scalar_lanes) {
+  constexpr __mmask8 kAllLanes = 0xff;
+  const __m512d abs_v = _mm512_abs_pd(v);
+  scalar_lanes =
+      _mm512_cmp_pd_mask(abs_v, set1(kExpVectorMax), _CMP_NLT_UQ);
+  const __mmask8 tiny =
+      _mm512_cmp_pd_mask(abs_v, set1(kExpVectorMin), _CMP_LT_OQ);
+  const __m512d shifted = _mm512_fmadd_pd(v, set1(kInvLn2N), set1(kShift));
+  const __m512i ki = _mm512_castpd_si512(shifted);
+  const __m512d kd = _mm512_sub_pd(shifted, set1(kShift));
+  const __m512d r = _mm512_fmadd_pd(
+      kd, set1(kNegLn2LoN), _mm512_fmadd_pd(kd, set1(kNegLn2HiN), v));
+  const __m512i idx = _mm512_maskz_slli_epi64(
+      kAllLanes,
+      _mm512_and_si512(ki, _mm512_set1_epi64(
+                               static_cast<long long>(kTableSize - 1))),
+      1);
+  const __m512d tail = _mm512_mask_i64gather_pd(
+      _mm512_setzero_pd(), kAllLanes, idx, kTable, 8);
+  const __m512i scale_base = _mm512_mask_i64gather_epi64(
+      _mm512_setzero_si512(), kAllLanes, idx, kTable + 1, 8);
+  const __m512d scale = _mm512_castsi512_pd(_mm512_add_epi64(
+      scale_base,
+      _mm512_maskz_slli_epi64(kAllLanes, ki, 52 - kTableBits)));
+  const __m512d r2 = _mm512_mul_pd(r, r);
+  const __m512d tmp = _mm512_fmadd_pd(
+      _mm512_mul_pd(r2, r2), _mm512_fmadd_pd(r, set1(kC5), set1(kC4)),
+      _mm512_fmadd_pd(_mm512_fmadd_pd(r, set1(kC3), set1(kC2)), r2,
+                      _mm512_add_pd(tail, r)));
+  const __m512d e = _mm512_fmadd_pd(scale, tmp, scale);
+  return _mm512_mask_blend_pd(tiny, e, _mm512_add_pd(set1(1.0), v));
+}
+
+/// exp8 with its fallback lanes recomputed by the scalar port.
+[[nodiscard]] __m512d exp8_exact(__m512d v) {
+  __mmask8 scalar_lanes = 0;
+  const __m512d e = exp8(v, scalar_lanes);
+  if (scalar_lanes == 0) return e;
+  alignas(64) double args[kPanel];
+  alignas(64) double lanes[kPanel];
+  _mm512_store_pd(args, v);
+  _mm512_store_pd(lanes, e);
+  for (std::size_t l = 0; l < kPanel; ++l) {
+    if ((scalar_lanes >> l) & 1U) lanes[l] = glibc_exp(args[l]);
+  }
+  return _mm512_load_pd(lanes);
+}
+
 }  // namespace
+
+EXPLORA_REALTIME void avx512_exp_array(const double* x, double* y,
+                                       std::size_t n) noexcept {
+  std::size_t i = 0;
+  for (; i + kPanel <= n; i += kPanel) {
+    _mm512_storeu_pd(y + i, exp8_exact(_mm512_loadu_pd(x + i)));
+  }
+  for (; i < n; ++i) y[i] = glibc_exp(x[i]);
+}
+
+/// One zmm per element j holds that element of all 8 softmaxes, so the
+/// peak scan, the exp and the running sum each advance 8 lanes per
+/// instruction in the scalar element order.
+EXPLORA_REALTIME void avx512_softmax_chosen_lanes(const double* block,
+                                                  std::size_t width,
+                                                  std::size_t chosen,
+                                                  double* probs) noexcept {
+  static_assert(kSoftmaxLanes == kPanel);
+  __m512d peak = _mm512_loadu_pd(block);
+  for (std::size_t j = 1; j < width; ++j) {
+    const __m512d v = _mm512_loadu_pd(block + j * kPanel);
+    peak = _mm512_mask_blend_pd(_mm512_cmp_pd_mask(peak, v, _CMP_LT_OQ),
+                                peak, v);
+  }
+  __m512d sum = _mm512_setzero_pd();
+  __m512d picked = _mm512_setzero_pd();
+  for (std::size_t j = 0; j < width; ++j) {
+    const __m512d e =
+        exp8_exact(_mm512_sub_pd(_mm512_loadu_pd(block + j * kPanel), peak));
+    sum = _mm512_add_pd(sum, e);
+    if (j == chosen) picked = e;
+  }
+  _mm512_storeu_pd(probs, _mm512_div_pd(picked, sum));
+}
 
 EXPLORA_REALTIME void avx512_kernel(const double* w, std::size_t out,
                                     std::size_t in, const double* x,

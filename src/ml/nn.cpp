@@ -5,6 +5,7 @@
 
 #include "common/analysis_annotations.hpp"
 #include "common/contracts.hpp"
+#include "ml/exp.hpp"
 #include "ml/gemm.hpp"
 
 namespace explora::ml {
@@ -52,7 +53,7 @@ void softmax(std::span<double> logits) noexcept {
   const double peak = *std::max_element(logits.begin(), logits.end());
   double sum = 0.0;
   for (double& v : logits) {
-    v = std::exp(v - peak);
+    v = glibc_exp(v - peak);
     sum += v;
   }
   for (double& v : logits) v /= sum;

@@ -22,7 +22,8 @@ enum class Activation : std::uint8_t { kLinear = 0, kRelu = 1, kTanh = 2 };
 void apply_activation_grad(Activation act, std::span<const double> activated,
                            std::span<double> grad) noexcept;
 
-/// Numerically stable in-place softmax.
+/// Numerically stable in-place softmax: exp(v - max) / sum, with the
+/// repo's exp (ml::glibc_exp), so its bits do not depend on the host libm.
 void softmax(std::span<double> logits) noexcept;
 
 /// Fully-connected layer y = act(Wx + b) with gradient accumulation.

@@ -241,7 +241,7 @@ double PpoAgent::update(const RolloutBuffer& buffer) {
         for (std::size_t h = 0; h < kNumHeads; ++h) {
           new_log_prob += std::log(std::max(heads[h][chosen[h]], kProbFloor));
         }
-        const double ratio = std::exp(new_log_prob - step.log_prob);
+        const double ratio = std::exp(new_log_prob - step.log_prob);  // det-ok: libm-transcendental (ROADMAP item 3)
         const double clipped = std::clamp(ratio, 1.0 - config_.clip_epsilon,
                                           1.0 + config_.clip_epsilon);
         const double surrogate =

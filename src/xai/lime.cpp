@@ -98,7 +98,7 @@ Vector LimeExplainer::explain(const Vector& x, std::size_t output_index) {
 
   for (std::size_t s = 0; s < config_.samples; ++s) {
     const auto probe = probes.data().subspan(s * num_features, num_features);
-    const double weight = std::exp(
+    const double weight = std::exp(  // det-ok: libm-transcendental (ROADMAP item 3)
         -distance_sq[s] / (config_.kernel_width * config_.kernel_width));
 
     Sample sample;

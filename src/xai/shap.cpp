@@ -225,7 +225,7 @@ Vector ShapExplainer::base_values() {
   return accumulator;
 }
 
-std::vector<Vector> ShapExplainer::explain_exact(const Vector& x) {
+ml::Matrix ShapExplainer::coalition_table(const Vector& x) {
   const std::size_t num_features = x.size();
   EXPLORA_EXPECTS(num_features > 0 && num_features <= 20);
 
@@ -251,7 +251,26 @@ std::vector<Vector> ShapExplainer::explain_exact(const Vector& x) {
           values[begin + i] = std::move(chunk[i]);
         }
       });
-  const std::size_t num_outputs = values[0].size();
+  ml::Matrix table(num_coalitions, values[0].size());
+  for (std::size_t mask = 0; mask < num_coalitions; ++mask) {
+    EXPLORA_ASSERT(values[mask].size() == table.cols());
+    std::copy(values[mask].begin(), values[mask].end(),
+              table.data().begin() +
+                  static_cast<std::ptrdiff_t>(mask * table.cols()));
+  }
+  return table;
+}
+
+std::vector<Vector> ShapExplainer::explain_exact(const Vector& x,
+                                                 const ml::Matrix* known) {
+  const std::size_t num_features = x.size();
+  EXPLORA_EXPECTS(num_features > 0 && num_features <= 20);
+  const std::uint32_t num_coalitions = 1u << num_features;
+  const ml::Matrix computed =
+      known == nullptr ? coalition_table(x) : ml::Matrix{};
+  const ml::Matrix& values = known == nullptr ? computed : *known;
+  EXPLORA_EXPECTS(values.rows() == num_coalitions);
+  const std::size_t num_outputs = values.cols();
 
   // phi_i = sum_S |S|! (N-|S|-1)! / N! * (v(S u {i}) - v(S)), i not in S.
   // The weight depends only on |S|: precompute it per coalition size
@@ -260,17 +279,18 @@ std::vector<Vector> ShapExplainer::explain_exact(const Vector& x) {
   for (std::size_t k = 0; k < num_features; ++k) {
     weight_by_size[k] = shapley_weight(num_features, k);
   }
-  std::vector<Vector> phi(num_outputs, Vector(num_features, 0.0));
+  // Filled row by row: GCC 12 at -O3 reports a false -Wfree-nonheap-object
+  // on the vector-of-vectors fill constructor here.
+  std::vector<Vector> phi(num_outputs);
+  for (Vector& row : phi) row.assign(num_features, 0.0);
   for (std::size_t f = 0; f < num_features; ++f) {
     const std::uint32_t f_bit = 1u << f;
     for (std::uint32_t mask = 0; mask < num_coalitions; ++mask) {
       if (mask & f_bit) continue;
       const double weight =
           weight_by_size[static_cast<std::size_t>(std::popcount(mask))];
-      const Vector& with = values[mask | f_bit];
-      const Vector& without = values[mask];
       for (std::size_t o = 0; o < num_outputs; ++o) {
-        phi[o][f] += weight * (with[o] - without[o]);
+        phi[o][f] += weight * (values(mask | f_bit, o) - values(mask, o));
       }
     }
   }
@@ -278,23 +298,26 @@ std::vector<Vector> ShapExplainer::explain_exact(const Vector& x) {
   // f(x) - E[f(background)], i.e. v(full) - v(empty). A drift here means
   // the coalition fan-out or the weight table is corrupt.
   if (contracts::check_level() >= contracts::CheckLevel::kAudit) {
-    const Vector& v_full = values[num_coalitions - 1];
-    const Vector& v_empty = values[0];
     for (std::size_t o = 0; o < num_outputs; ++o) {
+      const double v_full = values(num_coalitions - 1, o);
+      const double v_empty = values(0, o);
       double phi_sum = 0.0;
       for (std::size_t f = 0; f < num_features; ++f) phi_sum += phi[o][f];
       EXPLORA_AUDIT_MSG(
-          contracts::approx_equal(phi_sum, v_full[o] - v_empty[o], 1e-6, 1e-6),
+          contracts::approx_equal(phi_sum, v_full - v_empty, 1e-6, 1e-6),
           "output {}: sum(phi) + base = {} but f(x) = {}", o,
-          phi_sum + v_empty[o], v_full[o]);
+          phi_sum + v_empty, v_full);
     }
   }
   return phi;
 }
 
-std::vector<Vector> ShapExplainer::explain_sampling(const Vector& x) {
+std::vector<Vector> ShapExplainer::explain_sampling(const Vector& x,
+                                                    const ml::Matrix* known) {
   const std::size_t num_features = x.size();
   EXPLORA_EXPECTS(num_features > 0 && num_features < 32);
+  EXPLORA_EXPECTS(known == nullptr ||
+                  known->rows() == (std::size_t{1} << num_features));
 
   // Permutation chains are independent given per-permutation RNG streams
   // derived from the seed, so they run concurrently; partial phi sums are
@@ -312,14 +335,23 @@ std::vector<Vector> ShapExplainer::explain_sampling(const Vector& x) {
 
         // The chain's coalitions are its prefix masks — all known before
         // any evaluation, so the whole permutation goes through the model
-        // as one batched call.
+        // as one batched call, or is read from the known table.
         std::vector<std::uint32_t> masks(num_features + 1, 0u);
         std::uint32_t mask = 0;
         for (std::size_t i = 0; i < num_features; ++i) {
           mask |= 1u << order[i];
           masks[i + 1] = mask;
         }
-        const std::vector<Vector> values = coalition_values(x, masks);
+        std::vector<Vector> values;
+        if (known == nullptr) {
+          values = coalition_values(x, masks);
+        } else {
+          for (const std::uint32_t m : masks) {
+            const auto row = known->data().subspan(m * known->cols(),
+                                                   known->cols());
+            values.emplace_back(row.begin(), row.end());
+          }
+        }
         Phi local(values[0].size(), Vector(num_features, 0.0));
         for (std::size_t i = 0; i < num_features; ++i) {
           const Vector& current = values[i + 1];
@@ -357,9 +389,21 @@ Vector ShapExplainer::explain(const Vector& x, std::size_t output_index) {
 }
 
 std::vector<Vector> ShapExplainer::explain_all_outputs(const Vector& x) {
+  return estimate(x, nullptr);
+}
+
+std::vector<Vector> ShapExplainer::explain_all_outputs(
+    const Vector& x, const ml::Matrix& coalition_values) {
+  return estimate(x, &coalition_values);
+}
+
+std::vector<Vector> ShapExplainer::estimate(const Vector& x,
+                                            const ml::Matrix* known) {
   // Per-explanation cost accounting, computed analytically so it is exact
-  // under any thread count: coalitions evaluated and model evaluations
-  // (coalitions x background rows) for this one explanation.
+  // under any thread count: coalitions and model evaluations (coalitions x
+  // background rows) this one explanation accounts for, whether evaluated
+  // here or read from a known coalition table (Fig. 4's cost model).
+  // xai.shap.model_evals counts the evaluations actually performed.
   const std::size_t num_features = x.size();
   const std::size_t coalitions =
       config_.mode == Mode::kExact
@@ -369,8 +413,8 @@ std::vector<Vector> ShapExplainer::explain_all_outputs(const Vector& x) {
   tm_coalitions_->observe(static_cast<std::int64_t>(coalitions));
   tm_evals_per_explanation_->record(
       static_cast<std::int64_t>(coalitions * background_.size()));
-  return config_.mode == Mode::kExact ? explain_exact(x)
-                                      : explain_sampling(x);
+  return config_.mode == Mode::kExact ? explain_exact(x, known)
+                                      : explain_sampling(x, known);
 }
 
 }  // namespace explora::xai

@@ -111,6 +111,22 @@ class ShapExplainer {
   /// evaluations). Result: [output][feature].
   [[nodiscard]] std::vector<Vector> explain_all_outputs(const Vector& x);
 
+  /// v(S) for every coalition S at `x`: row S (the coalition's feature bit
+  /// mask) holds the model output with the features in S taken from x and
+  /// the rest from each background row, averaged in background order. The
+  /// 2^N x outputs table exact mode derives its Shapley values from; costs
+  /// 2^N x |background| model evaluations.
+  [[nodiscard]] ml::Matrix coalition_table(const Vector& x);
+
+  /// explain_all_outputs(x) with every v(S) read from `coalition_values`,
+  /// a coalition_table(x) of an explainer with the same model and
+  /// background, instead of evaluated: exact mode reads every row,
+  /// sampling mode the prefix masks of its permutations. v(S) does not
+  /// depend on how probes are batched, so the result is bit-identical to
+  /// explain_all_outputs(x), at no model evaluation.
+  [[nodiscard]] std::vector<Vector> explain_all_outputs(
+      const Vector& x, const ml::Matrix& coalition_values);
+
   /// Model evaluations performed so far (cost accounting for Fig. 4).
   [[nodiscard]] std::uint64_t model_evaluations() const noexcept {
     return evaluations_.load(std::memory_order_relaxed);
@@ -131,8 +147,14 @@ class ShapExplainer {
   /// matrix comes from the explainer-owned scratch pool.
   [[nodiscard]] std::vector<Vector> coalition_values(
       const Vector& x, std::span<const std::uint32_t> masks);
-  [[nodiscard]] std::vector<Vector> explain_exact(const Vector& x);
-  [[nodiscard]] std::vector<Vector> explain_sampling(const Vector& x);
+  /// Both estimators; `known` is an optional coalition_table(x) read in
+  /// place of model evaluations (the one lookup point for v(S)).
+  [[nodiscard]] std::vector<Vector> estimate(const Vector& x,
+                                             const ml::Matrix* known);
+  [[nodiscard]] std::vector<Vector> explain_exact(const Vector& x,
+                                                  const ml::Matrix* known);
+  [[nodiscard]] std::vector<Vector> explain_sampling(const Vector& x,
+                                                     const ml::Matrix* known);
   [[nodiscard]] common::ThreadPool& pool() const noexcept {
     return config_.pool != nullptr ? *config_.pool : common::global_pool();
   }

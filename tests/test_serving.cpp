@@ -690,6 +690,112 @@ TEST(ExplainService, MemoEvictsTheOldestSnapshotFirst) {
   EXPECT_EQ(serve(0), kCapacity + 2);
 }
 
+std::uint64_t shap_model_evals() {
+  return telemetry::Scope("xai.shap").counter("model_evals").value();
+}
+
+xai::ShapExplainer fresh_sampled_explainer(const ServiceFixture& fx) {
+  const ExplainService::Config& config = fx.service.config();
+  xai::ShapExplainer::Config shap;
+  shap.mode = xai::ShapExplainer::Mode::kSampling;
+  shap.permutations = config.sampled_permutations;
+  shap.max_background = config.max_background;
+  shap.seed = config.seed;
+  return xai::ShapExplainer(
+      xai::head_probability_model(fx.agent, some_action()),
+      make_background(4), shap);
+}
+
+// Probe rows of one sampled table: (N + 1) prefix coalitions per
+// permutation, one row per background row each.
+std::uint64_t sampled_probe_rows(const ExplainService::Config& config) {
+  return config.sampled_permutations * (ml::kLatentDim + 1) *
+         config.max_background;
+}
+
+TEST(ExplainService, SampledTableFromResidentExactEntryMatchesFreshExplainer) {
+  ServiceFixture fx;
+  xai::serving::Tick now = 100;
+  (void)serve_at(fx.service, probe_latent(), 0, some_action(), Tier::kExact,
+                 now);
+  now += 200;
+  // Fill the memo with other snapshots, so the FIFO victim of the sampled
+  // table below is the very exact entry it reads from.
+  for (std::size_t k = 1; k < ExplainService::kShapTableCapacity; ++k) {
+    ml::Vector other = probe_latent();
+    other[0] += 0.01 * static_cast<double>(k);
+    (void)serve_at(fx.service, other, 0, some_action(), Tier::kExact, now);
+    now += 200;
+  }
+  const std::uint64_t evals_after_exact = shap_model_evals();
+  std::vector<ExplanationResult> served;
+  for (std::uint32_t head = 0; head < ml::kNumHeads; ++head) {
+    served.push_back(serve_at(fx.service, probe_latent(), head,
+                              some_action(), Tier::kSampled, now));
+    now += 200;
+  }
+  // Every v(S) came from the exact entry: no model evaluation at all.
+  EXPECT_EQ(shap_model_evals(), evals_after_exact);
+  xai::ShapExplainer fresh = fresh_sampled_explainer(fx);
+  const auto expected = fresh.explain_all_outputs(probe_latent());
+  for (std::uint32_t head = 0; head < ml::kNumHeads; ++head) {
+    ASSERT_EQ(served[head].attribution.size(), expected[head].size());
+    EXPECT_TRUE(same_bits(served[head].attribution, expected[head]))
+        << "head " << head;
+  }
+}
+
+TEST(ExplainService, SampledRequestArrivingFirstComputesItsOwnTable) {
+  ServiceFixture fx;
+  const std::uint64_t rows = sampled_probe_rows(fx.service.config());
+  xai::serving::Tick now = 100;
+  const ExplanationResult sampled = serve_at(
+      fx.service, probe_latent(), 1, some_action(), Tier::kSampled, now);
+  now += 200;
+  EXPECT_EQ(shap_model_evals(), rows);
+  (void)serve_at(fx.service, probe_latent(), 1, some_action(), Tier::kExact,
+                 now);
+  now += 200;
+  const std::uint64_t exact_rows =
+      (std::uint64_t{1} << ml::kLatentDim) * fx.service.config().max_background;
+  EXPECT_EQ(shap_model_evals(), rows + exact_rows);
+  // The sampled table is still resident: a memo hit, not a rebuild.
+  const ExplanationResult again = serve_at(
+      fx.service, probe_latent(), 1, some_action(), Tier::kSampled, now);
+  EXPECT_EQ(shap_model_evals(), rows + exact_rows);
+  EXPECT_EQ(shap_explanations(), 2u);
+  xai::ShapExplainer fresh = fresh_sampled_explainer(fx);
+  const ml::Vector expected = fresh.explain(probe_latent(), 1);
+  EXPECT_TRUE(same_bits(sampled.attribution, expected));
+  EXPECT_TRUE(same_bits(again.attribution, expected));
+}
+
+// Per snapshot an exact then a sampled table: the accounted evaluations
+// (Fig. 4's cost model) are unchanged, the performed ones drop by exactly
+// the sampled tier's probe rows.
+TEST(ExplainService, ModelEvalsDropByTheSampledTiersProbeRows) {
+  ServiceFixture fx;
+  const ExplainService::Config& config = fx.service.config();
+  const std::uint64_t exact_rows =
+      (std::uint64_t{1} << ml::kLatentDim) * config.max_background;
+  xai::serving::Tick now = 100;
+  constexpr std::uint64_t kSnapshots = 3;
+  for (std::uint64_t k = 0; k < kSnapshots; ++k) {
+    ml::Vector x = probe_latent();
+    x[2] += 0.05 * static_cast<double>(k);
+    (void)serve_at(fx.service, x, 0, some_action(), Tier::kExact, now);
+    now += 200;
+    (void)serve_at(fx.service, x, 1, some_action(), Tier::kSampled, now);
+    now += 200;
+  }
+  const std::uint64_t accounted = static_cast<std::uint64_t>(
+      telemetry::Scope("xai.shap").span("evals_per_explanation").total());
+  EXPECT_EQ(accounted, kSnapshots * (exact_rows + sampled_probe_rows(config)));
+  EXPECT_EQ(shap_model_evals(), kSnapshots * exact_rows);
+  EXPECT_EQ(accounted - shap_model_evals(),
+            kSnapshots * sampled_probe_rows(config));
+}
+
 TEST(ExplainService, SharedLadderStalenessForcesCachedOnlyResults) {
   telemetry::ScopedRegistry registry;
   ml::PpoAgent agent{11};

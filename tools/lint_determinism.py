@@ -36,11 +36,14 @@ artifacts. This lint bans the constructs that historically break it:
                      byte-identity contract of DESIGN.md §10; new kernels
                      must live in an approved file and be covered by
                      tests/test_gemm.cpp
-  libm-tanh          std::tanh / tanh( / __builtin_tanh under src/ - the
-                     host libm's tanh bits vary with the libm version and
-                     the CPU's FMA support, and golden traces pin tanh's
-                     bits; every tanh runs ml::fdlibm_tanh (ml/tanh.hpp) or
-                     its lane-wise copies in the gemm_<isa>.cpp kernels
+  libm-transcendental  tanh and exp from libm under src/, in any spelling
+                     (std::, ::, bare, the f/l variants, __builtin_) - the
+                     host libm's bits vary with the libm version and the
+                     CPU's FMA support, and golden traces pin them; every
+                     tanh runs ml::fdlibm_tanh (ml/tanh.hpp) and every exp
+                     ml::glibc_exp (ml/exp.hpp), or their lane-wise copies
+                     in the gemm_<isa>.cpp kernels. The libm exp sites that
+                     remain (ROADMAP item 3) carry det-ok markers
 
 A finding on a line carrying `// det-ok: <rule> (<reason>)` is suppressed;
 the marker documents why the construct is safe at that site (e.g. an
@@ -84,11 +87,11 @@ SIMD_INTRINSIC = re.compile(
     r"|\bv(?:ld1q|st1q|dupq|mulq|addq|fmaq)_f64\b"
 )
 
-# The host libm's tanh, in any spelling; the repo's port is named
-# fdlibm_tanh, which none of these alternatives match.
-LIBM_TANH = re.compile(
-    r"(?<![\w.>])(?:std::|::)?tanh[fl]?\s*\("
-    r"|\bstd::tanh[fl]?\b|\b__builtin_tanh[fl]?\b"
+# The host libm's tanh and exp, in any spelling; the repo's ports are
+# named fdlibm_tanh and glibc_exp, which none of these alternatives match.
+LIBM_TRANSCENDENTAL = re.compile(
+    r"(?<![\w.>])(?:std::|::)?(?:tanh|exp)[fl]?\s*\("
+    r"|\bstd::(?:tanh|exp)[fl]?\b|\b__builtin_(?:tanh|exp)[fl]?\b"
 )
 
 CONTRACT_MACRO = re.compile(r"\bEXPLORA_(?:EXPECTS|ENSURES|ASSERT|AUDIT)(_MSG)?\s*\(")
@@ -178,10 +181,11 @@ def lint_text(raw: str, code: str, unordered_names: set[str],
     findings = []
 
     if src_file:
-        for match in LIBM_TANH.finditer(code):
+        for match in LIBM_TRANSCENDENTAL.finditer(code):
             lineno = line_of(code, match.start())
-            if not allowed(raw_lines, lineno, "libm-tanh"):
-                findings.append((lineno, "libm-tanh", match.group(0).strip()))
+            if not allowed(raw_lines, lineno, "libm-transcendental"):
+                findings.append(
+                    (lineno, "libm-transcendental", match.group(0).strip()))
 
     if not kernel_file:
         for match in SIMD_INTRINSIC.finditer(code):
@@ -287,19 +291,29 @@ def self_test() -> int:
     const char* doc = "__m512d lives in gemm_avx512.cpp";
     matrix.multiply_batch(x, y);
     """
-    tanh_bad = """
+    libm_bad = """
     double a = std::tanh(x);
     double b = tanh(x);
     double c = ::tanh(x);
     long double d = tanhl(x);
     double e = __builtin_tanh(x);
     using std::tanh;
+    double f = std::exp(x);
+    float g = expf(x);
+    double h = ::exp(x);
+    long double i = std::expl(x);
+    double j = __builtin_exp(x);
+    using std::exp;
+    double k = std::exp(-mean);  // det-ok: libm-tanh (another rule's tag)
     """
-    tanh_good = """
+    libm_good = """
     double a = ml::fdlibm_tanh(x);
-    // std::tanh( in a comment is fine
-    const char* doc = "tanh(x) lives in ml/tanh.hpp";
+    double b = ml::glibc_exp(v - peak);
+    // std::tanh( and std::exp( in a comment are fine
+    const char* doc = "tanh(x) and exp(x) live in ml/";
     case Epilogue::kBiasTanh: apply_tanh(v); layer.tanh_grad(y);
+    double d = rng.exponential(1.0); gemm::exp_array(x, y, n);
+    double w = std::exp(-d);  // det-ok: libm-transcendental (ROADMAP item 3)
     """
     bad_code = strip_comments_and_strings(bad)
     bad_findings = lint_text(bad, bad_code, declared_unordered_names(bad_code))
@@ -318,14 +332,14 @@ def self_test() -> int:
     telemetry_good_code = strip_comments_and_strings(telemetry_good)
     telemetry_good_findings = lint_text(telemetry_good, telemetry_good_code,
                                         set(), telemetry_path=True)
-    tanh_bad_code = strip_comments_and_strings(tanh_bad)
-    tanh_bad_findings = lint_text(tanh_bad, tanh_bad_code, set(),
+    libm_bad_code = strip_comments_and_strings(libm_bad)
+    libm_bad_findings = lint_text(libm_bad, libm_bad_code, set(),
                                   src_file=True)
-    tanh_good_code = strip_comments_and_strings(tanh_good)
-    tanh_good_findings = lint_text(tanh_good, tanh_good_code, set(),
+    libm_good_code = strip_comments_and_strings(libm_good)
+    libm_good_findings = lint_text(libm_good, libm_good_code, set(),
                                    src_file=True)
     # Outside src/ (tools/) the rule does not apply.
-    tanh_tools_findings = lint_text(tanh_bad, tanh_bad_code, set())
+    libm_tools_findings = lint_text(libm_bad, libm_bad_code, set())
     simd_bad_code = strip_comments_and_strings(simd_bad)
     simd_bad_findings = lint_text(simd_bad, simd_bad_code, set())
     simd_good_code = strip_comments_and_strings(simd_good)
@@ -350,15 +364,16 @@ def self_test() -> int:
     ok = ok and len(simd_bad_findings) >= 4
     ok = ok and not simd_good_findings
     ok = ok and not simd_kernel_findings
-    ok = ok and {rule for _, rule, _ in tanh_bad_findings} == {"libm-tanh"}
-    ok = ok and len(tanh_bad_findings) == 6
-    ok = ok and not tanh_good_findings
-    ok = ok and not tanh_tools_findings
+    libm_rules = {rule for _, rule, _ in libm_bad_findings}
+    ok = ok and libm_rules == {"libm-transcendental"}
+    ok = ok and len(libm_bad_findings) == 13
+    ok = ok and not libm_good_findings
+    ok = ok and not libm_tools_findings
     bad_findings = (bad_findings + fault_bad_findings + telemetry_bad_findings
-                    + simd_bad_findings + tanh_bad_findings)
+                    + simd_bad_findings + libm_bad_findings)
     good_findings = (good_findings + fault_good_findings
                      + telemetry_good_findings + simd_good_findings
-                     + tanh_good_findings)
+                     + libm_good_findings)
     return lintlib.self_test_verdict(ok, bad_findings, good_findings)
 
 
