@@ -19,6 +19,7 @@
 #include "ml/autoencoder.hpp"
 #include "ml/gemm.hpp"
 #include "ml/ppo.hpp"
+#include "netsim/channel.hpp"
 #include "netsim/gnb.hpp"
 #include "netsim/scenario.hpp"
 #include "oran/rmr.hpp"
@@ -317,6 +318,47 @@ BENCHMARK_CAPTURE(BM_ShapTable, sampled, xai::ShapExplainer::Mode::kSampling)
 // One 25-TTI report window with the same scheduler policy on every slice,
 // so per-policy grant cost shows side by side. The split is the gNB's
 // default, {18, 15, 17}, which is a catalogue entry.
+// Link adaptation: SINR-to-CQI over SINRs drawn like the channel's (a
+// fresh UE at the scenario's distances, shadowing and fading included), so
+// the CQI varies from call to call the way it does across UEs and blocks.
+void BM_SinrToCqi(benchmark::State& state) {
+  common::Rng rng(20);
+  std::vector<double> sinrs(4096);
+  for (std::size_t i = 0; i < sinrs.size(); ++i) {
+    const netsim::UeChannel channel(rng.uniform(1000.0, 2200.0),
+                                    netsim::ChannelConfig{}, rng.fork(i));
+    sinrs[i] = channel.sinr_db();
+  }
+  for (auto _ : state) {
+    std::uint32_t sum = 0;
+    for (const double sinr : sinrs) sum += netsim::sinr_to_cqi(sinr);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(sinrs.size()));
+}
+BENCHMARK(BM_SinrToCqi);
+
+// One TTI of channel state for a 6-UE cell: each UE's advance() draws its
+// shadowing (and fading at block boundaries) and re-derives CQI and
+// bytes/PRB.
+void BM_UeChannelAdvance(benchmark::State& state) {
+  common::Rng rng(21);
+  std::vector<netsim::UeChannel> channels;
+  for (std::uint64_t ue = 0; ue < 6; ++ue) {
+    channels.emplace_back(rng.uniform(1000.0, 2200.0), netsim::ChannelConfig{},
+                          rng.fork(ue));
+  }
+  for (auto _ : state) {
+    for (auto& channel : channels) channel.advance();
+    benchmark::DoNotOptimize(channels.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(channels.size()));
+}
+BENCHMARK(BM_UeChannelAdvance);
+
 void BM_GnbReportWindow(benchmark::State& state) {
   const auto policy = static_cast<netsim::SchedulerPolicy>(state.range(0));
   netsim::ScenarioConfig scenario;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstddef>
+#include <functional>
 
 #include "common/contracts.hpp"
 #include "netsim/types.hpp"
@@ -16,30 +18,56 @@ constexpr std::array<double, 16> kCqiEfficiency = {
     0.0,    0.1523, 0.2344, 0.3770, 0.6016, 0.8770, 1.1758, 1.4766,
     1.9141, 2.4063, 2.7305, 3.3223, 3.9023, 4.5234, 5.1152, 5.5547};
 
-// Approximate SINR thresholds [dB] above which each CQI is selected
-// (10% BLER operating points).
-constexpr std::array<double, 16> kCqiSinrThresholdDb = {
-    -100.0, -6.7, -4.7, -2.3, 0.2, 2.4, 4.3, 5.9,
-    8.1,    10.3, 11.7, 14.1, 16.3, 18.7, 21.0, 22.7};
-
 constexpr double kSubcarriersPerPrb = 12.0;
 constexpr double kSymbolsPerTti = 14.0;
 constexpr double kOverheadFactor = 0.75;  // PDCCH + DMRS overhead
-
-}  // namespace
 
 // Largest transport-block size one PRB can carry in one TTI: CQI 15
 // efficiency over 12 subcarriers x 14 symbols at 75% usable overhead.
 constexpr std::uint32_t kMaxBytesPerPrb = 87;
 
-std::uint32_t sinr_to_cqi(double sinr_db) noexcept {
-  std::uint32_t cqi = 1;
-  for (std::uint32_t i = 15; i >= 1; --i) {
-    if (sinr_db >= kCqiSinrThresholdDb[i]) {
-      cqi = i;
-      break;
-    }
+// Transport-block bytes per PRB for each CQI, evaluated at compile time
+// with the same expression and operation order the runtime formula used,
+// so every entry is the bytes that formula produced.
+constexpr std::array<std::uint32_t, 16> kBytesPerPrb = [] {
+  std::array<std::uint32_t, 16> bytes{};
+  for (std::size_t cqi = 0; cqi < bytes.size(); ++cqi) {
+    const double bits = kCqiEfficiency[cqi] * kSubcarriersPerPrb *
+                        kSymbolsPerTti * kOverheadFactor;
+    bytes[cqi] = static_cast<std::uint32_t>(bits / 8.0);
   }
+  return bytes;
+}();
+
+static_assert(std::ranges::all_of(kBytesPerPrb,
+                                  [](std::uint32_t bytes) {
+                                    return bytes <= kMaxBytesPerPrb;
+                                  }),
+              "TBS bytes/PRB exceeds the CQI-15 ceiling");
+static_assert(kBytesPerPrb[15] == kMaxBytesPerPrb);
+
+static_assert(std::ranges::is_sorted(kCqiSinrThresholdDb.begin() + 1,
+                                     kCqiSinrThresholdDb.end(),
+                                     std::less_equal<>{}),
+              "sinr_to_cqi's count needs strictly rising thresholds");
+
+}  // namespace
+
+// The thresholds rise strictly, so the CQI is the number of thresholds
+// 1..15 the SINR reaches (at least 1). A branch-free binary search finds
+// that count in four compares whose outcome feeds an add, not a jump: the
+// fading draw makes any branch on the SINR mispredict about half the time.
+// NaN reaches no threshold and maps to CQI 1.
+std::uint32_t sinr_to_cqi(double sinr_db) noexcept {
+  std::uint32_t reached = 0;
+  reached += 8 * static_cast<std::uint32_t>(sinr_db >= kCqiSinrThresholdDb[8]);
+  reached += 4 * static_cast<std::uint32_t>(
+                     sinr_db >= kCqiSinrThresholdDb[reached + 4]);
+  reached += 2 * static_cast<std::uint32_t>(
+                     sinr_db >= kCqiSinrThresholdDb[reached + 2]);
+  reached += static_cast<std::uint32_t>(
+      sinr_db >= kCqiSinrThresholdDb[reached + 1]);
+  const std::uint32_t cqi = reached + static_cast<std::uint32_t>(reached == 0);
   EXPLORA_ENSURES(cqi >= 1 && cqi <= 15);
   return cqi;
 }
@@ -52,13 +80,10 @@ double cqi_spectral_efficiency(std::uint32_t cqi) {
 }
 
 std::uint32_t cqi_bytes_per_prb(std::uint32_t cqi) {
-  const double bits = cqi_spectral_efficiency(cqi) * kSubcarriersPerPrb *
-                      kSymbolsPerTti * kOverheadFactor;
-  const auto bytes = static_cast<std::uint32_t>(bits / 8.0);
-  EXPLORA_ENSURES_MSG(bytes <= kMaxBytesPerPrb,
-                      "TBS {} bytes/PRB exceeds the CQI-15 ceiling of {}",
-                      bytes, kMaxBytesPerPrb);
-  return bytes;
+  EXPLORA_EXPECTS_MSG(cqi <= 15, "CQI {} outside the 4-bit table range [0, 15]",
+                      cqi);
+  // Clamp as defensive fallback for EXPLORA_CHECK_LEVEL=off builds.
+  return kBytesPerPrb[std::min(cqi, 15u)];
 }
 
 UeChannel::UeChannel(double distance_m, const ChannelConfig& config,
@@ -133,7 +158,7 @@ void UeChannel::set_fading_gain(double gain) noexcept {
 void UeChannel::refresh_sinr() noexcept {
   sinr_db_ = mean_snr_db_ + shadowing_db_ + fading_db_;
   cqi_ = sinr_to_cqi(sinr_db_);
-  bytes_per_prb_ = cqi_bytes_per_prb(cqi_);
+  bytes_per_prb_ = kBytesPerPrb[cqi_];  // in range: sinr_to_cqi ensures it
 }
 
 }  // namespace explora::netsim

@@ -8,6 +8,7 @@
 // EXPLORA observes.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 #include "common/rng.hpp"
@@ -92,8 +93,15 @@ class UeChannel {
   std::int64_t ttis_since_move_ = 0;
 };
 
-/// Maps SINR [dB] to CQI index 1..15 (LTE 4-bit CQI, SINR thresholds from
-/// the standard link-level curves).
+/// Approximate SINR thresholds [dB] at or above which each CQI is selected
+/// (10% BLER operating points). Entries 1..15 rise strictly; entry 0 is
+/// never consulted.
+inline constexpr std::array<double, 16> kCqiSinrThresholdDb = {
+    -100.0, -6.7, -4.7, -2.3, 0.2, 2.4, 4.3, 5.9,
+    8.1,    10.3, 11.7, 14.1, 16.3, 18.7, 21.0, 22.7};
+
+/// Maps SINR [dB] to CQI index 1..15 (LTE 4-bit CQI): the highest CQI whose
+/// threshold the SINR reaches, or 1 if it reaches none (NaN included).
 [[nodiscard]] std::uint32_t sinr_to_cqi(double sinr_db) noexcept;
 
 /// Spectral efficiency [bits/symbol] for a CQI index 0..15 (36.213 Table

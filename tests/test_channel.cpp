@@ -5,9 +5,13 @@
 
 #include <algorithm>
 #include <array>
+#include <cfloat>
+#include <cmath>
+#include <limits>
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "support/reference_cqi.hpp"
 
 namespace explora::netsim {
 namespace {
@@ -34,6 +38,36 @@ TEST(CqiMapping, Extremes) {
   EXPECT_EQ(sinr_to_cqi(50.0), 15u);
 }
 
+// Differential test against the descending-scan oracle: every threshold and
+// both of its floating-point neighbours, the IEEE special values, and a
+// seeded sweep over the SINRs a UE can see.
+TEST(CqiMapping, MatchesThresholdScan) {
+  const auto expect_match = [](double sinr) {
+    ASSERT_EQ(sinr_to_cqi(sinr), reference::sinr_to_cqi(sinr))
+        << "sinr_db = " << sinr;
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double threshold : kCqiSinrThresholdDb) {
+    expect_match(threshold);
+    expect_match(std::nextafter(threshold, -kInf));
+    expect_match(std::nextafter(threshold, kInf));
+  }
+  for (const double special :
+       {0.0, -0.0, kInf, -kInf, std::numeric_limits<double>::quiet_NaN(),
+        DBL_MAX, -DBL_MAX, std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min()}) {
+    expect_match(special);
+  }
+  EXPECT_EQ(sinr_to_cqi(std::numeric_limits<double>::quiet_NaN()), 1u);
+  EXPECT_EQ(sinr_to_cqi(-kInf), 1u);
+  EXPECT_EQ(sinr_to_cqi(kInf), 15u);
+
+  common::Rng rng(2027);
+  for (int i = 0; i < 1'000'000; ++i) {
+    ASSERT_NO_FATAL_FAILURE(expect_match(rng.uniform(-120.0, 60.0)));
+  }
+}
+
 TEST(CqiEfficiency, MonotoneAndPositive) {
   double previous = 0.0;
   for (std::uint32_t cqi = 1; cqi <= 15; ++cqi) {
@@ -49,6 +83,16 @@ TEST(CqiBytesPerPrb, KnownEndpoints) {
   EXPECT_EQ(cqi_bytes_per_prb(15), 87u);
   // CQI 1: 0.1523 * 168 * 0.75 / 8 = 2 bytes.
   EXPECT_EQ(cqi_bytes_per_prb(1), 2u);
+}
+
+// The table is built at compile time; each entry must equal the runtime
+// formula it replaced, evaluated in the same operation order.
+TEST(CqiBytesPerPrb, TableMatchesFormula) {
+  for (std::uint32_t cqi = 0; cqi <= 15; ++cqi) {
+    const double bits = cqi_spectral_efficiency(cqi) * 12.0 * 14.0 * 0.75;
+    EXPECT_EQ(cqi_bytes_per_prb(cqi), static_cast<std::uint32_t>(bits / 8.0))
+        << "cqi = " << cqi;
+  }
 }
 
 TEST(UeChannel, CloserIsBetter) {

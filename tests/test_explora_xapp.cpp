@@ -366,13 +366,14 @@ TEST(ExploraXapp, ReliableForwardingCarriesOwnSequence) {
                         "explora_xapp");
 
   pipe.drl_control(control(36, 3, 11), 1);
-  ASSERT_NE(pipe.xapp->reliable(), nullptr);
-  EXPECT_EQ(pipe.xapp->reliable()->sent(), 1u);
-  EXPECT_EQ(pipe.xapp->reliable()->in_flight(), 1u);  // sink never ACKs
+  const oran::ReliableControlSender* reliable = pipe.xapp->reliable();
+  ASSERT_NE(reliable, nullptr);
+  EXPECT_EQ(reliable->sent(), 1u);
+  EXPECT_EQ(reliable->in_flight(), 1u);  // sink never ACKs
 
   // An ACK from the e2term clears the in-flight entry.
   pipe.router.send(oran::make_ran_control_ack("e2term", 1));
-  EXPECT_EQ(pipe.xapp->reliable()->in_flight(), 0u);
+  EXPECT_EQ(reliable->in_flight(), 0u);
 }
 
 }  // namespace

@@ -285,11 +285,13 @@ TEST(Ric, MidRunRepointingLosesNoControls) {
   EXPECT_EQ(ric.e2_termination().duplicate_controls_ignored(), 0u);
   EXPECT_EQ(ric.e2_termination().controls_rejected(), 0u);
   EXPECT_EQ(explora.duplicate_controls_ignored(), 0u);
-  ASSERT_NE(drl.reliable(), nullptr);
-  EXPECT_EQ(drl.reliable()->in_flight(), 0u);
-  EXPECT_EQ(drl.reliable()->acked(), 6u);
-  ASSERT_NE(explora.reliable(), nullptr);
-  EXPECT_EQ(explora.reliable()->in_flight(), 0u);
+  const oran::ReliableControlSender* drl_reliable = drl.reliable();
+  ASSERT_NE(drl_reliable, nullptr);
+  EXPECT_EQ(drl_reliable->in_flight(), 0u);
+  EXPECT_EQ(drl_reliable->acked(), 6u);
+  const oran::ReliableControlSender* explora_reliable = explora.reliable();
+  ASSERT_NE(explora_reliable, nullptr);
+  EXPECT_EQ(explora_reliable->in_flight(), 0u);
   // Control-plane traffic was never silently dropped by the router.
   EXPECT_EQ(ric.router().dropped_by_type(oran::MessageType::kRanControl),
             0u);
