@@ -126,9 +126,16 @@ void Writer::f64_list_field(std::uint32_t field_id,
 
 // ---- Reader ----------------------------------------------------------------
 
-void Reader::require(std::size_t n) const {
-  // Overflow-safe: compare against the remaining bytes, never pos_ + n.
-  if (n > remaining()) throw SerializeError("truncated input");
+void Reader::throw_truncated() { throw SerializeError("truncated input"); }
+
+void Reader::throw_invalid_tag(std::uint64_t raw) {
+  const auto type_bits = static_cast<std::uint8_t>(raw & 0x7);
+  if (type_bits > static_cast<std::uint8_t>(WireType::kBytes)) {
+    throw SerializeError(
+        common::format("unknown wire type {} on the wire", type_bits));
+  }
+  throw SerializeError(
+      common::format("invalid field id {} on the wire", raw >> 3));
 }
 
 std::uint8_t Reader::header(const StreamFormat& format) {
@@ -152,7 +159,7 @@ std::uint8_t Reader::header(const StreamFormat& format) {
   return minor;
 }
 
-std::uint64_t Reader::varint() {
+std::uint64_t Reader::varint_multibyte() {
   std::uint64_t value = 0;
   for (std::size_t i = 0; i < kMaxVarintBytes; ++i) {
     require(1);
@@ -178,14 +185,6 @@ std::uint64_t Reader::fixed64() {
 
 double Reader::f64() { return std::bit_cast<double>(fixed64()); }
 
-std::span<const std::uint8_t> Reader::bytes() {
-  const std::uint64_t size = varint();
-  require(size);
-  const auto out = data_.subspan(pos_, static_cast<std::size_t>(size));
-  pos_ += static_cast<std::size_t>(size);
-  return out;
-}
-
 std::vector<double> Reader::f64_list() {
   const auto raw = bytes();
   if (raw.size() % sizeof(double) != 0) {
@@ -196,22 +195,6 @@ std::vector<double> Reader::f64_list() {
   // Empty list: data() may be null, and memcpy(null, .., 0) is UB.
   if (!out.empty()) std::memcpy(out.data(), raw.data(), raw.size());
   return out;
-}
-
-Reader::Tag Reader::tag() {
-  const std::uint64_t raw = varint();
-  const auto type_bits = static_cast<std::uint8_t>(raw & 0x7);
-  if (type_bits > static_cast<std::uint8_t>(WireType::kBytes)) {
-    throw SerializeError(
-        common::format("unknown wire type {} on the wire", type_bits));
-  }
-  const std::uint64_t field_id = raw >> 3;
-  if (field_id == 0 || field_id > 0xFFFFFFFFull) {
-    throw SerializeError(
-        common::format("invalid field id {} on the wire", field_id));
-  }
-  return Tag{static_cast<std::uint32_t>(field_id),
-             static_cast<WireType>(type_bits)};
 }
 
 void Reader::skip(WireType type) {

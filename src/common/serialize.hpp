@@ -85,6 +85,8 @@ class Writer {
     return std::move(buffer_);
   }
   [[nodiscard]] std::size_t size() const noexcept { return buffer_.size(); }
+  /// Empties the buffer, keeping its capacity for the next encode.
+  void clear() noexcept { buffer_.clear(); }
 
  private:
   std::vector<std::uint8_t> buffer_;
@@ -100,12 +102,23 @@ class Reader {
   /// Validates magic and major version; returns the stream's minor.
   std::uint8_t header(const StreamFormat& format);
 
-  [[nodiscard]] std::uint64_t varint();
+  [[nodiscard]] std::uint64_t varint() {
+    // One-byte varints (tags, short lengths, small values) are most of
+    // the stream; the general loop and its errors live out of line.
+    if (pos_ < data_.size() && data_[pos_] < 0x80) return data_[pos_++];
+    return varint_multibyte();
+  }
   [[nodiscard]] std::int64_t zigzag();
   [[nodiscard]] std::uint64_t fixed64();
   [[nodiscard]] double f64();
   /// Length-prefixed bytes; the returned span borrows from the input.
-  [[nodiscard]] std::span<const std::uint8_t> bytes();
+  [[nodiscard]] std::span<const std::uint8_t> bytes() {
+    const std::uint64_t size = varint();
+    require(size);
+    const auto out = data_.subspan(pos_, static_cast<std::size_t>(size));
+    pos_ += static_cast<std::size_t>(size);
+    return out;
+  }
   /// Packed doubles; throws unless the length is a multiple of 8.
   [[nodiscard]] std::vector<double> f64_list();
 
@@ -114,7 +127,17 @@ class Reader {
     WireType type = WireType::kVarint;
   };
   /// Reads and validates one field tag (field_id >= 1, known wire type).
-  [[nodiscard]] Tag tag();
+  [[nodiscard]] Tag tag() {
+    const std::uint64_t raw = varint();
+    const std::uint64_t type_bits = raw & 0x7;
+    const std::uint64_t field_id = raw >> 3;
+    if (type_bits > static_cast<std::uint64_t>(WireType::kBytes) ||
+        field_id == 0 || field_id > 0xFFFFFFFFull) {
+      throw_invalid_tag(raw);
+    }
+    return Tag{static_cast<std::uint32_t>(field_id),
+               static_cast<WireType>(type_bits)};
+  }
   /// Skips one value of the given wire type (unknown-field tolerance).
   void skip(WireType type);
 
@@ -124,7 +147,13 @@ class Reader {
   }
 
  private:
-  void require(std::size_t n) const;
+  void require(std::size_t n) const {
+    // Overflow-safe: compare against the remaining bytes, never pos_ + n.
+    if (n > remaining()) throw_truncated();
+  }
+  [[nodiscard]] std::uint64_t varint_multibyte();
+  [[noreturn]] static void throw_truncated();
+  [[noreturn]] static void throw_invalid_tag(std::uint64_t raw);
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;

@@ -36,7 +36,7 @@ double TransitionEvent::kpi_delta(netsim::Kpi kpi) const {
 
 TransitionTracker::StepSnapshot TransitionTracker::snapshot(
     const netsim::SlicingControl& action,
-    const std::vector<netsim::KpiReport>& window) {
+    std::span<const netsim::KpiReport> window) {
   EXPLORA_EXPECTS(!window.empty());
   StepSnapshot snap;
   snap.action = action;
@@ -64,7 +64,7 @@ TransitionTracker::StepSnapshot TransitionTracker::snapshot(
 
 void TransitionTracker::record_step(
     const netsim::SlicingControl& action,
-    const std::vector<netsim::KpiReport>& window) {
+    std::span<const netsim::KpiReport> window) {
   StepSnapshot current = snapshot(action, window);
   if (has_previous_) {
     TransitionEvent event;

@@ -6,6 +6,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -56,7 +57,7 @@ class TransitionTracker {
   /// Records one decision step: `action` was enforced and `window` is the
   /// set of KPI reports observed while it was active.
   void record_step(const netsim::SlicingControl& action,
-                   const std::vector<netsim::KpiReport>& window);
+                   std::span<const netsim::KpiReport> window);
 
   /// Drops the temporal linkage (episode boundary).
   void reset_link() noexcept;
@@ -76,7 +77,7 @@ class TransitionTracker {
   };
   [[nodiscard]] static StepSnapshot snapshot(
       const netsim::SlicingControl& action,
-      const std::vector<netsim::KpiReport>& window);
+      std::span<const netsim::KpiReport> window);
 
   std::vector<TransitionEvent> events_;
   bool has_previous_ = false;

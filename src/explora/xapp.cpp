@@ -125,8 +125,12 @@ void ExploraXapp::on_message(const oran::RicMessage& message) {
       if (!current_action_.has_value()) return;  // nothing enforced yet
       // b(a): the consequence of the enforced action on the future state.
       graph_.record_consequence(report);
-      pending_window_.push_back(report);
-      if (pending_window_.size() >= config_.reports_per_decision) {
+      if (pending_count_ < pending_window_.size()) {
+        pending_window_[pending_count_] = report;
+      } else {
+        pending_window_.push_back(report);
+      }
+      if (++pending_count_ >= config_.reports_per_decision) {
         finalize_decision_window();
       }
       return;
@@ -160,7 +164,7 @@ void ExploraXapp::on_message(const oran::RicMessage& message) {
 
       // Close the still-open window of the previous action (the agent may
       // decide on a different cadence than our window bookkeeping).
-      if (!pending_window_.empty()) finalize_decision_window();
+      if (pending_count_ > 0) finalize_decision_window();
 
       netsim::SlicingControl enforced = proposed;
       std::string rationale = "forwarded unchanged (steering disabled)";
@@ -257,9 +261,9 @@ void ExploraXapp::observe_indication_timing(const netsim::KpiReport& report) {
 void ExploraXapp::enter_degraded(netsim::Tick detected_at,
                                  std::uint64_t missed) {
   indications_missed_ += missed;
-  reports_discarded_ += pending_window_.size();
-  tm_reports_discarded_->add(pending_window_.size());
-  pending_window_.clear();  // never build transitions from a gapped window
+  reports_discarded_ += pending_count_;
+  tm_reports_discarded_->add(pending_count_);
+  pending_count_ = 0;  // never build transitions from a gapped window
   const bool was_stale = ladder_.stale();
   ladder_.record_gap(detected_at);  // a repeat gap restarts the quarantine
   if (was_stale) return;
@@ -304,12 +308,14 @@ void ExploraXapp::exit_degraded(netsim::Tick detected_at) {
 
 void ExploraXapp::finalize_decision_window() {
   EXPLORA_EXPECTS(current_action_.has_value());
-  EXPLORA_EXPECTS(!pending_window_.empty());
-  tracker_.record_step(*current_action_, pending_window_);
+  EXPLORA_EXPECTS(pending_count_ > 0);
+  const std::span<const netsim::KpiReport> window(pending_window_.data(),
+                                                  pending_count_);
+  tracker_.record_step(*current_action_, window);
   if (steering_.has_value()) {
-    steering_->push_measured_reward(reward_.from_window(pending_window_));
+    steering_->push_measured_reward(reward_.from_window(window));
   }
-  pending_window_.clear();
+  pending_count_ = 0;
   tm_windows_finalized_->add(1);
 }
 

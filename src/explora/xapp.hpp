@@ -10,6 +10,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -173,7 +174,11 @@ class ExploraXapp final : public oran::RmrEndpoint,
   std::optional<oran::ReliableControlSender> reliable_;
 
   std::optional<netsim::SlicingControl> current_action_;
+  /// Reports of the open decision window: the first pending_count_
+  /// slots. Slots are copy-assigned, never freed, so each report's
+  /// vectors reuse the capacity of an earlier window's.
   std::vector<netsim::KpiReport> pending_window_;
+  std::size_t pending_count_ = 0;
   std::uint64_t controls_seen_ = 0;
   std::uint64_t controls_replaced_ = 0;
   std::uint64_t a1_policies_applied_ = 0;

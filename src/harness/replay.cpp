@@ -226,7 +226,7 @@ RecordedRun record_experiment(const TrainedSystem& system,
   ExperimentOptions recording = options;
   recording.recorder = &recorder;
   run.result = run_experiment(system, scenario, recording, training);
-  run.trace = recorder.serialize();
+  run.trace = std::move(recorder).take();
   run.attribution =
       encode_attribution(run.result.explanations, run.result.degradations,
                          run.result.graph, run.result.transitions,

@@ -154,8 +154,9 @@ void store_tanh8(double* dst, __m512d v) {
   if (scalar_lanes == 0) return;
   alignas(64) double lanes[kPanel];
   _mm512_store_pd(lanes, v);
+  const unsigned fallback = scalar_lanes;
   for (std::size_t l = 0; l < kPanel; ++l) {
-    if ((scalar_lanes >> l) & 1U) dst[l] = fdlibm_tanh(lanes[l]);
+    if (((fallback >> l) & 1U) != 0U) dst[l] = fdlibm_tanh(lanes[l]);
   }
 }
 
@@ -309,8 +310,9 @@ void tail_block(std::size_t rows, const double* packed, std::size_t panels,
   alignas(64) double lanes[kPanel];
   _mm512_store_pd(args, v);
   _mm512_store_pd(lanes, e);
+  const unsigned fallback = scalar_lanes;
   for (std::size_t l = 0; l < kPanel; ++l) {
-    if ((scalar_lanes >> l) & 1U) lanes[l] = glibc_exp(args[l]);
+    if (((fallback >> l) & 1U) != 0U) lanes[l] = glibc_exp(args[l]);
   }
   return _mm512_load_pd(lanes);
 }

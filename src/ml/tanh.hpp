@@ -1,6 +1,6 @@
 // The repo's one tanh: a port of fdlibm's s_tanh.c / s_expm1.c that is
 // bit-identical to glibc's FMA build of the same sources, so the tanh
-// networks (PPO/A2C hidden layers, the autoencoder latent) produce the
+// networks (PPO hidden layers, the autoencoder latent) produce the
 // same bytes on every host, libm and SIMD backend.
 //
 // fdlibm's arithmetic is fused with std::fma at exactly these sites and no

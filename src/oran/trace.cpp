@@ -1,5 +1,6 @@
 #include "oran/trace.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "oran/wire.hpp"
@@ -35,28 +36,16 @@ RicMessage TraceFrame::decode() const {
   return wire::decode_message_frame(message);
 }
 
-TraceRecorder::TraceRecorder(std::string label) : label_(std::move(label)) {}
-
-void TraceRecorder::on_deliver(const RicMessage& message,
-                               std::string_view target, std::uint64_t round) {
-  TraceFrame frame;
-  frame.tick = tick_source_ ? tick_source_() : 0;
-  frame.round = round;
-  frame.target.assign(target);
-  frame.message = wire::encode_message_frame(message);
-  message_bytes_ += frame.message.size();
-  frames_.push_back(std::move(frame));
-}
-
 namespace {
 
-/// Appends one length-prefixed tagged-field body.
+/// Appends one length-prefixed tagged-field body, encoded via `scratch`.
 template <typename T>
-void append_sized_body(common::Writer& writer, T& value) {
-  common::Writer body;
-  wire::Encoder encoder(body);
+void append_sized_body(common::Writer& writer, common::Writer& scratch,
+                       T& value) {
+  scratch.clear();
+  wire::Encoder encoder(scratch);
   wire_fields(encoder, value);
-  writer.bytes(body.buffer());
+  writer.bytes(scratch.buffer());
 }
 
 /// Reads one length-prefixed body and decodes it into `out`.
@@ -66,34 +55,61 @@ void read_sized_body(common::Reader& reader, T& out) {
   wire::decode_fields(body, out);
 }
 
+/// Number of length-prefixed bodies left in `reader` (a copy), counted up
+/// to the first malformed length: the indexing walk that follows reports
+/// it, with the same error a walk without this count would throw.
+std::size_t count_bodies(common::Reader reader) {
+  std::size_t count = 0;
+  try {
+    while (!reader.at_end()) {
+      (void)reader.bytes();
+      ++count;
+    }
+  } catch (const common::SerializeError&) {
+    return count;
+  }
+  return count;
+}
+
 }  // namespace
 
-std::vector<std::uint8_t> TraceRecorder::serialize() const {
-  common::Writer writer;
-  writer.header(kTraceFormat);
-  wire::TraceHeader header{label_};
-  append_sized_body(writer, header);
-  for (const TraceFrame& frame : frames_) {
-    append_sized_body(writer, const_cast<TraceFrame&>(frame));
-  }
-  return std::move(writer).take();
+TraceRecorder::TraceRecorder(std::string label) {
+  file_.header(kTraceFormat);
+  wire::TraceHeader header{std::move(label)};
+  append_sized_body(file_, body_, header);
+}
+
+void TraceRecorder::on_deliver(const RicMessage& message,
+                               std::string_view target, std::uint64_t round) {
+  const std::vector<std::uint8_t> encoded =
+      wire::encode_message_frame(message);
+  TraceFrame frame{
+      .tick = tick_source_ ? tick_source_() : 0,
+      .round = round,
+      .target = target,
+      .message = encoded,
+  };
+  append_sized_body(file_, body_, frame);
 }
 
 void TraceRecorder::save(const std::string& path) const {
-  common::write_file_atomic(path, serialize());
+  common::write_file_atomic(path, file_.buffer());
 }
 
 TraceReplaySource TraceReplaySource::parse(std::span<const std::uint8_t> data) {
-  common::Reader reader(data);
-  reader.header(kTraceFormat);
   TraceReplaySource out;
+  out.bytes_ = {common::PageAllocator<std::uint8_t>{}.allocate(data.size()),
+                common::PageDeleter<std::uint8_t>{data.size()}};
+  std::copy(data.begin(), data.end(), out.bytes_.get());
+  common::Reader reader({out.bytes_.get(), data.size()});
+  reader.header(kTraceFormat);
   wire::TraceHeader header;
   read_sized_body(reader, header);
   out.label_ = std::move(header.label);
+  out.frames_.reserve(count_bodies(reader));
   while (!reader.at_end()) {
-    TraceFrame frame;
+    TraceFrame& frame = out.frames_.emplace_back();
     read_sized_body(reader, frame);
-    out.frames_.push_back(std::move(frame));
   }
   return out;
 }

@@ -1,10 +1,10 @@
 // Record/replay for the RIC message fabric (DESIGN.md §13.4). A
-// TraceRecorder taps RmrRouter deliveries and persists the tick-stamped
-// E2/KPM/control stream to a framed `.etrace` file; a TraceReplaySource
-// parses such a file and re-delivers the recorded stream into any
-// endpoint — so a recorded live run can be explained offline, with no
-// simulator in the loop, and must reproduce the live attribution stream
-// byte-identically.
+// TraceRecorder taps RmrRouter deliveries and writes the tick-stamped
+// E2/KPM/control stream into framed `.etrace` bytes as it goes; a
+// TraceReplaySource indexes such a file in place and re-delivers the
+// recorded stream into any endpoint — so a recorded live run can be
+// explained offline, with no simulator in the loop, and must reproduce
+// the live attribution stream byte-identically.
 //
 // File grammar (the common/serialize header and primitives):
 //
@@ -22,11 +22,13 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/page_allocator.hpp"
 #include "common/serialize.hpp"
 #include "oran/rmr.hpp"
 
@@ -41,21 +43,23 @@ inline constexpr common::StreamFormat kTraceFormat{"trace", kTraceMagic,
 
 /// One recorded delivery: which tick it happened at (simulation clock at
 /// delivery time), which router dispatch round, which endpoint received
-/// it, and the message in its versioned wire-frame encoding.
+/// it, and the message in its versioned wire-frame encoding. A borrowed
+/// view: `target` and `message` point into the bytes of the trace that
+/// holds the frame (a TraceReplaySource, or the caller's buffers when
+/// recording), which must outlive it.
 struct TraceFrame {
   std::int64_t tick = 0;
   std::uint64_t round = 0;
-  std::string target;
-  std::vector<std::uint8_t> message;  ///< wire::encode_message_frame output
+  std::string_view target;
+  std::span<const std::uint8_t> message;  ///< wire::encode_message_frame output
 
   /// Decodes the stored message (validating frame version and payload
   /// type); throws common::SerializeError on a tampered frame.
   [[nodiscard]] RicMessage decode() const;
-
-  friend bool operator==(const TraceFrame&, const TraceFrame&) = default;
 };
 
-/// Delivery tap that captures every routed delivery as a TraceFrame.
+/// Delivery tap that writes every routed delivery into `.etrace` bytes
+/// as it happens: the header at construction, one frame per delivery.
 /// Install on a router with set_delivery_tap(&recorder); ticks come from
 /// the registered tick source (typically the telemetry registry clock).
 class TraceRecorder final : public DeliveryTap {
@@ -70,40 +74,47 @@ class TraceRecorder final : public DeliveryTap {
   void on_deliver(const RicMessage& message, std::string_view target,
                   std::uint64_t round) override;
 
-  [[nodiscard]] const std::string& label() const noexcept { return label_; }
-  [[nodiscard]] const std::vector<TraceFrame>& frames() const noexcept {
-    return frames_;
+  /// The trace recorded so far (header + every frame), as `.etrace` bytes.
+  [[nodiscard]] std::vector<std::uint8_t> serialize() const {
+    return file_.buffer();
   }
-  /// Total encoded message payload bytes captured so far.
-  [[nodiscard]] std::size_t message_bytes() const noexcept {
-    return message_bytes_;
+  /// Hands the recorded bytes over without a copy; the recorder is spent.
+  [[nodiscard]] std::vector<std::uint8_t> take() && noexcept {
+    return std::move(file_).take();
   }
-
-  /// Serializes the full trace (header + all frames) to `.etrace` bytes.
-  [[nodiscard]] std::vector<std::uint8_t> serialize() const;
   /// Writes the trace to `path` atomically (temp file + rename); throws
   /// common::SerializeError on I/O failure.
   void save(const std::string& path) const;
 
  private:
-  std::string label_;
   std::function<std::int64_t()> tick_source_;
-  std::vector<TraceFrame> frames_;
-  std::size_t message_bytes_ = 0;
+  common::Writer file_;  ///< the `.etrace` bytes
+  common::Writer body_;  ///< scratch: one frame body before its length
 };
 
-/// Parsed `.etrace` stream, ready to feed back into an endpoint.
+/// Parsed `.etrace` stream, ready to feed back into an endpoint: one owned
+/// copy of the trace bytes plus an index of frames viewing into it, both
+/// in pages of their own (common/page_allocator.hpp), so the memory a
+/// parse per call holds does not depend on malloc's heap layout.
+/// Move-only, so a frame view can never outlive the bytes it points into
+/// (moving keeps the buffer, and with it every view, in place).
 class TraceReplaySource {
  public:
-  /// Parses serialized trace bytes; throws common::SerializeError on
-  /// malformed input or an incompatible trace major version.
+  TraceReplaySource(const TraceReplaySource&) = delete;
+  TraceReplaySource& operator=(const TraceReplaySource&) = delete;
+  TraceReplaySource(TraceReplaySource&&) noexcept = default;
+  TraceReplaySource& operator=(TraceReplaySource&&) noexcept = default;
+
+  /// Copies and indexes serialized trace bytes; throws
+  /// common::SerializeError on malformed input or an incompatible trace
+  /// major version. Messages are not decoded until TraceFrame::decode.
   [[nodiscard]] static TraceReplaySource parse(
       std::span<const std::uint8_t> data);
   /// Reads and parses a trace file; throws on I/O or parse failure.
   [[nodiscard]] static TraceReplaySource load(const std::string& path);
 
   [[nodiscard]] const std::string& label() const noexcept { return label_; }
-  [[nodiscard]] const std::vector<TraceFrame>& frames() const noexcept {
+  [[nodiscard]] std::span<const TraceFrame> frames() const noexcept {
     return frames_;
   }
   /// Frames recorded for a specific endpoint, in delivery order.
@@ -120,8 +131,13 @@ class TraceReplaySource {
       const std::function<void(std::int64_t)>& on_tick = {}) const;
 
  private:
+  TraceReplaySource() = default;
+
+  /// The trace; frames_ view into it. Not a vector: one with a custom
+  /// allocator copies its input a byte at a time.
+  std::unique_ptr<std::uint8_t[], common::PageDeleter<std::uint8_t>> bytes_;
   std::string label_;
-  std::vector<TraceFrame> frames_;
+  std::vector<TraceFrame, common::PageAllocator<TraceFrame>> frames_;
 };
 
 }  // namespace explora::oran

@@ -83,7 +83,8 @@ class Encoder {
   void f64(std::uint32_t id, const char* /*name*/, double& v) {
     writer_->f64_field(id, v);
   }
-  void str(std::uint32_t id, const char* /*name*/, std::string& v) {
+  /// Owned (std::string) and borrowed (std::string_view) members alike.
+  void str(std::uint32_t id, const char* /*name*/, std::string_view v) {
     writer_->string_field(id, v);
   }
   template <typename E>
@@ -95,8 +96,9 @@ class Encoder {
                 std::vector<double>& v) {
     writer_->f64_list_field(id, v);
   }
+  /// Owned (std::vector) and borrowed (std::span) members alike.
   void blob(std::uint32_t id, const char* /*name*/,
-            std::vector<std::uint8_t>& v) {
+            std::span<const std::uint8_t> v) {
     writer_->bytes_field(id, v);
   }
   template <typename T>
@@ -136,17 +138,49 @@ class Encoder {
   Writer* writer_;
 };
 
+/// Occurrence counts of the repeated fields of one message being decoded,
+/// keyed by field id. Only repeated fields (arrays) take a slot, so a
+/// field list's few ids fit the inline table and decoding allocates
+/// nothing for its bookkeeping; past kInlineCapacity ids it spills to
+/// the heap.
+class OccurrenceTable {
+ public:
+  /// Occurrences of `field_id` seen before this one; counts this one.
+  [[nodiscard]] std::size_t next(std::uint32_t field_id) {
+    for (std::size_t i = 0; i < inline_size_; ++i) {
+      if (inline_ids_[i] == field_id) return inline_counts_[i]++;
+    }
+    for (auto& [id, count] : spill_) {
+      if (id == field_id) return count++;
+    }
+    if (inline_size_ < kInlineCapacity) {
+      inline_ids_[inline_size_] = field_id;
+      inline_counts_[inline_size_++] = 1;
+    } else {
+      spill_.emplace_back(field_id, 1);
+    }
+    return 0;
+  }
+
+ private:
+  static constexpr std::size_t kInlineCapacity = 8;
+  std::array<std::uint32_t, kInlineCapacity> inline_ids_{};
+  std::array<std::size_t, kInlineCapacity> inline_counts_{};
+  std::size_t inline_size_ = 0;
+  std::vector<std::pair<std::uint32_t, std::size_t>> spill_;
+};
+
 /// One-field match pass: constructed per incoming tag, walks the field
-/// list and decodes the member whose id matches; repeated fields use the
-/// occurrence index maintained by decode_fields.
+/// list and decodes the member whose id matches; repeated fields fill
+/// the slot the message's occurrence table assigns.
 class Decoder {
  public:
   Decoder(Reader& reader, std::uint32_t field_id, WireType type,
-          std::size_t occurrence) noexcept
+          OccurrenceTable& occurrences) noexcept
       : reader_(&reader),
         field_id_(field_id),
         type_(type),
-        occurrence_(occurrence) {}
+        occurrences_(&occurrences) {}
 
   [[nodiscard]] bool matched() const noexcept { return matched_; }
 
@@ -185,6 +219,14 @@ class Decoder {
     const auto bytes = reader_->bytes();
     v.assign(reinterpret_cast<const char*>(bytes.data()), bytes.size());
   }
+  /// Borrowed string: a view into the reader's input, which must outlive it.
+  void str(std::uint32_t id, const char* name, std::string_view& v) {
+    if (!take(id)) return;
+    expect(WireType::kBytes, name);
+    const auto bytes = reader_->bytes();
+    v = std::string_view(reinterpret_cast<const char*>(bytes.data()),
+                         bytes.size());
+  }
   template <typename E>
   void enumeration(std::uint32_t id, const char* name, E& v,
                    std::uint64_t max_value) {
@@ -205,6 +247,13 @@ class Decoder {
     const auto bytes = reader_->bytes();
     v.assign(bytes.begin(), bytes.end());
   }
+  /// Borrowed bytes: a view into the reader's input, which must outlive it.
+  void blob(std::uint32_t id, const char* name,
+            std::span<const std::uint8_t>& v) {
+    if (!take(id)) return;
+    expect(WireType::kBytes, name);
+    v = reader_->bytes();
+  }
   template <typename T>
   void msg(std::uint32_t id, const char* name, T& v) {
     if (!take(id)) return;
@@ -215,8 +264,9 @@ class Decoder {
   void msg_array(std::uint32_t id, const char* name, std::array<T, N>& v) {
     if (!take(id)) return;
     expect(WireType::kBytes, name);
-    if (occurrence_ >= N) throw_too_many(name, N);
-    decode_nested(v[occurrence_]);
+    const std::size_t slot = occurrences_->next(id);
+    if (slot >= N) throw_too_many(name, N);
+    decode_nested(v[slot]);
   }
   template <typename T>
   void msg_list(std::uint32_t id, const char* name, std::vector<T>& v) {
@@ -230,20 +280,22 @@ class Decoder {
                  std::array<std::uint32_t, N>& v) {
     if (!take(id)) return;
     expect(WireType::kVarint, name);
-    if (occurrence_ >= N) throw_too_many(name, N);
+    const std::size_t slot = occurrences_->next(id);
+    if (slot >= N) throw_too_many(name, N);
     const std::uint64_t raw = reader_->varint();
     if (raw > 0xFFFFFFFFull) throw_out_of_range(name, raw, 0xFFFFFFFFull);
-    v[occurrence_] = static_cast<std::uint32_t>(raw);
+    v[slot] = static_cast<std::uint32_t>(raw);
   }
   template <typename E, std::size_t N>
   void enum_array(std::uint32_t id, const char* name, std::array<E, N>& v,
                   std::uint64_t max_value) {
     if (!take(id)) return;
     expect(WireType::kVarint, name);
-    if (occurrence_ >= N) throw_too_many(name, N);
+    const std::size_t slot = occurrences_->next(id);
+    if (slot >= N) throw_too_many(name, N);
     const std::uint64_t raw = reader_->varint();
     if (raw > max_value) throw_out_of_range(name, raw, max_value);
-    v[occurrence_] = static_cast<E>(raw);
+    v[slot] = static_cast<E>(raw);
   }
   template <typename Alt, typename... Ts>
   void variant_alt(std::uint32_t id, const char* name,
@@ -276,7 +328,7 @@ class Decoder {
   Reader* reader_;
   std::uint32_t field_id_;
   WireType type_;
-  std::size_t occurrence_;
+  OccurrenceTable* occurrences_;
   bool matched_ = false;
 };
 
@@ -285,29 +337,12 @@ class Decoder {
 /// arrival order; scalar re-occurrences are last-wins.
 template <typename T>
 void decode_fields(Reader& reader, T& out) {
-  // Tiny linear (field_id -> occurrence) map: field lists are short and
-  // this is not a realtime path.
-  std::vector<std::pair<std::uint32_t, std::size_t>> occurrences;
+  OccurrenceTable occurrences;
   while (!reader.at_end()) {
     const Reader::Tag tag = reader.tag();
-    std::size_t* slot = nullptr;
-    for (auto& [id, count] : occurrences) {
-      if (id == tag.field_id) {
-        slot = &count;
-        break;
-      }
-    }
-    if (slot == nullptr) {
-      occurrences.emplace_back(tag.field_id, 0);
-      slot = &occurrences.back().second;
-    }
-    Decoder decoder(reader, tag.field_id, tag.type, *slot);
+    Decoder decoder(reader, tag.field_id, tag.type, occurrences);
     wire_fields(decoder, out);
-    if (!decoder.matched()) {
-      reader.skip(tag.type);
-    } else {
-      ++*slot;
-    }
+    if (!decoder.matched()) reader.skip(tag.type);
   }
 }
 

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "ml/a2c.hpp"
 #include "ml/ppo.hpp"
 #include "netsim/types.hpp"
 
@@ -164,15 +163,13 @@ TEST(PolicyAgentInterface, DqnAndPpoAreInterchangeable) {
 
 // The batched chosen-probability path (what SHAP evaluates) must agree
 // bit for bit with the single-state distributions, for the Mlp-backed
-// overrides (PPO, A2C) and the row-by-row default (DQN), on a probe count
+// override (PPO) and the row-by-row default (DQN), on a probe count
 // that is no multiple of any GEMM tile and with the last component of
 // every head among the chosen ones.
 TEST(PolicyAgentInterface, ChosenProbabilitiesMatchHeadDistributions) {
   const auto ppo = std::make_unique<PpoAgent>(41);
-  const auto a2c = std::make_unique<A2cAgent>(43);
   const auto dqn = std::make_unique<DqnAgent>(47);
-  const std::array<const PolicyAgent*, 3> agents{ppo.get(), a2c.get(),
-                                                 dqn.get()};
+  const std::array<const PolicyAgent*, 2> agents{ppo.get(), dqn.get()};
 
   common::Rng rng(49);
   Matrix probes(37, kLatentDim);

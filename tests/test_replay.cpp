@@ -6,57 +6,122 @@
 #include "harness/replay.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <optional>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "common/page_allocator.hpp"
 #include "common/rng.hpp"
 #include "harness/training.hpp"
 #include "oran/trace.hpp"
+#include "oran/wire.hpp"
+#include "support/alloc_counter.hpp"
 #include "support/wire_fixtures.hpp"
 
 namespace explora {
 namespace {
 
+/// Heap allocations `fn` makes on this thread.
+template <typename Fn>
+std::size_t allocations_during(Fn&& fn) {
+  const std::size_t before = testfix::thread_allocations();
+  std::forward<Fn>(fn)();
+  return testfix::thread_allocations() - before;
+}
+
 // ---------------------------------------------------------------------------
 // Trace container round-trips (no harness involved).
 // ---------------------------------------------------------------------------
 
-/// Builds a recorder pre-loaded with a deterministic mixed-target stream.
-oran::TraceRecorder sample_recorder() {
+/// One delivery as the recorder sees it.
+struct Delivery {
+  std::int64_t tick = 0;
+  std::uint64_t round = 0;
+  std::string target;
+  oran::RicMessage message;
+};
+
+/// A deterministic mixed-target stream of deliveries.
+std::vector<Delivery> sample_deliveries() {
   common::Rng rng(7);
+  std::vector<Delivery> deliveries;
+  std::int64_t tick = 0;
+  for (std::uint64_t round = 1; round <= 12; ++round) {
+    tick += static_cast<std::int64_t>(rng.index(30));
+    deliveries.push_back({tick, round,
+                          round % 3 == 0 ? "drl_xapp" : "explora_xapp",
+                          testfix::random_message(rng)});
+  }
+  return deliveries;
+}
+
+/// A recorder that was fed `deliveries`, each at its own tick.
+oran::TraceRecorder record(const std::vector<Delivery>& deliveries) {
   oran::TraceRecorder recorder("explora_xapp");
   std::int64_t tick = 0;
   recorder.set_tick_source([&tick] { return tick; });
-  for (std::uint64_t round = 1; round <= 12; ++round) {
-    tick += static_cast<std::int64_t>(rng.index(30));
-    recorder.on_deliver(testfix::random_message(rng),
-                        round % 3 == 0 ? "drl_xapp" : "explora_xapp", round);
+  for (const Delivery& delivery : deliveries) {
+    tick = delivery.tick;
+    recorder.on_deliver(delivery.message, delivery.target, delivery.round);
   }
+  recorder.set_tick_source({});  // the clock reads a local of this call
   return recorder;
 }
 
-TEST(TraceRoundTrip, SerializeParsePreservesEveryFrame) {
-  const oran::TraceRecorder recorder = sample_recorder();
-  const auto source = oran::TraceReplaySource::parse(recorder.serialize());
-  EXPECT_EQ(source.label(), "explora_xapp");
-  ASSERT_EQ(source.frames(), recorder.frames());
-  // Stored messages decode back to RicMessages (frame bytes are complete
-  // wire frames, version header included).
-  for (const oran::TraceFrame& frame : source.frames()) {
-    EXPECT_NO_THROW((void)frame.decode());
+/// Builds a recorder pre-loaded with a deterministic mixed-target stream.
+oran::TraceRecorder sample_recorder() { return record(sample_deliveries()); }
+
+/// Each parsed frame carries exactly the (tick, round, target, message)
+/// that was delivered, in delivery order.
+void expect_frames_match(const oran::TraceReplaySource& source,
+                         const std::vector<Delivery>& deliveries) {
+  ASSERT_EQ(source.frames().size(), deliveries.size());
+  for (std::size_t i = 0; i < deliveries.size(); ++i) {
+    const oran::TraceFrame& frame = source.frames()[i];
+    const Delivery& delivery = deliveries[i];
+    EXPECT_EQ(frame.tick, delivery.tick) << "frame " << i;
+    EXPECT_EQ(frame.round, delivery.round) << "frame " << i;
+    EXPECT_EQ(frame.target, delivery.target) << "frame " << i;
+    EXPECT_TRUE(std::ranges::equal(
+        frame.message, oran::wire::encode_message_frame(delivery.message)))
+        << "frame " << i;
+    // Stored messages are complete wire frames, version header included.
+    EXPECT_EQ(frame.decode(), delivery.message) << "frame " << i;
   }
 }
 
+TEST(TraceRoundTrip, SerializeParsePreservesEveryFrame) {
+  const std::vector<Delivery> deliveries = sample_deliveries();
+  const oran::TraceRecorder recorder = record(deliveries);
+  const auto source = oran::TraceReplaySource::parse(recorder.serialize());
+  EXPECT_EQ(source.label(), "explora_xapp");
+  expect_frames_match(source, deliveries);
+}
+
 TEST(TraceRoundTrip, SaveLoadPreservesEveryFrame) {
-  const oran::TraceRecorder recorder = sample_recorder();
+  const std::vector<Delivery> deliveries = sample_deliveries();
+  const oran::TraceRecorder recorder = record(deliveries);
   const auto path = std::filesystem::temp_directory_path() /
                     "explora_test_trace.etrace";
   recorder.save(path.string());
   const auto source = oran::TraceReplaySource::load(path.string());
-  EXPECT_EQ(source.frames(), recorder.frames());
+  expect_frames_match(source, deliveries);
   std::filesystem::remove(path);
+}
+
+TEST(TraceRoundTrip, TakeHandsOverTheSerializedBytesWithoutACopy) {
+  oran::TraceRecorder recorder = sample_recorder();
+  const std::vector<std::uint8_t> copy = recorder.serialize();
+  std::vector<std::uint8_t> taken;
+  EXPECT_EQ(allocations_during([&] { taken = std::move(recorder).take(); }),
+            0u);
+  EXPECT_EQ(taken, copy);
 }
 
 TEST(TraceRoundTrip, SaveIntoMissingDirectoryThrows) {
@@ -77,6 +142,144 @@ TEST(TraceRoundTrip, FramesForFiltersByTarget) {
     EXPECT_EQ(frame->target, "drl_xapp");
   }
   EXPECT_TRUE(source.frames_for("nobody").empty());
+}
+
+// ---------------------------------------------------------------------------
+// The in-place index: one owned copy of the bytes, frames viewing into it.
+// ---------------------------------------------------------------------------
+
+static_assert(!std::is_copy_constructible_v<oran::TraceReplaySource>);
+static_assert(!std::is_copy_assignable_v<oran::TraceReplaySource>);
+static_assert(std::is_nothrow_move_constructible_v<oran::TraceReplaySource>);
+
+/// A KPM message whose 9 per-UE lists (3 slices x 3 KPIs) all hold two
+/// UEs; its sender is short enough for the small-string buffer.
+oran::RicMessage two_ue_kpm() {
+  netsim::KpiReport report;
+  report.window_end = 250;
+  double value = 1.0;
+  for (netsim::SliceKpiReport& slice : report.slices) {
+    for (std::vector<double>* list :
+         {&slice.tx_bitrate_mbps, &slice.tx_packets, &slice.buffer_bytes}) {
+      *list = {value, value + 0.5};
+      value += 1.0;
+    }
+  }
+  return oran::make_kpm_indication("gnb", std::move(report));
+}
+
+/// `.etrace` bytes of `frames` deliveries of one KPM message.
+std::vector<std::uint8_t> uniform_trace(std::size_t frames) {
+  const oran::RicMessage message = two_ue_kpm();
+  oran::TraceRecorder recorder("explora_xapp");
+  for (std::size_t i = 0; i < frames; ++i) {
+    recorder.on_deliver(message, i % 2 == 0 ? "explora_xapp" : "drl_xapp",
+                        i);
+  }
+  return std::move(recorder).take();
+}
+
+TEST(TraceIndex, ParseAllocationsDoNotGrowWithFrameCount) {
+  const std::vector<std::uint8_t> small = uniform_trace(100);
+  const std::vector<std::uint8_t> large = uniform_trace(10'000);
+  std::optional<oran::TraceReplaySource> source;
+  const std::size_t small_allocations = allocations_during(
+      [&] { source.emplace(oran::TraceReplaySource::parse(small)); });
+  ASSERT_EQ(source->frames().size(), 100u);
+  source.reset();
+  const std::size_t large_allocations = allocations_during(
+      [&] { source.emplace(oran::TraceReplaySource::parse(large)); });
+  ASSERT_EQ(source->frames().size(), 10'000u);
+  EXPECT_EQ(small_allocations, large_allocations);
+}
+
+TEST(TraceIndex, ViewsStayValidAfterTheSourceMoves) {
+  const std::vector<Delivery> deliveries = sample_deliveries();
+  auto parsed = oran::TraceReplaySource::parse(record(deliveries).serialize());
+  const char* const first_target = parsed.frames().front().target.data();
+
+  oran::TraceReplaySource moved(std::move(parsed));
+  EXPECT_EQ(moved.frames().front().target.data(), first_target);
+  expect_frames_match(moved, deliveries);
+
+  auto assigned = oran::TraceReplaySource::parse(uniform_trace(3));
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.frames().front().target.data(), first_target);
+  expect_frames_match(assigned, deliveries);
+}
+
+TEST(TraceIndex, KpmFrameDecodeAllocatesOnlyTheReportsNineVectors) {
+  const oran::RicMessage message = two_ue_kpm();
+  const std::vector<std::uint8_t> frame =
+      oran::wire::encode_message_frame(message);
+  std::optional<oran::RicMessage> decoded;
+  const std::size_t allocations = allocations_during(
+      [&] { decoded.emplace(oran::wire::decode_message_frame(frame)); });
+  EXPECT_EQ(*decoded, message);
+  EXPECT_EQ(allocations, 3 * netsim::kNumSlices);
+}
+
+/// Minor page faults this thread has taken so far.
+long thread_minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_THREAD, &usage);
+  return usage.ru_minflt;
+}
+
+TEST(TraceIndex, ReparsingTheSameTraceReusesItsPages) {
+  const std::vector<std::uint8_t> bytes = uniform_trace(10'000);
+  std::optional<oran::TraceReplaySource> source(
+      oran::TraceReplaySource::parse(bytes));
+  source.reset();
+
+  const long before = thread_minor_faults();
+  source.emplace(oran::TraceReplaySource::parse(bytes));
+  const long faults = thread_minor_faults() - before;
+  ASSERT_EQ(source->frames().size(), 10'000u);
+  // Fresh pages would fault once each: the trace alone spans hundreds.
+  const long trace_pages = static_cast<long>(bytes.size() / 4096);
+  EXPECT_GT(trace_pages, 100);
+  EXPECT_LT(faults, trace_pages / 10);
+}
+
+TEST(PageAllocator, ReusesTheLastFreedMappingOfTheSameSize) {
+  common::PageAllocator<std::uint64_t> pages;
+  constexpr std::size_t kCount = 3000;  // several pages
+  std::uint64_t* first = pages.allocate(kCount);
+  for (std::size_t i = 0; i < kCount; ++i) first[i] = i + 1;
+  pages.deallocate(first, kCount);
+
+  // Fresh pages read zero, so the old contents prove the reuse.
+  std::uint64_t* again = pages.allocate(kCount);
+  ASSERT_EQ(again, first);
+  EXPECT_EQ(again[0], 1u);
+  EXPECT_EQ(again[kCount - 1], kCount);
+
+  // The spare is taken: another allocation of that size maps anew.
+  std::uint64_t* other = pages.allocate(kCount);
+  EXPECT_NE(other, again);
+  EXPECT_EQ(other[0], 0u);
+  pages.deallocate(other, kCount);
+  pages.deallocate(again, kCount);
+}
+
+TEST(PageAllocator, UnmapsAFreedMappingAboveTheSpareCap) {
+  using Pages = common::PageAllocator<std::uint8_t>;
+  Pages pages;
+  constexpr std::size_t kBytes = Pages::kMaxSpareBytes + 1;  // one page touched
+  std::uint8_t* big = pages.allocate(kBytes);
+  big[0] = 0xAB;
+  pages.deallocate(big, kBytes);
+  std::uint8_t* again = pages.allocate(kBytes);
+  EXPECT_EQ(again[0], 0u);  // fresh pages, whatever address they got
+  pages.deallocate(again, kBytes);
+}
+
+TEST(PageAllocator, ZeroElementsMapNothing) {
+  common::PageAllocator<std::uint8_t> pages;
+  std::uint8_t* none = pages.allocate(0);
+  EXPECT_EQ(none, nullptr);
+  pages.deallocate(none, 0);
 }
 
 TEST(TraceRoundTrip, ReplayIntoDeliversRecordedOrderAndTicks) {

@@ -31,6 +31,10 @@ netsim::KpiReport report(double bitrate, double packets, double buffer) {
   return out;
 }
 
+/// One decision window; record_step takes a span, which a braced list of
+/// reports cannot initialise.
+using Window = std::vector<netsim::KpiReport>;
+
 TEST(TransitionClassify, AllFourClasses) {
   const auto base = control(36, 3, 11, 0, 1, 2);
   EXPECT_EQ(classify_transition(base, base), TransitionClass::kSelf);
@@ -58,7 +62,7 @@ TEST(TransitionNames, Stable) {
 
 TEST(TransitionTracker, FirstStepProducesNoEvent) {
   TransitionTracker tracker;
-  tracker.record_step(control(36, 3, 11), {report(1, 1, 1)});
+  tracker.record_step(control(36, 3, 11), Window{report(1, 1, 1)});
   EXPECT_TRUE(tracker.events().empty());
 }
 
@@ -66,10 +70,10 @@ TEST(TransitionTracker, DeltaIsHandComputable) {
   TransitionTracker tracker;
   // Step 1 under action a: bitrate mean = (4 + 6) / 2 = 5 per slice.
   tracker.record_step(control(36, 3, 11),
-                      {report(4, 10, 100), report(6, 20, 300)});
+                      Window{report(4, 10, 100), report(6, 20, 300)});
   // Step 2 under action b: bitrate mean = 8 per slice.
   tracker.record_step(control(12, 3, 35),
-                      {report(8, 40, 500)});
+                      Window{report(8, 40, 500)});
   ASSERT_EQ(tracker.events().size(), 1u);
   const TransitionEvent& event = tracker.events()[0];
   EXPECT_EQ(event.cls, TransitionClass::kSameSched);
@@ -86,9 +90,10 @@ TEST(TransitionTracker, DeltaIsHandComputable) {
 TEST(TransitionTracker, JsDivergenceIsBounded) {
   TransitionTracker tracker;
   tracker.record_step(control(36, 3, 11),
-                      {report(1, 1, 1), report(2, 2, 2)});
-  tracker.record_step(control(36, 3, 11),
-                      {report(100, 100, 100), report(101, 101, 101)});
+                      Window{report(1, 1, 1), report(2, 2, 2)});
+  tracker.record_step(
+      control(36, 3, 11),
+      Window{report(100, 100, 100), report(101, 101, 101)});
   const auto& event = tracker.events()[0];
   for (double js : event.js_divergence) {
     EXPECT_GE(js, 0.0);
@@ -98,20 +103,21 @@ TEST(TransitionTracker, JsDivergenceIsBounded) {
 
 TEST(TransitionTracker, ResetLinkSuppressesEvent) {
   TransitionTracker tracker;
-  tracker.record_step(control(36, 3, 11), {report(1, 1, 1)});
+  tracker.record_step(control(36, 3, 11), Window{report(1, 1, 1)});
   tracker.reset_link();
-  tracker.record_step(control(12, 3, 35), {report(2, 2, 2)});
+  tracker.record_step(control(12, 3, 35), Window{report(2, 2, 2)});
   EXPECT_TRUE(tracker.events().empty());
 }
 
 TEST(TransitionTracker, ClassSharesSumToOne) {
   TransitionTracker tracker;
   const auto a = control(36, 3, 11, 0, 0, 0);
-  tracker.record_step(a, {report(1, 1, 1)});
-  tracker.record_step(a, {report(1, 1, 1)});                       // Self
-  tracker.record_step(control(36, 3, 11, 1, 0, 0), {report(1, 1, 1)});  // Same-PRB
-  tracker.record_step(control(12, 3, 35, 1, 0, 0), {report(1, 1, 1)});  // Same-Sched
-  tracker.record_step(control(36, 3, 11, 2, 2, 2), {report(1, 1, 1)});  // Distinct
+  const Window window{report(1, 1, 1)};
+  tracker.record_step(a, window);
+  tracker.record_step(a, window);                               // Self
+  tracker.record_step(control(36, 3, 11, 1, 0, 0), window);  // Same-PRB
+  tracker.record_step(control(12, 3, 35, 1, 0, 0), window);  // Same-Sched
+  tracker.record_step(control(36, 3, 11, 2, 2, 2), window);  // Distinct
   const auto shares = tracker.class_shares();
   double total = 0.0;
   for (double s : shares) total += s;

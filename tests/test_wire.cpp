@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -43,6 +44,21 @@ struct TestV2 {
 
   friend bool operator==(const TestV2&, const TestV2&) = default;
 };
+
+// Ten repeated fields, ids 1-10: more distinct ids than the decoder's
+// inline occurrence table holds, so the last ones count on its heap spill.
+struct TestWide {
+  std::array<std::array<std::uint32_t, 2>, 10> columns{};
+
+  friend bool operator==(const TestWide&, const TestWide&) = default;
+};
+
+template <typename V>
+void wire_fields(V& v, TestWide& t) {
+  for (std::uint32_t i = 0; i < t.columns.size(); ++i) {
+    v.u32_array(i + 1, "column", t.columns[i]);
+  }
+}
 
 template <typename V>
 void wire_fields(V& v, TestV1& t) {
@@ -203,6 +219,25 @@ TEST(WireFrames, RepeatedScalarFieldIsLastWins) {
   const auto decoded = decode_frame<TestV1>(frame);
   EXPECT_EQ(decoded.count, 9u);
   EXPECT_EQ(decoded.name, "a");
+}
+
+TEST(WireFrames, RepeatedFieldsPastTheInlineTableFillInArrivalOrder) {
+  // Interleave the ten fields' occurrences: 1..10 for slot 0, then 1..10
+  // for slot 1.
+  Writer writer;
+  writer.header(kFrameFormat);
+  TestWide expected;
+  for (std::uint32_t slot = 0; slot < 2; ++slot) {
+    for (std::uint32_t i = 0; i < expected.columns.size(); ++i) {
+      expected.columns[i][slot] = 100 * (i + 1) + slot;
+      writer.u64_field(i + 1, expected.columns[i][slot]);
+    }
+  }
+  EXPECT_EQ(decode_frame<TestWide>(writer.buffer()), expected);
+  EXPECT_EQ(decode_frame<TestWide>(encode_frame(expected)), expected);
+  // A third occurrence of a spilled field overflows its array.
+  writer.u64_field(10, 7);
+  EXPECT_THROW((void)decode_frame<TestWide>(writer.buffer()), SerializeError);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 
     python3 tools/bench_diff.py PARENT CHANGE [--benchmark BENCHMARK.json]
                                 [--ledger OUT.json]
+    python3 tools/bench_diff.py --trajectory BENCH_*.json
     python3 tools/bench_diff.py --self-test tests/bench_diff_fixtures
 
 PARENT and CHANGE each hold perfbench result lines, one run per line: the
@@ -34,9 +35,17 @@ fingerprint line without its seed). The entry is keyed by the workload the
 fingerprints name; an existing OUT.json keeps its other workloads, so one
 file collects every workload of a change (e.g. BENCH_17.json).
 
+--trajectory LEDGER... reads ledgers written by --ledger and prints one
+line per workload and PR (the number in the file name, BENCH_<pr>.json):
+the change/parent ratio of the decisions_per_s medians, the pair wins,
+and the running product of the ratios over that workload's PRs so far.
+Each ledger compares a change with its own parent, so only the ratios
+chain; the absolute medians of different ledgers do not.
+
 --self-test DIR runs DIR/parent.jsonl against DIR/change.jsonl with
 DIR/benchmark.json and compares the report with DIR/expected.txt and the
-ledger with DIR/expected_ledger.json.
+ledger with DIR/expected_ledger.json; it also runs --trajectory over
+DIR/BENCH_*.json and compares that with DIR/expected_trajectory.txt.
 
 Exit status: 0 = report printed (or self-test passed), 1 = self-test
 mismatch, 2 = unreadable input.
@@ -175,11 +184,7 @@ def report(parent: list[dict], change: list[dict],
                  else f"{m['ratio']:.3f} ({fmt(m['base'])})")
         rows.append((m["name"], m["unit"], side["parent"], side["change"],
                      ratio, m["wins"] or "-", m["flag"]))
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    for row in rows:
-        lines.append("  ".join(cell.ljust(w)
-                               for cell, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + table(rows)) + "\n"
 
 
 def side_entry(runs: list[dict]) -> dict:
@@ -221,13 +226,54 @@ def ledger_text(ledger: dict) -> str:
 
 
 def write_ledger(path: Path, workload: str, entry: dict) -> None:
-    ledger = {"format": LEDGER_FORMAT, "workloads": {}}
-    if path.exists():
-        ledger = json.loads(path.read_text())
-        if ledger.get("format") != LEDGER_FORMAT:
-            raise ValueError(f"{path}: not a {LEDGER_FORMAT} file")
+    ledger = ({"format": LEDGER_FORMAT, "workloads": {}}
+              if not path.exists() else read_ledger(path))
     ledger["workloads"][workload] = entry
     path.write_text(ledger_text(ledger))
+
+
+def read_ledger(path: Path) -> dict:
+    ledger = json.loads(path.read_text())
+    if ledger.get("format") != LEDGER_FORMAT:
+        raise ValueError(f"{path}: not a {LEDGER_FORMAT} file")
+    return ledger
+
+
+def pr_number(path: Path) -> int:
+    match = re.search(r"(\d+)$", path.stem)
+    if match is None:
+        raise ValueError(f"{path}: no PR number in the file name")
+    return int(match.group(1))
+
+
+def table(rows: list[tuple[str, ...]]) -> list[str]:
+    """Left-aligned columns, two spaces apart."""
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+            for row in rows]
+
+
+def trajectory(paths: list[Path]) -> str:
+    """One line per workload and PR: ratio, wins and running product."""
+    metric = "decisions_per_s"
+    by_workload: dict[str, list[tuple[int, dict]]] = {}
+    for path in sorted(paths, key=pr_number):
+        for workload, entry in read_ledger(path)["workloads"].items():
+            if metric in entry["metrics"]:
+                by_workload.setdefault(workload, []).append(
+                    (pr_number(path), entry["metrics"][metric]))
+    rows = [("workload", "pr", f"{metric} change/parent", "wins",
+             "running product")]
+    for workload in sorted(by_workload):
+        product = 1.0
+        for pr, m in by_workload[workload]:
+            ratio = m.get("ratio")
+            if ratio is not None:
+                product *= ratio
+            rows.append((workload, str(pr),
+                         "-" if ratio is None else f"{ratio:.3f}",
+                         m.get("wins") or "-", f"{product:.3f}"))
+    return "\n".join(table(rows)) + "\n"
 
 
 def self_test(fixtures: Path) -> int:
@@ -240,6 +286,8 @@ def self_test(fixtures: Path) -> int:
         ("expected_ledger.json",
          ledger_text({"format": LEDGER_FORMAT,
                       "workloads": {workload: entry}})),
+        ("expected_trajectory.txt",
+         trajectory(list(fixtures.glob("BENCH_*.json")))),
     )
     failed = 0
     for name, got in checks:
@@ -264,11 +312,16 @@ def main() -> int:
     parser.add_argument("--benchmark", type=Path,
                         default=ROOT / "BENCHMARK.json")
     parser.add_argument("--ledger", type=Path, metavar="OUT.json")
+    parser.add_argument("--trajectory", nargs="+", type=Path,
+                        metavar="LEDGER")
     parser.add_argument("--self-test", type=Path, metavar="DIR")
     args = parser.parse_args()
     try:
         if args.self_test is not None:
             return self_test(args.self_test)
+        if args.trajectory is not None:
+            print(trajectory(args.trajectory), end="")
+            return 0
         if args.parent is None or args.change is None:
             parser.error("PARENT and CHANGE are required")
         parent, change = load_runs(args.parent), load_runs(args.change)
