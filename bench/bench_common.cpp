@@ -78,23 +78,6 @@ harness::ExperimentResult run_standard(core::AgentProfile profile,
                                  options, bench_training());
 }
 
-std::vector<harness::ExperimentResult> run_standard_sweep(
-    core::AgentProfile profile, netsim::TrafficProfile traffic,
-    std::uint32_t users, const std::vector<std::uint64_t>& seeds) {
-  // Force the shared trained system into existence before fanning out, so
-  // the sweep tasks only ever read it.
-  (void)trained_system(profile);
-  std::vector<harness::ExperimentResult> results(seeds.size());
-  common::parallel_for(0, seeds.size(), 1,
-                       [&](std::size_t begin, std::size_t end) {
-                         for (std::size_t i = begin; i < end; ++i) {
-                           results[i] = run_standard(profile, traffic, users,
-                                                     seeds[i]);
-                         }
-                       });
-  return results;
-}
-
 harness::ExperimentResult run_steered(
     core::AgentProfile profile, netsim::TrafficProfile traffic,
     std::optional<core::SteeringStrategy> strategy,

@@ -41,13 +41,6 @@ namespace explora::bench {
     core::AgentProfile profile, netsim::TrafficProfile traffic,
     std::uint32_t users, std::uint64_t seed = 42);
 
-/// Multi-seed variant: one run_standard per seed, fanned out across the
-/// EXPLORA_THREADS pool. Results are returned in seed order and each run
-/// is identical to a serial run_standard call with the same seed.
-[[nodiscard]] std::vector<harness::ExperimentResult> run_standard_sweep(
-    core::AgentProfile profile, netsim::TrafficProfile traffic,
-    std::uint32_t users, const std::vector<std::uint64_t>& seeds);
-
 /// Runs the paper's action-steering setup (§6.1/§6.3): 6 users dropping to
 /// 5 mid-run, an online fine-tuning phase before deployment, and EDBR with
 /// the given strategy (std::nullopt = the no-steering baseline).

@@ -2,9 +2,8 @@
 // analyzer (tools/lint_hotpath.py, DESIGN.md §11).
 //
 // The macros below expand to nothing: they are purely lexical markers the
-// analyzer reads off the source text, in the same spirit as clang's
-// thread-safety attributes (DESIGN.md §9) but checked by our own
-// call-graph pass rather than the compiler. Placing one before a function
+// analyzer reads off the source text, checked by our own call-graph pass
+// rather than the compiler. Placing one before a function
 // *definition* declares a realtime-safety contract for everything that
 // definition transitively calls:
 //
@@ -25,19 +24,19 @@
 //                        path.
 //
 // The analyzer seeds ALLOCATES/LOCKS/BLOCKS/THROWS facts at known sinks
-// (operator new / malloc, growing container ops, Mutex lock wrappers,
-// CondVar::wait, stream I/O, throw, std::this_thread) and propagates them
-// transitively up the extracted call graph; an annotated function whose
-// reachable set contains a forbidden fact fails the lint with the full
-// offending call chain. A deliberate exception is waived at the offending
-// line with
+// (operator new / malloc, growing container ops, std:: lock types and
+// .lock(), condition-variable waits, stream I/O, throw, std::this_thread)
+// and propagates them transitively up the extracted call graph; an
+// annotated function whose reachable set contains a forbidden fact fails
+// the lint with the full offending call chain. A deliberate exception is
+// waived at the offending line with
 //
 //   // hotpath-ok: <reason>
 //
-// mirroring the det-ok / conc-ok markers of the sibling lints; the reason
-// is mandatory and should say why the sink cannot fire in steady state
+// mirroring the det-ok marker of the determinism lint; the reason is
+// mandatory and should say why the sink cannot fire in steady state
 // (e.g. a scratch vector that retains capacity across TTIs) or why it is
-// acceptable (a bounded, never-held-across-IO freelist lock).
+// acceptable (a bounded CAS retry loop).
 //
 // Annotate definitions, not declarations: the analyzer binds a marker to
 // the function body that follows it, and a single source of truth per

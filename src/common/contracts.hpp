@@ -71,7 +71,7 @@ using ContractHandler = void (*)(const ContractViolation&);
 
 namespace detail {
 
-// atomics-ok: gate-flag (runtime level toggle; no data is published through it)
+// Relaxed: a runtime toggle through which no data is published.
 inline std::atomic<int> g_check_level{static_cast<int>(CheckLevel::kFast)};
 inline std::atomic<ContractHandler> g_handler{nullptr};
 

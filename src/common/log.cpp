@@ -2,22 +2,21 @@
 
 #include <atomic>
 #include <cstdio>
+#include <mutex>
 #include <string>
-
-#include "common/thread_annotations.hpp"
 
 namespace explora::common {
 
 namespace {
 
-// atomics-ok: gate-flag (severity threshold toggle; publishes no data)
+// Relaxed: a severity threshold toggle that publishes no data.
 std::atomic<LogLevel> g_level{LogLevel::kWarn};
 
 /// Serializes sink writes so lines emitted by concurrent pool workers
 /// never interleave. Always the innermost lock: logging is legal while
 /// holding any other lock, and must itself call out to nothing.
-Mutex& sink_mutex() {
-  static Mutex mutex;
+std::mutex& sink_mutex() {
+  static std::mutex mutex;
   return mutex;
 }
 
@@ -55,7 +54,7 @@ void log_line(LogLevel level, std::string_view component,
   line += "] ";
   line += message;
   line += '\n';
-  MutexLock lock(sink_mutex());
+  const std::lock_guard<std::mutex> lock(sink_mutex());
   std::fputs(line.c_str(), stderr);
 }
 

@@ -37,13 +37,14 @@ struct ThreadPool::Job {
   std::size_t num_chunks = 0;
   std::size_t end = 0;
   const std::function<void(std::size_t, std::size_t)>* body = nullptr;
-  // atomics-ok: claim-ticket (chunk claim; results land in disjoint slots)
+  // Relaxed is enough: the cursor only hands out chunk indices, results
+  // land in disjoint slots, and `mutex` publishes them to the caller.
   std::atomic<std::size_t> next{0};
-  Mutex mutex;
-  CondVar done_cv;
-  std::size_t done EXPLORA_GUARDED_BY(mutex) = 0;
+  std::mutex mutex;  ///< guards done and error
+  std::condition_variable done_cv;
+  std::size_t done = 0;
   /// First failure wins.
-  std::exception_ptr error EXPLORA_GUARDED_BY(mutex);
+  std::exception_ptr error;
 };
 
 ThreadPool::ThreadPool(std::size_t threads)
@@ -58,7 +59,7 @@ ThreadPool::ThreadPool(std::size_t threads)
 
 ThreadPool::~ThreadPool() {
   {
-    MutexLock lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
   }
   wake_.notify_all();
@@ -74,7 +75,7 @@ void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
     {
-      MutexLock lock(mutex_);
+      std::unique_lock<std::mutex> lock(mutex_);
       while (!stopping_ && tasks_.empty()) wake_.wait(lock);
       if (tasks_.empty()) return;  // stopping
       task = std::move(tasks_.front());
@@ -98,7 +99,7 @@ void ThreadPool::drain(Job& job) {
     } catch (...) {
       error = std::current_exception();
     }
-    MutexLock lock(job.mutex);
+    const std::lock_guard<std::mutex> lock(job.mutex);
     if (error && !job.error) job.error = std::move(error);
     if (++job.done == job.num_chunks) job.done_cv.notify_all();
   }
@@ -137,7 +138,7 @@ void ThreadPool::parallel_for(
   const std::size_t helpers =
       std::min(workers_.size(), num_chunks - 1);
   {
-    MutexLock lock(mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     for (std::size_t i = 0; i < helpers; ++i) {
       tasks_.emplace_back([job] { drain(*job); });
     }
@@ -145,7 +146,7 @@ void ThreadPool::parallel_for(
   wake_.notify_all();
 
   drain(*job);
-  MutexLock lock(job->mutex);
+  std::unique_lock<std::mutex> lock(job->mutex);
   while (job->done != job->num_chunks) job->done_cv.wait(lock);
   if (job->error) std::rethrow_exception(job->error);
 }

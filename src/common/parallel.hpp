@@ -18,16 +18,16 @@
 // deadlock the pool.
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <exception>
 #include <functional>
+#include <mutex>
 #include <optional>
 #include <thread>
 #include <type_traits>
 #include <vector>
-
-#include "common/thread_annotations.hpp"
 
 namespace explora::common {
 
@@ -101,10 +101,10 @@ class ThreadPool {
 
   std::size_t thread_count_ = 1;
   std::vector<std::thread> workers_;
-  Mutex mutex_;
-  CondVar wake_;
-  std::deque<std::function<void()>> tasks_ EXPLORA_GUARDED_BY(mutex_);
-  bool stopping_ EXPLORA_GUARDED_BY(mutex_) = false;
+  std::mutex mutex_;  ///< guards tasks_ and stopping_
+  std::condition_variable wake_;
+  std::deque<std::function<void()>> tasks_;
+  bool stopping_ = false;
 };
 
 /// The process-wide pool (EXPLORA_THREADS workers, created on first use).

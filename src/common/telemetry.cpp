@@ -1,6 +1,7 @@
 #include "common/telemetry.hpp"
 
 #include <algorithm>
+#include <mutex>
 #include <utility>
 
 #include "common/contracts.hpp"
@@ -109,7 +110,6 @@ Histogram::Histogram(std::span<const std::int64_t> bounds)
   buckets_ = std::make_unique<std::atomic<std::uint64_t>[]>(
       bounds_.size() + 1);
   for (std::size_t i = 0; i <= bounds_.size(); ++i) {
-    // atomics-ok: pre-publication-init (no reader can exist before the ctor returns)
     buckets_[i].store(0, std::memory_order_relaxed);
   }
 }
@@ -262,7 +262,7 @@ Registry::Entry& Registry::find_or_create(std::string_view name,
                                           MetricKind kind,
                                           std::span<const std::int64_t> bounds) {
   EXPLORA_EXPECTS_MSG(!name.empty(), "metric name must be non-empty");
-  common::WriterMutexLock lock(mutex_);
+  const std::lock_guard<std::shared_mutex> lock(mutex_);
   auto it = metrics_.find(name);
   if (it == metrics_.end()) {
     auto entry = std::make_unique<Entry>(kind);
@@ -307,7 +307,7 @@ SpanStat& Registry::span(std::string_view name) {
 TelemetrySnapshot Registry::snapshot() const {
   TelemetrySnapshot snap;
   snap.now = now();
-  common::ReaderMutexLock lock(mutex_);
+  const std::shared_lock<std::shared_mutex> lock(mutex_);
   for (const auto& [name, entry] : metrics_) {
     MetricSnapshot m;
     m.kind = entry->kind;
@@ -346,7 +346,7 @@ TelemetrySnapshot Registry::snapshot() const {
 std::string Registry::snapshot_json() const { return snapshot().to_json(); }
 
 std::size_t Registry::size() const {
-  common::ReaderMutexLock lock(mutex_);
+  const std::shared_lock<std::shared_mutex> lock(mutex_);
   return metrics_.size();
 }
 

@@ -36,13 +36,13 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <shared_mutex>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/analysis_annotations.hpp"
-#include "common/thread_annotations.hpp"
 
 #ifndef EXPLORA_TELEMETRY_LEVEL
 #define EXPLORA_TELEMETRY_LEVEL 1
@@ -54,12 +54,15 @@ namespace explora::telemetry {
 /// Golden-trace tests skip themselves when the layer is compiled out.
 inline constexpr bool kCompiledIn = EXPLORA_TELEMETRY_LEVEL >= 1;
 
+// Every atomic in this layer is relaxed, and that is sound: each one is an
+// order-free fold (adds, monotone min/max CAS) or a last-write level or
+// gate, none publishes other data through it, and readers tolerate
+// staleness until the recorders have joined.
+
 namespace detail {
 
-// atomics-ok: gate-flag (recording on/off toggle; publishes no data)
 inline std::atomic<bool> g_enabled{true};
 
-// atomics-ok: monotone-cas (commutative min fold; readers tolerate staleness)
 inline void update_min(std::atomic<std::int64_t>& target,
                        std::int64_t value) noexcept {
   std::int64_t current = target.load(std::memory_order_relaxed);
@@ -71,7 +74,6 @@ inline void update_min(std::atomic<std::int64_t>& target,
   }
 }
 
-// atomics-ok: monotone-cas (commutative max fold; readers tolerate staleness)
 inline void update_max(std::atomic<std::int64_t>& target,
                        std::int64_t value) noexcept {
   std::int64_t current = target.load(std::memory_order_relaxed);
@@ -132,7 +134,6 @@ class Counter {
   }
 
  private:
-  // atomics-ok: commutative-counter (order-free add fold)
   std::atomic<std::uint64_t> value_{0};
 };
 
@@ -161,7 +162,6 @@ class Gauge {
   }
 
  private:
-  // atomics-ok: approx-snapshot (last-write level; no data published through it)
   std::atomic<std::int64_t> value_{0};
 };
 
@@ -219,15 +219,10 @@ class Histogram {
   [[nodiscard]] std::size_t bucket_index(std::int64_t value) const noexcept;
 
   std::vector<std::int64_t> bounds_;
-  // atomics-ok: commutative-counter (order-free add folds)
   std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;
-  // atomics-ok: commutative-counter (order-free add fold)
   std::atomic<std::uint64_t> count_{0};
-  // atomics-ok: commutative-counter (order-free add fold)
   std::atomic<std::int64_t> sum_{0};
-  // atomics-ok: monotone-cas (min fold via detail::update_min)
   std::atomic<std::int64_t> min_;
-  // atomics-ok: monotone-cas (max fold via detail::update_max)
   std::atomic<std::int64_t> max_;
 };
 
@@ -278,9 +273,7 @@ class LocalHistogram {
   }
 
  private:
-  // The window_* members are this thread's plain (non-atomic) batch; the
-  // distinct names keep them out of the atomics lint's cross-TU variable
-  // table, which pairs atomic accesses by member name.
+  // The window_* members are this thread's plain (non-atomic) batch.
   Histogram* target_ = nullptr;
   std::vector<std::uint64_t> window_buckets_;
   std::uint64_t window_count_ = 0;
@@ -316,15 +309,11 @@ class SpanStat {
   [[nodiscard]] std::int64_t max() const noexcept;
 
  private:
-  // atomics-ok: commutative-counter (order-free add fold)
   std::atomic<std::uint64_t> count_{0};
-  // atomics-ok: commutative-counter (order-free add fold)
   std::atomic<std::int64_t> total_{0};
   // Sentinels so the first record() always wins both CAS races.
-  // atomics-ok: monotone-cas (min fold via detail::update_min)
   std::atomic<std::int64_t> min_{
       std::numeric_limits<std::int64_t>::max()};
-  // atomics-ok: monotone-cas (max fold via detail::update_max)
   std::atomic<std::int64_t> max_{
       std::numeric_limits<std::int64_t>::min()};
 };
@@ -412,10 +401,9 @@ class Registry {
 
   // Writers (metric creation) are rare and front-loaded; snapshots and
   // size() read shared.
-  mutable common::SharedMutex mutex_;
-  std::map<std::string, std::unique_ptr<Entry>, std::less<>> metrics_
-      EXPLORA_GUARDED_BY(mutex_);
-  // atomics-ok: approx-snapshot (tick clock; single writer, racy readers ok)
+  mutable std::shared_mutex mutex_;  ///< guards metrics_
+  std::map<std::string, std::unique_ptr<Entry>, std::less<>> metrics_;
+  // Tick clock: one writer, racy readers tolerate a stale tick.
   std::atomic<std::int64_t> now_{0};
 };
 

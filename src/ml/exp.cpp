@@ -185,8 +185,11 @@ using namespace exp_constants;
 // CPUs with FMA run a clone whose std::fma calls are single vfmadd
 // instructions, older ones the default clone calling libm's fma. fma is
 // exactly rounded, so the two return the same bits; the clone only saves
-// seven calls per exp.
-#if defined(__x86_64__) && defined(__ELF__) && !defined(__FMA__)
+// seven calls per exp. ThreadSanitizer builds keep one body: GCC
+// instruments the clones' ifunc resolver, which the loader runs before
+// the TSan runtime is up, so every binary would crash at start-up.
+#if defined(__x86_64__) && defined(__ELF__) && !defined(__FMA__) && \
+    !defined(__SANITIZE_THREAD__)
 #define EXPLORA_FMA_CLONES __attribute__((target_clones("fma", "default")))
 #else
 #define EXPLORA_FMA_CLONES

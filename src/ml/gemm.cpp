@@ -225,7 +225,7 @@ namespace {
 }
 
 [[nodiscard]] std::atomic<Backend>& backend_slot() noexcept {
-  // atomics-ok: dispatch-slot (any racing reader gets a valid backend)
+  // Relaxed: any racing reader still gets a valid backend.
   static std::atomic<Backend> slot{detect_backend()};
   return slot;
 }

@@ -1,7 +1,6 @@
 #include "netsim/types.hpp"
 
 #include "common/format.hpp"
-#include <mutex>
 #include <numeric>
 #include <stdexcept>
 

@@ -140,32 +140,22 @@ ShapExplainer::ShapExplainer(MatrixModelFn model,
   }
 }
 
-ml::Matrix ShapExplainer::acquire_scratch() {
-  common::MutexLock lock(scratch_mutex_);
-  if (scratch_pool_.empty()) return {};
-  ml::Matrix scratch = std::move(scratch_pool_.back());
-  scratch_pool_.pop_back();
-  return scratch;
-}
-
-void ShapExplainer::release_scratch(ml::Matrix&& scratch) {
-  common::MutexLock lock(scratch_mutex_);
-  scratch_pool_.push_back(std::move(scratch));
+void ShapExplainer::count_evaluations(std::uint64_t rows) noexcept {
+  evaluations_ += rows;
+  tm_model_evals_->add(rows);
 }
 
 EXPLORA_NONBLOCKING std::vector<Vector> ShapExplainer::coalition_values(
-    const Vector& x, std::span<const std::uint32_t> masks) {
+    const Vector& x, std::span<const std::uint32_t> masks) const {
   const std::size_t bg = background_.size();
   const std::size_t rows = masks.size() * bg;
   EXPLORA_EXPECTS(background_matrix_.cols() == x.size());
 
   // All probes of the whole coalition chunk go through the model as ONE
   // matrix — one fused GEMM sweep per layer instead of a model call per
-  // coalition (let alone per probe row).
-  // hotpath-ok: bounded freelist pop under scratch_mutex_, never held
-  // across a model evaluation; convoying is impossible.
-  ml::Matrix probes = acquire_scratch();
-  probes.resize(rows, x.size());
+  // coalition (let alone per probe row). Each call builds its own probe
+  // matrix, so concurrent chunks share nothing.
+  ml::Matrix probes(rows, x.size());
   for (std::size_t m = 0; m < masks.size(); ++m) {
     const std::uint32_t mask = masks[m];
     for (std::size_t b = 0; b < bg; ++b) {
@@ -178,11 +168,6 @@ EXPLORA_NONBLOCKING std::vector<Vector> ShapExplainer::coalition_values(
   }
   const ml::Matrix outputs = model_(probes);
   EXPLORA_ASSERT(outputs.rows() == rows);
-  // hotpath-ok: bounded freelist push under scratch_mutex_, never held
-  // across a model evaluation; convoying is impossible.
-  release_scratch(std::move(probes));
-  evaluations_.fetch_add(rows, std::memory_order_relaxed);
-  tm_model_evals_->add(rows);
 
   // Per-coalition background average, accumulated in background order —
   // the exact summation the old per-coalition path ran, so values are
@@ -205,12 +190,10 @@ EXPLORA_NONBLOCKING std::vector<Vector> ShapExplainer::coalition_values(
 }
 
 Vector ShapExplainer::base_values() {
-  common::MutexLock lock(base_mutex_);
   if (base_cache_) return *base_cache_;
   const ml::Matrix outputs = model_(background_matrix_);
   EXPLORA_ASSERT(outputs.rows() == background_.size());
-  evaluations_.fetch_add(background_.size(), std::memory_order_relaxed);
-  tm_model_evals_->add(background_.size());
+  count_evaluations(background_.size());
   const std::size_t num_outputs = outputs.cols();
   const auto first = outputs.data().subspan(0, num_outputs);
   Vector accumulator(first.begin(), first.end());
@@ -251,6 +234,7 @@ ml::Matrix ShapExplainer::coalition_table(const Vector& x) {
           values[begin + i] = std::move(chunk[i]);
         }
       });
+  count_evaluations(std::uint64_t{num_coalitions} * background_.size());
   ml::Matrix table(num_coalitions, values[0].size());
   for (std::size_t mask = 0; mask < num_coalitions; ++mask) {
     EXPLORA_ASSERT(values[mask].size() == table.cols());
@@ -374,6 +358,10 @@ std::vector<Vector> ShapExplainer::explain_sampling(const Vector& x,
           }
         }
       });
+  if (known == nullptr) {
+    count_evaluations(config_.permutations * (num_features + 1) *
+                      background_.size());
+  }
   for (auto& per_output : phi) {
     for (double& v : per_output) {
       v /= static_cast<double>(config_.permutations);

@@ -22,7 +22,6 @@
 // allocation-local).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -32,7 +31,6 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/telemetry.hpp"
-#include "common/thread_annotations.hpp"
 #include "ml/matrix.hpp"
 
 namespace explora::ml {
@@ -129,24 +127,23 @@ class ShapExplainer {
 
   /// Model evaluations performed so far (cost accounting for Fig. 4).
   [[nodiscard]] std::uint64_t model_evaluations() const noexcept {
-    return evaluations_.load(std::memory_order_relaxed);
+    return evaluations_;
   }
-  void reset_evaluation_counter() noexcept {
-    evaluations_.store(0, std::memory_order_relaxed);
-  }
+  void reset_evaluation_counter() noexcept { evaluations_ = 0; }
 
   /// Expected model output over the background (the SHAP base value).
-  /// Computed on first call and cached; safe to call concurrently.
+  /// Computed on first call and cached; call from the owning thread.
   [[nodiscard]] Vector base_values();
 
  private:
   /// Batched v(S): one fused model call for all `masks`. Result i is the
   /// expected model output with features in masks[i] taken from x and the
   /// rest marginalized over the background (averaged in background order,
-  /// exactly as the old per-coalition path did). Thread-safe: the probe
-  /// matrix comes from the explainer-owned scratch pool.
+  /// exactly as the old per-coalition path did). Safe to run from several
+  /// pool workers at once: it builds its own probe matrix and touches no
+  /// member; the caller counts the evaluations once the fan-out returns.
   [[nodiscard]] std::vector<Vector> coalition_values(
-      const Vector& x, std::span<const std::uint32_t> masks);
+      const Vector& x, std::span<const std::uint32_t> masks) const;
   /// Both estimators; `known` is an optional coalition_table(x) read in
   /// place of model evaluations (the one lookup point for v(S)).
   [[nodiscard]] std::vector<Vector> estimate(const Vector& x,
@@ -159,33 +156,21 @@ class ShapExplainer {
     return config_.pool != nullptr ? *config_.pool : common::global_pool();
   }
 
-  /// Reusable probe matrices (hoisted out of the per-coalition hot path);
-  /// workers check one out, fill + evaluate it, and return it.
-  [[nodiscard]] ml::Matrix acquire_scratch();
-  void release_scratch(ml::Matrix&& scratch);
+  /// Adds `rows` model evaluations to the tally and xai.shap.model_evals.
+  void count_evaluations(std::uint64_t rows) noexcept;
 
   MatrixModelFn model_;
   std::vector<Vector> background_;
   ml::Matrix background_matrix_;  ///< same rows, kernel-ready layout
   Config config_;
-  // atomics-ok: commutative-counter (model-eval tally; order-free add fold)
-  std::atomic<std::uint64_t> evaluations_ = 0;
-
-  // The one lock nest: base_values() holds this across a model call,
-  // which may fan out onto the pool and take its queue and job locks.
-  common::Mutex base_mutex_;
-  std::optional<Vector> base_cache_ EXPLORA_GUARDED_BY(base_mutex_);
-
-  // Scratch freelist; acquired briefly from pool workers that hold no
-  // other lock.
-  common::Mutex scratch_mutex_;
-  std::vector<ml::Matrix> scratch_pool_ EXPLORA_GUARDED_BY(scratch_mutex_);
+  std::uint64_t evaluations_ = 0;
+  std::optional<Vector> base_cache_;
 
   // Telemetry (xai.shap.*), bound at construction. model_evals mirrors
-  // evaluations_ into snapshots (atomic adds from pool workers, so totals
-  // are thread-count independent); evals_per_explanation is the exact
-  // per-explanation cost the paper's Fig. 4 accounts (coalitions x
-  // background rows, computed analytically, not raced).
+  // evaluations_ into snapshots (added by the owning thread once a
+  // fan-out returns, so totals are thread-count independent);
+  // evals_per_explanation is the exact per-explanation cost the paper's
+  // Fig. 4 accounts (coalitions x background rows, computed analytically).
   telemetry::Counter* tm_explanations_;
   telemetry::Counter* tm_model_evals_;
   telemetry::Histogram* tm_coalitions_;

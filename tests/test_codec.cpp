@@ -4,6 +4,8 @@
 // the codec property sweeps.
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "common/rng.hpp"
 #include "common/serialize.hpp"
 #include "oran/wire.hpp"
@@ -63,10 +65,11 @@ TEST(Codec, EmptyReportRoundTrip) {
 }
 
 TEST(Codec, RejectsTruncatedWire) {
-  auto bytes =
+  const auto bytes =
       wire::encode_message_frame(make_ran_control("x", sample_control(), 1));
-  bytes.resize(bytes.size() - 3);
-  EXPECT_THROW((void)wire::decode_message_frame(bytes),
+  const auto truncated =
+      std::span<const std::uint8_t>(bytes).first(bytes.size() - 3);
+  EXPECT_THROW((void)wire::decode_message_frame(truncated),
                common::SerializeError);
 }
 

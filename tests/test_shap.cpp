@@ -10,6 +10,7 @@
 #include "common/contracts.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "common/telemetry.hpp"
 #include "ml/nn.hpp"
 
 namespace explora::xai {
@@ -35,6 +36,11 @@ std::vector<Vector> random_background(std::size_t n, std::size_t dims,
     rows.push_back(std::move(row));
   }
   return rows;
+}
+
+/// xai.shap.model_evals in the active registry.
+std::uint64_t shap_model_evals() {
+  return telemetry::Scope("xai.shap").counter("model_evals").value();
 }
 
 Vector background_mean(const std::vector<Vector>& background) {
@@ -244,21 +250,27 @@ TEST(Shap, ParallelExactMatchesSerialBitwise) {
   auto background = random_background(16, 5, 21);
   const Vector x{0.3, -0.7, 0.9, 0.1, -0.2};
 
+  // The caller adds the eval tally once the fan-out returns: on any pool
+  // the counter, model_evaluations() and 2^N x |background| agree.
+  const std::uint64_t analytic = (std::uint64_t{1} << x.size()) * 16;
+  auto explain_on = [&](common::ThreadPool& pool) {
+    telemetry::ScopedRegistry scoped;
+    ShapExplainer::Config config;
+    config.pool = &pool;
+    ShapExplainer explainer(model, background, config);
+    auto phi = explainer.explain_all_outputs(x);
+    EXPECT_EQ(explainer.model_evaluations(), analytic);
+    EXPECT_EQ(shap_model_evals(), analytic);
+    return phi;
+  };
   common::ThreadPool serial_pool(1);
   common::ThreadPool parallel_pool(8);
-  ShapExplainer::Config config;
-  config.pool = &serial_pool;
-  ShapExplainer serial(model, background, config);
-  config.pool = &parallel_pool;
-  ShapExplainer parallel(model, background, config);
-
-  const auto serial_phi = serial.explain_all_outputs(x);
-  const auto parallel_phi = parallel.explain_all_outputs(x);
+  const auto serial_phi = explain_on(serial_pool);
+  const auto parallel_phi = explain_on(parallel_pool);
   ASSERT_EQ(serial_phi.size(), parallel_phi.size());
   for (std::size_t o = 0; o < serial_phi.size(); ++o) {
     EXPECT_EQ(serial_phi[o], parallel_phi[o]);  // bit-identical
   }
-  EXPECT_EQ(serial.model_evaluations(), parallel.model_evaluations());
 }
 
 TEST(Shap, ParallelSamplingMatchesSerialBitwise) {
@@ -268,21 +280,27 @@ TEST(Shap, ParallelSamplingMatchesSerialBitwise) {
   auto background = random_background(8, 4, 23);
   const Vector x{0.2, -0.8, 0.5, 1.0};
 
+  // P x (N + 1) x |background| evaluations, tallied by the caller.
+  const std::uint64_t analytic = 64 * (x.size() + 1) * 8;
+  auto explain_on = [&](common::ThreadPool& pool) {
+    telemetry::ScopedRegistry scoped;
+    ShapExplainer::Config config;
+    config.mode = ShapExplainer::Mode::kSampling;
+    config.permutations = 64;
+    config.seed = 99;
+    config.pool = &pool;
+    ShapExplainer explainer(model, background, config);
+    Vector phi = explainer.explain(x, 0);
+    EXPECT_EQ(explainer.model_evaluations(), analytic);
+    EXPECT_EQ(shap_model_evals(), analytic);
+    return phi;
+  };
   common::ThreadPool serial_pool(1);
   common::ThreadPool two_pool(2);
   common::ThreadPool eight_pool(8);
-  ShapExplainer::Config config;
-  config.mode = ShapExplainer::Mode::kSampling;
-  config.permutations = 64;
-  config.seed = 99;
-
-  config.pool = &serial_pool;
-  ShapExplainer serial(model, background, config);
-  const Vector serial_phi = serial.explain(x, 0);
+  const Vector serial_phi = explain_on(serial_pool);
   for (common::ThreadPool* pool : {&two_pool, &eight_pool}) {
-    config.pool = pool;
-    ShapExplainer threaded(model, background, config);
-    EXPECT_EQ(serial_phi, threaded.explain(x, 0));  // bit-identical
+    EXPECT_EQ(serial_phi, explain_on(*pool));  // bit-identical
   }
 }
 

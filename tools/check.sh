@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Local pre-push correctness gate: builds and tests the repo under the full
 # sanitizer matrix, runs the source lints via tools/lint.sh, and — when
-# the respective clang tooling is installed — the clang-tidy pass and the
-# clang thread-safety analysis (`thread-safety` preset). Mirrors
+# clang-tidy is installed — the clang-tidy pass. Mirrors
 # .github/workflows/ci.yml so a clean run here means a green CI.
 #
 # Usage:
@@ -46,22 +45,10 @@ for preset in "${PRESETS[@]}"; do
   run_step "test:${preset}" ctest --preset "${preset}" -j "$(nproc)"
 done
 
-# lint.sh is the single entry point for every source lint (determinism,
-# concurrency, hot-path realtime safety + module layering, atomics
-# discipline).
+# lint.sh is the single entry point for every source lint (determinism
+# with the concurrency confinement rule, hot-path realtime safety + module
+# layering).
 run_step "lints" tools/lint.sh
-
-if command -v clang++ >/dev/null 2>&1; then
-  # Clang proves every EXPLORA_GUARDED_BY member is only touched under its
-  # mutex; -Werror=thread-safety makes any gap a build failure.
-  run_step "configure:thread-safety" cmake --preset thread-safety
-  run_step "build:thread-safety" cmake --build --preset thread-safety -j
-  run_step "test:thread-safety" ctest --preset thread-safety -j "$(nproc)"
-else
-  echo
-  echo "==== thread-safety skipped (clang++ not installed) ===="
-  RESULTS+=("SKIP  thread-safety")
-fi
 
 if command -v run-clang-tidy >/dev/null 2>&1 && command -v clang-tidy >/dev/null 2>&1; then
   # The default preset's compile database drives the tidy pass; the checks

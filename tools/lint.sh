@@ -1,15 +1,14 @@
 #!/usr/bin/env bash
-# Single entry point for every source lint: determinism, concurrency, the
-# whole-program hot-path analyzer (realtime-safety call graph + module
-# layering), and the cross-TU atomics discipline lint. check.sh and the CI
+# Single entry point for every source lint: determinism (including the
+# concurrency confinement rule) and the whole-program hot-path analyzer
+# (realtime-safety call graph + module layering). check.sh and the CI
 # `source-lints` job both call this script, so the set of lints is defined
 # in exactly one place.
 #
 # Usage:
 #   tools/lint.sh                 # self-tests + all lints over the tree
 #   tools/lint.sh --no-self-test  # skip the lints' own self-tests
-#   tools/lint.sh --json DIR      # also write hotpath_report.json and
-#                                 # atomics_report.json into DIR
+#   tools/lint.sh --json DIR      # also write hotpath_report.json into DIR
 #
 # Exit status is non-zero if any lint (or self-test) fails.
 set -u
@@ -44,24 +43,12 @@ run_step() {
 
 if [[ "${SELF_TEST}" == 1 ]]; then
   run_step "self-test:determinism" python3 tools/lint_determinism.py --self-test
-  run_step "self-test:concurrency" python3 tools/lint_concurrency.py --self-test
   run_step "self-test:hotpath" python3 tools/lint_hotpath.py --self-test
   run_step "fixtures:hotpath" \
     python3 tools/lint_hotpath.py --fixture-test tests/lint_fixtures
-  run_step "self-test:atomics" python3 tools/lint_atomics.py --self-test
-  run_step "fixtures:atomics" \
-    python3 tools/lint_atomics.py --fixture-test tests/lint_fixtures/atomics
 fi
 
 run_step "lint:determinism" python3 tools/lint_determinism.py --root .
-run_step "lint:concurrency" python3 tools/lint_concurrency.py --root .
-
-ATOMICS_ARGS=(--root .)
-if [[ -n "${JSON_DIR}" ]]; then
-  mkdir -p "${JSON_DIR}"
-  ATOMICS_ARGS+=(--json "${JSON_DIR}/atomics_report.json")
-fi
-run_step "lint:atomics" python3 tools/lint_atomics.py "${ATOMICS_ARGS[@]}"
 
 HOTPATH_ARGS=(--part all --root .)
 if [[ -n "${JSON_DIR}" ]]; then

@@ -44,10 +44,19 @@ artifacts. This lint bans the constructs that historically break it:
                      ml::glibc_exp (ml/exp.hpp), or their lane-wise copies
                      in the gemm_<isa>.cpp kernels. The libm exp sites that
                      remain (ROADMAP item 3) carry det-ok markers
+  concurrency-home   std::atomic*, the std:: mutex / lock / condition-variable
+                     family and the __atomic_*/__sync_* builtins anywhere in
+                     src/ outside CONCURRENCY_HOME (the pool, telemetry, the
+                     log sink, the contract slots and the GEMM dispatch
+                     slot) - shared state lives in one place, so a new lock
+                     or atomic elsewhere is a design change, not a local
+                     fix. No waiver: widening the list is a policy edit to
+                     this lint (DESIGN.md §9)
 
-A finding on a line carrying `// det-ok: <rule> (<reason>)` is suppressed;
-the marker documents why the construct is safe at that site (e.g. an
-unordered iteration whose results are sorted before use).
+A finding on a line carrying `// det-ok: <rule> (<reason>)` is suppressed
+(concurrency-home excepted); the marker documents why the construct is
+safe at that site (e.g. an unordered iteration whose results are sorted
+before use).
 
 Exit status: 0 = clean, 1 = findings, 2 = usage error.
 """
@@ -92,6 +101,20 @@ SIMD_INTRINSIC = re.compile(
 LIBM_TRANSCENDENTAL = re.compile(
     r"(?<![\w.>])(?:std::|::)?(?:tanh|exp)[fl]?\s*\("
     r"|\bstd::(?:tanh|exp)[fl]?\b|\b__builtin_(?:tanh|exp)[fl]?\b"
+)
+
+# The only src/ files that may hold atomics, locks or condition variables.
+CONCURRENCY_HOME = (
+    "src/common/parallel.hpp", "src/common/parallel.cpp",
+    "src/common/telemetry.hpp", "src/common/telemetry.cpp",
+    "src/common/log.cpp", "src/common/contracts.hpp", "src/ml/gemm.cpp",
+)
+CONCURRENCY_PRIMITIVE = re.compile(
+    r"\bstd::(?:atomic\w*"
+    r"|(?:recursive_|timed_|recursive_timed_|shared_|shared_timed_)?mutex"
+    r"|lock_guard|unique_lock|scoped_lock|shared_lock"
+    r"|condition_variable(?:_any)?)\b"
+    r"|\b__(?:atomic|sync)_\w+"
 )
 
 CONTRACT_MACRO = re.compile(r"\bEXPLORA_(?:EXPECTS|ENSURES|ASSERT|AUDIT)(_MSG)?\s*\(")
@@ -174,11 +197,17 @@ RANGE_FOR = re.compile(r"for\s*\(\s*[^;:()]*?:\s*([\w.\->]+)\s*\)")
 
 def lint_text(raw: str, code: str, unordered_names: set[str],
               fault_path: bool = False, telemetry_path: bool = False,
-              kernel_file: bool = False, src_file: bool = False):
+              kernel_file: bool = False, src_file: bool = False,
+              concurrency_home: bool = False):
     """All findings for one stripped source `code` (raw kept for det-ok)."""
     raw_lines = raw.splitlines()
     code_lines = code.splitlines()
     findings = []
+
+    if src_file and not concurrency_home:
+        for match in CONCURRENCY_PRIMITIVE.finditer(code):
+            findings.append((line_of(code, match.start()), "concurrency-home",
+                             match.group(0)))
 
     if src_file:
         for match in LIBM_TRANSCENDENTAL.finditer(code):
@@ -243,7 +272,7 @@ def self_test() -> int:
     auto t = time(nullptr);
     if (a == 1.0) {}
     if (0.5 != b) {}
-    int y = std::rand();  // conc-ok: raw-mutex (another lint's marker)
+    int y = std::rand();  // hotpath-ok: another lint's marker
     EXPLORA_EXPECTS(++n < 5);
     EXPLORA_ASSERT(x = 3);
     EXPLORA_EXPECTS_MSG(total += 1, "grew to {}", total);
@@ -253,7 +282,7 @@ def self_test() -> int:
     good = """
     auto t0 = std::chrono::steady_clock::now();  // duration only
     if (a == 1.0) {}  // det-ok: float-eq (documented reason)
-    if (b != 2.0) {}  // det-ok: float-eq (reason) conc-ok: raw-mutex (x)
+    if (b != 2.0) {}  // det-ok: float-eq (reason) hotpath-ok: x
     EXPLORA_EXPECTS(n + 1 < 5);
     EXPLORA_EXPECTS(a <= b && c >= d && e != f);
     EXPLORA_EXPECTS_MSG(x < y, "x = {}, y = {}", x, y);
@@ -315,6 +344,19 @@ def self_test() -> int:
     double d = rng.exponential(1.0); gemm::exp_array(x, y, n);
     double w = std::exp(-d);  // det-ok: libm-transcendental (ROADMAP item 3)
     """
+    concurrency_bad = """
+    std::atomic<std::uint64_t> evaluations_{0};
+    std::mutex scratch_mutex_;
+    const std::lock_guard<std::mutex> lock(scratch_mutex_);
+    std::condition_variable_any cv; std::shared_lock<std::shared_mutex> r(m);
+    __atomic_fetch_add(&n, 1, __ATOMIC_RELAXED); __sync_synchronize();
+    std::atomic_ref<int> ref(n);  // det-ok: concurrency-home (no waiver)
+    """
+    concurrency_good = """
+    std::uint64_t evaluations_ = 0;  // std::atomic in a comment is fine
+    const char* doc = "std::mutex lives in common/parallel";
+    std::unique_ptr<Matrix> probes; std::lock(a, b); mutex_count += 1;
+    """
     bad_code = strip_comments_and_strings(bad)
     bad_findings = lint_text(bad, bad_code, declared_unordered_names(bad_code))
     good_code = strip_comments_and_strings(good)
@@ -340,6 +382,18 @@ def self_test() -> int:
                                    src_file=True)
     # Outside src/ (tools/) the rule does not apply.
     libm_tools_findings = lint_text(libm_bad, libm_bad_code, set())
+    concurrency_bad_code = strip_comments_and_strings(concurrency_bad)
+    concurrency_bad_findings = lint_text(concurrency_bad, concurrency_bad_code,
+                                         set(), src_file=True)
+    concurrency_good_code = strip_comments_and_strings(concurrency_good)
+    concurrency_good_findings = lint_text(
+        concurrency_good, concurrency_good_code, set(), src_file=True)
+    # The same bad sample is allowed in a concurrency home and outside src/.
+    concurrency_home_findings = lint_text(
+        concurrency_bad, concurrency_bad_code, set(), src_file=True,
+        concurrency_home=True)
+    concurrency_tools_findings = lint_text(concurrency_bad,
+                                           concurrency_bad_code, set())
     simd_bad_code = strip_comments_and_strings(simd_bad)
     simd_bad_findings = lint_text(simd_bad, simd_bad_code, set())
     simd_good_code = strip_comments_and_strings(simd_good)
@@ -369,11 +423,22 @@ def self_test() -> int:
     ok = ok and len(libm_bad_findings) == 13
     ok = ok and not libm_good_findings
     ok = ok and not libm_tools_findings
+    concurrency_snippets = [snippet for _, _, snippet in concurrency_bad_findings]
+    ok = ok and {rule for _, rule, _ in concurrency_bad_findings} == {
+        "concurrency-home"}
+    ok = ok and concurrency_snippets == [
+        "std::atomic", "std::mutex", "std::lock_guard", "std::mutex",
+        "std::condition_variable_any", "std::shared_lock", "std::shared_mutex",
+        "__atomic_fetch_add", "__sync_synchronize", "std::atomic_ref"]
+    ok = ok and not concurrency_good_findings
+    ok = ok and not concurrency_home_findings
+    ok = ok and not concurrency_tools_findings
     bad_findings = (bad_findings + fault_bad_findings + telemetry_bad_findings
-                    + simd_bad_findings + libm_bad_findings)
+                    + simd_bad_findings + libm_bad_findings
+                    + concurrency_bad_findings)
     good_findings = (good_findings + fault_good_findings
                      + telemetry_good_findings + simd_good_findings
-                     + libm_good_findings)
+                     + libm_good_findings + concurrency_good_findings)
     return lintlib.self_test_verdict(ok, bad_findings, good_findings)
 
 
@@ -406,7 +471,8 @@ def main() -> int:
         for lineno, rule, snippet in lint_text(raws[path], stripped[path],
                                                unordered_names, fault_path,
                                                telemetry_path, kernel_file,
-                                               src_file):
+                                               src_file,
+                                               rel in CONCURRENCY_HOME):
             findings.append((rel, lineno, rule, snippet))
 
     return lintlib.report_findings(

@@ -8,7 +8,7 @@ function definition (free functions, out-of-line and inline methods,
 constructors, templates), builds a cross-TU call graph by simple-name
 resolution with qualified-suffix and same-namespace filtering, and seeds
 ALLOCATES / LOCKS / BLOCKS / THROWS facts at lexical sinks (operator
-new / malloc, growing container ops, MutexLock / .lock(), waits and
+new / malloc, growing container ops, std:: lock types / .lock(), waits and
 sleeps, stream and file I/O, throw). Facts propagate transitively up
 the call graph. Functions annotated with the markers from
 src/common/analysis_annotations.hpp declare contracts:
@@ -106,8 +106,6 @@ SINKS: list[tuple[str, str, re.Pattern[str]]] = [
      re.compile(r"\bstd\s*::\s*(?:vector|string|deque|list|map|set"
                 r"|unordered_map|unordered_set|basic_string)\s*<[^;{}]*>"
                 r"\s+\w+\s*[({=]")),
-    (LOCKS, "lock-scoped",
-     re.compile(r"\b(?:Writer|Reader)?MutexLock\s+\w+\s*[({]")),
     (LOCKS, "lock-acquire",
      re.compile(r"(?:\.|->)\s*(?:lock|try_lock|lock_shared"
                 r"|try_lock_shared)\s*\(")),
@@ -758,7 +756,7 @@ bool deep() { return grab() != nullptr; }
 EXPLORA_REALTIME int hot_chain() { return deep() ? 1 : 0; }
 EXPLORA_REALTIME int hot_direct() { int* p = new int(3); return *p; }
 EXPLORA_NONBLOCKING void stage() {
-  common::MutexLock lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
 }
 EXPLORA_REALTIME void hot_io() { printf("x"); }
 EXPLORA_REALTIME void hot_throw(int v) { if (v < 0) throw v; }

@@ -1,11 +1,11 @@
 """Shared plumbing for the EXPLORA source lints.
 
-Every lint in tools/ (lint_determinism.py, lint_concurrency.py,
-lint_hotpath.py) walks the same file set, blanks comments and string
-literals the same way, honors line-level suppression markers with the
-same `// <marker>: <rule> (<reason>)` grammar, and reports findings in
-the same `path:line: [rule] snippet` format so editors and CI parse
-them uniformly. This module is that common substrate; the lints keep
+Every lint in tools/ (lint_determinism.py, lint_hotpath.py) walks the
+same file set, blanks comments and string literals the same way, honors
+line-level suppression markers with the same
+`// <marker>: <rule> (<reason>)` grammar, and reports findings in the
+same `path:line: [rule] snippet` format so editors and CI parse them
+uniformly. This module is that common substrate; the lints keep
 only their rule tables and scanning logic.
 
 Nothing here is specific to one lint: a new analysis script should need
@@ -68,15 +68,6 @@ def strip_comments_and_strings(text: str) -> str:
 def line_of(code: str, offset: int) -> int:
     """1-based line number of `offset` in `code`."""
     return code.count("\n", 0, offset) + 1
-
-
-def statement_span(code: str, start: int) -> tuple[str, int]:
-    """The text from `start` to the next top-level `;` (declarations wrap
-    across lines, e.g. a member whose annotation sits on a continuation
-    line), plus the line number of that terminator."""
-    end = code.find(";", start)
-    end = len(code) if end == -1 else end
-    return code[start:end], line_of(code, end - 1 if end else 0)
 
 
 def collect_sources(
