@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/telemetry.hpp"
@@ -84,18 +85,9 @@ struct ArmResult {
   std::uint64_t shed_notices = 0;
   std::uint64_t ladder_demotions = 0;
   std::uint64_t ladder_promotions = 0;
-  std::uint64_t digest = 14695981039346656037ULL;
+  std::uint64_t digest = common::kFnvBasis;
   std::array<std::vector<std::int64_t>, kNumTiers> latencies;
 };
-
-/// Byte-wise FNV-1a over one 64-bit word (the same digest the harness
-/// serving telemetry uses, so digests are comparable across drivers).
-void fnv_mix(std::uint64_t& digest, std::uint64_t word) {
-  for (int b = 0; b < 8; ++b) {
-    digest ^= (word >> (8 * b)) & 0xffu;
-    digest *= 1099511628211ULL;
-  }
-}
 
 void fold_results(const std::vector<ExplanationResult>& results,
                   ArmResult& arm) {
@@ -106,17 +98,17 @@ void fold_results(const std::vector<ExplanationResult>& results,
     } else {
       ++arm.shed_notices;
     }
-    fnv_mix(arm.digest, r.id);
+    common::fnv1a_word(arm.digest, r.id);
     const std::uint64_t packed =
         (static_cast<std::uint64_t>(r.output_index) << 32) |
         (static_cast<std::uint64_t>(r.tier) << 16) |
         (static_cast<std::uint64_t>(r.shed_reason) << 8) |
         (static_cast<std::uint64_t>(r.degraded) << 1) |
         static_cast<std::uint64_t>(r.from_cache);
-    fnv_mix(arm.digest, packed);
-    fnv_mix(arm.digest, static_cast<std::uint64_t>(r.latency));
+    common::fnv1a_word(arm.digest, packed);
+    common::fnv1a_word(arm.digest, static_cast<std::uint64_t>(r.latency));
     for (const double phi : r.attribution) {
-      fnv_mix(arm.digest, std::bit_cast<std::uint64_t>(phi));
+      common::fnv1a_word(arm.digest, std::bit_cast<std::uint64_t>(phi));
     }
   }
 }

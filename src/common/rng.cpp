@@ -5,6 +5,7 @@
 #include <numbers>
 
 #include "common/contracts.hpp"
+#include "common/fnv.hpp"
 
 namespace explora::common {
 
@@ -44,11 +45,8 @@ Rng Rng::fork(std::uint64_t tag) noexcept {
 
 Rng Rng::fork(std::string_view tag) noexcept {
   // FNV-1a over the tag, mixed with the parent stream.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : tag) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
+  std::uint64_t h = kFnvBasis;
+  fnv1a_text(h, tag);
   return fork(h);
 }
 

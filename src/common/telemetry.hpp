@@ -42,7 +42,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/analysis_annotations.hpp"
 
 #ifndef EXPLORA_TELEMETRY_LEVEL
 #define EXPLORA_TELEMETRY_LEVEL 1
@@ -66,8 +65,8 @@ inline std::atomic<bool> g_enabled{true};
 inline void update_min(std::atomic<std::int64_t>& target,
                        std::int64_t value) noexcept {
   std::int64_t current = target.load(std::memory_order_relaxed);
-  // hotpath-ok: bounded monotone CAS - every retry means another thread
-  // already tightened the bound, so iterations <= concurrent recorders
+  // Bounded monotone CAS: every retry means another thread already
+  // tightened the bound, so iterations <= concurrent recorders.
   while (value < current &&
          !target.compare_exchange_weak(current, value,
                                        std::memory_order_relaxed)) {
@@ -77,8 +76,8 @@ inline void update_min(std::atomic<std::int64_t>& target,
 inline void update_max(std::atomic<std::int64_t>& target,
                        std::int64_t value) noexcept {
   std::int64_t current = target.load(std::memory_order_relaxed);
-  // hotpath-ok: bounded monotone CAS - every retry means another thread
-  // already tightened the bound, so iterations <= concurrent recorders
+  // Bounded monotone CAS: every retry means another thread already
+  // tightened the bound, so iterations <= concurrent recorders.
   while (value > current &&
          !target.compare_exchange_weak(current, value,
                                        std::memory_order_relaxed)) {
@@ -239,7 +238,7 @@ class LocalHistogram {
         window_buckets_(target != nullptr ? target->bounds().size() + 1 : 0,
                         0) {}
 
-  EXPLORA_REALTIME void observe(std::int64_t value) noexcept {
+  void observe(std::int64_t value) noexcept {
 #if EXPLORA_TELEMETRY_LEVEL >= 1
     if (!enabled()) return;
     const auto& bounds = target_->bounds();
@@ -255,7 +254,7 @@ class LocalHistogram {
 #endif
   }
 
-  EXPLORA_REALTIME void flush() noexcept {
+  void flush() noexcept {
 #if EXPLORA_TELEMETRY_LEVEL >= 1
     if (window_count_ == 0) return;
     target_->observe_batch(window_buckets_, window_count_, window_sum_,

@@ -142,11 +142,9 @@ class ExplainService {
   /// @param chosen the action whose head probabilities are explained.
   /// @param now current tick; @param deadline absolute tick budget
   ///        (0 = now + config.default_deadline).
-  EXPLORA_NONBLOCKING SubmitResult submit(std::span<const double> x,
-                                          std::uint32_t output_index,
-                                          const ml::AgentAction& chosen,
-                                          xai::serving::Tick now,
-                                          xai::serving::Tick deadline = 0);
+  SubmitResult submit(std::span<const double> x, std::uint32_t output_index,
+                      const ml::AgentAction& chosen, xai::serving::Tick now,
+                      xai::serving::Tick deadline = 0);
 
   /// Advances the service clock: completes finished work, feeds the
   /// pressure EWMA, dispatches queued requests (deadline-aware walk-down

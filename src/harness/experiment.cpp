@@ -4,6 +4,7 @@
 #include <optional>
 
 #include "common/contracts.hpp"
+#include "common/fnv.hpp"
 #include "common/telemetry.hpp"
 #include "explora/xapp.hpp"
 #include "oran/drl_xapp.hpp"
@@ -13,16 +14,10 @@ namespace explora::harness {
 
 namespace {
 
-/// FNV-1a over the serving result stream. Everything folded in is either
-/// an integer or the raw bits of a deterministically computed double, so
-/// the digest is byte-identical whenever the decision stream is.
-void fnv_mix(std::uint64_t& digest, std::uint64_t value) {
-  for (int i = 0; i < 8; ++i) {
-    digest ^= (value >> (8 * i)) & 0xffULL;
-    digest *= 1099511628211ULL;
-  }
-}
-
+/// Folds the serving result stream into an FNV-1a digest. Everything
+/// folded in is either an integer or the raw bits of a deterministically
+/// computed double, so the digest is byte-identical whenever the decision
+/// stream is.
 void fold_serving_results(const std::vector<ExplanationResult>& results,
                           ServingTelemetry& telemetry) {
   for (const ExplanationResult& result : results) {
@@ -31,17 +26,17 @@ void fold_serving_results(const std::vector<ExplanationResult>& results,
     } else {
       ++telemetry.delivered;
     }
-    fnv_mix(telemetry.stream_digest, result.id);
-    fnv_mix(telemetry.stream_digest,
-            (static_cast<std::uint64_t>(result.output_index) << 32) |
-                (static_cast<std::uint64_t>(result.tier) << 16) |
-                (static_cast<std::uint64_t>(result.shed_reason) << 8) |
-                (result.degraded ? 2ULL : 0ULL) |
-                (result.from_cache ? 1ULL : 0ULL));
-    fnv_mix(telemetry.stream_digest,
-            static_cast<std::uint64_t>(result.latency));
+    std::uint64_t& digest = telemetry.stream_digest;
+    common::fnv1a_word(digest, result.id);
+    common::fnv1a_word(
+        digest, (static_cast<std::uint64_t>(result.output_index) << 32) |
+                    (static_cast<std::uint64_t>(result.tier) << 16) |
+                    (static_cast<std::uint64_t>(result.shed_reason) << 8) |
+                    (result.degraded ? 2ULL : 0ULL) |
+                    (result.from_cache ? 1ULL : 0ULL));
+    common::fnv1a_word(digest, static_cast<std::uint64_t>(result.latency));
     for (const double phi : result.attribution) {
-      fnv_mix(telemetry.stream_digest, std::bit_cast<std::uint64_t>(phi));
+      common::fnv1a_word(digest, std::bit_cast<std::uint64_t>(phi));
     }
   }
 }

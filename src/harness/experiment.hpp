@@ -10,6 +10,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "explora/edbr.hpp"
 #include "explora/explain_service.hpp"
 #include "explora/shield.hpp"
@@ -75,7 +76,7 @@ struct ServingTelemetry {
   std::uint64_t shed_notices = 0;  ///< dispatch-time sheds drained
   std::uint64_t ladder_demotions = 0;
   std::uint64_t ladder_promotions = 0;
-  std::uint64_t stream_digest = 14695981039346656037ULL;  ///< FNV-1a basis
+  std::uint64_t stream_digest = common::kFnvBasis;  ///< FNV-1a
 };
 
 struct ExperimentOptions {

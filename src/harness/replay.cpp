@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/contracts.hpp"
+#include "common/fnv.hpp"
 #include "common/telemetry.hpp"
 #include "explora/transitions.hpp"
 #include "ml/features.hpp"
@@ -105,18 +106,11 @@ namespace explora::harness {
 
 namespace {
 
-void fnv_mix_byte(std::uint64_t& digest, std::uint8_t byte) {
-  digest ^= byte;
-  digest *= 1099511628211ULL;
-}
-
 [[nodiscard]] std::uint64_t fnv1a(std::span<const std::uint8_t> bytes,
                                   std::string_view text) {
-  std::uint64_t digest = 14695981039346656037ULL;
-  for (const std::uint8_t b : bytes) fnv_mix_byte(digest, b);
-  for (const char c : text) {
-    fnv_mix_byte(digest, static_cast<std::uint8_t>(c));
-  }
+  std::uint64_t digest = common::kFnvBasis;
+  for (const std::uint8_t b : bytes) common::fnv1a_byte(digest, b);
+  common::fnv1a_text(digest, text);
   return digest;
 }
 
@@ -296,7 +290,7 @@ ServeStats serve_trace(const oran::TraceReplaySource& source,
 
   telemetry::ScopedRegistry tscope;
   ServeStats stats;
-  stats.stream_digest = 14695981039346656037ULL;
+  stats.stream_digest = common::kFnvBasis;
 
   ml::InputWindow window;
   std::vector<ml::Vector> background;
@@ -311,14 +305,11 @@ ServeStats serve_trace(const oran::TraceReplaySource& source,
       } else {
         ++stats.delivered;
       }
-      for (int i = 0; i < 8; ++i) {
-        fnv_mix_byte(stats.stream_digest,
-                     static_cast<std::uint8_t>(result.id >> (8 * i)));
-      }
-      fnv_mix_byte(stats.stream_digest,
-                   static_cast<std::uint8_t>(result.tier));
-      fnv_mix_byte(stats.stream_digest,
-                   static_cast<std::uint8_t>(result.shed_reason));
+      common::fnv1a_word(stats.stream_digest, result.id);
+      common::fnv1a_byte(stats.stream_digest,
+                         static_cast<std::uint8_t>(result.tier));
+      common::fnv1a_byte(stats.stream_digest,
+                         static_cast<std::uint8_t>(result.shed_reason));
     }
   };
 

@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <limits>
 
-#include "common/analysis_annotations.hpp"
 
 namespace explora::ml {
 
@@ -195,7 +194,7 @@ using namespace exp_constants;
 #define EXPLORA_FMA_CLONES
 #endif
 
-EXPLORA_FMA_CLONES EXPLORA_REALTIME double glibc_exp(double x) noexcept {
+EXPLORA_FMA_CLONES double glibc_exp(double x) noexcept {
   std::uint32_t abstop = top12(x) & 0x7ffU;
   // One unsigned compare for |x| < 2^-54 or |x| >= 512 (and inf/NaN).
   if (abstop - top12(kExpVectorMin) >=

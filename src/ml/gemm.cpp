@@ -11,7 +11,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "common/analysis_annotations.hpp"
 #include "common/contracts.hpp"
 #include "ml/exp.hpp"
 #include "ml/tanh.hpp"
@@ -30,10 +29,9 @@ const char* to_string(Backend backend) noexcept {
 
 namespace detail {
 
-EXPLORA_REALTIME void scalar_kernel(const double* w, std::size_t out,
-                                    std::size_t in, const double* x,
-                                    std::size_t batch, double* y,
-                                    const double* bias, Epilogue epilogue) {
+void scalar_kernel(const double* w, std::size_t out, std::size_t in,
+                   const double* x, std::size_t batch, double* y,
+                   const double* bias, Epilogue epilogue) {
   for (std::size_t b = 0; b < batch; ++b) {
     const double* row_in = x + b * in;
     double* row_out = y + b * out;
@@ -65,8 +63,8 @@ std::size_t pack_panels(const double* w, std::size_t out, std::size_t in,
                         common::AlignedVector<double>& packed) {
   constexpr std::size_t kWidth = kPanelWidth;
   const std::size_t panels = (out + kWidth - 1) / kWidth;
-  // hotpath-ok: thread-local panel scratch reaches steady-state capacity
-  // after the first call per layer shape; resize is then a no-op.
+  // The thread-local panel scratch reaches steady-state capacity after the
+  // first call per layer shape; resize is then a no-op.
   packed.resize(panels * in * kWidth);
   for (std::size_t p = 0; p < panels; ++p) {
     const double* rows = w + p * kWidth * in;
@@ -92,10 +90,9 @@ std::size_t pack_panels(const double* w, std::size_t out, std::size_t in,
   return panels;
 }
 
-EXPLORA_REALTIME void apply_epilogue(double* dst, const double* acc,
-                                     const double* bias, std::size_t r0,
-                                     std::size_t valid,
-                                     Epilogue epilogue) noexcept {
+void apply_epilogue(double* dst, const double* acc, const double* bias,
+                    std::size_t r0, std::size_t valid,
+                    Epilogue epilogue) noexcept {
   switch (epilogue) {
     case Epilogue::kNone:
       std::memcpy(dst, acc, valid * sizeof(double));
@@ -117,15 +114,12 @@ EXPLORA_REALTIME void apply_epilogue(double* dst, const double* acc,
   }
 }
 
-EXPLORA_REALTIME void scalar_exp_array(const double* x, double* y,
-                                       std::size_t n) noexcept {
+void scalar_exp_array(const double* x, double* y, std::size_t n) noexcept {
   for (std::size_t i = 0; i < n; ++i) y[i] = glibc_exp(x[i]);
 }
 
-EXPLORA_REALTIME void scalar_softmax_chosen_lanes(const double* block,
-                                                  std::size_t width,
-                                                  std::size_t chosen,
-                                                  double* probs) noexcept {
+void scalar_softmax_chosen_lanes(const double* block, std::size_t width,
+                                 std::size_t chosen, double* probs) noexcept {
   constexpr std::size_t kLanes = kSoftmaxLanes;
   for (std::size_t l = 0; l < kLanes; ++l) {
     // std::max_element's scan: the first of equal maxima wins.
@@ -246,9 +240,8 @@ bool set_backend(Backend backend) noexcept {
   return true;
 }
 
-EXPLORA_REALTIME void run(const double* w, std::size_t out, std::size_t in,
-                          const double* x, std::size_t batch, double* y,
-                          const double* bias, Epilogue epilogue) {
+void run(const double* w, std::size_t out, std::size_t in, const double* x,
+         std::size_t batch, double* y, const double* bias, Epilogue epilogue) {
   EXPLORA_EXPECTS(bias != nullptr || epilogue == Epilogue::kNone);
   if (batch == 0 || out == 0) return;
   switch (active_backend()) {
@@ -273,7 +266,7 @@ EXPLORA_REALTIME void run(const double* w, std::size_t out, std::size_t in,
   }
 }
 
-EXPLORA_REALTIME void exp_array(const double* x, double* y, std::size_t n) {
+void exp_array(const double* x, double* y, std::size_t n) {
   switch (active_backend()) {
 #if defined(EXPLORA_SIMD_AVX2)
     case Backend::kAvx2:
@@ -291,10 +284,8 @@ EXPLORA_REALTIME void exp_array(const double* x, double* y, std::size_t n) {
   }
 }
 
-EXPLORA_REALTIME void softmax_chosen_lanes(const double* block,
-                                           std::size_t width,
-                                           std::size_t chosen,
-                                           double* probs) {
+void softmax_chosen_lanes(const double* block, std::size_t width,
+                          std::size_t chosen, double* probs) {
   EXPLORA_EXPECTS(chosen < width);
   switch (active_backend()) {
 #if defined(EXPLORA_SIMD_AVX2)

@@ -30,7 +30,6 @@
 #include <cstddef>
 
 #include "common/aligned.hpp"
-#include "common/analysis_annotations.hpp"
 #include "ml/exp.hpp"
 #include "ml/tanh.hpp"
 
@@ -302,8 +301,7 @@ void tail_block(std::size_t rows, const double* packed, std::size_t panels,
 
 }  // namespace
 
-EXPLORA_REALTIME void avx2_exp_array(const double* x, double* y,
-                                     std::size_t n) noexcept {
+void avx2_exp_array(const double* x, double* y, std::size_t n) noexcept {
   std::size_t i = 0;
   for (; i + kLanes <= n; i += kLanes) {
     _mm256_storeu_pd(y + i, exp4_exact(_mm256_loadu_pd(x + i)));
@@ -314,10 +312,8 @@ EXPLORA_REALTIME void avx2_exp_array(const double* x, double* y,
 /// Each element j of the 8 softmaxes is two ymm halves; both halves
 /// advance together through the peak scan, the exp and the running sum,
 /// in the scalar element order.
-EXPLORA_REALTIME void avx2_softmax_chosen_lanes(const double* block,
-                                                std::size_t width,
-                                                std::size_t chosen,
-                                                double* probs) noexcept {
+void avx2_softmax_chosen_lanes(const double* block, std::size_t width,
+                               std::size_t chosen, double* probs) noexcept {
   static_assert(kSoftmaxLanes == kPanel);
   __m256d peak[kHalves];
   __m256d sum[kHalves];
@@ -350,10 +346,9 @@ EXPLORA_REALTIME void avx2_softmax_chosen_lanes(const double* block,
   }
 }
 
-EXPLORA_REALTIME void avx2_kernel(const double* w, std::size_t out,
-                                  std::size_t in, const double* x,
-                                  std::size_t batch, double* y,
-                                  const double* bias, Epilogue epilogue) {
+void avx2_kernel(const double* w, std::size_t out, std::size_t in,
+                 const double* x, std::size_t batch, double* y,
+                 const double* bias, Epilogue epilogue) {
   // Per thread, so concurrent pool workers never share it.
   thread_local common::AlignedVector<double> t_packed;
   const std::size_t panels = pack_panels(w, out, in, t_packed);

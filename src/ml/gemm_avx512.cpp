@@ -32,7 +32,6 @@
 #include <cstddef>
 
 #include "common/aligned.hpp"
-#include "common/analysis_annotations.hpp"
 #include "ml/exp.hpp"
 #include "ml/tanh.hpp"
 
@@ -319,8 +318,7 @@ void tail_block(std::size_t rows, const double* packed, std::size_t panels,
 
 }  // namespace
 
-EXPLORA_REALTIME void avx512_exp_array(const double* x, double* y,
-                                       std::size_t n) noexcept {
+void avx512_exp_array(const double* x, double* y, std::size_t n) noexcept {
   std::size_t i = 0;
   for (; i + kPanel <= n; i += kPanel) {
     _mm512_storeu_pd(y + i, exp8_exact(_mm512_loadu_pd(x + i)));
@@ -331,10 +329,8 @@ EXPLORA_REALTIME void avx512_exp_array(const double* x, double* y,
 /// One zmm per element j holds that element of all 8 softmaxes, so the
 /// peak scan, the exp and the running sum each advance 8 lanes per
 /// instruction in the scalar element order.
-EXPLORA_REALTIME void avx512_softmax_chosen_lanes(const double* block,
-                                                  std::size_t width,
-                                                  std::size_t chosen,
-                                                  double* probs) noexcept {
+void avx512_softmax_chosen_lanes(const double* block, std::size_t width,
+                                 std::size_t chosen, double* probs) noexcept {
   static_assert(kSoftmaxLanes == kPanel);
   __m512d peak = _mm512_loadu_pd(block);
   for (std::size_t j = 1; j < width; ++j) {
@@ -353,10 +349,9 @@ EXPLORA_REALTIME void avx512_softmax_chosen_lanes(const double* block,
   _mm512_storeu_pd(probs, _mm512_div_pd(picked, sum));
 }
 
-EXPLORA_REALTIME void avx512_kernel(const double* w, std::size_t out,
-                                    std::size_t in, const double* x,
-                                    std::size_t batch, double* y,
-                                    const double* bias, Epilogue epilogue) {
+void avx512_kernel(const double* w, std::size_t out, std::size_t in,
+                   const double* x, std::size_t batch, double* y,
+                   const double* bias, Epilogue epilogue) {
   // Per thread, so concurrent pool workers never share it.
   thread_local common::AlignedVector<double> t_packed;
   const std::size_t panels = pack_panels(w, out, in, t_packed);

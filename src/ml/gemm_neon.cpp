@@ -14,7 +14,6 @@
 #include <cstddef>
 
 #include "common/aligned.hpp"
-#include "common/analysis_annotations.hpp"
 
 namespace explora::ml::gemm::detail {
 
@@ -26,8 +25,8 @@ constexpr std::size_t kBatchTile = 4;  ///< batch rows per microkernel call
 std::size_t pack_weights(const double* w, std::size_t out, std::size_t in,
                          common::AlignedVector<double>& packed) {
   const std::size_t panels = (out + kPanel - 1) / kPanel;
-  // hotpath-ok: thread-local panel scratch reaches steady-state capacity
-  // after the first call per layer shape; resize is then a no-op.
+  // The thread-local panel scratch reaches steady-state capacity after the
+  // first call per layer shape; resize is then a no-op.
   packed.resize(panels * in * kPanel);
   for (std::size_t p = 0; p < panels; ++p) {
     const std::size_t r0 = p * kPanel;
@@ -72,10 +71,9 @@ void micro_tile(const double* panel, std::size_t in, const double* x,
 
 }  // namespace
 
-EXPLORA_REALTIME void neon_kernel(const double* w, std::size_t out,
-                                  std::size_t in, const double* x,
-                                  std::size_t batch, double* y,
-                                  const double* bias, Epilogue epilogue) {
+void neon_kernel(const double* w, std::size_t out, std::size_t in,
+                 const double* x, std::size_t batch, double* y,
+                 const double* bias, Epilogue epilogue) {
   thread_local common::AlignedVector<double> t_packed;
   const std::size_t panels = pack_weights(w, out, in, t_packed);
 

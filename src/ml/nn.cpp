@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/analysis_annotations.hpp"
 #include "common/contracts.hpp"
 #include "ml/exp.hpp"
 #include "ml/gemm.hpp"
@@ -78,16 +77,15 @@ DenseLayer::DenseLayer(std::size_t in, std::size_t out, Activation act,
   for (double& w : weights_.data()) w = rng.normal(0.0, scale);
 }
 
-EXPLORA_REALTIME void DenseLayer::forward(std::span<const double> in,
-                                          std::span<double> out) const {
+void DenseLayer::forward(std::span<const double> in,
+                         std::span<double> out) const {
   EXPLORA_EXPECTS(in.size() == in_size() && out.size() == out_size());
   EXPLORA_AUDIT(contracts::all_finite(in));
   gemm::run(weights_.data().data(), out_size(), in_size(), in.data(), 1,
             out.data(), bias_.data(), epilogue_for(act_));
 }
 
-EXPLORA_REALTIME void DenseLayer::forward_batch(const Matrix& in,
-                                                Matrix& out) const {
+void DenseLayer::forward_batch(const Matrix& in, Matrix& out) const {
   EXPLORA_EXPECTS(in.cols() == in_size());
   EXPLORA_EXPECTS(out.rows() == in.rows() && out.cols() == out_size());
   EXPLORA_AUDIT(contracts::all_finite(in.data()));
@@ -205,7 +203,7 @@ void Mlp::infer(std::span<const double> in, std::span<double> out) const {
   std::copy(scratch_a.begin(), scratch_a.end(), out.begin());
 }
 
-EXPLORA_NONBLOCKING Matrix Mlp::forward_batch(const Matrix& in) const {
+Matrix Mlp::forward_batch(const Matrix& in) const {
   EXPLORA_EXPECTS(in.cols() == in_size());
   tm_forward_batches_->add(1);
   tm_batch_rows_->observe(static_cast<std::int64_t>(in.rows()));

@@ -7,7 +7,6 @@
 #include <cmath>
 #include <cstdint>
 
-#include "common/analysis_annotations.hpp"
 
 namespace explora::ml {
 
@@ -84,7 +83,7 @@ using namespace tanh_constants;
 
 }  // namespace
 
-EXPLORA_REALTIME double fdlibm_tanh(double x) noexcept {
+double fdlibm_tanh(double x) noexcept {
   const std::uint32_t ix = high_word(x) & 0x7fffffffU;
   const bool negative = std::signbit(x);
   if (ix >= 0x7ff00000U) {  // +-inf -> +-1, NaN -> NaN

@@ -2,7 +2,6 @@
 
 #include <numeric>
 
-#include "common/analysis_annotations.hpp"
 #include "common/contracts.hpp"
 
 namespace explora::netsim {
@@ -94,7 +93,7 @@ void Gnb::apply_control(const SlicingControl& control) {
   controls_applied_->add(1);
 }
 
-EXPLORA_REALTIME void Gnb::run_tti() {
+void Gnb::run_tti() {
   for (auto& ue : ues_) ue->begin_tti(now_);
   for (std::size_t s = 0; s < kNumSlices; ++s) {
     auto& ues = slice_ues_[s];

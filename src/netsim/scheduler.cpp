@@ -4,7 +4,6 @@
 #include <limits>
 #include <vector>
 
-#include "common/analysis_annotations.hpp"
 #include "common/contracts.hpp"
 
 namespace explora::netsim {
@@ -13,7 +12,7 @@ namespace {
 
 /// PRBs that drain `ue`'s buffer at this TTI's bytes/PRB (at least 2
 /// bytes/PRB, the CQI-1 floor).
-EXPLORA_REALTIME std::uint64_t prb_demand(const Ue& ue) noexcept {
+std::uint64_t prb_demand(const Ue& ue) noexcept {
   const std::uint64_t per_prb = ue.channel().bytes_per_prb();
   EXPLORA_ASSERT(per_prb > 0);
   return (ue.buffer_bytes() + per_prb - 1) / per_prb;
@@ -35,8 +34,8 @@ Scheduler::Scheduler() {
 
 Scheduler::~Scheduler() { flush_telemetry(); }
 
-EXPLORA_REALTIME void Scheduler::record_grants(std::uint32_t granted,
-                                               std::uint32_t budget) noexcept {
+void Scheduler::record_grants(std::uint32_t granted,
+                              std::uint32_t budget) noexcept {
   // Plain-integer accumulation on the TTI hot path; flush_telemetry()
   // folds it into the shared atomics once per report window. Gated like
   // every other record call so runtime-disabled windows stay unrecorded.
@@ -96,32 +95,29 @@ std::unique_ptr<Scheduler> make_scheduler(SchedulerPolicy policy,
   return nullptr;
 }
 
-EXPLORA_REALTIME void Scheduler::collect_backlogged(std::span<Ue*> ues) {
+void Scheduler::collect_backlogged(std::span<Ue*> ues) {
   active_.clear();
   grants_.clear();
   for (Ue* ue : ues) {
     EXPLORA_EXPECTS(ue != nullptr);
     if (!ue->has_data()) continue;
-    // hotpath-ok: scratch retains capacity across TTIs; grows only when
-    // the attached-UE count grows (attach/detach, not the TTI loop).
+    // The scratch retains capacity across TTIs; it grows only when the
+    // attached-UE count grows (attach/detach, not the TTI loop).
     active_.push_back(ue);
-    // hotpath-ok: grows with active_ above, same bound.
     grants_.push_back(Grant{.demand = prb_demand(*ue)});
   }
 }
 
 template <typename Before>
-EXPLORA_REALTIME void Scheduler::rank_active(Before before) {
+void Scheduler::rank_active(Before before) {
   order_.clear();
   for (std::uint32_t i = 0; i < active_.size(); ++i) {
-    // hotpath-ok: grows with active_, same bound.
     order_.push_back(i);
   }
   std::sort(order_.begin(), order_.end(), before);
 }
 
-EXPLORA_REALTIME std::uint32_t Scheduler::grant_in_order(
-    std::uint32_t budget) noexcept {
+std::uint32_t Scheduler::grant_in_order(std::uint32_t budget) noexcept {
   std::uint32_t remaining = budget;
   for (const std::uint32_t i : order_) {
     if (remaining == 0) break;
@@ -133,7 +129,7 @@ EXPLORA_REALTIME std::uint32_t Scheduler::grant_in_order(
   return budget - remaining;
 }
 
-EXPLORA_REALTIME void Scheduler::serve_grants() {
+void Scheduler::serve_grants() {
   // serve(k * b) sends min(k * b, buffer) and pops the same packets as k
   // single-PRB serves, and a serve touches only its own UE, so one call
   // per UE, in any order, serves exactly what granting PRB by PRB would.
@@ -145,8 +141,8 @@ EXPLORA_REALTIME void Scheduler::serve_grants() {
   }
 }
 
-EXPLORA_REALTIME void RoundRobinScheduler::schedule_tti(
-    std::span<Ue*> ues, std::uint32_t prb_budget) {
+void RoundRobinScheduler::schedule_tti(std::span<Ue*> ues,
+                                       std::uint32_t prb_budget) {
   collect_backlogged(ues);
   if (active_.empty() || prb_budget == 0) {
     record_grants(0, prb_budget);
@@ -195,8 +191,8 @@ EXPLORA_REALTIME void RoundRobinScheduler::schedule_tti(
   next_ = (next_ + 1) % users;
 }
 
-EXPLORA_REALTIME void WaterfillingScheduler::schedule_tti(
-    std::span<Ue*> ues, std::uint32_t prb_budget) {
+void WaterfillingScheduler::schedule_tti(std::span<Ue*> ues,
+                                         std::uint32_t prb_budget) {
   collect_backlogged(ues);
   if (active_.empty() || prb_budget == 0) {
     record_grants(0, prb_budget);
@@ -222,8 +218,8 @@ ProportionalFairScheduler::ProportionalFairScheduler(double alpha)
   EXPLORA_EXPECTS(alpha > 0.0 && alpha <= 1.0);
 }
 
-EXPLORA_REALTIME void ProportionalFairScheduler::schedule_tti(
-    std::span<Ue*> ues, std::uint32_t prb_budget) {
+void ProportionalFairScheduler::schedule_tti(std::span<Ue*> ues,
+                                             std::uint32_t prb_budget) {
   collect_backlogged(ues);
   std::uint32_t granted = 0;
   if (!active_.empty() && prb_budget > 0) {

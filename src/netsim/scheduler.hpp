@@ -72,8 +72,8 @@ class Scheduler {
   // Per-TTI scratch shared by every policy, indexed like active_. Hoisted
   // into members so the grant path never allocates in steady state: the
   // vectors keep their capacity across TTIs and only grow when UEs attach
-  // (verified by the EXPLORA_REALTIME contract on schedule_tti, see
-  // tools/lint_hotpath.py / DESIGN.md §11).
+  // (measured by the allocation gate over Gnb::run_tti in
+  // tests/test_realtime.cpp, DESIGN.md §11).
   std::vector<Ue*> active_;
   std::vector<Grant> grants_;
   std::vector<std::uint32_t> order_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/analysis_annotations.hpp"
 #include "common/contracts.hpp"
 
 namespace explora::netsim {
@@ -19,7 +18,7 @@ Ue::Ue(std::uint32_t id, Slice slice, UeChannel channel,
   EXPLORA_EXPECTS(buffer_capacity_bytes > 0);
 }
 
-EXPLORA_REALTIME void Ue::begin_tti(Tick now) {
+void Ue::begin_tti(Tick now) {
   channel_.advance();
   const ArrivalBatch batch = traffic_->arrivals(now);
   if (batch.packets == 0) return;
@@ -30,23 +29,22 @@ EXPLORA_REALTIME void Ue::begin_tti(Tick now) {
       window_.dropped_bytes += packet_size;
       continue;
     }
-    // hotpath-ok: deque block allocation is amortized and bounded by the
-    // UE buffer cap; serve() recycles blocks so steady state stays flat.
-    packet_queue_.push_back(packet_size);
+    push_packet(packet_size);
     buffer_bytes_ += packet_size;
   }
 }
 
-EXPLORA_REALTIME std::uint64_t Ue::serve(std::uint64_t bytes) {
+std::uint64_t Ue::serve(std::uint64_t bytes) {
   std::uint64_t served = 0;
-  while (bytes > 0 && !packet_queue_.empty()) {
-    std::uint32_t& head = packet_queue_.front();
+  while (bytes > 0 && queued_ > 0) {
+    std::uint32_t& head = packets_[head_];
     const std::uint64_t take = std::min<std::uint64_t>(bytes, head);
     head -= static_cast<std::uint32_t>(take);
     bytes -= take;
     served += take;
     if (head == 0) {
-      packet_queue_.pop_front();
+      head_ = (head_ + 1) & (packets_.size() - 1);
+      --queued_;
       ++window_.tx_packets;
     }
   }
@@ -54,6 +52,19 @@ EXPLORA_REALTIME std::uint64_t Ue::serve(std::uint64_t bytes) {
   buffer_bytes_ -= served;
   window_.tx_bytes += served;
   return served;
+}
+
+void Ue::push_packet(std::uint32_t bytes) {
+  if (queued_ == packets_.size()) {
+    std::vector<std::uint32_t> grown(std::max<std::size_t>(16, 2 * queued_));
+    for (std::size_t i = 0; i < queued_; ++i) {
+      grown[i] = packets_[(head_ + i) & (packets_.size() - 1)];
+    }
+    packets_.swap(grown);
+    head_ = 0;
+  }
+  packets_[(head_ + queued_) & (packets_.size() - 1)] = bytes;
+  ++queued_;
 }
 
 UeWindowCounters Ue::harvest_window() noexcept {

@@ -3,9 +3,10 @@
 // E2 agent reports (tx_bitrate, tx_packets, DWL_buffer_size).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <vector>
 
 #include "netsim/channel.hpp"
 #include "netsim/traffic.hpp"
@@ -56,13 +57,21 @@ class Ue {
   [[nodiscard]] double& pf_average() noexcept { return pf_average_; }
 
  private:
+  /// Appends one packet to the tail of the ring, doubling it when full.
+  void push_packet(std::uint32_t bytes);
+
   std::uint32_t id_;
   Slice slice_;
   UeChannel channel_;
   std::unique_ptr<TrafficSource> traffic_;
   std::uint64_t buffer_capacity_;
 
-  std::deque<std::uint32_t> packet_queue_;   ///< per-packet remaining bytes
+  // FIFO of per-packet remaining bytes: a power-of-two ring that doubles
+  // when full and never shrinks, so once it has held the deepest backlog
+  // the TTI loop stops allocating.
+  std::vector<std::uint32_t> packets_;
+  std::size_t head_ = 0;   ///< slot of the oldest queued packet
+  std::size_t queued_ = 0; ///< packets in the ring
   std::uint64_t buffer_bytes_ = 0;
   UeWindowCounters window_{};
   double pf_average_ = 1.0;

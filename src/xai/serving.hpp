@@ -4,8 +4,8 @@
 //
 //   - BoundedRequestQueue: a fixed-capacity FIFO ring. Admission is
 //     try_push — it either fills a pre-sized slot or reports "full";
-//     nothing ever grows, blocks or locks, so the enqueue path can sit on
-//     the realtime tier of the hot-path analyzer. Like the service that
+//     nothing ever grows, blocks or locks, so the enqueue path passes the
+//     allocation gate over the hot paths. Like the service that
 //     owns it, the ring is single-threaded: the tick-clocked serving loop
 //     is its only producer and consumer.
 //   - DegradationLadder: one hysteresis state machine over the serving
@@ -33,7 +33,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/analysis_annotations.hpp"
 #include "common/contracts.hpp"
 
 namespace explora::xai::serving {
@@ -105,14 +104,13 @@ class BoundedRequestQueue {
 
   /// Admission: copies the request into the tail slot. Returns false when
   /// the ring is full. Never allocates, locks or blocks.
-  EXPLORA_REALTIME bool try_push(std::uint64_t id, std::uint32_t output_index,
-                                 std::span<const std::uint32_t> context,
-                                 Tick submitted, Tick deadline,
-                                 std::span<const double> x) noexcept;
+  bool try_push(std::uint64_t id, std::uint32_t output_index,
+                std::span<const std::uint32_t> context, Tick submitted,
+                Tick deadline, std::span<const double> x) noexcept;
 
   /// Dequeue into caller-owned storage. `out.x` must already have
   /// feature_dim() elements (pre-size it once). Returns false when empty.
-  EXPLORA_REALTIME bool try_pop(Request& out) noexcept;
+  bool try_pop(Request& out) noexcept;
 
   [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
   [[nodiscard]] std::size_t feature_dim() const noexcept {

@@ -5,7 +5,6 @@
 #include <bit>
 #include <utility>
 
-#include "common/analysis_annotations.hpp"
 #include "common/contracts.hpp"
 #include "ml/nn.hpp"
 
@@ -145,7 +144,7 @@ void ShapExplainer::count_evaluations(std::uint64_t rows) noexcept {
   tm_model_evals_->add(rows);
 }
 
-EXPLORA_NONBLOCKING std::vector<Vector> ShapExplainer::coalition_values(
+std::vector<Vector> ShapExplainer::coalition_values(
     const Vector& x, std::span<const std::uint32_t> masks) const {
   const std::size_t bg = background_.size();
   const std::size_t rows = masks.size() * bg;

@@ -11,12 +11,141 @@ namespace explora::xai {
 
 namespace {
 
-/// Candidate split: sorted unique midpoints of one feature column.
+/// Best split found so far: a feature and a midpoint between two of its
+/// distinct sorted values.
 struct SplitResult {
   bool found = false;
   std::int32_t feature = -1;
   double threshold = 0.0;
   double gain = 0.0;
+};
+
+/// The CART split search both trees share. For each feature it sorts the
+/// rows by that column and scans every boundary between distinct adjacent
+/// values that leaves at least `min_leaf` rows on each side. `score` holds
+/// the criterion's left-side state: reset() before each feature, add(row)
+/// as a row joins the left side, gain(left_n, right_n) per candidate. A
+/// candidate wins when its gain beats the best so far by more than
+/// `min_gain`.
+template <typename Score>
+SplitResult best_split(const std::vector<Vector>& features,
+                       const std::vector<std::size_t>& rows,
+                       std::size_t min_leaf, double min_gain, Score& score) {
+  SplitResult best;
+  const double n = static_cast<double>(rows.size());
+  const std::size_t num_features = features.front().size();
+  std::vector<std::size_t> sorted = rows;
+  for (std::size_t f = 0; f < num_features; ++f) {
+    std::sort(sorted.begin(), sorted.end(),
+              [&](std::size_t a, std::size_t b) {
+                return features[a][f] < features[b][f];
+              });
+    score.reset();
+    for (std::size_t i = 0; i + 1 < sorted.size(); ++i) {
+      score.add(sorted[i]);
+      const double x_now = features[sorted[i]][f];
+      const double x_next = features[sorted[i + 1]][f];
+      if (x_now == x_next) continue;
+      const auto left_n = static_cast<double>(i + 1);
+      const double right_n = n - left_n;
+      if (left_n < static_cast<double>(min_leaf) ||
+          right_n < static_cast<double>(min_leaf)) {
+        continue;
+      }
+      const double gain = score.gain(left_n, right_n);
+      if (gain > best.gain + min_gain) {
+        best.found = true;
+        best.feature = static_cast<std::int32_t>(f);
+        best.threshold = (x_now + x_next) / 2.0;
+        best.gain = gain;
+      }
+    }
+  }
+  return best;
+}
+
+/// Splits `rows` by `split` into the rows that go left and right.
+void partition(const std::vector<Vector>& features,
+               const std::vector<std::size_t>& rows, const SplitResult& split,
+               std::vector<std::size_t>& left, std::vector<std::size_t>& right) {
+  for (std::size_t r : rows) {
+    if (features[r][static_cast<std::size_t>(split.feature)] <=
+        split.threshold) {
+      left.push_back(r);
+    } else {
+      right.push_back(r);
+    }
+  }
+}
+
+/// Squared-error reduction from running left-side sums.
+struct SquaredErrorScore {
+  const Vector& targets;
+  double sum;
+  double sum_sq;
+  double sse;
+  double left_sum = 0.0;
+  double left_sq = 0.0;
+
+  void reset() {
+    left_sum = 0.0;
+    left_sq = 0.0;
+  }
+  void add(std::size_t row) {
+    const double y = targets[row];
+    left_sum += y;
+    left_sq += y * y;
+  }
+  [[nodiscard]] double gain(double left_n, double right_n) const {
+    const double right_sum = sum - left_sum;
+    const double right_sq = sum_sq - left_sq;
+    const double left_sse = left_sq - left_sum * left_sum / left_n;
+    const double right_sse = right_sq - right_sum * right_sum / right_n;
+    return sse - left_sse - right_sse;
+  }
+};
+
+using Criterion = DecisionTreeClassifier::Criterion;
+
+double impurity(Criterion criterion, const std::vector<double>& counts,
+                double total) {
+  if (total <= 0.0) return 0.0;
+  double result = 0.0;
+  if (criterion == Criterion::kGini) {
+    double sum_sq = 0.0;
+    for (double c : counts) sum_sq += (c / total) * (c / total);
+    result = 1.0 - sum_sq;
+  } else {
+    for (double c : counts) {
+      if (c > 0.0) {
+        const double p = c / total;
+        result -= p * std::log2(p);
+      }
+    }
+  }
+  return result;
+}
+
+/// Impurity decrease from running left-side class counts; the right
+/// side's counts are the node's minus these, in one reused scratch.
+struct ImpurityScore {
+  Criterion criterion;
+  const std::vector<std::size_t>& labels;
+  const std::vector<double>& counts;
+  double n;
+  double node_impurity;
+  std::vector<double> left = std::vector<double>(counts.size(), 0.0);
+  std::vector<double> right = std::vector<double>(counts.size(), 0.0);
+
+  void reset() { std::fill(left.begin(), left.end(), 0.0); }
+  void add(std::size_t row) { left[labels[row]] += 1.0; }
+  [[nodiscard]] double gain(double left_n, double right_n) {
+    for (std::size_t c = 0; c < counts.size(); ++c) {
+      right[c] = counts[c] - left[c];
+    }
+    return node_impurity - (left_n / n) * impurity(criterion, left, left_n) -
+           (right_n / n) * impurity(criterion, right, right_n);
+  }
 };
 
 }  // namespace
@@ -61,54 +190,14 @@ std::int32_t RegressionTree::build(const std::vector<Vector>& features,
     return node_index;
   }
 
-  SplitResult best;
-  const std::size_t num_features = features.front().size();
-  std::vector<std::size_t> sorted = rows;
-  for (std::size_t f = 0; f < num_features; ++f) {
-    std::sort(sorted.begin(), sorted.end(),
-              [&](std::size_t a, std::size_t b) {
-                return features[a][f] < features[b][f];
-              });
-    double left_sum = 0.0;
-    double left_sq = 0.0;
-    for (std::size_t i = 0; i + 1 < sorted.size(); ++i) {
-      const double y = targets[sorted[i]];
-      left_sum += y;
-      left_sq += y * y;
-      const double x_now = features[sorted[i]][f];
-      const double x_next = features[sorted[i + 1]][f];
-      if (x_now == x_next) continue;
-      const auto left_n = static_cast<double>(i + 1);
-      const double right_n = n - left_n;
-      if (left_n < static_cast<double>(config_.min_samples_leaf) ||
-          right_n < static_cast<double>(config_.min_samples_leaf)) {
-        continue;
-      }
-      const double right_sum = sum - left_sum;
-      const double right_sq = sum_sq - left_sq;
-      const double left_sse = left_sq - left_sum * left_sum / left_n;
-      const double right_sse = right_sq - right_sum * right_sum / right_n;
-      const double gain = sse - left_sse - right_sse;
-      if (gain > best.gain + config_.min_gain) {
-        best.found = true;
-        best.feature = static_cast<std::int32_t>(f);
-        best.threshold = (x_now + x_next) / 2.0;
-        best.gain = gain;
-      }
-    }
-  }
+  SquaredErrorScore score{targets, sum, sum_sq, sse};
+  const SplitResult best = best_split(
+      features, rows, config_.min_samples_leaf, config_.min_gain, score);
   if (!best.found) return node_index;
 
   std::vector<std::size_t> left_rows;
   std::vector<std::size_t> right_rows;
-  for (std::size_t r : rows) {
-    if (features[r][static_cast<std::size_t>(best.feature)] <=
-        best.threshold) {
-      left_rows.push_back(r);
-    } else {
-      right_rows.push_back(r);
-    }
-  }
+  partition(features, rows, best, left_rows, right_rows);
   const std::int32_t left = build(features, targets, left_rows, depth + 1);
   const std::int32_t right = build(features, targets, right_rows, depth + 1);
   TreeNode& node = nodes_[static_cast<std::size_t>(node_index)];
@@ -137,25 +226,6 @@ DecisionTreeClassifier::DecisionTreeClassifier(Config config)
     : config_(config) {
   EXPLORA_EXPECTS(config.max_depth >= 1);
   EXPLORA_EXPECTS(config.min_samples_leaf >= 1);
-}
-
-double DecisionTreeClassifier::impurity(const std::vector<double>& counts,
-                                        double total) const {
-  if (total <= 0.0) return 0.0;
-  double result = 0.0;
-  if (config_.criterion == Criterion::kGini) {
-    double sum_sq = 0.0;
-    for (double c : counts) sum_sq += (c / total) * (c / total);
-    result = 1.0 - sum_sq;
-  } else {
-    for (double c : counts) {
-      if (c > 0.0) {
-        const double p = c / total;
-        result -= p * std::log2(p);
-      }
-    }
-  }
-  return result;
 }
 
 void DecisionTreeClassifier::fit(const Dataset& data,
@@ -187,7 +257,7 @@ std::int32_t DecisionTreeClassifier::build(const Dataset& data,
   const double n = static_cast<double>(rows.size());
   std::vector<double> counts(num_classes_, 0.0);
   for (std::size_t r : rows) counts[data.labels[r]] += 1.0;
-  const double node_impurity = impurity(counts, n);
+  const double node_impurity = impurity(config_.criterion, counts, n);
 
   const auto node_index = static_cast<std::int32_t>(nodes_.size());
   nodes_.emplace_back();
@@ -205,54 +275,17 @@ std::int32_t DecisionTreeClassifier::build(const Dataset& data,
     return node_index;
   }
 
-  SplitResult best;
-  std::vector<std::size_t> sorted = rows;
-  for (std::size_t f = 0; f < num_features_; ++f) {
-    std::sort(sorted.begin(), sorted.end(),
-              [&](std::size_t a, std::size_t b) {
-                return data.features[a][f] < data.features[b][f];
-              });
-    std::vector<double> left_counts(num_classes_, 0.0);
-    for (std::size_t i = 0; i + 1 < sorted.size(); ++i) {
-      left_counts[data.labels[sorted[i]]] += 1.0;
-      const double x_now = data.features[sorted[i]][f];
-      const double x_next = data.features[sorted[i + 1]][f];
-      if (x_now == x_next) continue;
-      const auto left_n = static_cast<double>(i + 1);
-      const double right_n = n - left_n;
-      if (left_n < static_cast<double>(config_.min_samples_leaf) ||
-          right_n < static_cast<double>(config_.min_samples_leaf)) {
-        continue;
-      }
-      std::vector<double> right_counts(num_classes_, 0.0);
-      for (std::size_t c = 0; c < num_classes_; ++c) {
-        right_counts[c] = counts[c] - left_counts[c];
-      }
-      const double gain =
-          node_impurity - (left_n / n) * impurity(left_counts, left_n) -
-          (right_n / n) * impurity(right_counts, right_n);
-      if (gain > best.gain + config_.min_gain) {
-        best.found = true;
-        best.feature = static_cast<std::int32_t>(f);
-        best.threshold = (x_now + x_next) / 2.0;
-        best.gain = gain;
-      }
-    }
-  }
+  ImpurityScore score{config_.criterion, data.labels, counts, n,
+                      node_impurity};
+  const SplitResult best = best_split(
+      data.features, rows, config_.min_samples_leaf, config_.min_gain, score);
   if (!best.found) return node_index;
 
   importances_[static_cast<std::size_t>(best.feature)] += best.gain * n;
 
   std::vector<std::size_t> left_rows;
   std::vector<std::size_t> right_rows;
-  for (std::size_t r : rows) {
-    if (data.features[r][static_cast<std::size_t>(best.feature)] <=
-        best.threshold) {
-      left_rows.push_back(r);
-    } else {
-      right_rows.push_back(r);
-    }
-  }
+  partition(data.features, rows, best, left_rows, right_rows);
   const std::int32_t left = build(data, left_rows, depth + 1);
   const std::int32_t right = build(data, right_rows, depth + 1);
   TreeNode& node = nodes_[static_cast<std::size_t>(node_index)];

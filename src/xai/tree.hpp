@@ -122,8 +122,6 @@ class DecisionTreeClassifier {
  private:
   std::int32_t build(const Dataset& data, std::vector<std::size_t>& rows,
                      std::size_t depth);
-  [[nodiscard]] double impurity(const std::vector<double>& counts,
-                                double total) const;
   [[nodiscard]] const TreeNode& walk(const Vector& x) const;
 
   Config config_;

@@ -14,6 +14,7 @@
 #include <numbers>
 #include <vector>
 
+#include "common/fnv.hpp"
 #include "common/rng.hpp"
 #include "ml/gemm.hpp"
 
@@ -55,13 +56,9 @@ std::vector<double> sweep() {
 }
 
 std::uint64_t fnv1a(const std::vector<double>& values) {
-  std::uint64_t digest = 14695981039346656037ULL;
+  std::uint64_t digest = common::kFnvBasis;
   for (const double v : values) {
-    const auto bits = std::bit_cast<std::uint64_t>(v);
-    for (int byte = 0; byte < 8; ++byte) {
-      digest ^= (bits >> (8 * byte)) & 0xffU;
-      digest *= 1099511628211ULL;
-    }
+    common::fnv1a_word(digest, std::bit_cast<std::uint64_t>(v));
   }
   return digest;
 }

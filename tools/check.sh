@@ -45,9 +45,8 @@ for preset in "${PRESETS[@]}"; do
   run_step "test:${preset}" ctest --preset "${preset}" -j "$(nproc)"
 done
 
-# lint.sh is the single entry point for every source lint (determinism
-# with the concurrency confinement rule, hot-path realtime safety + module
-# layering).
+# lint.sh is the single entry point for every source lint (determinism,
+# with the concurrency confinement and module layering rules).
 run_step "lints" tools/lint.sh
 
 if command -v run-clang-tidy >/dev/null 2>&1 && command -v clang-tidy >/dev/null 2>&1; then

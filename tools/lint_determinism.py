@@ -52,17 +52,25 @@ artifacts. This lint bans the constructs that historically break it:
                      or atomic elsewhere is a design change, not a local
                      fix. No waiver: widening the list is a policy edit to
                      this lint (DESIGN.md §9)
+  module-layering    a quoted `#include "module/..."` in src/<module>/ that
+                     the declared module DAG (MODULES) does not allow, or a
+                     src/ module the DAG does not declare. tools/, bench/
+                     and tests/ sit above every module and are exempt. The
+                     declared DAG is itself checked acyclic first. No
+                     waiver: a new edge is a change to MODULES (DESIGN.md
+                     §11)
 
 A finding on a line carrying `// det-ok: <rule> (<reason>)` is suppressed
-(concurrency-home excepted); the marker documents why the construct is
-safe at that site (e.g. an unordered iteration whose results are sorted
-before use).
+(concurrency-home and module-layering excepted); the marker documents why
+the construct is safe at that site (e.g. an unordered iteration whose
+results are sorted before use).
 
 Exit status: 0 = clean, 1 = findings, 2 = usage error.
 """
 
 from __future__ import annotations
 
+import pathlib
 import re
 import sys
 
@@ -116,6 +124,22 @@ CONCURRENCY_PRIMITIVE = re.compile(
     r"|condition_variable(?:_any)?)\b"
     r"|\b__(?:atomic|sync)_\w+"
 )
+
+# The declared module layering: each module under src/ maps to the modules
+# it may include (its own is always allowed). A per-module allow-set is
+# stronger than a linear order: xai may not include netsim although both
+# sit above common. netsim's domain types sit beneath ml because agents
+# size their heads off the RAN action space (DESIGN.md §11).
+MODULES: dict[str, set[str]] = {
+    "common": set(),
+    "netsim": {"common"},
+    "ml": {"common", "netsim"},
+    "xai": {"common", "ml"},
+    "oran": {"common", "netsim", "ml"},
+    "explora": {"common", "netsim", "ml", "xai", "oran"},
+    "harness": {"common", "netsim", "ml", "xai", "oran", "explora"},
+}
+QUOTED_INCLUDE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
 
 CONTRACT_MACRO = re.compile(r"\bEXPLORA_(?:EXPECTS|ENSURES|ASSERT|AUDIT)(_MSG)?\s*\(")
 
@@ -190,6 +214,41 @@ def contract_condition_spans(code: str):
 
 def allowed(raw_lines: list[str], lineno: int, rule: str) -> bool:
     return lintlib.marker_allows(raw_lines, lineno, DET_OK, rule)
+
+
+def dag_acyclic(modules: dict[str, set[str]]) -> bool:
+    """Kahn's algorithm over the declared allow-sets."""
+    deps = {m: set(d) & set(modules) for m, d in modules.items()}
+    done: set[str] = set()
+    while True:
+        ready = {m for m, d in deps.items() if m not in done and d <= done}
+        if not ready:
+            return len(done) == len(deps)
+        done |= ready
+
+
+def layering_findings(rel: str, raw: str):
+    """module-layering findings for one file at repo-relative `rel`.
+    Includes are read from the raw text: stripping blanks their quoted
+    paths, and a commented-out #include does not start its line."""
+    parts = pathlib.PurePosixPath(rel).parts
+    if len(parts) < 3 or parts[0] != "src":
+        return []
+    module = parts[1]
+    if module not in MODULES:
+        return [(1, "module-layering",
+                 f"module '{module}' is not declared in MODULES")]
+    allowed = MODULES[module] | {module}
+    findings = []
+    for lineno, line in enumerate(raw.splitlines(), start=1):
+        m = QUOTED_INCLUDE.match(line)
+        if not m:
+            continue
+        target = m.group(1).split("/")[0]
+        if target in MODULES and target not in allowed:
+            findings.append((lineno, "module-layering",
+                             f"{module} may not include {m.group(1)}"))
+    return findings
 
 
 RANGE_FOR = re.compile(r"for\s*\(\s*[^;:()]*?:\s*([\w.\->]+)\s*\)")
@@ -272,7 +331,7 @@ def self_test() -> int:
     auto t = time(nullptr);
     if (a == 1.0) {}
     if (0.5 != b) {}
-    int y = std::rand();  // hotpath-ok: another lint's marker
+    int y = std::rand();  // other-ok: another lint's marker
     EXPLORA_EXPECTS(++n < 5);
     EXPLORA_ASSERT(x = 3);
     EXPLORA_EXPECTS_MSG(total += 1, "grew to {}", total);
@@ -282,7 +341,7 @@ def self_test() -> int:
     good = """
     auto t0 = std::chrono::steady_clock::now();  // duration only
     if (a == 1.0) {}  // det-ok: float-eq (documented reason)
-    if (b != 2.0) {}  // det-ok: float-eq (reason) hotpath-ok: x
+    if (b != 2.0) {}  // det-ok: float-eq (reason) other-ok: x
     EXPLORA_EXPECTS(n + 1 < 5);
     EXPLORA_EXPECTS(a <= b && c >= d && e != f);
     EXPLORA_EXPECTS_MSG(x < y, "x = {}, y = {}", x, y);
@@ -433,12 +492,34 @@ def self_test() -> int:
     ok = ok and not concurrency_good_findings
     ok = ok and not concurrency_home_findings
     ok = ok and not concurrency_tools_findings
+    layering_bad = {
+        "src/netsim/bad.cpp": ('#include "xai/shap.hpp"\n'
+                               '#include "common/a.hpp"\n'),
+        "src/zeta/odd.cpp": '#include "common/a.hpp"\n',
+    }
+    layering_good = {
+        "src/xai/ok.cpp": ('#include "ml/nn.hpp"\n#include "common/a.hpp"\n'
+                           '#include "xai/other.hpp"\n#include <vector>\n'
+                           '// #include "netsim/gnb.hpp"\n'),
+        "src/common/ok.hpp": '#include "common/base.hpp"\n',
+        "tools/cli.cpp": '#include "harness/experiment.hpp"\n',
+    }
+    layering_bad_findings = [f for rel, raw in layering_bad.items()
+                             for f in layering_findings(rel, raw)]
+    layering_good_findings = [f for rel, raw in layering_good.items()
+                              for f in layering_findings(rel, raw)]
+    ok = ok and [(line, rule) for line, rule, _ in layering_bad_findings] == [
+        (1, "module-layering"), (1, "module-layering")]
+    ok = ok and not layering_good_findings
+    ok = ok and dag_acyclic(MODULES)
+    ok = ok and not dag_acyclic({"a": {"b"}, "b": {"c"}, "c": {"a"}})
     bad_findings = (bad_findings + fault_bad_findings + telemetry_bad_findings
                     + simd_bad_findings + libm_bad_findings
-                    + concurrency_bad_findings)
+                    + concurrency_bad_findings + layering_bad_findings)
     good_findings = (good_findings + fault_good_findings
                      + telemetry_good_findings + simd_good_findings
-                     + libm_good_findings + concurrency_good_findings)
+                     + libm_good_findings + concurrency_good_findings
+                     + layering_good_findings)
     return lintlib.self_test_verdict(ok, bad_findings, good_findings)
 
 
@@ -451,6 +532,10 @@ def main() -> int:
     files = lintlib.collect_sources(root)
     if not files:
         return lintlib.no_sources_error("lint_determinism", root)
+    if not dag_acyclic(MODULES):
+        print("lint_determinism: declared module DAG (MODULES) is cyclic",
+              file=sys.stderr)
+        return 2
 
     # Unordered container members are declared in headers and iterated in
     # .cpp files, so collect declaration names across the whole scan set.
@@ -474,10 +559,13 @@ def main() -> int:
                                                src_file,
                                                rel in CONCURRENCY_HOME):
             findings.append((rel, lineno, rule, snippet))
+        for lineno, rule, snippet in layering_findings(rel, raws[path]):
+            findings.append((rel, lineno, rule, snippet))
 
     return lintlib.report_findings(
         "lint_determinism", findings, len(files),
-        ["suppress a safe site with: // det-ok: <rule> (<why it is safe>)"])
+        ["suppress a safe site with: // det-ok: <rule> (<why it is safe>)",
+         "a new module edge is a change to MODULES in this lint"])
 
 
 if __name__ == "__main__":

@@ -1,17 +1,15 @@
 """Shared plumbing for the EXPLORA source lints.
 
-Every lint in tools/ (lint_determinism.py, lint_hotpath.py) walks the
-same file set, blanks comments and string literals the same way, honors
-line-level suppression markers with the same
-`// <marker>: <rule> (<reason>)` grammar, and reports findings in the
-same `path:line: [rule] snippet` format so editors and CI parse them
-uniformly. This module is that common substrate; the lints keep
-only their rule tables and scanning logic.
+lint_determinism.py (tools/) is built on this module: the file set it
+walks, the way it blanks comments and string literals, its line-level
+suppression markers with the `// <marker>: <rule> (<reason>)` grammar,
+and its `path:line: [rule] snippet` finding format, which editors and CI
+parse. The lint itself keeps only its rule tables and scanning logic.
 
 Nothing here is specific to one lint: a new analysis script should need
 only `collect_sources`, `strip_comments_and_strings`, `marker_pattern`
 plus `marker_allows`, and the `report_findings`/`self_test_verdict`
-drivers to look and behave exactly like its siblings.
+drivers to look and behave exactly like lint_determinism.py.
 """
 
 from __future__ import annotations
@@ -70,17 +68,13 @@ def line_of(code: str, offset: int) -> int:
     return code.count("\n", 0, offset) + 1
 
 
-def collect_sources(
-    root: pathlib.Path,
-    scan_dirs: tuple[str, ...] = SCAN_DIRS,
-    extensions: set[str] = EXTENSIONS,
-) -> list[pathlib.Path]:
+def collect_sources(root: pathlib.Path) -> list[pathlib.Path]:
     """All lint-relevant sources under `root`, sorted for stable output."""
     return sorted(
         path
-        for scan_dir in scan_dirs
+        for scan_dir in SCAN_DIRS
         for path in (root / scan_dir).rglob("*")
-        if path.suffix in extensions
+        if path.suffix in EXTENSIONS
     )
 
 
