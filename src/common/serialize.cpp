@@ -185,12 +185,17 @@ std::uint64_t Reader::fixed64() {
 
 double Reader::f64() { return std::bit_cast<double>(fixed64()); }
 
-std::vector<double> Reader::f64_list() {
+std::span<const std::uint8_t> Reader::f64_list_bytes() {
   const auto raw = bytes();
   if (raw.size() % sizeof(double) != 0) {
     throw SerializeError(common::format(
         "packed double list of {} bytes is not a multiple of 8", raw.size()));
   }
+  return raw;
+}
+
+std::vector<double> Reader::f64_list() {
+  const auto raw = f64_list_bytes();
   std::vector<double> out(raw.size() / sizeof(double));
   // Empty list: data() may be null, and memcpy(null, .., 0) is UB.
   if (!out.empty()) std::memcpy(out.data(), raw.data(), raw.size());

@@ -121,6 +121,10 @@ class Reader {
   }
   /// Packed doubles; throws unless the length is a multiple of 8.
   [[nodiscard]] std::vector<double> f64_list();
+  /// The raw little-endian bytes of a packed double list, borrowed from
+  /// the input, for callers that copy them into storage of their own;
+  /// throws unless the length is a multiple of 8.
+  [[nodiscard]] std::span<const std::uint8_t> f64_list_bytes();
 
   struct Tag {
     std::uint32_t field_id = 0;

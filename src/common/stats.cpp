@@ -1,6 +1,7 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -82,12 +83,21 @@ Histogram::Histogram(double lo, double hi, std::size_t bins)
   EXPLORA_EXPECTS(hi > lo);
 }
 
+namespace {
+
+/// The bin of `x` among `bins` equal bins over [lo, hi], edges clamped.
+std::size_t bin_of(double x, double lo, double hi, std::size_t bins) noexcept {
+  const double width = (hi - lo) / static_cast<double>(bins);
+  auto bin = static_cast<std::ptrdiff_t>(std::floor((x - lo) / width));
+  bin = std::clamp<std::ptrdiff_t>(bin, 0,
+                                   static_cast<std::ptrdiff_t>(bins) - 1);
+  return static_cast<std::size_t>(bin);
+}
+
+}  // namespace
+
 void Histogram::add(double x) noexcept {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto bin = static_cast<std::ptrdiff_t>(std::floor((x - lo_) / width));
-  bin = std::clamp<std::ptrdiff_t>(
-      bin, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(bin)];
+  ++counts_[bin_of(x, lo_, hi_, counts_.size())];
   ++total_;
 }
 
@@ -156,22 +166,38 @@ double jensen_shannon_divergence(std::span<const double> a,
     hi = std::max(hi, x);
   }
   if (!(hi > lo)) return 0.0;  // all samples identical across both sets
-  Histogram ha(lo, hi, bins);
-  Histogram hb(lo, hi, bins);
-  for (double x : a) ha.add(x);
-  for (double x : b) hb.add(x);
-  const auto pa = ha.pmf();
-  const auto pb = hb.pmf();
-  auto kl = [](const std::vector<double>& p, const std::vector<double>& m) {
+  // Bin counts live on the stack up to kStackBins bins. The arithmetic is
+  // Histogram's: pmf entries are count / total, the mixture is their
+  // mean, and the two KL sums run in bin order, so the result keeps its
+  // bits whichever storage holds the counts.
+  EXPLORA_EXPECTS(bins > 0);
+  constexpr std::size_t kStackBins = 64;
+  std::array<std::size_t, 2 * kStackBins> stack_counts{};
+  std::vector<std::size_t> heap_counts;
+  std::span<std::size_t> counts(stack_counts);
+  if (bins > kStackBins) {
+    heap_counts.assign(2 * bins, 0);
+    counts = heap_counts;
+  }
+  const std::span<std::size_t> counts_a = counts.first(bins);
+  const std::span<std::size_t> counts_b = counts.subspan(bins, bins);
+  for (double x : a) ++counts_a[bin_of(x, lo, hi, bins)];
+  for (double x : b) ++counts_b[bin_of(x, lo, hi, bins)];
+  const auto total_a = static_cast<double>(a.size());
+  const auto total_b = static_cast<double>(b.size());
+  // KL(p || m) with m = (p_a + p_b) / 2; `from_a` picks p.
+  auto kl_to_mixture = [&](bool from_a) {
     double sum = 0.0;
-    for (std::size_t i = 0; i < p.size(); ++i) {
-      if (p[i] > 0.0 && m[i] > 0.0) sum += p[i] * std::log2(p[i] / m[i]);
+    for (std::size_t i = 0; i < bins; ++i) {
+      const double pa = static_cast<double>(counts_a[i]) / total_a;
+      const double pb = static_cast<double>(counts_b[i]) / total_b;
+      const double p = from_a ? pa : pb;
+      const double mid = 0.5 * (pa + pb);
+      if (p > 0.0 && mid > 0.0) sum += p * std::log2(p / mid);
     }
     return sum;
   };
-  std::vector<double> mid(pa.size());
-  for (std::size_t i = 0; i < pa.size(); ++i) mid[i] = 0.5 * (pa[i] + pb[i]);
-  return 0.5 * kl(pa, mid) + 0.5 * kl(pb, mid);
+  return 0.5 * kl_to_mixture(true) + 0.5 * kl_to_mixture(false);
 }
 
 std::vector<double> cdf_points(std::span<const double> data,

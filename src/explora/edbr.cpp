@@ -1,7 +1,6 @@
 #include "explora/edbr.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "common/contracts.hpp"
 #include "common/format.hpp"
@@ -31,31 +30,31 @@ void ActionSteering::push_measured_reward(double reward) {
   }
 }
 
-std::vector<const ActionNode*> ActionSteering::candidate_set(
-    const netsim::SlicingControl& previous) const {
-  std::vector<const ActionNode*> candidates;
+void ActionSteering::collect_candidates(
+    const netsim::SlicingControl& previous) {
+  candidates_.clear();
   const ActionNode* previous_node = graph_->find(previous);
-  if (previous_node == nullptr) return candidates;
+  if (previous_node == nullptr) return;
   // Algorithm 1 lines 4-10: BFS from n_{t-1}, bounded by the exploration
-  // radius (the paper demonstrates the 1-hop worst case).
-  std::vector<const ActionNode*> frontier{previous_node};
-  std::set<const ActionNode*> visited{previous_node};
-  candidates.push_back(previous_node);
+  // radius (the paper demonstrates the 1-hop worst case). Each hop's
+  // frontier is the run of candidates the previous hop appended, and a
+  // node is visited once it is a candidate.
+  candidates_.push_back(previous_node);
+  std::size_t frontier_begin = 0;
   for (std::size_t hop = 0; hop < config_.exploration_hops; ++hop) {
-    std::vector<const ActionNode*> next_frontier;
-    for (const ActionNode* node : frontier) {
-      for (std::size_t neighbor : graph_->neighbors(node->action)) {
-        const ActionNode& candidate = graph_->node(neighbor);
-        if (visited.insert(&candidate).second) {
-          candidates.push_back(&candidate);
-          next_frontier.push_back(&candidate);
+    const std::size_t frontier_end = candidates_.size();
+    for (std::size_t i = frontier_begin; i < frontier_end; ++i) {
+      for (std::size_t neighbor : graph_->neighbors(candidates_[i]->action)) {
+        const ActionNode* candidate = &graph_->node(neighbor);
+        if (std::find(candidates_.begin(), candidates_.end(), candidate) ==
+            candidates_.end()) {
+          candidates_.push_back(candidate);
         }
       }
     }
-    if (next_frontier.empty()) break;
-    frontier = std::move(next_frontier);
+    if (candidates_.size() == frontier_end) break;
+    frontier_begin = frontier_end;
   }
-  return candidates;
 }
 
 SteeringOutcome ActionSteering::steer(
@@ -94,7 +93,8 @@ SteeringOutcome ActionSteering::steer(
     return outcome;
   }
 
-  const auto candidates = candidate_set(*previous);
+  collect_candidates(*previous);
+  const std::vector<const ActionNode*>& candidates = candidates_;
   if (candidates.empty()) {
     // Line 13: previous action unknown to G -> forward a_t unchanged.
     outcome.rationale = "previous action not in G; forwarding agent action";

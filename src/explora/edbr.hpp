@@ -93,10 +93,10 @@ class ActionSteering {
   }
 
  private:
-  /// Candidate set Q: the previous node plus everything reachable within
-  /// config_.exploration_hops observed transitions.
-  [[nodiscard]] std::vector<const ActionNode*> candidate_set(
-      const netsim::SlicingControl& previous) const;
+  /// Fills candidates_ with the candidate set Q: the previous node plus
+  /// everything reachable within config_.exploration_hops observed
+  /// transitions, in breadth-first order.
+  void collect_candidates(const netsim::SlicingControl& previous);
 
   const AttributedGraph* graph_;
   RewardModel reward_;
@@ -107,6 +107,8 @@ class ActionSteering {
   std::uint64_t replacements_ = 0;
   std::map<netsim::SlicingControl, std::uint64_t> replaced_out_counts_;
   std::map<netsim::SlicingControl, std::uint64_t> substituted_in_counts_;
+  /// collect_candidates' output, reused from decision to decision.
+  std::vector<const ActionNode*> candidates_;
 };
 
 }  // namespace explora::core

@@ -73,7 +73,7 @@ void AttributedGraph::begin_action(const netsim::SlicingControl& action) {
   if (current_node_.has_value()) {
     const std::size_t from = *current_node_;
     const auto key = edge_key(from, node_index);
-    auto [it, inserted] = edges_.emplace(key, 0);
+    auto [it, inserted] = edges_.try_emplace(key, 0);
     ++it->second;
     if (inserted) adjacency_[from].push_back(node_index);
     ++total_transitions_;
@@ -93,7 +93,7 @@ void AttributedGraph::record_consequence(const netsim::KpiReport& report) {
       // Appendix-B attribute form: one sample per user.
       const netsim::SliceKpiReport& slice_report =
           report.slices[static_cast<std::size_t>(slice)];
-      const std::vector<double>* per_ue = nullptr;
+      const netsim::PerUeValues* per_ue = nullptr;
       switch (kpi) {
         case netsim::Kpi::kTxBitrate:
           per_ue = &slice_report.tx_bitrate_mbps;
@@ -127,7 +127,7 @@ const ActionNode* AttributedGraph::find(
   return it == index_.end() ? nullptr : &nodes_[it->second];
 }
 
-std::vector<std::size_t> AttributedGraph::neighbors(
+std::span<const std::size_t> AttributedGraph::neighbors(
     const netsim::SlicingControl& action) const {
   const auto it = index_.find(action);
   if (it == index_.end()) return {};

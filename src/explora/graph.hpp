@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -95,9 +96,10 @@ class AttributedGraph {
   [[nodiscard]] const std::vector<ActionNode>& nodes() const noexcept {
     return nodes_;
   }
-  /// First-hop out-neighbours of an action's node (indices into nodes()).
-  /// Empty when the action is unknown.
-  [[nodiscard]] std::vector<std::size_t> neighbors(
+  /// First-hop out-neighbours of an action's node (indices into nodes()),
+  /// a view valid until the graph next changes. Empty when the action is
+  /// unknown.
+  [[nodiscard]] std::span<const std::size_t> neighbors(
       const netsim::SlicingControl& action) const;
   [[nodiscard]] const ActionNode& node(std::size_t index) const;
   /// Count of observed transitions a -> b (0 when never seen).

@@ -1,5 +1,7 @@
 #include "explora/transitions.hpp"
 
+#include <utility>
+
 #include "common/contracts.hpp"
 #include "common/format.hpp"
 #include "common/stats.hpp"
@@ -34,16 +36,12 @@ double TransitionEvent::kpi_delta(netsim::Kpi kpi) const {
   return sum;
 }
 
-TransitionTracker::StepSnapshot TransitionTracker::snapshot(
-    const netsim::SlicingControl& action,
-    std::span<const netsim::KpiReport> window) {
+void TransitionTracker::snapshot(const netsim::SlicingControl& action,
+                                 std::span<const netsim::KpiReport> window,
+                                 StepSnapshot& snap) {
   EXPLORA_EXPECTS(!window.empty());
-  StepSnapshot snap;
   snap.action = action;
-  snap.samples.assign(kNumAttributes, {});
-  for (std::size_t p = 0; p < kNumAttributes; ++p) {
-    snap.samples[p].reserve(window.size());
-  }
+  for (std::vector<double>& samples : snap.samples) samples.clear();
   for (const auto& report : window) {
     for (std::size_t k = 0; k < netsim::kNumKpis; ++k) {
       for (std::size_t l = 0; l < netsim::kNumSlices; ++l) {
@@ -59,28 +57,27 @@ TransitionTracker::StepSnapshot TransitionTracker::snapshot(
     for (double v : snap.samples[p]) sum += v;
     snap.means[p] = sum / static_cast<double>(snap.samples[p].size());
   }
-  return snap;
 }
 
 void TransitionTracker::record_step(
     const netsim::SlicingControl& action,
     std::span<const netsim::KpiReport> window) {
-  StepSnapshot current = snapshot(action, window);
+  snapshot(action, window, current_);
   if (has_previous_) {
     TransitionEvent event;
     event.from = previous_.action;
-    event.to = current.action;
+    event.to = current_.action;
     event.cls = classify_transition(event.from, event.to);
     event.delta.resize(kNumAttributes);
     event.js_divergence.resize(kNumAttributes);
     for (std::size_t p = 0; p < kNumAttributes; ++p) {
-      event.delta[p] = current.means[p] - previous_.means[p];
+      event.delta[p] = current_.means[p] - previous_.means[p];
       event.js_divergence[p] = common::jensen_shannon_divergence(
-          previous_.samples[p], current.samples[p]);
+          previous_.samples[p], current_.samples[p]);
     }
     events_.push_back(std::move(event));
   }
-  previous_ = std::move(current);
+  std::swap(previous_, current_);
   has_previous_ = true;
 }
 

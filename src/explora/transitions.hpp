@@ -73,15 +73,20 @@ class TransitionTracker {
   struct StepSnapshot {
     netsim::SlicingControl action;
     std::array<double, kNumAttributes> means{};
-    std::vector<std::vector<double>> samples;  ///< per attribute
+    /// Per attribute, one sample per report of the step.
+    std::array<std::vector<double>, kNumAttributes> samples;
   };
-  [[nodiscard]] static StepSnapshot snapshot(
-      const netsim::SlicingControl& action,
-      std::span<const netsim::KpiReport> window);
+  /// Refills `snap` for one step, reusing its sample buffers.
+  static void snapshot(const netsim::SlicingControl& action,
+                       std::span<const netsim::KpiReport> window,
+                       StepSnapshot& snap);
 
   std::vector<TransitionEvent> events_;
   bool has_previous_ = false;
+  // The last two steps; they swap after each one, so their sample
+  // buffers are reused rather than rebuilt.
   StepSnapshot previous_{};
+  StepSnapshot current_{};
 };
 
 /// Feature names for the distillation DT, aligned with TransitionEvent::

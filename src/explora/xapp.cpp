@@ -167,7 +167,7 @@ void ExploraXapp::on_message(const oran::RicMessage& message) {
       if (pending_count_ > 0) finalize_decision_window();
 
       netsim::SlicingControl enforced = proposed;
-      std::string rationale = "forwarded unchanged (steering disabled)";
+      std::string rationale;
       bool replaced = false;
       if (ladder_.stale()) {
         // Telemetry is stale: steering would reason over gapped evidence,
@@ -210,6 +210,9 @@ void ExploraXapp::on_message(const oran::RicMessage& message) {
           replaced = replaced || outcome.replaced;
         }
       }
+      if (rationale.empty()) {
+        rationale = "forwarded unchanged (steering disabled)";
+      }
       if (replaced) {
         ++controls_replaced_;
         tm_controls_replaced_->add(1);
@@ -228,7 +231,7 @@ void ExploraXapp::on_message(const oran::RicMessage& message) {
             .proposed = proposed,
             .enforced = enforced,
             .replaced = replaced,
-            .explanation = rationale,
+            .explanation = std::move(rationale),
         });
       }
       if (reliable_.has_value()) {

@@ -92,6 +92,11 @@ Vector Autoencoder::encode(std::span<const double> input) const {
   return code;
 }
 
+void Autoencoder::encode(std::span<const double> input,
+                         std::span<double> code) const {
+  encoder_.infer(input, code);
+}
+
 Vector Autoencoder::reconstruct(std::span<const double> input) const {
   Vector code(config_.latent_dim, 0.0);
   encoder_.infer(input, code);

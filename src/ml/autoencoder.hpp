@@ -36,6 +36,8 @@ class Autoencoder {
 
   /// Latent representation of one input (size latent_dim).
   [[nodiscard]] Vector encode(std::span<const double> input) const;
+  /// The same, written into `code` (size latent_dim).
+  void encode(std::span<const double> input, std::span<double> code) const;
   /// Decoder round-trip (size input_dim), for fidelity checks.
   [[nodiscard]] Vector reconstruct(std::span<const double> input) const;
   /// Mean squared reconstruction error over a dataset.

@@ -74,39 +74,49 @@ void KpiNormalizer::deserialize(common::Reader& reader) {
   }
 }
 
-void InputWindow::push(const netsim::KpiReport& report) {
-  reports_.push_back(report);
-  while (reports_.size() > kHistory) reports_.pop_front();
+void InputWindow::push(const netsim::KpiReport& report) noexcept {
+  if (size_ < kHistory) {
+    ring_[(oldest_ + size_++) % kHistory] = report;
+  } else {
+    ring_[oldest_] = report;
+    oldest_ = (oldest_ + 1) % kHistory;
+  }
 }
 
 Vector InputWindow::flatten(const KpiNormalizer& normalizer) const {
+  Vector out(kInputDim);
+  flatten(normalizer, out);
+  return out;
+}
+
+void InputWindow::flatten(const KpiNormalizer& normalizer,
+                          std::span<double> out) const {
   EXPLORA_EXPECTS(ready());
-  Vector out;
-  out.reserve(kInputDim);
-  for (const auto& report : reports_) {
+  EXPLORA_EXPECTS(out.size() == kInputDim);
+  std::size_t next = 0;
+  for (std::size_t m = 0; m < size_; ++m) {
+    const netsim::KpiReport& report = at(m);
     for (std::size_t k = 0; k < netsim::kNumKpis; ++k) {
       for (std::size_t l = 0; l < netsim::kNumSlices; ++l) {
         const auto kpi = static_cast<netsim::Kpi>(k);
         const auto slice = static_cast<netsim::Slice>(l);
-        out.push_back(normalizer.normalize(kpi, slice,
-                                           report.value(kpi, slice)));
+        out[next++] =
+            normalizer.normalize(kpi, slice, report.value(kpi, slice));
       }
     }
   }
-  EXPLORA_ENSURES(out.size() == kInputDim);
-  return out;
 }
 
 const netsim::KpiReport& InputWindow::latest() const {
-  EXPLORA_EXPECTS(!reports_.empty());
-  return reports_.back();
+  EXPLORA_EXPECTS(size_ > 0);
+  return at(size_ - 1);
 }
 
 double InputWindow::window_mean(netsim::Kpi kpi, netsim::Slice slice) const {
-  EXPLORA_EXPECTS(!reports_.empty());
+  EXPLORA_EXPECTS(size_ > 0);
   double sum = 0.0;
-  for (const auto& report : reports_) sum += report.value(kpi, slice);
-  return sum / static_cast<double>(reports_.size());
+  for (std::size_t m = 0; m < size_; ++m) sum += at(m).value(kpi, slice);
+  return sum / static_cast<double>(size_);
 }
 
 netsim::SlicingControl to_control(const AgentAction& action) {

@@ -6,7 +6,7 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
+#include <span>
 
 #include "common/serialize.hpp"
 #include "ml/matrix.hpp"
@@ -56,21 +56,22 @@ class KpiNormalizer {
 };
 
 /// Sliding window over the last M KPI reports that assembles the flattened,
-/// normalized input matrix I for the autoencoder.
+/// normalized input matrix I for the autoencoder. A fixed ring of M
+/// reports: pushing overwrites the oldest slot in place.
 class InputWindow {
  public:
   /// Pushes the newest report, evicting the oldest beyond M.
-  void push(const netsim::KpiReport& report);
+  void push(const netsim::KpiReport& report) noexcept;
 
   /// True once M reports have been observed.
-  [[nodiscard]] bool ready() const noexcept {
-    return reports_.size() == kHistory;
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return reports_.size(); }
+  [[nodiscard]] bool ready() const noexcept { return size_ == kHistory; }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
   /// Flattened normalized input (size kInputDim), ordered m-major then
   /// KPI-major then slice: i[m][k][l]. Requires ready().
   [[nodiscard]] Vector flatten(const KpiNormalizer& normalizer) const;
+  /// The same values written into `out` (size kInputDim).
+  void flatten(const KpiNormalizer& normalizer, std::span<double> out) const;
 
   /// Raw (un-normalized) slice aggregate of the most recent report.
   [[nodiscard]] const netsim::KpiReport& latest() const;
@@ -78,10 +79,17 @@ class InputWindow {
   [[nodiscard]] double window_mean(netsim::Kpi kpi,
                                    netsim::Slice slice) const;
 
-  void clear() noexcept { reports_.clear(); }
+  void clear() noexcept { size_ = 0; }
 
  private:
-  std::deque<netsim::KpiReport> reports_;
+  /// The i-th report held, oldest first.
+  [[nodiscard]] const netsim::KpiReport& at(std::size_t i) const noexcept {
+    return ring_[(oldest_ + i) % kHistory];
+  }
+
+  std::array<netsim::KpiReport, kHistory> ring_{};
+  std::size_t oldest_ = 0;
+  std::size_t size_ = 0;
 };
 
 /// The agent's discrete multi-modal action: index into the PRB-split

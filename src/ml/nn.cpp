@@ -1,6 +1,7 @@
 #include "ml/nn.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/contracts.hpp"
@@ -193,14 +194,30 @@ const Vector& Mlp::forward(std::span<const double> in) {
 void Mlp::infer(std::span<const double> in, std::span<double> out) const {
   EXPLORA_EXPECTS(in.size() == in_size());
   EXPLORA_EXPECTS(out.size() == out_size());
-  Vector scratch_a(in.begin(), in.end());
-  Vector scratch_b;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    scratch_b.assign(layers_[i].out_size(), 0.0);
-    layers_[i].forward(scratch_a, scratch_b);
-    scratch_a.swap(scratch_b);
+  // Activations ping-pong between two scratch rows: on the stack when
+  // every layer fits kStackWidth (all of the project's networks), else on
+  // the heap. Each layer writes its whole output, so neither is cleared.
+  constexpr std::size_t kStackWidth = 256;
+  std::size_t widest = 0;
+  for (const DenseLayer& layer : layers_) {
+    widest = std::max(widest, layer.out_size());
   }
-  std::copy(scratch_a.begin(), scratch_a.end(), out.begin());
+  std::array<double, 2 * kStackWidth> stack_rows;
+  Vector heap_rows;
+  std::span<double> rows(stack_rows);
+  if (widest > kStackWidth) {
+    heap_rows.resize(2 * widest);
+    rows = heap_rows;
+  }
+  const std::size_t width = std::max(widest, kStackWidth);
+  std::span<const double> current = in;
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    const std::span<double> next =
+        rows.subspan((i % 2) * width, layers_[i].out_size());
+    layers_[i].forward(current, next);
+    current = next;
+  }
+  std::copy(current.begin(), current.end(), out.begin());
 }
 
 Matrix Mlp::forward_batch(const Matrix& in) const {

@@ -82,6 +82,7 @@ PpoAgent::PpoAgent(Config config, std::uint64_t seed)
       critic_({config_.state_dim, config_.hidden_dim, config_.hidden_dim, 1},
               Activation::kTanh, Activation::kLinear, init_rng_),
       shuffle_rng_(init_rng_.fork("shuffle")) {
+  EXPLORA_EXPECTS(actor_.out_size() <= kMaxLogits);
   telemetry::Scope scope("ml.ppo");
   tm_updates_ = &scope.counter("updates");
   tm_epochs_ = &scope.counter("epochs");
@@ -98,23 +99,35 @@ PpoAgent::PpoAgent(Config config, std::uint64_t seed)
   critic_opt_.attach(critic_);
 }
 
-std::vector<Vector> PpoAgent::split_softmax(
-    std::span<const double> logits,
+void PpoAgent::softmax_heads(
+    std::span<double> logits,
     const std::array<double, kNumHeads>& temperatures) const {
   const auto offsets = head_offsets();
-  std::vector<Vector> heads;
-  heads.reserve(kNumHeads);
   for (std::size_t h = 0; h < kNumHeads; ++h) {
     EXPLORA_EXPECTS(temperatures[h] > 0.0);
-    Vector head(logits.begin() + static_cast<std::ptrdiff_t>(offsets[h]),
-                logits.begin() + static_cast<std::ptrdiff_t>(offsets[h + 1]));
+    const std::span<double> head =
+        logits.subspan(offsets[h], offsets[h + 1] - offsets[h]);
     if (temperatures[h] != 1.0) {  // det-ok: float-eq (skip exact identity temperature)
       for (double& v : head) v /= temperatures[h];
     }
     softmax(head);
     EXPLORA_AUDIT_MSG(contracts::is_probability_simplex(head),
                       "PPO head {} is not a probability distribution", h);
-    heads.push_back(std::move(head));
+  }
+}
+
+std::vector<Vector> PpoAgent::split_softmax(
+    std::span<const double> logits,
+    const std::array<double, kNumHeads>& temperatures) const {
+  Vector probs(logits.begin(), logits.end());
+  softmax_heads(probs, temperatures);
+  const auto offsets = head_offsets();
+  std::vector<Vector> heads;
+  heads.reserve(kNumHeads);
+  for (std::size_t h = 0; h < kNumHeads; ++h) {
+    heads.emplace_back(probs.begin() + static_cast<std::ptrdiff_t>(offsets[h]),
+                       probs.begin() +
+                           static_cast<std::ptrdiff_t>(offsets[h + 1]));
   }
   return heads;
 }
@@ -135,52 +148,51 @@ PolicyDecision PpoAgent::act(std::span<const double> state,
   return act(state, rng, uniform_temperatures(temperature));
 }
 
+template <typename Choose>
+PolicyDecision PpoAgent::decide(
+    std::span<const double> state,
+    const std::array<double, kNumHeads>& temperatures, Choose choose) const {
+  // The actor's logits, then each head's probabilities in place, on the
+  // stack: a decision allocates nothing.
+  std::array<double, kMaxLogits> buffer;
+  const std::span<double> probs(buffer.data(), actor_.out_size());
+  actor_.infer(state, probs);
+  softmax_heads(probs, temperatures);
+
+  const auto offsets = head_offsets();
+  PolicyDecision decision;
+  std::array<std::size_t, kNumHeads> chosen{};
+  for (std::size_t h = 0; h < kNumHeads; ++h) {
+    const std::span<const double> head =
+        probs.subspan(offsets[h], offsets[h + 1] - offsets[h]);
+    chosen[h] = choose(head);
+    const double p = std::max(head[chosen[h]], kProbFloor);
+    decision.log_prob += std::log(p);
+    decision.head_probs[h] = head[chosen[h]];
+  }
+  decision.action.prb_choice = chosen[0];
+  for (std::size_t s = 0; s < netsim::kNumSlices; ++s) {
+    decision.action.sched_choice[s] = chosen[1 + s];
+  }
+  decision.value = value(state);
+  return decision;
+}
+
 PolicyDecision PpoAgent::act(
     std::span<const double> state, common::Rng& rng,
     const std::array<double, kNumHeads>& temperatures) const {
-  Vector logits(actor_.out_size(), 0.0);
-  actor_.infer(state, logits);
-  const auto heads = split_softmax(logits, temperatures);
-
-  PolicyDecision decision;
-  std::array<std::size_t, kNumHeads> chosen{};
-  for (std::size_t h = 0; h < kNumHeads; ++h) {
-    chosen[h] = sample_categorical(heads[h], rng);
-    const double p = std::max(heads[h][chosen[h]], kProbFloor);
-    decision.log_prob += std::log(p);
-    decision.head_probs[h] = heads[h][chosen[h]];
-  }
-  decision.action.prb_choice = chosen[0];
-  for (std::size_t s = 0; s < netsim::kNumSlices; ++s) {
-    decision.action.sched_choice[s] = chosen[1 + s];
-  }
-  decision.value = value(state);
-  return decision;
+  return decide(state, temperatures, [&rng](std::span<const double> head) {
+    return sample_categorical(head, rng);
+  });
 }
 
 PolicyDecision PpoAgent::act_greedy(std::span<const double> state) const {
-  Vector logits(actor_.out_size(), 0.0);
-  actor_.infer(state, logits);
-  const auto heads = split_softmax(logits, uniform_temperatures(1.0));
-
-  PolicyDecision decision;
-  std::array<std::size_t, kNumHeads> chosen{};
-  for (std::size_t h = 0; h < kNumHeads; ++h) {
-    chosen[h] = argmax(heads[h]);
-    const double p = std::max(heads[h][chosen[h]], kProbFloor);
-    decision.log_prob += std::log(p);
-    decision.head_probs[h] = heads[h][chosen[h]];
-  }
-  decision.action.prb_choice = chosen[0];
-  for (std::size_t s = 0; s < netsim::kNumSlices; ++s) {
-    decision.action.sched_choice[s] = chosen[1 + s];
-  }
-  decision.value = value(state);
-  return decision;
+  return decide(state, uniform_temperatures(1.0),
+                [](std::span<const double> head) { return argmax(head); });
 }
 
 double PpoAgent::value(std::span<const double> state) const {
-  Vector out(1, 0.0);
+  std::array<double, 1> out{};
   critic_.infer(state, out);
   return out[0];
 }

@@ -116,10 +116,22 @@ class PpoAgent final : public PolicyAgent {
   void deserialize(common::Reader& reader);
 
  private:
+  /// Widest actor output a decision holds on the stack.
+  static constexpr std::size_t kMaxLogits = 128;
+
+  /// Softmaxes each head's slice of `logits` in place, after dividing it
+  /// by its temperature.
+  void softmax_heads(std::span<double> logits,
+                     const std::array<double, kNumHeads>& temperatures) const;
   /// Splits raw logits into per-head softmax distributions.
   [[nodiscard]] std::vector<Vector> split_softmax(
       std::span<const double> logits,
       const std::array<double, kNumHeads>& temperatures) const;
+  /// One decision: `choose(head probabilities)` picks each head's index.
+  template <typename Choose>
+  [[nodiscard]] PolicyDecision decide(
+      std::span<const double> state,
+      const std::array<double, kNumHeads>& temperatures, Choose choose) const;
 
   Config config_;
   common::Rng init_rng_;

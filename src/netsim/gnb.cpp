@@ -1,6 +1,7 @@
 #include "netsim/gnb.hpp"
 
 #include <numeric>
+#include <utility>
 
 #include "common/contracts.hpp"
 
@@ -23,10 +24,17 @@ Gnb::Gnb(std::vector<std::unique_ptr<Ue>> ues, GnbConfig config)
   static constexpr std::int64_t kBufferBounds[] = {0,     1000,   4000,
                                                    16000, 64000, 256000};
   buffer_bytes_ = &scope.histogram("buffer_bytes", kBufferBounds);
+  scheduler_metrics_ = SchedulerMetrics::bind();
   cqi_local_ = telemetry::LocalHistogram(cqi_);
   tbs_local_ = telemetry::LocalHistogram(tbs_bytes_per_prb_);
   buffer_local_ = telemetry::LocalHistogram(buffer_bytes_);
   rebuild_slice_index();
+  for (std::size_t s = 0; s < kNumSlices; ++s) {
+    EXPLORA_EXPECTS_MSG(slice_ues_[s].size() <= kMaxUesPerSlice,
+                        "slice {} has {} UEs; a KPI report holds at most {}",
+                        to_string(static_cast<Slice>(s)),
+                        slice_ues_[s].size(), kMaxUesPerSlice);
+  }
   // Default control: even-ish split, round robin everywhere.
   SlicingControl initial;
   initial.prbs = {18, 15, 17};
@@ -86,7 +94,10 @@ void Gnb::apply_control(const SlicingControl& control) {
   for (std::size_t s = 0; s < kNumSlices; ++s) {
     if (schedulers_[s] == nullptr ||
         schedulers_[s]->policy() != control.scheduling[s]) {
-      schedulers_[s] = make_scheduler(control.scheduling[s], config_.pf_alpha);
+      auto fresh = make_scheduler(control.scheduling[s], config_.pf_alpha,
+                                  scheduler_metrics_);
+      if (schedulers_[s] != nullptr) fresh->reuse_scratch(*schedulers_[s]);
+      schedulers_[s] = std::move(fresh);
     }
   }
   control_ = control;

@@ -81,6 +81,7 @@ class Gnb {
   telemetry::Histogram* cqi_;
   telemetry::Histogram* tbs_bytes_per_prb_;
   telemetry::Histogram* buffer_bytes_;
+  SchedulerMetrics scheduler_metrics_;  ///< handed to every scheduler built
   telemetry::LocalHistogram cqi_local_;
   telemetry::LocalHistogram tbs_local_;
   telemetry::LocalHistogram buffer_local_;

@@ -7,7 +7,7 @@
 namespace explora::netsim {
 
 double SliceKpiReport::aggregate(Kpi kpi) const {
-  const std::vector<double>* values = nullptr;
+  const PerUeValues* values = nullptr;
   switch (kpi) {
     case Kpi::kTxBitrate: values = &tx_bitrate_mbps; break;
     case Kpi::kTxPackets: values = &tx_packets; break;

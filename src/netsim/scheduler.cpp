@@ -23,16 +23,30 @@ constexpr std::int64_t kPrbBounds[] = {0, 5, 10, 20, 30, 40, kTotalPrbs};
 
 }  // namespace
 
-Scheduler::Scheduler() {
-  static_assert(std::size(kPrbBounds) + 1 == kPrbBucketCount);
+SchedulerMetrics SchedulerMetrics::bind() {
   telemetry::Scope scope("netsim.scheduler");
-  tti_runs_ = &scope.counter("tti_runs");
-  prb_granted_ = &scope.counter("prb_granted");
-  prb_unused_ = &scope.counter("prb_unused");
-  prb_per_tti_ = &scope.histogram("prb_per_tti", kPrbBounds);
+  SchedulerMetrics metrics;
+  metrics.tti_runs = &scope.counter("tti_runs");
+  metrics.prb_granted = &scope.counter("prb_granted");
+  metrics.prb_unused = &scope.counter("prb_unused");
+  metrics.prb_per_tti = &scope.histogram("prb_per_tti", kPrbBounds);
+  return metrics;
+}
+
+Scheduler::Scheduler(const SchedulerMetrics& metrics) : metrics_(metrics) {
+  EXPLORA_EXPECTS(metrics.tti_runs != nullptr &&
+                  metrics.prb_granted != nullptr &&
+                  metrics.prb_unused != nullptr &&
+                  metrics.prb_per_tti != nullptr);
 }
 
 Scheduler::~Scheduler() { flush_telemetry(); }
+
+void Scheduler::reuse_scratch(Scheduler& replaced) noexcept {
+  active_.swap(replaced.active_);
+  grants_.swap(replaced.grants_);
+  order_.swap(replaced.order_);
+}
 
 void Scheduler::record_grants(std::uint32_t granted,
                               std::uint32_t budget) noexcept {
@@ -54,13 +68,13 @@ void Scheduler::record_grants(std::uint32_t granted,
 void Scheduler::flush_telemetry() noexcept {
   if constexpr (!telemetry::kCompiledIn) return;
   if (pending_.runs == 0) return;
-  tti_runs_->add(pending_.runs);
-  prb_granted_->add(pending_.granted);
-  prb_unused_->add(pending_.unused);
+  metrics_.tti_runs->add(pending_.runs);
+  metrics_.prb_granted->add(pending_.granted);
+  metrics_.prb_unused->add(pending_.unused);
   // Derive the histogram fold from the grant tally: per-TTI values are
   // bounded by the carrier, so the tally is exhaustive and sum/min/max
   // reconstruct exactly what per-value observe() calls would have seen.
-  std::array<std::uint64_t, kPrbBucketCount> buckets{};
+  std::array<std::uint64_t, std::size(kPrbBounds) + 1> buckets{};
   std::int64_t sum = 0;
   std::int64_t min = std::numeric_limits<std::int64_t>::max();
   std::int64_t max = std::numeric_limits<std::int64_t>::min();
@@ -77,19 +91,20 @@ void Scheduler::flush_telemetry() noexcept {
     min = std::min(min, value);
     max = std::max(max, value);
   }
-  prb_per_tti_->observe_batch(buckets, pending_.runs, sum, min, max);
+  metrics_.prb_per_tti->observe_batch(buckets, pending_.runs, sum, min, max);
   pending_ = PendingGrants{};
 }
 
 std::unique_ptr<Scheduler> make_scheduler(SchedulerPolicy policy,
-                                          double pf_alpha) {
+                                          double pf_alpha,
+                                          const SchedulerMetrics& metrics) {
   switch (policy) {
     case SchedulerPolicy::kRoundRobin:
-      return std::make_unique<RoundRobinScheduler>();
+      return std::make_unique<RoundRobinScheduler>(metrics);
     case SchedulerPolicy::kWaterfilling:
-      return std::make_unique<WaterfillingScheduler>();
+      return std::make_unique<WaterfillingScheduler>(metrics);
     case SchedulerPolicy::kProportionalFair:
-      return std::make_unique<ProportionalFairScheduler>(pf_alpha);
+      return std::make_unique<ProportionalFairScheduler>(pf_alpha, metrics);
   }
   EXPLORA_ASSERT(false);
   return nullptr;
@@ -213,8 +228,9 @@ void WaterfillingScheduler::schedule_tti(std::span<Ue*> ues,
   record_grants(granted, prb_budget);
 }
 
-ProportionalFairScheduler::ProportionalFairScheduler(double alpha)
-    : alpha_(alpha) {
+ProportionalFairScheduler::ProportionalFairScheduler(
+    double alpha, const SchedulerMetrics& metrics)
+    : Scheduler(metrics), alpha_(alpha) {
   EXPLORA_EXPECTS(alpha > 0.0 && alpha <= 1.0);
 }
 

@@ -22,11 +22,24 @@
 
 namespace explora::netsim {
 
+/// The netsim.scheduler.* metrics a scheduler records into. Looking them
+/// up builds name strings and takes the registry lock, so a gNB binds them
+/// once and hands them to every scheduler it builds on a policy swap.
+struct SchedulerMetrics {
+  telemetry::Counter* tti_runs = nullptr;
+  telemetry::Counter* prb_granted = nullptr;
+  telemetry::Counter* prb_unused = nullptr;
+  telemetry::Histogram* prb_per_tti = nullptr;
+
+  /// Looks the metrics up in the active registry.
+  [[nodiscard]] static SchedulerMetrics bind();
+};
+
 /// Strategy interface: allocate `prb_budget` PRBs among `ues` (all from one
 /// slice) for the current TTI and serve their buffers.
 class Scheduler {
  public:
-  Scheduler();
+  explicit Scheduler(const SchedulerMetrics& metrics);
   /// Flushes any pending grant telemetry so that replacing a scheduler
   /// mid-run (policy change) never drops recorded TTIs.
   virtual ~Scheduler();
@@ -42,6 +55,11 @@ class Scheduler {
   /// record_grants accumulates in plain integers (no atomics on the TTI
   /// hot path) and the gNB flushes once per report window.
   void flush_telemetry() noexcept;
+
+  /// Takes over the per-TTI scratch buffers of the scheduler this one
+  /// replaces: their capacity, not their contents (every TTI refills
+  /// them), so a policy swap does not grow them again.
+  void reuse_scratch(Scheduler& replaced) noexcept;
 
  protected:
   /// Telemetry hook: every schedule_tti implementation reports how many of
@@ -79,15 +97,7 @@ class Scheduler {
   std::vector<std::uint32_t> order_;
 
  private:
-  /// prb_per_tti bucket upper bounds (+1 implicit overflow bucket).
-  static constexpr std::size_t kPrbBucketCount = 8;
-
-  // Bound once per scheduler construction against the then-active registry
-  // (netsim.scheduler.* namespace).
-  telemetry::Counter* tti_runs_;
-  telemetry::Counter* prb_granted_;
-  telemetry::Counter* prb_unused_;
-  telemetry::Histogram* prb_per_tti_;
+  SchedulerMetrics metrics_;
 
   // Window-local accumulation, drained by flush_telemetry(). Grants are
   // bounded by the carrier size, so the per-TTI record is one increment of
@@ -104,13 +114,14 @@ class Scheduler {
 
 /// Factory keyed by policy; `pf_alpha` is the PF EWMA smoothing factor.
 [[nodiscard]] std::unique_ptr<Scheduler> make_scheduler(
-    SchedulerPolicy policy, double pf_alpha = 0.05);
+    SchedulerPolicy policy, double pf_alpha, const SchedulerMetrics& metrics);
 
 /// Round-robin PRB allocation over backlogged users: whole rounds of one
 /// PRB per UE with data left, then the leftover PRBs in cyclic order from
 /// a start offset that rotates every TTI.
 class RoundRobinScheduler final : public Scheduler {
  public:
+  using Scheduler::Scheduler;
   void schedule_tti(std::span<Ue*> ues, std::uint32_t prb_budget) override;
   [[nodiscard]] SchedulerPolicy policy() const noexcept override {
     return SchedulerPolicy::kRoundRobin;
@@ -124,6 +135,7 @@ class RoundRobinScheduler final : public Scheduler {
 /// drained before the next is served.
 class WaterfillingScheduler final : public Scheduler {
  public:
+  using Scheduler::Scheduler;
   void schedule_tti(std::span<Ue*> ues, std::uint32_t prb_budget) override;
   [[nodiscard]] SchedulerPolicy policy() const noexcept override {
     return SchedulerPolicy::kWaterfilling;
@@ -136,7 +148,7 @@ class WaterfillingScheduler final : public Scheduler {
 /// first on ties.
 class ProportionalFairScheduler final : public Scheduler {
  public:
-  explicit ProportionalFairScheduler(double alpha = 0.05);
+  ProportionalFairScheduler(double alpha, const SchedulerMetrics& metrics);
 
   void schedule_tti(std::span<Ue*> ues, std::uint32_t prb_budget) override;
   [[nodiscard]] SchedulerPolicy policy() const noexcept override {

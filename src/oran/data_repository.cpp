@@ -1,5 +1,7 @@
 #include "oran/data_repository.hpp"
 
+#include <algorithm>
+
 #include "common/contracts.hpp"
 
 namespace explora::oran {
@@ -11,20 +13,22 @@ DataRepository::DataRepository(std::size_t history_capacity)
 
 void DataRepository::on_message(const RicMessage& message) {
   if (message.type != MessageType::kKpmIndication) return;
+  if (reports_.capacity() == 0) {
+    reports_.reserve(capacity_ + std::max<std::size_t>(1, capacity_ / 8));
+  }
+  if (report_count() == capacity_) ++first_;
+  if (reports_.size() == reports_.capacity()) {
+    reports_.erase(reports_.begin(),
+                   reports_.begin() + static_cast<std::ptrdiff_t>(first_));
+    first_ = 0;
+  }
   reports_.push_back(message.kpm().report);
-  while (reports_.size() > capacity_) reports_.pop_front();
 }
 
-std::vector<netsim::KpiReport> DataRepository::latest_reports(
-    std::size_t count) const {
-  const std::size_t available = std::min(count, reports_.size());
-  std::vector<netsim::KpiReport> out;
-  out.reserve(available);
-  for (std::size_t i = reports_.size() - available; i < reports_.size();
-       ++i) {
-    out.push_back(reports_[i]);
-  }
-  return out;
+std::span<const netsim::KpiReport> DataRepository::latest_reports(
+    std::size_t count) const noexcept {
+  const std::span<const netsim::KpiReport> history = all_reports();
+  return history.last(std::min(count, history.size()));
 }
 
 void DataRepository::store_explanation(ExplanationRecord record) {

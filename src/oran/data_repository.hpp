@@ -5,7 +5,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -57,7 +57,8 @@ struct DegradationRecord {
 
 class DataRepository final : public RmrEndpoint {
  public:
-  /// @param history_capacity maximum retained KPI reports (ring buffer).
+  /// @param history_capacity maximum retained KPI reports; the oldest go
+  ///   first once it is reached.
   explicit DataRepository(std::size_t history_capacity = 8192);
 
   [[nodiscard]] std::string_view endpoint_name() const noexcept override {
@@ -68,14 +69,17 @@ class DataRepository final : public RmrEndpoint {
 
   /// Data-access queries.
   [[nodiscard]] std::size_t report_count() const noexcept {
-    return reports_.size();
+    return reports_.size() - first_;
   }
-  /// Most recent `count` reports, oldest first.
-  [[nodiscard]] std::vector<netsim::KpiReport> latest_reports(
-      std::size_t count) const;
-  [[nodiscard]] const std::deque<netsim::KpiReport>& all_reports()
+  /// Most recent `count` reports (fewer while the history is shorter),
+  /// oldest first. A view into the history: valid until the next
+  /// indication arrives.
+  [[nodiscard]] std::span<const netsim::KpiReport> latest_reports(
+      std::size_t count) const noexcept;
+  /// The retained history, oldest first; same lifetime as latest_reports.
+  [[nodiscard]] std::span<const netsim::KpiReport> all_reports()
       const noexcept {
-    return reports_;
+    return std::span(reports_).subspan(first_);
   }
 
   /// Explanation archive.
@@ -95,7 +99,15 @@ class DataRepository final : public RmrEndpoint {
 
  private:
   std::size_t capacity_;
-  std::deque<netsim::KpiReport> reports_;
+  /// The history in one block, so views of it are spans: the live reports
+  /// are reports_[first_..]. The block is reserved at the first report for
+  /// capacity_ plus an eighth, so it never grows or moves, and its pages
+  /// become resident only as reports fill them. At capacity each arrival
+  /// retires the oldest by advancing first_; when the block is full the
+  /// live reports move to the front, so each report moves at most about
+  /// 8 times (capacity_ over the eighth).
+  std::vector<netsim::KpiReport> reports_;
+  std::size_t first_ = 0;
   std::vector<ExplanationRecord> explanations_;
   std::vector<DegradationRecord> degradations_;
 };

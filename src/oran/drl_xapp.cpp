@@ -41,8 +41,10 @@ void DrlXapp::on_message(const RicMessage& message) {
 }
 
 void DrlXapp::decide() {
-  const ml::Vector input = window_.flatten(*normalizer_);
-  last_latent_ = autoencoder_->encode(input);
+  // Into retained buffers: a decision allocates nothing here.
+  window_.flatten(*normalizer_, input_);
+  last_latent_.resize(autoencoder_->config().latent_dim);
+  autoencoder_->encode(input_, last_latent_);
   if (config_.stochastic) {
     std::array<double, ml::kNumHeads> temperatures{};
     temperatures.fill(config_.sched_temperature);

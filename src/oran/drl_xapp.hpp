@@ -5,6 +5,7 @@
 // termination, or through the EXPLORA xApp when it is deployed.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -94,6 +95,7 @@ class DrlXapp final : public RmrEndpoint {
   RmrRouter* router_;
   common::Rng rng_;
   ml::InputWindow window_;
+  std::array<double, ml::kInputDim> input_{};  ///< the flattened window
   std::optional<ReliableControlSender> reliable_;
   std::uint64_t indications_seen_ = 0;
   std::uint64_t decision_id_ = 0;

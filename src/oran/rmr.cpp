@@ -60,7 +60,8 @@ void RmrRouter::send(RicMessage message) {
   ++round_;
   tm_rounds_->add(1);
   release_due(round_);
-  tm_queue_depth_->observe(static_cast<std::int64_t>(queue_.size()));
+  tm_queue_depth_->observe(
+      static_cast<std::int64_t>(queue_.size() - queue_head_));
   drain();
   tm_held_delayed_->set(static_cast<std::int64_t>(held_.size()));
 }
@@ -87,11 +88,13 @@ void RmrRouter::release_due(std::uint64_t up_to_round) {
 
 void RmrRouter::drain() {
   dispatching_ = true;
-  while (!queue_.empty()) {
-    Envelope current = std::move(queue_.front());
-    queue_.pop_front();
-    dispatch(std::move(current));
+  while (queue_head_ < queue_.size()) {
+    // Moved out first: a handler's send may grow (and move) the queue.
+    const Envelope current = std::move(queue_[queue_head_++]);
+    dispatch(current);
   }
+  queue_.clear();
+  queue_head_ = 0;
   dispatching_ = false;
 }
 
@@ -104,7 +107,7 @@ void RmrRouter::drop_unroutable(const RicMessage& message,
                to_string(message.type), message.sender, reason);
 }
 
-void RmrRouter::dispatch(Envelope envelope) {
+void RmrRouter::dispatch(const Envelope& envelope) {
   // Router-reinjected deliveries (released delays, duplicate copies,
   // reordered messages) bypass routing and the impairment model.
   if (envelope.direct_target.has_value()) {

@@ -17,7 +17,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -134,7 +133,7 @@ class RmrRouter {
 
   [[nodiscard]] const std::vector<std::string>* find_targets(
       const RicMessage& message) const;
-  void dispatch(Envelope envelope);
+  void dispatch(const Envelope& envelope);
   void deliver(const RicMessage& message, const std::string& target);
   void drop_unroutable(const RicMessage& message, std::string_view reason);
   void release_due(std::uint64_t up_to_round);
@@ -145,7 +144,11 @@ class RmrRouter {
   std::map<std::string, std::uint64_t, std::less<>> delivery_counts_;
   std::uint64_t dropped_ = 0;
   std::array<std::uint64_t, kNumMessageTypes> dropped_by_type_{};
-  std::deque<Envelope> queue_;
+  /// Pending deliveries, a FIFO from queue_head_ on that reuses its
+  /// storage: every top-level send drains it, which rewinds it, so in
+  /// steady state queueing allocates nothing.
+  std::vector<Envelope> queue_;
+  std::size_t queue_head_ = 0;
   std::vector<HeldEnvelope> held_;
   std::unique_ptr<LinkImpairments> impairments_;
   DeliveryTap* tap_ = nullptr;

@@ -107,7 +107,7 @@ void JsonView::blob(std::uint32_t, const char* name,
 }
 
 void JsonView::f64_list(std::uint32_t, const char* name,
-                        std::vector<double>& v) {
+                        std::span<const double> v) {
   key(name);
   *out_ += '[';
   for (std::size_t i = 0; i < v.size(); ++i) {

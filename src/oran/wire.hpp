@@ -23,6 +23,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
@@ -30,6 +31,7 @@
 #include <variant>
 #include <vector>
 
+#include "common/fixed_vector.hpp"
 #include "common/serialize.hpp"
 #include "netsim/kpi.hpp"
 #include "oran/data_repository.hpp"
@@ -92,8 +94,9 @@ class Encoder {
                    std::uint64_t /*max_value*/) {
     writer_->u64_field(id, static_cast<std::uint64_t>(v));
   }
+  /// Heap (std::vector) and inline (common::FixedVector) lists alike.
   void f64_list(std::uint32_t id, const char* /*name*/,
-                std::vector<double>& v) {
+                std::span<const double> v) {
     writer_->f64_list_field(id, v);
   }
   /// Owned (std::vector) and borrowed (std::span) members alike.
@@ -241,6 +244,19 @@ class Decoder {
     expect(WireType::kBytes, name);
     v = reader_->f64_list();
   }
+  /// Inline list: the packed bytes are copied straight into its storage;
+  /// a list longer than its capacity is rejected before any copy.
+  template <std::size_t N>
+  void f64_list(std::uint32_t id, const char* name,
+                common::FixedVector<double, N>& v) {
+    if (!take(id)) return;
+    expect(WireType::kBytes, name);
+    const auto raw = reader_->f64_list_bytes();
+    const std::size_t count = raw.size() / sizeof(double);
+    if (count > N) throw_too_many(name, N);
+    v.resize(count);
+    if (count > 0) std::memcpy(v.data(), raw.data(), raw.size());
+  }
   void blob(std::uint32_t id, const char* name, std::vector<std::uint8_t>& v) {
     if (!take(id)) return;
     expect(WireType::kBytes, name);
@@ -371,7 +387,7 @@ class JsonView {
     auto raw = static_cast<std::uint64_t>(v);
     u64(id, name, raw);
   }
-  void f64_list(std::uint32_t, const char* name, std::vector<double>& v);
+  void f64_list(std::uint32_t, const char* name, std::span<const double> v);
   /// Opaque bytes render as a lowercase hex string.
   void blob(std::uint32_t, const char* name, std::vector<std::uint8_t>& v);
   template <typename T>

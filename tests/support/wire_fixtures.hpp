@@ -36,14 +36,14 @@ inline netsim::SlicingControl sample_control() {
   return control;
 }
 
-/// Random per-UE KPI report: vector lengths 0..3 per KPI (empty slices
+/// Random per-UE KPI report: list lengths 0..3 per KPI (empty slices
 /// included — they encode as absent fields), negative window_end included
 /// (zigzag path).
 inline netsim::KpiReport random_report(common::Rng& rng) {
   netsim::KpiReport report;
   report.window_end = rng.uniform_int(-1000, 1'000'000);
   for (std::size_t s = 0; s < netsim::kNumSlices; ++s) {
-    auto fill = [&rng](std::vector<double>& v, double lo, double hi) {
+    auto fill = [&rng](netsim::PerUeValues& v, double lo, double hi) {
       v.resize(rng.index(4));
       for (auto& value : v) value = rng.uniform(lo, hi);
     };

@@ -4,7 +4,11 @@
 // the codec property sweeps.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <span>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/serialize.hpp"
@@ -62,6 +66,61 @@ TEST(Codec, EmptyReportRoundTrip) {
   for (std::size_t s = 0; s < netsim::kNumSlices; ++s) {
     EXPECT_TRUE(decoded.kpm().report.slices[s].tx_bitrate_mbps.empty());
   }
+}
+
+/// A KPM frame whose first slice carries `list` as its packed per-UE
+/// bitrate list, written field by field so the list may break the codec's
+/// contract.
+std::vector<std::uint8_t> kpm_frame_with_bitrate_list(
+    std::span<const std::uint8_t> list) {
+  common::Writer slice;
+  slice.bytes_field(1, list);
+  common::Writer report;
+  report.i64_field(1, 250);
+  report.bytes_field(2, slice.buffer());
+  common::Writer kpm;
+  kpm.bytes_field(1, report.buffer());
+  common::Writer frame;
+  frame.header(wire::kFrameFormat);
+  frame.u64_field(1, static_cast<std::uint64_t>(MessageType::kKpmIndication));
+  frame.string_field(2, "gnb");
+  frame.bytes_field(3, kpm.buffer());
+  return std::move(frame).take();
+}
+
+/// `count` packed doubles 0.5, 1.0, ...
+std::vector<std::uint8_t> packed_doubles(std::size_t count) {
+  std::vector<std::uint8_t> bytes(count * sizeof(double));
+  for (std::size_t i = 0; i < count; ++i) {
+    const double value = 0.5 * static_cast<double>(i + 1);
+    std::memcpy(bytes.data() + i * sizeof(double), &value, sizeof(double));
+  }
+  return bytes;
+}
+
+TEST(Codec, PerUeListAtCapacityDecodes) {
+  const RicMessage decoded = wire::decode_message_frame(
+      kpm_frame_with_bitrate_list(packed_doubles(netsim::kMaxUesPerSlice)));
+  const netsim::PerUeValues& list =
+      decoded.kpm().report.slices[0].tx_bitrate_mbps;
+  ASSERT_EQ(list.size(), netsim::kMaxUesPerSlice);
+  EXPECT_EQ(list[0], 0.5);
+  EXPECT_EQ(list[netsim::kMaxUesPerSlice - 1],
+            0.5 * static_cast<double>(netsim::kMaxUesPerSlice));
+}
+
+TEST(Codec, RejectsPerUeListPastCapacity) {
+  EXPECT_THROW((void)wire::decode_message_frame(kpm_frame_with_bitrate_list(
+                   packed_doubles(netsim::kMaxUesPerSlice + 1))),
+               common::SerializeError);
+}
+
+TEST(Codec, RejectsPerUeListOfRaggedLength) {
+  std::vector<std::uint8_t> ragged = packed_doubles(2);
+  ragged.resize(ragged.size() + 3, 0x7F);
+  EXPECT_THROW(
+      (void)wire::decode_message_frame(kpm_frame_with_bitrate_list(ragged)),
+      common::SerializeError);
 }
 
 TEST(Codec, RejectsTruncatedWire) {

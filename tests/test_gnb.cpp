@@ -5,11 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
+#include "common/contracts.hpp"
 #include "netsim/scenario.hpp"
 
 namespace explora::netsim {
 namespace {
+
+[[noreturn]] void throwing_handler(const contracts::ContractViolation& v) {
+  throw std::runtime_error(std::string(v.expr) + " " + v.message);
+}
 
 ScenarioConfig small_scenario() {
   ScenarioConfig config;
@@ -197,6 +204,35 @@ TEST(KpiReport, AggregateSumsUes) {
   EXPECT_DOUBLE_EQ(slice.aggregate(Kpi::kTxBitrate), 4.0);
   EXPECT_DOUBLE_EQ(slice.aggregate(Kpi::kTxPackets), 30.0);
   EXPECT_DOUBLE_EQ(slice.aggregate(Kpi::kBufferSize), 300.0);
+}
+
+TEST(KpiReport, EqualityComparesLiveUesOnly) {
+  PerUeValues a = {1.0, 2.0, 3.0};
+  const PerUeValues b = {1.0, 2.0};
+  EXPECT_NE(a, b);
+  a.resize(2);  // the third slot still holds 3.0, but no longer counts
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(a.size(), 2u);
+}
+
+TEST(KpiReport, PerUeListsHoldAtMostTheSliceCapacity) {
+  contracts::ScopedContractHandler guard(&throwing_handler);
+  PerUeValues full;
+  for (std::size_t u = 0; u < kMaxUesPerSlice; ++u) full.push_back(1.0);
+  EXPECT_THROW(full.push_back(1.0), std::runtime_error);
+  EXPECT_EQ(full.size(), kMaxUesPerSlice);
+}
+
+TEST(GnbContract, RejectsASliceWithMoreUesThanAReportHolds) {
+  contracts::ScopedContractHandler guard(&throwing_handler);
+  ScenarioConfig config = small_scenario();
+  config.users_per_slice[1] = kMaxUesPerSlice + 1;
+  EXPECT_THROW((void)make_gnb(config), std::runtime_error);
+
+  config.users_per_slice[1] = kMaxUesPerSlice;
+  const auto gnb = make_gnb(config);
+  const KpiReport report = gnb->run_report_window();
+  EXPECT_EQ(report.slices[1].tx_packets.size(), kMaxUesPerSlice);
 }
 
 TEST(EnumNames, AllStable) {

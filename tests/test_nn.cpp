@@ -182,6 +182,21 @@ TEST(Mlp, InferMatchesForward) {
   EXPECT_DOUBLE_EQ(tape_out[1], infer_out[1]);
 }
 
+// Hidden layers wider than infer's stack rows take its heap rows; two of
+// them make the second layer write the row the first one's output is not
+// in, so an offset narrower than the widest layer would overlap them.
+TEST(Mlp, InferMatchesForwardPastTheStackRows) {
+  common::Rng rng(23);
+  Mlp net({4, 300, 280, 3}, Activation::kRelu, Activation::kTanh, rng);
+  const Vector input{0.4, -0.6, 0.2, 0.9};
+  const Vector tape_out = net.forward(input);
+  Vector infer_out(3, 0.0);
+  net.infer(input, infer_out);
+  for (std::size_t o = 0; o < 3; ++o) {
+    EXPECT_EQ(tape_out[o], infer_out[o]);  // bit-identical
+  }
+}
+
 TEST(Matrix, MultiplyBatchMatchesPerRowMultiply) {
   common::Rng rng(17);
   Matrix a(5, 7);

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/aligned.hpp"
@@ -18,12 +20,18 @@
 #include "common/rng.hpp"
 #include "common/telemetry.hpp"
 #include "explora/explain_service.hpp"
+#include "explora/reward.hpp"
+#include "explora/xapp.hpp"
+#include "ml/autoencoder.hpp"
 #include "ml/features.hpp"
 #include "ml/gemm.hpp"
 #include "ml/matrix.hpp"
 #include "ml/nn.hpp"
 #include "ml/ppo.hpp"
+#include "netsim/kpi.hpp"
 #include "netsim/scenario.hpp"
+#include "oran/drl_xapp.hpp"
+#include "oran/ric.hpp"
 #include "support/alloc_counter.hpp"
 #include "xai/serving.hpp"
 #include "xai/shap.hpp"
@@ -118,6 +126,117 @@ TEST_P(RealtimeGnbRunTti, SteadyStateAllocatesNothing) {
 INSTANTIATE_TEST_SUITE_P(Profiles, RealtimeGnbRunTti,
                          ::testing::Values(netsim::TrafficProfile::kTrf1,
                                            netsim::TrafficProfile::kTrf2));
+
+// A policy swap builds a fresh scheduler that records into the metrics the
+// gNB bound at construction, so it looks none up by name.
+TEST(RealtimeContract, SchedulerSwapLooksUpNoMetric) {
+  telemetry::ScopedRegistry owner;
+  auto gnb = netsim::make_gnb(netsim::ScenarioConfig{});
+  netsim::SlicingControl control;
+  control.prbs = {18, 15, 17};
+  std::size_t swap = 0;
+  const WindowCost cost = measure(
+      [&] {
+        for (std::size_t s = 0; s < netsim::kNumSlices; ++s) {
+          control.scheduling[s] = static_cast<netsim::SchedulerPolicy>(
+              (swap + s) % netsim::kNumSchedulerPolicies);
+        }
+        ++swap;
+        gnb->apply_control(control);
+        gnb->run_tti();
+      },
+      10, 100);
+  EXPECT_EQ(cost.metrics, 0U);
+}
+
+// A policy decision runs the actor and the critic on stack rows and
+// samples each head from its slice of the actor's output.
+TEST(RealtimeContract, PpoAgentDecisions) {
+  telemetry::ScopedRegistry owner;
+  common::Rng rng(29);
+  const ml::PpoAgent agent{11};
+  const ml::Vector state = filled(ml::kLatentDim, rng);
+  std::array<double, ml::kNumHeads> temperatures{};
+  temperatures.fill(0.9);
+  temperatures[0] = 0.35;
+  double log_probs = 0.0;
+  const WindowCost cost = measure(
+      [&] {
+        log_probs += agent.act(state, rng, temperatures).log_prob;
+        log_probs += agent.act_greedy(state).log_prob;
+      },
+      10, 1'000);
+  EXPECT_EQ(cost.allocations, 0U);
+  EXPECT_EQ(cost.metrics, 0U);
+  EXPECT_TRUE(std::isfinite(log_probs));
+}
+
+// A report window harvests every UE into the report's inline per-UE
+// lists, so it allocates no more than the TTIs it runs.
+TEST(RealtimeContract, GnbReportWindow) {
+  telemetry::ScopedRegistry owner;
+  auto gnb = netsim::make_gnb(netsim::ScenarioConfig{});
+  netsim::Tick last_end = 0;
+  const WindowCost cost = measure(
+      [&] { last_end = gnb->run_report_window().window_end; }, 4'000, 1'000);
+  EXPECT_EQ(cost.allocations, 0U);
+  EXPECT_EQ(cost.metrics, 0U);
+  EXPECT_EQ(last_end, 5'000 * 25);
+}
+
+// One steady-state decision of run_experiment's loop with EXPLORA steering
+// (perfbench's loop_steer): M report windows through E2 termination, the
+// RMR router, the data repository, the DRL xApp and the EXPLORA xApp with
+// AR1 steering, then the harness's reads of the repository. What a
+// decision may still allocate is the archive growth ROADMAP item 6 leaves
+// open: the explanation record's rationale string, the transition event's
+// two vectors, the archives' amortized doubling, and the attribute stores
+// of an action the graph has not seen yet.
+TEST(RealtimeContract, ClosedLoopDecisionStaysWithinItsBudget) {
+  constexpr std::size_t kBudgetPerDecision = 10;
+  constexpr std::size_t kReportsPerDecision = ml::kHistory;
+  telemetry::ScopedRegistry owner;
+  const ml::KpiNormalizer normalizer;
+  const ml::Autoencoder autoencoder;
+  const ml::PpoAgent agent{11};
+  oran::NearRtRic ric(netsim::make_gnb(netsim::ScenarioConfig{}));
+  oran::DrlXapp::Config drl_config;
+  drl_config.reports_per_decision = kReportsPerDecision;
+  oran::DrlXapp drl(drl_config, normalizer, autoencoder, agent, ric.router());
+  ric.attach_xapp(drl);
+  ric.subscribe_indications(std::string(drl.endpoint_name()));
+  core::ExploraXapp::Config explora_config;
+  explora_config.reports_per_decision = kReportsPerDecision;
+  core::ActionSteering::Config steering;
+  steering.strategy = core::SteeringStrategy::kMaxReward;
+  steering.observation_window = 10;
+  explora_config.steering = steering;
+  core::ExploraXapp explora(explora_config, ric.router(), &ric.repository());
+  ric.attach_xapp(explora);
+  ric.subscribe_indications(std::string(explora.endpoint_name()));
+  ric.route_control_via(std::string(drl.endpoint_name()),
+                        std::string(explora.endpoint_name()));
+  const core::RewardModel reward(core::RewardWeights::high_throughput());
+
+  double harvested = 0.0;
+  const auto decide = [&] {
+    ric.run_windows(kReportsPerDecision);
+    for (const netsim::KpiReport& report :
+         ric.repository().latest_reports(kReportsPerDecision)) {
+      harvested += report.value(netsim::Kpi::kTxBitrate, netsim::Slice::kEmbb);
+    }
+    harvested += reward.from_window(
+        ric.repository().latest_reports(kReportsPerDecision));
+  };
+  constexpr std::size_t kMeasured = 500;
+  const WindowCost cost = measure(decide, 500, kMeasured);
+  EXPECT_LE(cost.allocations, kBudgetPerDecision * kMeasured)
+      << cost.allocations << " allocations in " << kMeasured << " decisions";
+  EXPECT_EQ(cost.metrics, 0U);
+  EXPECT_EQ(drl.decisions_made(), 1'000U);
+  EXPECT_GT(explora.controls_replaced(), 0U);
+  EXPECT_TRUE(std::isfinite(harvested));
+}
 
 TEST(RealtimeContract, LocalHistogramFolds) {
   static constexpr std::int64_t kBounds[] = {3, 6, 9, 12, 15};

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "netsim/scenario.hpp"
@@ -179,6 +180,28 @@ TEST(DataRepository, RingBufferEvictsOldest) {
   }
   EXPECT_EQ(repo.report_count(), 3u);
   EXPECT_EQ(repo.all_reports().front().window_end, 2);
+}
+
+// Far past capacity the history keeps the newest reports in arrival order,
+// across the moves that bring the live reports back to the front.
+TEST(DataRepository, HistoryKeepsTheNewestPastCapacity) {
+  DataRepository repo(3);
+  for (int i = 0; i < 20; ++i) {
+    netsim::KpiReport report;
+    report.window_end = i;
+    repo.on_message(make_kpm_indication("e2term", report));
+    const auto history = repo.all_reports();
+    ASSERT_EQ(history.size(), std::min(i + 1, 3)) << i;
+    for (std::size_t k = 0; k < history.size(); ++k) {
+      EXPECT_EQ(history[k].window_end,
+                i + 1 - static_cast<int>(history.size() - k))
+          << i;
+    }
+  }
+  const auto latest = repo.latest_reports(2);
+  ASSERT_EQ(latest.size(), 2u);
+  EXPECT_EQ(latest[0].window_end, 18);
+  EXPECT_EQ(latest[1].window_end, 19);
 }
 
 TEST(DataRepository, LatestReportsOldestFirst) {

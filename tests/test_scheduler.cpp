@@ -53,19 +53,19 @@ std::vector<std::uint64_t> per_ue_bytes(std::vector<std::unique_ptr<Ue>>& ues) {
 }
 
 TEST(SchedulerFactory, CreatesRequestedPolicy) {
-  EXPECT_EQ(make_scheduler(SchedulerPolicy::kRoundRobin)->policy(),
-            SchedulerPolicy::kRoundRobin);
-  EXPECT_EQ(make_scheduler(SchedulerPolicy::kWaterfilling)->policy(),
-            SchedulerPolicy::kWaterfilling);
-  EXPECT_EQ(make_scheduler(SchedulerPolicy::kProportionalFair)->policy(),
-            SchedulerPolicy::kProportionalFair);
+  const SchedulerMetrics metrics = SchedulerMetrics::bind();
+  for (const SchedulerPolicy policy :
+       {SchedulerPolicy::kRoundRobin, SchedulerPolicy::kWaterfilling,
+        SchedulerPolicy::kProportionalFair}) {
+    EXPECT_EQ(make_scheduler(policy, 0.05, metrics)->policy(), policy);
+  }
 }
 
 TEST(RoundRobin, SplitsEvenlyAmongEqualUes) {
   std::vector<std::unique_ptr<Ue>> ues;
   ues.push_back(make_ue(0, 800.0));
   ues.push_back(make_ue(1, 800.0));
-  RoundRobinScheduler scheduler;
+  RoundRobinScheduler scheduler{SchedulerMetrics::bind()};
   std::vector<Ue*> raw{ues[0].get(), ues[1].get()};
   for (int t = 0; t < 100; ++t) {
     for (auto& ue : ues) ue->begin_tti(t);
@@ -80,12 +80,12 @@ TEST(RoundRobin, SplitsEvenlyAmongEqualUes) {
 TEST(RoundRobin, ZeroBudgetServesNothing) {
   std::vector<std::unique_ptr<Ue>> ues;
   ues.push_back(make_ue(0, 800.0));
-  RoundRobinScheduler scheduler;
+  RoundRobinScheduler scheduler{SchedulerMetrics::bind()};
   EXPECT_EQ(run_ttis(scheduler, ues, 0, 10), 0u);
 }
 
 TEST(RoundRobin, EmptyUeListIsSafe) {
-  RoundRobinScheduler scheduler;
+  RoundRobinScheduler scheduler{SchedulerMetrics::bind()};
   std::vector<Ue*> none;
   scheduler.schedule_tti(none, 10);  // must not crash
 }
@@ -93,7 +93,7 @@ TEST(RoundRobin, EmptyUeListIsSafe) {
 TEST(RoundRobin, OddBudgetDoesNotStarveAnyUe) {
   std::vector<std::unique_ptr<Ue>> ues;
   for (std::uint32_t i = 0; i < 3; ++i) ues.push_back(make_ue(i, 800.0));
-  RoundRobinScheduler scheduler;
+  RoundRobinScheduler scheduler{SchedulerMetrics::bind()};
   std::vector<Ue*> raw;
   for (auto& ue : ues) raw.push_back(ue.get());
   for (int t = 0; t < 300; ++t) {
@@ -111,7 +111,7 @@ TEST(Waterfilling, FavorsBestChannel) {
   std::vector<std::unique_ptr<Ue>> ues;
   ues.push_back(make_ue(0, 400.0));   // strong
   ues.push_back(make_ue(1, 1600.0));  // weak
-  WaterfillingScheduler scheduler;
+  WaterfillingScheduler scheduler{SchedulerMetrics::bind()};
   std::vector<Ue*> raw{ues[0].get(), ues[1].get()};
   for (int t = 0; t < 100; ++t) {
     for (auto& ue : ues) ue->begin_tti(t);
@@ -140,7 +140,7 @@ TEST(Waterfilling, SpillsOverWhenStrongUserDrains) {
       0, Slice::kEmbb, UeChannel(400.0, config, common::Rng(1)),
       std::make_unique<TrickleSource>()));
   ues.push_back(make_ue(1, 1600.0));
-  WaterfillingScheduler scheduler;
+  WaterfillingScheduler scheduler{SchedulerMetrics::bind()};
   std::vector<Ue*> raw{ues[0].get(), ues[1].get()};
   for (int t = 0; t < 10; ++t) {
     for (auto& ue : ues) ue->begin_tti(t);
@@ -156,7 +156,7 @@ TEST(ProportionalFair, BalancesThroughputAndFairness) {
   std::vector<std::unique_ptr<Ue>> ues;
   ues.push_back(make_ue(0, 400.0));
   ues.push_back(make_ue(1, 1600.0));
-  ProportionalFairScheduler scheduler(0.05);
+  ProportionalFairScheduler scheduler(0.05, SchedulerMetrics::bind());
   std::vector<Ue*> raw{ues[0].get(), ues[1].get()};
   for (int t = 0; t < 500; ++t) {
     for (auto& ue : ues) ue->begin_tti(t);
@@ -171,7 +171,7 @@ TEST(ProportionalFair, EqualChannelsShareEvenly) {
   std::vector<std::unique_ptr<Ue>> ues;
   ues.push_back(make_ue(0, 800.0));
   ues.push_back(make_ue(1, 800.0));
-  ProportionalFairScheduler scheduler(0.1);
+  ProportionalFairScheduler scheduler(0.1, SchedulerMetrics::bind());
   std::vector<Ue*> raw{ues[0].get(), ues[1].get()};
   for (int t = 0; t < 500; ++t) {
     for (auto& ue : ues) ue->begin_tti(t);
@@ -194,7 +194,7 @@ TEST_P(SchedulerOrderingSweep, SumThroughputOrdering) {
     std::vector<std::unique_ptr<Ue>> ues;
     ues.push_back(make_ue(0, 400.0));
     ues.push_back(make_ue(1, 1600.0));
-    auto scheduler = make_scheduler(policy, 0.05);
+    auto scheduler = make_scheduler(policy, 0.05, SchedulerMetrics::bind());
     return run_ttis(*scheduler, ues, budget, 300);
   };
   const auto wf = run(SchedulerPolicy::kWaterfilling);
@@ -276,7 +276,7 @@ void run_case(SchedulerPolicy policy, std::uint64_t seed, int ttis,
   telemetry::ScopedRegistry scoped;
   telemetry::Counter& granted =
       scoped.registry().counter("netsim.scheduler.prb_granted");
-  auto scheduler = make_scheduler(policy, kAlpha);
+  auto scheduler = make_scheduler(policy, kAlpha, SchedulerMetrics::bind());
   auto ues = make_slice(seed);
   auto twins = make_slice(seed);
   std::vector<Ue*> raw;

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -198,6 +202,55 @@ TEST(JensenShannon, ConstantIdenticalSamplesIsZero) {
   const std::vector<double> a(10, 3.0);
   const std::vector<double> b(10, 3.0);
   EXPECT_DOUBLE_EQ(jensen_shannon_divergence(a, b), 0.0);
+}
+
+/// Reference: the JS divergence through two Histograms and their PMFs.
+/// jensen_shannon_divergence must match it bit for bit.
+double histogram_jsd(std::span<const double> a, std::span<const double> b,
+                     std::size_t bins) {
+  double lo = a[0];
+  double hi = a[0];
+  for (const auto* set : {&a, &b}) {
+    for (double x : *set) {
+      lo = std::min(lo, x);
+      hi = std::max(hi, x);
+    }
+  }
+  Histogram ha(lo, hi, bins);
+  Histogram hb(lo, hi, bins);
+  for (double x : a) ha.add(x);
+  for (double x : b) hb.add(x);
+  const std::vector<double> pa = ha.pmf();
+  const std::vector<double> pb = hb.pmf();
+  std::vector<double> mid(bins);
+  for (std::size_t i = 0; i < bins; ++i) mid[i] = 0.5 * (pa[i] + pb[i]);
+  auto kl = [&](const std::vector<double>& p) {
+    double sum = 0.0;
+    for (std::size_t i = 0; i < bins; ++i) {
+      if (p[i] > 0.0 && mid[i] > 0.0) sum += p[i] * std::log2(p[i] / mid[i]);
+    }
+    return sum;
+  };
+  return 0.5 * kl(pa) + 0.5 * kl(pb);
+}
+
+// 32 and 64 bins count on the stack, 100 on the heap.
+TEST(JensenShannon, MatchesTheHistogramFormBitForBit) {
+  Rng rng(23);
+  for (int round = 0; round < 50; ++round) {
+    std::vector<double> a(10);
+    std::vector<double> b(10);
+    for (double& x : a) x = rng.uniform(0.0, 10.0);
+    for (double& x : b) x = rng.uniform(2.0, 14.0);
+    for (const std::size_t bins : {std::size_t{32}, std::size_t{64},
+                                   std::size_t{100}}) {
+      const double got = jensen_shannon_divergence(a, b, bins);
+      const double want = histogram_jsd(a, b, bins);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(want))
+          << "round " << round << ", " << bins << " bins";
+    }
+  }
 }
 
 TEST(CdfPoints, MonotoneAndSpansRange) {
