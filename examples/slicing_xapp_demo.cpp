@@ -1,13 +1,15 @@
 // Full O-RAN pipeline walkthrough (Fig. 6 of the paper): a near-RT RIC
 // with E2 termination, data repository, the DRL slicing xApp and the
 // EXPLORA xApp interposed on the RAN-control route. Shows the message
-// plumbing explicitly: route configuration, delivery counters, and the
-// (state, action, explanation) records EXPLORA archives for the operator.
+// plumbing explicitly: route configuration, the run's telemetry counters,
+// and the (state, action, explanation) records EXPLORA archives for the
+// operator.
 //
 // Build & run:  ./build/examples/slicing_xapp_demo
 #include <cstdio>
 
 #include "common/log.hpp"
+#include "common/telemetry.hpp"
 #include "explora/xapp.hpp"
 #include "harness/training.hpp"
 #include "oran/drl_xapp.hpp"
@@ -29,6 +31,8 @@ int main() {
       core::AgentProfile::kHighThroughput, scenario, training);
 
   // --- the near-RT RIC -----------------------------------------------------
+  // Every component built below counts into this registry.
+  telemetry::ScopedRegistry registry;
   oran::NearRtRic ric(netsim::make_gnb(scenario));
 
   oran::DrlXapp::Config drl_config;
@@ -60,19 +64,17 @@ int main() {
   const std::size_t decisions = 1200;
   ric.run_windows(decisions * 10);
 
+  const telemetry::TelemetrySnapshot counts = registry.registry().snapshot();
+  auto print_count = [&counts](const char* label, std::string_view name) {
+    std::printf("  %-26s: %llu\n", label,
+                static_cast<unsigned long long>(counts.counter(name)));
+  };
   std::printf("after %zu decision periods:\n", decisions);
-  std::printf("  KPM indications published : %llu\n",
-              static_cast<unsigned long long>(
-                  ric.e2_termination().indications_sent()));
-  std::printf("  controls applied at gNB   : %llu\n",
-              static_cast<unsigned long long>(
-                  ric.e2_termination().controls_applied()));
-  std::printf("  delivered to drl_xapp     : %llu\n",
-              static_cast<unsigned long long>(
-                  ric.router().delivered_to("drl_xapp")));
-  std::printf("  delivered to explora_xapp : %llu\n",
-              static_cast<unsigned long long>(
-                  ric.router().delivered_to("explora_xapp")));
+  print_count("KPM indications published", "oran.e2term.indications");
+  print_count("controls applied at gNB", "oran.e2term.controls_applied");
+  print_count("KPM received by drl_xapp", "oran.drl_xapp.indications");
+  print_count("KPM received by explora", "explora.xapp.indications");
+  print_count("controls seen by explora", "explora.xapp.controls_seen");
   std::printf("  actions replaced by EDBR  : %llu\n\n",
               static_cast<unsigned long long>(
                   explora_xapp.controls_replaced()));

@@ -116,7 +116,7 @@ inline ContractHandler set_contract_handler(ContractHandler handler) noexcept {
 }
 
 /// Best-effort misuse detector for process-global override slots (the
-/// runtime check level, the failure handler, telemetry's active registry).
+/// runtime check level and the failure handler).
 /// The slots themselves stay lock-free atomics/pointers that any thread
 /// may *read*; what is not supported is two threads *installing* scoped
 /// overrides concurrently — the restores would interleave and resurrect a

@@ -118,7 +118,7 @@ void Histogram::observe_batch(std::span<const std::uint64_t> bucket_counts,
                               std::uint64_t count, std::int64_t sum,
                               std::int64_t min, std::int64_t max) noexcept {
 #if EXPLORA_TELEMETRY_LEVEL >= 1
-  if (!enabled() || count == 0) return;
+  if (count == 0) return;
   EXPLORA_EXPECTS_MSG(bucket_counts.size() == bounds_.size() + 1,
                       "observe_batch needs {} bucket counts, got {}",
                       bounds_.size() + 1, bucket_counts.size());
@@ -188,59 +188,14 @@ std::string TelemetrySnapshot::to_json() const {
   return out;
 }
 
-TelemetrySnapshot merge(const TelemetrySnapshot& a, const TelemetrySnapshot& b) {
-  TelemetrySnapshot out = a;
-  out.now = std::max(a.now, b.now);
-  for (const auto& [name, metric] : b.metrics) {
-    auto [it, inserted] = out.metrics.try_emplace(name, metric);
-    if (inserted) continue;
-    MetricSnapshot& dst = it->second;
-    EXPLORA_EXPECTS_MSG(dst.kind == metric.kind,
-                        "merge kind mismatch for metric '{}'", name);
-    switch (metric.kind) {
-      case MetricKind::kCounter:
-        dst.count += metric.count;
-        break;
-      case MetricKind::kGauge:
-        dst.value = std::max(dst.value, metric.value);
-        break;
-      case MetricKind::kHistogram: {
-        EXPLORA_EXPECTS_MSG(dst.bounds == metric.bounds,
-                            "merge bucket-layout mismatch for metric '{}'",
-                            name);
-        const bool dst_empty = dst.count == 0;
-        const bool src_empty = metric.count == 0;
-        for (std::size_t i = 0; i < dst.buckets.size(); ++i) {
-          dst.buckets[i] += metric.buckets[i];
-        }
-        dst.count += metric.count;
-        dst.sum += metric.sum;
-        if (dst_empty) {
-          dst.min = metric.min;
-          dst.max = metric.max;
-        } else if (!src_empty) {
-          dst.min = std::min(dst.min, metric.min);
-          dst.max = std::max(dst.max, metric.max);
-        }
-        break;
-      }
-      case MetricKind::kSpan: {
-        const bool dst_empty = dst.count == 0;
-        const bool src_empty = metric.count == 0;
-        dst.count += metric.count;
-        dst.sum += metric.sum;
-        if (dst_empty) {
-          dst.min = metric.min;
-          dst.max = metric.max;
-        } else if (!src_empty) {
-          dst.min = std::min(dst.min, metric.min);
-          dst.max = std::max(dst.max, metric.max);
-        }
-        break;
-      }
-    }
-  }
-  return out;
+std::uint64_t TelemetrySnapshot::counter(std::string_view name) const {
+  const auto it = metrics.find(name);
+  EXPLORA_EXPECTS_MSG(it != metrics.end(), "no metric named '{}' in snapshot",
+                      std::string(name));
+  EXPLORA_EXPECTS_MSG(it->second.kind == MetricKind::kCounter,
+                      "metric '{}' is a {}, not a counter", std::string(name),
+                      to_string(it->second.kind));
+  return it->second.count;
 }
 
 // ---- Registry ---------------------------------------------------------------
@@ -354,18 +309,11 @@ std::size_t Registry::size() const {
 
 namespace {
 
-// The slot is a plain pointer: reads are ubiquitous and racy-by-design
-// (components bind at construction, before workers exist), while installs
-// are only supported from one thread at a time — enforced fast-tier by the
-// same guard the contracts scopes use.
+// One slot per thread: each run or test installs its registry on its own
+// thread, so concurrent runs never see each other's.
 Registry*& active_slot() noexcept {
-  static Registry* active = &global_registry();
+  thread_local Registry* active = &global_registry();
   return active;
-}
-
-contracts::SingleThreadScope& registry_scope() {
-  static contracts::SingleThreadScope scope;
-  return scope;
 }
 
 }  // namespace
@@ -381,19 +329,14 @@ ScopedRegistry::ScopedRegistry()
     : owned_(std::make_unique<Registry>()),
       active_(owned_.get()),
       previous_(&active_registry()) {
-  registry_scope().enter("ScopedRegistry");
   active_slot() = active_;
 }
 
 ScopedRegistry::ScopedRegistry(Registry& registry)
     : active_(&registry), previous_(&active_registry()) {
-  registry_scope().enter("ScopedRegistry");
   active_slot() = active_;
 }
 
-ScopedRegistry::~ScopedRegistry() {
-  active_slot() = previous_;
-  registry_scope().exit();
-}
+ScopedRegistry::~ScopedRegistry() { active_slot() = previous_; }
 
 }  // namespace explora::telemetry

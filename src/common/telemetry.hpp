@@ -12,7 +12,7 @@
 // are banned here (enforced by tools/lint_determinism.py's telemetry-clock
 // rule): any of them would make two identical runs disagree.
 //
-// Two knobs, mirroring common/contracts.hpp:
+// One knob, mirroring common/contracts.hpp's compiled ceiling:
 //
 //   EXPLORA_TELEMETRY_LEVEL (macro, build time)
 //     0 = off   every record method compiles to an empty inline body —
@@ -20,15 +20,15 @@
 //               -DEXPLORA_TELEMETRY=OFF at configure time);
 //     1 = on    recording compiled in (the default).
 //
-//   set_enabled() (runtime, below the ceiling) — compiled-in recording is
-//     additionally gated on one relaxed atomic load, so benches can
-//     measure the enabled-vs-disabled delta without rebuilding.
+// There is no runtime switch: the registry is the only count of the
+// events it records (chaos verdicts read it), so nothing may silence it.
 //
 // Instrumented components resolve their metrics once, at construction,
 // from active_registry() and keep raw pointers; the hot path is then a
-// single relaxed atomic add. Tests isolate themselves by constructing the
-// system under test inside a ScopedRegistry (which must outlive every
-// component that resolved metrics from it).
+// single relaxed atomic add. The active registry is per thread: a run
+// (harness::run_experiment) or a test installs its own ScopedRegistry,
+// which must outlive every component that resolved metrics from it, and
+// runs on other threads never see it.
 #pragma once
 
 #include <atomic>
@@ -54,13 +54,11 @@ namespace explora::telemetry {
 inline constexpr bool kCompiledIn = EXPLORA_TELEMETRY_LEVEL >= 1;
 
 // Every atomic in this layer is relaxed, and that is sound: each one is an
-// order-free fold (adds, monotone min/max CAS) or a last-write level or
-// gate, none publishes other data through it, and readers tolerate
-// staleness until the recorders have joined.
+// order-free fold (adds, monotone min/max CAS) or a last-write level, none
+// publishes other data through it, and readers tolerate staleness until
+// the recorders have joined.
 
 namespace detail {
-
-inline std::atomic<bool> g_enabled{true};
 
 inline void update_min(std::atomic<std::int64_t>& target,
                        std::int64_t value) noexcept {
@@ -86,29 +84,6 @@ inline void update_max(std::atomic<std::int64_t>& target,
 
 }  // namespace detail
 
-/// Runtime gate for compiled-in recording (one relaxed load per record).
-[[nodiscard]] inline bool enabled() noexcept {
-  return detail::g_enabled.load(std::memory_order_relaxed);
-}
-
-inline void set_enabled(bool on) noexcept {
-  detail::g_enabled.store(on, std::memory_order_relaxed);
-}
-
-/// RAII runtime toggle (benches measure the enabled/disabled delta).
-class ScopedEnabled {
- public:
-  explicit ScopedEnabled(bool on) noexcept : previous_(enabled()) {
-    set_enabled(on);
-  }
-  ~ScopedEnabled() { set_enabled(previous_); }
-  ScopedEnabled(const ScopedEnabled&) = delete;
-  ScopedEnabled& operator=(const ScopedEnabled&) = delete;
-
- private:
-  bool previous_;
-};
-
 enum class MetricKind : std::uint8_t {
   kCounter = 0,
   kGauge = 1,
@@ -118,12 +93,12 @@ enum class MetricKind : std::uint8_t {
 
 [[nodiscard]] std::string_view to_string(MetricKind kind) noexcept;
 
-/// Monotonic event count. Merge rule: values add.
+/// Monotonic event count.
 class Counter {
  public:
   void add(std::uint64_t n = 1) noexcept {
 #if EXPLORA_TELEMETRY_LEVEL >= 1
-    if (enabled()) value_.fetch_add(n, std::memory_order_relaxed);
+    value_.fetch_add(n, std::memory_order_relaxed);
 #else
     (void)n;
 #endif
@@ -136,22 +111,19 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Last-written level (queue depths, in-flight counts). Merge rule: the
-/// maximum wins — max is the only order-independent combination of two
-/// last-write values, and "high-water mark" is the useful semantics when
-/// folding per-shard snapshots.
+/// Last-written level (queue depths, in-flight counts).
 class Gauge {
  public:
   void set(std::int64_t v) noexcept {
 #if EXPLORA_TELEMETRY_LEVEL >= 1
-    if (enabled()) value_.store(v, std::memory_order_relaxed);
+    value_.store(v, std::memory_order_relaxed);
 #else
     (void)v;
 #endif
   }
   void add(std::int64_t delta) noexcept {
 #if EXPLORA_TELEMETRY_LEVEL >= 1
-    if (enabled()) value_.fetch_add(delta, std::memory_order_relaxed);
+    value_.fetch_add(delta, std::memory_order_relaxed);
 #else
     (void)delta;
 #endif
@@ -176,7 +148,6 @@ class Histogram {
 
   void observe(std::int64_t value) noexcept {
 #if EXPLORA_TELEMETRY_LEVEL >= 1
-    if (!enabled()) return;
     buckets_[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(value, std::memory_order_relaxed);
@@ -240,7 +211,6 @@ class LocalHistogram {
 
   void observe(std::int64_t value) noexcept {
 #if EXPLORA_TELEMETRY_LEVEL >= 1
-    if (!enabled()) return;
     const auto& bounds = target_->bounds();
     std::size_t bucket = 0;
     while (bucket < bounds.size() && value > bounds[bucket]) ++bucket;
@@ -287,7 +257,6 @@ class SpanStat {
  public:
   void record(std::int64_t duration) noexcept {
 #if EXPLORA_TELEMETRY_LEVEL >= 1
-    if (!enabled()) return;
     count_.fetch_add(1, std::memory_order_relaxed);
     total_.fetch_add(duration, std::memory_order_relaxed);
     detail::update_min(min_, duration);
@@ -318,7 +287,7 @@ class SpanStat {
 };
 
 /// One metric frozen at snapshot time. Plain data, so snapshots can be
-/// stored, diffed and merged without touching the live registry.
+/// stored and diffed without touching the live registry.
 struct MetricSnapshot {
   MetricKind kind = MetricKind::kCounter;
   std::uint64_t count = 0;   ///< counter value / histogram / span count
@@ -337,7 +306,12 @@ struct MetricSnapshot {
 /// canonical order the JSON document uses).
 struct TelemetrySnapshot {
   std::int64_t now = 0;  ///< registry tick clock at snapshot time
-  std::map<std::string, MetricSnapshot> metrics;
+  std::map<std::string, MetricSnapshot, std::less<>> metrics;
+
+  /// The value of the named counter. An unknown name or a metric of
+  /// another kind is a contract violation, so a misspelt name cannot
+  /// read as 0.
+  [[nodiscard]] std::uint64_t counter(std::string_view name) const;
 
   /// Canonical JSON: sorted metric names, fixed key order, integers only.
   /// Byte-identical for equal snapshots on every platform.
@@ -346,15 +320,6 @@ struct TelemetrySnapshot {
   friend bool operator==(const TelemetrySnapshot&,
                          const TelemetrySnapshot&) = default;
 };
-
-/// Order-independent fold of two snapshots (e.g. per-shard registries):
-/// counters/histograms/spans add (min/max combine), gauges keep the max.
-/// merge(a, b) == merge(b, a) and merge is associative; the `now` clock
-/// keeps the larger value. Metrics present in only one input pass through
-/// unchanged; a kind or bucket-layout mismatch for the same name is a
-/// contract violation.
-[[nodiscard]] TelemetrySnapshot merge(const TelemetrySnapshot& a,
-                                      const TelemetrySnapshot& b);
 
 class Registry {
  public:
@@ -409,14 +374,16 @@ class Registry {
 /// The process-wide default registry.
 [[nodiscard]] Registry& global_registry();
 
-/// The registry instrumented components resolve metrics from (the global
-/// one unless a ScopedRegistry is active).
+/// The registry instrumented components resolve metrics from: the calling
+/// thread's innermost ScopedRegistry, or the global one when the thread
+/// has none.
 [[nodiscard]] Registry& active_registry() noexcept;
 
-/// RAII redirection of active_registry() to a fresh or caller-owned
-/// registry. Components constructed inside the scope bind their metrics to
-/// it, so golden-trace runs and tests observe only their own pipeline. The
-/// scoped registry must outlive every component that bound to it.
+/// RAII redirection of the calling thread's active_registry() to a fresh
+/// or caller-owned registry. Components constructed inside the scope on
+/// this thread bind their metrics to it, so a run or a test observes only
+/// its own pipeline, whatever other threads install. The scoped registry
+/// must outlive every component that bound to it.
 class ScopedRegistry {
  public:
   /// Activates a fresh, internally-owned registry.

@@ -1,6 +1,5 @@
 // Explanation-as-a-service in front of the XAI explainers (DESIGN.md §12):
-// the overload-robust serving layer ROADMAP item 5(a) asks for. It
-// composes the xai::serving substrate — bounded admission queue,
+// an overload-robust serving layer. It composes the xai::serving substrate — bounded admission queue,
 // degradation ladder, circuit breaker, per-tier cost model — around the
 // actual explainers:
 //
@@ -73,9 +72,9 @@ struct ExplanationResult {
 
 /// Deterministic explanation-serving layer. Single-threaded by contract:
 /// submit() and on_tick() must be called from the driving (simulation)
-/// thread. submit() itself is nonblocking and allocation-free — it is the
-/// path a TTI loop may call — and the underlying queue additionally
-/// tolerates concurrent producers (exercised by the tsan enqueue leg).
+/// thread, and the underlying queue is a plain single-threaded ring.
+/// submit() itself is nonblocking and allocation-free — it is the path a
+/// TTI loop may call.
 class ExplainService {
  public:
   struct Config {

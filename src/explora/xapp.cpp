@@ -63,6 +63,8 @@ ExploraXapp::ExploraXapp(Config config, oran::RmrRouter& router,
   tm_controls_replaced_ = &scope.counter("controls_replaced");
   tm_windows_finalized_ = &scope.counter("windows_finalized");
   tm_reports_discarded_ = &scope.counter("reports_discarded");
+  tm_indications_missed_ = &scope.counter("indications_missed");
+  tm_duplicate_controls_ = &scope.counter("duplicate_controls");
   tm_degraded_episodes_ = &scope.counter("degraded_episodes");
   tm_degraded_ticks_ = &scope.span("degraded_ticks");
 }
@@ -154,11 +156,10 @@ void ExploraXapp::on_message(const oran::RicMessage& message) {
         router_->send(
             oran::make_ran_control_ack(config_.name, ran_control.seq));
         if (!first_time) {
-          ++duplicate_controls_ignored_;
+          tm_duplicate_controls_->add(1);
           return;
         }
       }
-      ++controls_seen_;
       tm_controls_seen_->add(1);
       const netsim::SlicingControl proposed = ran_control.control;
 
@@ -263,8 +264,7 @@ void ExploraXapp::observe_indication_timing(const netsim::KpiReport& report) {
 
 void ExploraXapp::enter_degraded(netsim::Tick detected_at,
                                  std::uint64_t missed) {
-  indications_missed_ += missed;
-  reports_discarded_ += pending_count_;
+  tm_indications_missed_->add(missed);
   tm_reports_discarded_->add(pending_count_);
   pending_count_ = 0;  // never build transitions from a gapped window
   const bool was_stale = ladder_.stale();

@@ -96,9 +96,6 @@ class ExploraXapp final : public oran::RmrEndpoint,
     return steering_.has_value();
   }
   [[nodiscard]] const ActionSteering& steering() const;
-  [[nodiscard]] std::uint64_t controls_seen() const noexcept {
-    return controls_seen_;
-  }
   [[nodiscard]] std::uint64_t controls_replaced() const noexcept {
     return controls_replaced_;
   }
@@ -130,18 +127,6 @@ class ExploraXapp final : public oran::RmrEndpoint,
   /// Times the watchdog entered degraded mode.
   [[nodiscard]] std::uint64_t degradation_events() const noexcept {
     return degradation_events_;
-  }
-  /// KPI reports discarded from partial (gapped) decision windows.
-  [[nodiscard]] std::uint64_t reports_discarded() const noexcept {
-    return reports_discarded_;
-  }
-  /// Estimated KPM indications lost across all detected gaps.
-  [[nodiscard]] std::uint64_t indications_missed() const noexcept {
-    return indications_missed_;
-  }
-  /// Retransmitted upstream controls suppressed by the (sender, seq) guard.
-  [[nodiscard]] std::uint64_t duplicate_controls_ignored() const noexcept {
-    return duplicate_controls_ignored_;
   }
   /// Reliable-hop telemetry (nullptr when config.reliable is unset).
   [[nodiscard]] const oran::ReliableControlSender* reliable() const noexcept {
@@ -179,7 +164,6 @@ class ExploraXapp final : public oran::RmrEndpoint,
   /// vectors reuse the capacity of an earlier window's.
   std::vector<netsim::KpiReport> pending_window_;
   std::size_t pending_count_ = 0;
-  std::uint64_t controls_seen_ = 0;
   std::uint64_t controls_replaced_ = 0;
   std::uint64_t a1_policies_applied_ = 0;
 
@@ -191,22 +175,25 @@ class ExploraXapp final : public oran::RmrEndpoint,
   netsim::Tick report_period_ = 0;
   xai::serving::DegradationLadder ladder_;
   std::uint64_t degradation_events_ = 0;
-  std::uint64_t reports_discarded_ = 0;
-  std::uint64_t indications_missed_ = 0;
   /// Last action enforced while the stream was healthy (hold-last policy).
   std::optional<netsim::SlicingControl> last_safe_action_;
   /// (sender, seq) of upstream controls already processed (apply-once).
   std::set<std::pair<std::string, std::uint64_t>> seen_upstream_seqs_;
-  std::uint64_t duplicate_controls_ignored_ = 0;
 
-  // Telemetry (explora.xapp.*), bound at construction. degraded_ticks is
-  // a span over gNB ticks from gap detection to recovery, one record per
+  // Telemetry (explora.xapp.*), bound at construction. reports_discarded
+  // counts KPI reports dropped from partial (gapped) decision windows,
+  // indications_missed the KPM indications estimated lost across all
+  // detected gaps, and duplicate_controls the retransmitted upstream
+  // controls suppressed by the (sender, seq) guard. degraded_ticks is a
+  // span over gNB ticks from gap detection to recovery, one record per
   // degraded episode.
   telemetry::Counter* tm_indications_;
   telemetry::Counter* tm_controls_seen_;
   telemetry::Counter* tm_controls_replaced_;
   telemetry::Counter* tm_windows_finalized_;
   telemetry::Counter* tm_reports_discarded_;
+  telemetry::Counter* tm_indications_missed_;
+  telemetry::Counter* tm_duplicate_controls_;
   telemetry::Counter* tm_degraded_episodes_;
   telemetry::SpanStat* tm_degraded_ticks_;
   netsim::Tick degraded_entered_at_ = 0;

@@ -1,7 +1,9 @@
 #include "harness/chaos.hpp"
 
+#include <array>
 #include <cmath>
 #include <cstdio>
+#include <string_view>
 
 #include "common/contracts.hpp"
 #include "common/log.hpp"
@@ -28,6 +30,29 @@ std::string json_escape(const std::string& raw) {
   }
   return out;
 }
+
+/// The registry counters each report row carries, in report order: the
+/// control plane's decisions and reliable-hop traffic, the receiver-side
+/// guards, the injected impairment fates, and the EXPLORA watchdog.
+constexpr std::array<std::string_view, 17> kRowCounters = {
+    "oran.drl_xapp.decisions",
+    "oran.reliable.sent",
+    "oran.reliable.acked",
+    "oran.reliable.retransmissions",
+    "oran.reliable.expired",
+    "oran.e2term.controls_applied",
+    "oran.e2term.controls_rejected",
+    "oran.e2term.duplicate_controls",
+    "explora.xapp.duplicate_controls",
+    "oran.impairments.dropped.ran_control",
+    "oran.impairments.delayed.ran_control",
+    "oran.impairments.duplicated.ran_control",
+    "oran.impairments.dropped.ric_control_ack",
+    "oran.impairments.dropped.kpm_indication",
+    "explora.xapp.degraded_episodes",
+    "explora.xapp.indications_missed",
+    "explora.xapp.reports_discarded",
+};
 
 ExperimentOptions base_options(const ChaosConfig& config) {
   ExperimentOptions options;
@@ -116,7 +141,6 @@ std::string ChaosReport::to_json() const {
   out += "  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const ChaosRow& row = rows[i];
-    const FaultTelemetry& t = row.telemetry;
     out += "    {\"label\": \"" + json_escape(row.point.label) + "\"";
     out += ", \"control_drop\": " + json_double(row.point.control_drop);
     out += ", \"control_delay\": " + json_double(row.point.control_delay);
@@ -126,25 +150,12 @@ std::string ChaosReport::to_json() const {
     out += ", \"indication_drop\": " + json_double(row.point.indication_drop);
     out += ", \"mean_reward\": " + json_double(row.mean_reward);
     out += ", \"degradation\": " + json_double(row.degradation);
-    out += ", \"controls_decided\": " + std::to_string(t.controls_decided);
-    out += ", \"controls_sent\": " + std::to_string(t.controls_sent);
-    out += ", \"controls_acked\": " + std::to_string(t.controls_acked);
-    out += ", \"controls_in_flight\": " + std::to_string(t.controls_in_flight);
-    out += ", \"controls_applied\": " + std::to_string(t.controls_applied);
-    out += ", \"controls_dropped\": " + std::to_string(t.controls_dropped);
-    out += ", \"controls_delayed\": " + std::to_string(t.controls_delayed);
-    out +=
-        ", \"controls_duplicated\": " + std::to_string(t.controls_duplicated);
-    out += ", \"acks_dropped\": " + std::to_string(t.acks_dropped);
-    out +=
-        ", \"indications_dropped\": " + std::to_string(t.indications_dropped);
-    out += ", \"retransmissions\": " + std::to_string(t.retransmissions);
-    out += ", \"retries_expired\": " + std::to_string(t.retries_expired);
-    out += ", \"duplicates_ignored\": " + std::to_string(t.duplicates_ignored);
-    out += ", \"controls_rejected\": " + std::to_string(t.controls_rejected);
-    out += ", \"degradation_events\": " + std::to_string(t.degradation_events);
-    out += ", \"indications_missed\": " + std::to_string(t.indications_missed);
-    out += ", \"reports_discarded\": " + std::to_string(t.reports_discarded);
+    for (const std::string_view name : kRowCounters) {
+      out += ", \"" + std::string(name) +
+             "\": " + std::to_string(row.telemetry.counter(name));
+    }
+    out += ", \"controls_in_flight\": " +
+           std::to_string(controls_in_flight(row.telemetry));
     const ServingTelemetry& s = row.serving;
     out += ", \"explainer_slow\": " + json_double(row.point.explainer_slow);
     out += ", \"explainer_fail\": " + json_double(row.point.explainer_fail);
@@ -179,8 +190,17 @@ std::string ChaosReport::to_json() const {
   return out;
 }
 
+std::uint64_t controls_in_flight(
+    const telemetry::TelemetrySnapshot& telemetry) {
+  return telemetry.counter("oran.reliable.sent") -
+         telemetry.counter("oran.reliable.acked") -
+         telemetry.counter("oran.reliable.expired");
+}
+
 ChaosReport run_chaos_sweep(const TrainedSystem& system,
                             const ChaosConfig& config) {
+  EXPLORA_EXPECTS_MSG(telemetry::kCompiledIn,
+                      "chaos verdicts read telemetry, which is compiled out");
   EXPLORA_EXPECTS(config.decisions > 0);
   EXPLORA_EXPECTS(config.max_reward_degradation > 0.0);
 
@@ -214,14 +234,13 @@ ChaosReport run_chaos_sweep(const TrainedSystem& system,
     faults.indication = {.drop = point.indication_drop};
     options.faults = faults;
 
-    const ExperimentResult result =
+    ExperimentResult result =
         run_experiment(system, config.scenario, options, config.training);
-    EXPLORA_EXPECTS(result.faults.has_value());
 
     ChaosRow row;
     row.point = point;
     row.mean_reward = result.mean_reward();
-    row.telemetry = *result.faults;
+    row.telemetry = std::move(result.telemetry);
     if (result.serving.has_value()) row.serving = *result.serving;
     row.serving_ok = serving_contract_holds(row.serving, config.max_shed_rate);
     const double scale = std::abs(report.baseline_reward);
@@ -231,20 +250,19 @@ ChaosReport run_chaos_sweep(const TrainedSystem& system,
     // Exactly-once: every decision reached the gNB (none expired out of
     // retries, none stranded in flight) and the (sender, seq) guards
     // absorbed every duplicate delivery.
-    row.exactly_once =
-        row.telemetry.retries_expired == 0 &&
-        row.telemetry.controls_in_flight == 0 &&
-        row.telemetry.controls_applied == row.telemetry.controls_decided &&
-        row.telemetry.controls_rejected == 0;
+    const telemetry::TelemetrySnapshot& t = row.telemetry;
+    const std::uint64_t applied = t.counter("oran.e2term.controls_applied");
+    const std::uint64_t decided = t.counter("oran.drl_xapp.decisions");
+    row.exactly_once = t.counter("oran.reliable.expired") == 0 &&
+                       controls_in_flight(t) == 0 && applied == decided &&
+                       t.counter("oran.e2term.controls_rejected") == 0;
     row.bounded = row.degradation <= config.max_reward_degradation;
     common::logf(common::LogLevel::kInfo, "chaos",
                  "point {}: reward {} (degradation {}), applied {}/{}, "
                  "retx {}, exactly_once={}, bounded={}",
-                 point.label, row.mean_reward, row.degradation,
-                 row.telemetry.controls_applied,
-                 row.telemetry.controls_decided,
-                 row.telemetry.retransmissions, row.exactly_once,
-                 row.bounded);
+                 point.label, row.mean_reward, row.degradation, applied,
+                 decided, t.counter("oran.reliable.retransmissions"),
+                 row.exactly_once, row.bounded);
     common::logf(common::LogLevel::kInfo, "chaos",
                  "point {} serving: {} submitted, {} delivered, {} shed, "
                  "{} demoted, {} eval faults, high water {}/{}, "

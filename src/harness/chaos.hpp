@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/telemetry.hpp"
 #include "harness/experiment.hpp"
 #include "harness/training.hpp"
 #include "netsim/scenario.hpp"
@@ -73,7 +74,9 @@ struct ChaosRow {
   double mean_reward = 0.0;
   /// (baseline - mean) / |baseline|; negative when faults improved reward.
   double degradation = 0.0;
-  FaultTelemetry telemetry;
+  /// The run's registry snapshot: the verdicts and the report's counters
+  /// are read from it by metric name.
+  telemetry::TelemetrySnapshot telemetry;
   ServingTelemetry serving;
   bool exactly_once = false;
   bool bounded = false;
@@ -96,8 +99,16 @@ struct ChaosReport {
   [[nodiscard]] std::string to_json() const;
 };
 
+/// Controls sent on either reliable hop and neither ACKed nor expired by
+/// the end of the run: every sequence number is ACKed, expired or still
+/// held, exactly once.
+[[nodiscard]] std::uint64_t controls_in_flight(
+    const telemetry::TelemetrySnapshot& telemetry);
+
 /// Runs the fault-free baseline then every sweep point, all at the same
 /// scenario/xApp seeds, and evaluates the robustness contract per point.
+/// The verdicts are read from each run's telemetry, so a build with
+/// telemetry compiled out is a contract violation.
 [[nodiscard]] ChaosReport run_chaos_sweep(const TrainedSystem& system,
                                           const ChaosConfig& config);
 

@@ -43,6 +43,19 @@ void fold_serving_results(const std::vector<ExplanationResult>& results,
 
 }  // namespace
 
+ExplainService::Config make_service_config(const ServingOptions& serving) {
+  ExplainService::Config config;
+  config.queue_capacity = serving.queue_capacity;
+  config.workers = serving.workers;
+  config.sampled_permutations = serving.sampled_permutations;
+  config.max_background = serving.background_rows;
+  config.seed = serving.seed;
+  config.eval_slow_probability = serving.eval_slow_probability;
+  config.eval_slow_factor = serving.eval_slow_factor;
+  config.eval_failure_probability = serving.eval_failure_probability;
+  return config;
+}
+
 core::ExploraXapp::Config make_explora_config(
     const ExperimentOptions& options, core::AgentProfile profile,
     std::size_t reports_per_decision) {
@@ -74,13 +87,17 @@ ExperimentResult run_experiment(const TrainedSystem& system,
                         training);
 }
 
-ExperimentResult run_experiment(const ml::KpiNormalizer& normalizer,
-                                const ml::Autoencoder& autoencoder,
-                                const ml::PolicyAgent& agent,
-                                core::AgentProfile profile,
-                                const netsim::ScenarioConfig& scenario,
-                                const ExperimentOptions& options,
-                                const TrainingConfig& training) {
+namespace {
+
+/// The closed loop itself. Every component it builds lives in this frame,
+/// so all of them are destroyed by the time it returns.
+ExperimentResult run_pipeline(const ml::KpiNormalizer& normalizer,
+                              const ml::Autoencoder& autoencoder,
+                              const ml::PolicyAgent& agent,
+                              core::AgentProfile profile,
+                              const netsim::ScenarioConfig& scenario,
+                              const ExperimentOptions& options,
+                              const TrainingConfig& training) {
   EXPLORA_EXPECTS(options.decisions > 0);
   EXPLORA_EXPECTS(!options.steering.has_value() || options.deploy_explora);
   EXPLORA_EXPECTS(!options.shield.has_value() || options.deploy_explora);
@@ -93,7 +110,6 @@ ExperimentResult run_experiment(const ml::KpiNormalizer& normalizer,
   // is clocked by the registry's tick clock, which the gNB advances every
   // TTI — so each record equals the simulated TTIs one decision spans.
   telemetry::Scope tscope("harness.experiment");
-  tscope.counter("runs").add(1);
   telemetry::SpanStat& decision_span = tscope.span("decision_period_ttis");
   telemetry::Registry& tregistry = tscope.registry();
 
@@ -213,18 +229,8 @@ ExperimentResult run_experiment(const ml::KpiNormalizer& normalizer,
       if (!service.has_value()) {
         serving_background.push_back(drl.last_latent());
         if (serving_background.size() >= serving.background_rows) {
-          ExplainService::Config service_config;
-          service_config.queue_capacity = serving.queue_capacity;
-          service_config.workers = serving.workers;
-          service_config.sampled_permutations = serving.sampled_permutations;
-          service_config.max_background = serving.background_rows;
-          service_config.seed = serving.seed;
-          service_config.eval_slow_probability = serving.eval_slow_probability;
-          service_config.eval_slow_factor = serving.eval_slow_factor;
-          service_config.eval_failure_probability =
-              serving.eval_failure_probability;
-          service.emplace(agent, serving_background, nullptr, service_config,
-                          &explora->ladder());
+          service.emplace(agent, serving_background, nullptr,
+                          make_service_config(serving), &explora->ladder());
           serving_tick = now;
         }
       } else {
@@ -307,44 +313,29 @@ ExperimentResult run_experiment(const ml::KpiNormalizer& normalizer,
     }
   }
 
-  if (options.faults.has_value() || options.reliable.has_value()) {
-    FaultTelemetry telemetry;
-    if (const oran::LinkImpairments* impairments =
-            ric.router().impairments()) {
-      telemetry.controls_dropped =
-          impairments->dropped_by_type(oran::MessageType::kRanControl);
-      telemetry.controls_delayed =
-          impairments->delayed_by_type(oran::MessageType::kRanControl);
-      telemetry.controls_duplicated =
-          impairments->duplicated_by_type(oran::MessageType::kRanControl);
-      telemetry.acks_dropped =
-          impairments->dropped_by_type(oran::MessageType::kRanControlAck);
-      telemetry.indications_dropped =
-          impairments->dropped_by_type(oran::MessageType::kKpmIndication);
-    }
-    auto add_sender = [&telemetry](const oran::ReliableControlSender* s) {
-      if (s == nullptr) return;
-      telemetry.controls_sent += s->sent();
-      telemetry.controls_acked += s->acked();
-      telemetry.retransmissions += s->retransmissions();
-      telemetry.retries_expired += s->expired();
-      telemetry.controls_in_flight += s->in_flight();
-    };
-    telemetry.controls_decided = drl.decisions_made();
-    add_sender(drl.reliable());
-    if (explora.has_value()) add_sender(explora->reliable());
-    telemetry.controls_applied = ric.e2_termination().controls_applied();
-    telemetry.duplicates_ignored =
-        ric.e2_termination().duplicate_controls_ignored();
-    telemetry.controls_rejected = ric.e2_termination().controls_rejected();
-    if (explora.has_value()) {
-      telemetry.duplicates_ignored += explora->duplicate_controls_ignored();
-      telemetry.degradation_events = explora->degradation_events();
-      telemetry.indications_missed = explora->indications_missed();
-      telemetry.reports_discarded = explora->reports_discarded();
-    }
-    result.faults = telemetry;
-  }
+  return result;
+}
+
+}  // namespace
+
+ExperimentResult run_experiment(const ml::KpiNormalizer& normalizer,
+                                const ml::Autoencoder& autoencoder,
+                                const ml::PolicyAgent& agent,
+                                core::AgentProfile profile,
+                                const netsim::ScenarioConfig& scenario,
+                                const ExperimentOptions& options,
+                                const TrainingConfig& training) {
+  // The run's own registry: everything run_pipeline builds binds its
+  // metrics here, so the snapshot counts this run and nothing else.
+  telemetry::ScopedRegistry scope;
+  ExperimentResult result = run_pipeline(normalizer, autoencoder, agent,
+                                         profile, scenario, options,
+                                         training);
+  // The recorder's clock read this registry, which dies with the scope.
+  if (options.recorder != nullptr) options.recorder->set_tick_source({});
+  // Taken only now: the gNB and scheduler destructors flush the tallies
+  // they fold every 8th report window.
+  result.telemetry = scope.registry().snapshot();
   return result;
 }
 

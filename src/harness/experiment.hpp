@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/fnv.hpp"
+#include "common/telemetry.hpp"
 #include "explora/edbr.hpp"
 #include "explora/explain_service.hpp"
 #include "explora/shield.hpp"
@@ -125,6 +126,11 @@ struct ExperimentOptions {
   oran::TraceRecorder* recorder = nullptr;
 };
 
+/// The ExplainService configuration run_experiment and serve_trace build
+/// from the serving options.
+[[nodiscard]] ExplainService::Config make_service_config(
+    const ServingOptions& serving);
+
 /// The EXPLORA xApp configuration run_experiment deploys for the given
 /// options — exposed so an offline replay (harness/replay.hpp) constructs
 /// a byte-identical xApp from the same options that drove the live run.
@@ -150,32 +156,6 @@ struct SteeringStats {
   std::vector<std::uint64_t> per_action_replaced_out;
 };
 
-/// End-of-run fault and resilience counters, harvested from the router,
-/// both reliable senders, the E2 termination and the EXPLORA watchdog.
-struct FaultTelemetry {
-  // Router-level impairments (per plane).
-  std::uint64_t controls_dropped = 0;
-  std::uint64_t controls_delayed = 0;
-  std::uint64_t controls_duplicated = 0;
-  std::uint64_t acks_dropped = 0;
-  std::uint64_t indications_dropped = 0;
-  // Reliable-delivery counters (summed over both control hops).
-  std::uint64_t controls_decided = 0;  ///< DRL decisions emitted
-  std::uint64_t controls_sent = 0;
-  std::uint64_t controls_acked = 0;
-  std::uint64_t retransmissions = 0;
-  std::uint64_t retries_expired = 0;
-  std::uint64_t controls_in_flight = 0;  ///< unACKed at end of run
-  // Receiver-side exactly-once guards.
-  std::uint64_t controls_applied = 0;
-  std::uint64_t duplicates_ignored = 0;
-  std::uint64_t controls_rejected = 0;
-  // EXPLORA degraded-mode watchdog.
-  std::uint64_t degradation_events = 0;
-  std::uint64_t indications_missed = 0;
-  std::uint64_t reports_discarded = 0;
-};
-
 struct ExperimentResult {
   std::vector<DecisionRecord> decisions;
   /// The repository's explanation/degradation archives at end of run (the
@@ -191,17 +171,22 @@ struct ExperimentResult {
   std::vector<core::TransitionEvent> transitions;
   std::optional<SteeringStats> steering;
   std::uint64_t controls_replaced = 0;
-  /// Present whenever options.faults or options.reliable is set.
-  std::optional<FaultTelemetry> faults;
   /// Present whenever options.serving is set.
   std::optional<ServingTelemetry> serving;
+  /// The run's own telemetry registry, snapshotted after every pipeline
+  /// component was destroyed (their destructors flush the gNB's and the
+  /// schedulers' batched tallies). The record of every counted event:
+  /// faults, retransmissions, duplicates, watchdog gaps.
+  telemetry::TelemetrySnapshot telemetry;
 
   /// Mean reward across decisions.
   [[nodiscard]] double mean_reward() const;
 };
 
 /// Runs one experiment; `system` provides the trained models (borrowed —
-/// the xApps hold const references for the run's duration).
+/// the xApps hold const references for the run's duration). The run
+/// counts into its own registry, installed on the calling thread, so runs
+/// on different threads may proceed concurrently.
 [[nodiscard]] ExperimentResult run_experiment(
     const TrainedSystem& system, const netsim::ScenarioConfig& scenario,
     const ExperimentOptions& options, const TrainingConfig& training = {});

@@ -30,9 +30,9 @@ TrainingConfig golden_training() {
   return config;
 }
 
-// Trained once per process. Training runs against whatever registry is
-// active at first call; run_golden_trace opens its ScopedRegistry only
-// afterwards, so ml.* training metrics never leak into golden snapshots.
+// Trained once per process, against whatever registry is active at first
+// call; each golden run counts in its own registry, so ml.* training
+// metrics never leak into golden snapshots.
 const TrainedSystem& golden_system() {
   static const TrainedSystem system =
       train_system(core::AgentProfile::kHighThroughput, golden_scenario(),
@@ -90,19 +90,17 @@ const std::vector<std::string_view>& golden_trace_cases() {
 std::string run_golden_trace(std::string_view case_name) {
   const TrainedSystem& system = golden_system();
   const ExperimentOptions options = golden_options(case_name);
-  // Fresh registry for the run itself: every pipeline component built by
-  // run_experiment binds its metrics here and dies before the snapshot.
-  telemetry::ScopedRegistry scope;
   if (case_name == "replay_roundtrip") {
     // Record a live run, replay its trace offline, and publish the
     // byte-identity verdict (plus the stream shape) as counters. The live
-    // and replayed pipelines each run in their own nested registry, so
-    // this snapshot contains exactly the round-trip verdict — and the
-    // golden differ flags any future change that breaks replay
-    // determinism as a structural diff on these counters.
+    // and replayed pipelines each count in their own registry, so this
+    // snapshot contains exactly the round-trip verdict — and the golden
+    // differ flags any future change that breaks replay determinism as a
+    // structural diff on these counters.
     const RoundTripReport report = replay_roundtrip(
         system, golden_scenario(), options, golden_training());
-    telemetry::Scope rscope("harness.replay", &scope.registry());
+    telemetry::Registry registry;
+    telemetry::Scope rscope("harness.replay", &registry);
     rscope.counter("trace_bytes").add(report.live.trace.size());
     rscope.counter("frames_replayed").add(report.replayed.frames_delivered);
     rscope.counter("explanations").add(report.replayed.explanations.size());
@@ -113,11 +111,10 @@ std::string run_golden_trace(std::string_view case_name) {
     rscope.counter("bytes_identical").add(report.bytes_identical ? 1 : 0);
     rscope.counter("telemetry_identical")
         .add(report.telemetry_identical ? 1 : 0);
-    return scope.registry().snapshot_json();
+    return registry.snapshot_json();
   }
-  (void)run_experiment(system, golden_scenario(), options,
-                       golden_training());
-  return scope.registry().snapshot_json();
+  return run_experiment(system, golden_scenario(), options, golden_training())
+      .telemetry.to_json();
 }
 
 std::string golden_trace_filename(std::string_view case_name) {

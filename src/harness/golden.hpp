@@ -14,14 +14,16 @@
 namespace explora::harness {
 
 /// Names of the canonical golden-trace cases, in the order they are
-/// regenerated: "baseline" (fault-free) and "chaos_drop10" (10% control
-/// and ACK drop with reliable ACK/retry delivery).
+/// regenerated: "baseline" (fault-free), "chaos_drop10" (10% control and
+/// ACK drop with reliable ACK/retry delivery), "serving_burst"
+/// (explanation serving under burst pressure) and "replay_roundtrip"
+/// (record, replay and compare the attribution streams).
 [[nodiscard]] const std::vector<std::string_view>& golden_trace_cases();
 
 /// Runs the named case end to end and returns the canonical telemetry
-/// snapshot JSON. The backing system is trained once per process (outside
-/// the snapshot registry), so the trace captures only the closed-loop
-/// pipeline. Unknown names are a contract violation.
+/// snapshot JSON (the run's own registry). The backing system is trained
+/// once per process, outside that registry, so the trace captures only
+/// the closed-loop pipeline. Unknown names are a contract violation.
 [[nodiscard]] std::string run_golden_trace(std::string_view case_name);
 
 /// The committed golden file name for a case ("<case>.json").

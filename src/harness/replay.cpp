@@ -153,8 +153,7 @@ namespace {
 /// normalized (live and replay freeze their clocks at different final
 /// instants; the metric values are the behaviour under test).
 [[nodiscard]] std::string filtered_xapp_telemetry(
-    const telemetry::Registry& registry) {
-  const telemetry::TelemetrySnapshot snapshot = registry.snapshot();
+    const telemetry::TelemetrySnapshot& snapshot) {
   telemetry::TelemetrySnapshot filtered;
   filtered.now = 0;
   for (const auto& [name, metric] : snapshot.metrics) {
@@ -168,7 +167,7 @@ namespace {
     const std::vector<oran::DegradationRecord>& degradations,
     const core::AttributedGraph& graph,
     const std::vector<core::TransitionEvent>& transitions,
-    const telemetry::Registry& registry) {
+    const telemetry::TelemetrySnapshot& telemetry) {
   oran::wire::AttributionDump dump;
   dump.explanations = explanations;
   dump.degradations = degradations;
@@ -177,7 +176,7 @@ namespace {
 
   AttributionStream stream;
   stream.bytes = oran::wire::encode_frame(dump);
-  stream.telemetry_json = filtered_xapp_telemetry(registry);
+  stream.telemetry_json = filtered_xapp_telemetry(telemetry);
   stream.digest = fnv1a(stream.bytes, stream.telemetry_json);
   return stream;
 }
@@ -214,9 +213,6 @@ RecordedRun record_experiment(const TrainedSystem& system,
           .name;
   oran::TraceRecorder recorder(run.xapp_name);
 
-  // Own registry: the trace's tick stamps and the harvested telemetry
-  // describe this run only, however many runs share the process.
-  telemetry::ScopedRegistry tscope;
   ExperimentOptions recording = options;
   recording.recorder = &recorder;
   run.result = run_experiment(system, scenario, recording, training);
@@ -224,7 +220,7 @@ RecordedRun record_experiment(const TrainedSystem& system,
   run.attribution =
       encode_attribution(run.result.explanations, run.result.degradations,
                          run.result.graph, run.result.transitions,
-                         tscope.registry());
+                         run.result.telemetry);
   return run;
 }
 
@@ -257,9 +253,9 @@ ReplayOutcome replay_trace(const oran::TraceReplaySource& source,
       [&registry](std::int64_t tick) { registry.set_now(tick); });
   outcome.explanations = repository.explanations();
   outcome.degradations = repository.degradations();
-  outcome.attribution =
-      encode_attribution(outcome.explanations, outcome.degradations,
-                         xapp.graph(), xapp.tracker().events(), registry);
+  outcome.attribution = encode_attribution(
+      outcome.explanations, outcome.degradations, xapp.graph(),
+      xapp.tracker().events(), registry.snapshot());
   return outcome;
 }
 
@@ -329,13 +325,8 @@ ServeStats serve_trace(const oran::TraceReplaySource& source,
     if (!service.has_value()) {
       background.push_back(latent);
       if (background.size() >= serving.background_rows) {
-        ExplainService::Config config;
-        config.queue_capacity = serving.queue_capacity;
-        config.workers = serving.workers;
-        config.sampled_permutations = serving.sampled_permutations;
-        config.max_background = serving.background_rows;
-        config.seed = serving.seed;
-        service.emplace(*system.agent, background, nullptr, config);
+        service.emplace(*system.agent, background, nullptr,
+                        make_service_config(serving));
         service_tick = frame.tick;
       }
       continue;

@@ -43,9 +43,9 @@ struct RecordedRun {
   AttributionStream attribution;
 };
 
-/// Runs run_experiment inside its own telemetry registry with a delivery
-/// tap installed, harvesting the serialized trace and the live
-/// attribution stream. Requires options.deploy_explora.
+/// Runs run_experiment with a delivery tap installed, harvesting the
+/// serialized trace and the live attribution stream (whose telemetry part
+/// comes from the run's own snapshot). Requires options.deploy_explora.
 [[nodiscard]] RecordedRun record_experiment(
     const TrainedSystem& system, const netsim::ScenarioConfig& scenario,
     const ExperimentOptions& options, const TrainingConfig& training = {});

@@ -113,8 +113,8 @@ void Gnb::run_tti() {
   }
   ++now_;
   // Counted locally and folded into the ttis counter once per report
-  // window; gated like Counter::add so disabled stretches stay unrecorded.
-  if (telemetry::kCompiledIn && telemetry::enabled()) ++pending_ttis_;
+  // window.
+  if (telemetry::kCompiledIn) ++pending_ttis_;
   // Advance the registry's tick clock: spans anywhere in the closed loop
   // measure durations against the gNB's simulated time, never wall-clock.
   telemetry_->set_now(now_);
@@ -144,7 +144,7 @@ KpiReport Gnb::run_report_window() {
       buffer_local_.observe(static_cast<std::int64_t>(ue->buffer_bytes()));
     }
   }
-  if (telemetry::kCompiledIn && telemetry::enabled()) ++pending_windows_;
+  if (telemetry::kCompiledIn) ++pending_windows_;
   // Fold the window-local accumulators into the registry on a fixed
   // deterministic cadence; the destructor drains whatever remains.
   if (++windows_since_flush_ >= kTelemetryFlushWindows) flush_telemetry();

@@ -51,14 +51,12 @@ void Scheduler::reuse_scratch(Scheduler& replaced) noexcept {
 void Scheduler::record_grants(std::uint32_t granted,
                               std::uint32_t budget) noexcept {
   // Plain-integer accumulation on the TTI hot path; flush_telemetry()
-  // folds it into the shared atomics once per report window. Gated like
-  // every other record call so runtime-disabled windows stay unrecorded.
+  // folds it into the shared atomics once per report window.
   if constexpr (!telemetry::kCompiledIn) {
     (void)granted;
     (void)budget;
     return;
   }
-  if (!telemetry::enabled()) return;
   ++pending_.runs;
   pending_.granted += granted;
   pending_.unused += budget - granted;

@@ -36,7 +36,6 @@ void E2Termination::on_message(const RicMessage& message) {
     if (!first_time) {
       // A retransmission whose original made it through (the ACK was
       // lost): apply-once, but re-ACK so the sender stops resending.
-      ++duplicate_controls_ignored_;
       tm_duplicate_controls_->add(1);
       router_->send(make_ran_control_ack(std::string(endpoint_name()),
                                          ran_control.seq));
@@ -61,7 +60,6 @@ void E2Termination::on_message(const RicMessage& message) {
 
 void E2Termination::collect_and_publish() {
   netsim::KpiReport report = gnb_->run_report_window();
-  ++indications_sent_;
   tm_indications_->add(1);
   last_indication_window_end_ = report.window_end;
   router_->send(

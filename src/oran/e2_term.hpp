@@ -38,14 +38,7 @@ class E2Termination final : public RmrEndpoint {
   [[nodiscard]] std::uint64_t controls_applied() const noexcept {
     return controls_applied_;
   }
-  [[nodiscard]] std::uint64_t indications_sent() const noexcept {
-    return indications_sent_;
-  }
-  /// Retransmitted controls suppressed by the (sender, seq) guard.
-  [[nodiscard]] std::uint64_t duplicate_controls_ignored() const noexcept {
-    return duplicate_controls_ignored_;
-  }
-  /// Malformed controls refused (satellite: reject, don't apply).
+  /// Malformed controls refused (reject, don't apply).
   [[nodiscard]] std::uint64_t controls_rejected() const noexcept {
     return controls_rejected_;
   }
@@ -54,8 +47,6 @@ class E2Termination final : public RmrEndpoint {
   netsim::Gnb* gnb_;
   RmrRouter* router_;
   std::uint64_t controls_applied_ = 0;
-  std::uint64_t indications_sent_ = 0;
-  std::uint64_t duplicate_controls_ignored_ = 0;
   std::uint64_t controls_rejected_ = 0;
   /// (sender, seq) pairs already applied — the idempotency guard. seq 0
   /// (legacy unsequenced sends) is never recorded here.
@@ -64,7 +55,9 @@ class E2Termination final : public RmrEndpoint {
   /// first one. Basis for the control-loop-lag span.
   netsim::Tick last_indication_window_end_ = -1;
 
-  // Telemetry (oran.e2term.*), bound at construction. control_loop_lag is
+  // Telemetry (oran.e2term.*), bound at construction. duplicate_controls
+  // counts the retransmissions the (sender, seq) guard suppressed;
+  // indications counts the KPM indications published. control_loop_lag is
   // a span over gNB ticks from the last KPM indication's window end to the
   // moment the resulting control lands — the paper's KPM->control loop
   // latency, in simulated TTIs.

@@ -10,15 +10,22 @@ namespace {
   return p >= 0.0 && p <= 1.0;
 }
 
+/// Metric-name label per MessageType, in enum order.
+constexpr std::array<std::string_view, kNumMessageTypes> kTypeLabels = {
+    "kpm_indication", "ran_control", "ric_control_ack"};
+
 }  // namespace
 
 LinkImpairments::LinkImpairments(std::uint64_t seed)
     : rng_(common::Rng(seed).fork("impairments")) {
   telemetry::Scope scope("oran.impairments");
-  tm_dropped_ = &scope.counter("dropped");
-  tm_delayed_ = &scope.counter("delayed");
-  tm_duplicated_ = &scope.counter("duplicated");
-  tm_reordered_ = &scope.counter("reordered");
+  for (std::size_t t = 0; t < kNumMessageTypes; ++t) {
+    const std::string label(kTypeLabels[t]);
+    tm_[t] = {&scope.counter("dropped." + label),
+              &scope.counter("delayed." + label),
+              &scope.counter("duplicated." + label),
+              &scope.counter("reordered." + label)};
+  }
 }
 
 void LinkImpairments::set_policy(MessageType type, std::string target,
@@ -44,7 +51,7 @@ LinkImpairments::Fate LinkImpairments::decide(MessageType type,
                                               std::string_view target) {
   const Policy* policy = policy_for(type, target);
   if (policy == nullptr || policy->perfect()) return Fate::kDeliver;
-  const auto index = static_cast<std::size_t>(type);
+  const FateCounters& counters = tm_[static_cast<std::size_t>(type)];
   // All four faults draw unconditionally so the stream consumes exactly
   // four variates per impaired delivery regardless of the outcome.
   const bool drop = rng_.bernoulli(policy->drop);
@@ -52,23 +59,19 @@ LinkImpairments::Fate LinkImpairments::decide(MessageType type,
   const bool duplicate = rng_.bernoulli(policy->duplicate);
   const bool reorder = rng_.bernoulli(policy->reorder);
   if (drop) {
-    ++dropped_[index];
-    tm_dropped_->add(1);
+    counters.dropped->add(1);
     return Fate::kDrop;
   }
   if (delay) {
-    ++delayed_[index];
-    tm_delayed_->add(1);
+    counters.delayed->add(1);
     return Fate::kDelay;
   }
   if (duplicate) {
-    ++duplicated_[index];
-    tm_duplicated_->add(1);
+    counters.duplicated->add(1);
     return Fate::kDuplicate;
   }
   if (reorder) {
-    ++reordered_[index];
-    tm_reordered_->add(1);
+    counters.reordered->add(1);
     return Fate::kReorder;
   }
   return Fate::kDeliver;

@@ -60,28 +60,13 @@ class LinkImpairments {
   [[nodiscard]] const Policy* policy_for(MessageType type,
                                          std::string_view target) const;
 
-  /// Draws the fate of one delivery and updates the per-type counters.
+  /// Draws the fate of one delivery and counts it in the registry under
+  /// its fate and message type (oran.impairments.dropped.ran_control, ...).
   [[nodiscard]] Fate decide(MessageType type, std::string_view target);
 
   /// Rounds a delayed message of this (type, target) waits (>= 1).
   [[nodiscard]] std::uint32_t delay_rounds(MessageType type,
                                            std::string_view target) const;
-
-  // Per-message-type fault counters (chaos telemetry; index by MessageType).
-  [[nodiscard]] std::uint64_t dropped_by_type(MessageType type) const noexcept {
-    return dropped_[static_cast<std::size_t>(type)];
-  }
-  [[nodiscard]] std::uint64_t delayed_by_type(MessageType type) const noexcept {
-    return delayed_[static_cast<std::size_t>(type)];
-  }
-  [[nodiscard]] std::uint64_t duplicated_by_type(
-      MessageType type) const noexcept {
-    return duplicated_[static_cast<std::size_t>(type)];
-  }
-  [[nodiscard]] std::uint64_t reordered_by_type(
-      MessageType type) const noexcept {
-    return reordered_[static_cast<std::size_t>(type)];
-  }
 
  private:
   struct PolicyKey {
@@ -96,16 +81,15 @@ class LinkImpairments {
 
   std::map<PolicyKey, Policy> policies_;
   common::Rng rng_;
-  // Telemetry (oran.impairments.*): the per-type arrays below feed the
-  // chaos report; these counters fold the same events into snapshots.
-  telemetry::Counter* tm_dropped_;
-  telemetry::Counter* tm_delayed_;
-  telemetry::Counter* tm_duplicated_;
-  telemetry::Counter* tm_reordered_;
-  std::array<std::uint64_t, kNumMessageTypes> dropped_{};
-  std::array<std::uint64_t, kNumMessageTypes> delayed_{};
-  std::array<std::uint64_t, kNumMessageTypes> duplicated_{};
-  std::array<std::uint64_t, kNumMessageTypes> reordered_{};
+  // Telemetry (oran.impairments.<fate>.<type>), bound at construction,
+  // one set per message type (index by MessageType).
+  struct FateCounters {
+    telemetry::Counter* dropped = nullptr;
+    telemetry::Counter* delayed = nullptr;
+    telemetry::Counter* duplicated = nullptr;
+    telemetry::Counter* reordered = nullptr;
+  };
+  std::array<FateCounters, kNumMessageTypes> tm_{};
 };
 
 }  // namespace explora::oran

@@ -26,7 +26,6 @@ std::uint64_t ReliableControlSender::send(netsim::SlicingControl control,
   const std::uint64_t seq = next_seq_++;
   in_flight_.emplace(seq, InFlight{control, decision_id, 0,
                                    config_.ack_timeout_ticks, 0});
-  ++sent_;
   tm_sent_->add(1);
   // Dispatch is synchronous: a fault-free hop ACKs within this call and
   // on_ack() erases the entry before send() returns.
@@ -39,7 +38,6 @@ void ReliableControlSender::on_ack(std::uint64_t seq) {
   if (it == in_flight_.end()) return;  // expired or duplicate ACK
   tm_ack_latency_->record(static_cast<std::int64_t>(it->second.total_ticks));
   in_flight_.erase(it);
-  ++acked_;
   tm_acked_->add(1);
 }
 
@@ -66,13 +64,11 @@ void ReliableControlSender::on_tick() {
                  "{} gave up on control seq {} (decision {}) after {} retries",
                  endpoint_, seq, it->second.decision_id, config_.max_retries);
     in_flight_.erase(it);
-    ++expired_;
     tm_expired_->add(1);
   }
   for (const std::uint64_t seq : overdue) {
     const auto it = in_flight_.find(seq);
     if (it == in_flight_.end()) continue;  // ACKed by an earlier resend
-    ++retransmissions_;
     tm_retransmissions_->add(1);
     router_->send(make_ran_control(endpoint_, it->second.control,
                                    it->second.decision_id, seq));

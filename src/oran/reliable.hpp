@@ -47,16 +47,12 @@ class ReliableControlSender {
   /// in-flight controls are resent (or expired once out of retries).
   void on_tick();
 
+  /// Controls sent and neither ACKed nor expired yet. Sends, ACKs,
+  /// retransmissions and expiries are counted only in the registry
+  /// (oran.reliable.*).
   [[nodiscard]] std::size_t in_flight() const noexcept {
     return in_flight_.size();
   }
-  [[nodiscard]] std::uint64_t sent() const noexcept { return sent_; }
-  [[nodiscard]] std::uint64_t acked() const noexcept { return acked_; }
-  [[nodiscard]] std::uint64_t retransmissions() const noexcept {
-    return retransmissions_;
-  }
-  /// Controls abandoned after exhausting the retry budget.
-  [[nodiscard]] std::uint64_t expired() const noexcept { return expired_; }
 
  private:
   struct InFlight {
@@ -73,12 +69,9 @@ class ReliableControlSender {
   std::string endpoint_;
   std::map<std::uint64_t, InFlight> in_flight_;  ///< keyed by seq
   std::uint64_t next_seq_ = 1;
-  std::uint64_t sent_ = 0;
-  std::uint64_t acked_ = 0;
-  std::uint64_t retransmissions_ = 0;
-  std::uint64_t expired_ = 0;
 
-  // Telemetry (oran.reliable.*), bound at construction. ack_latency is a
+  // Telemetry (oran.reliable.*), bound at construction. expired counts
+  // controls abandoned after exhausting the retry budget; ack_latency is a
   // span over report-window ticks from first transmission to ACK.
   telemetry::Counter* tm_sent_;
   telemetry::Counter* tm_acked_;

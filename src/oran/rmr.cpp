@@ -100,8 +100,6 @@ void RmrRouter::drain() {
 
 void RmrRouter::drop_unroutable(const RicMessage& message,
                                 std::string_view reason) {
-  ++dropped_;
-  ++dropped_by_type_[static_cast<std::size_t>(message.type)];
   tm_dropped_unroutable_->add(1);
   common::logf(common::LogLevel::kWarn, "rmr", "dropped {} from {} ({})",
                to_string(message.type), message.sender, reason);
@@ -116,7 +114,7 @@ void RmrRouter::dispatch(const Envelope& envelope) {
       drop_unroutable(envelope.message, "target vanished");
       return;
     }
-    deliver(envelope.message, *envelope.direct_target);
+    deliver(envelope.message, *it->second, it->first);
     return;
   }
 
@@ -154,22 +152,15 @@ void RmrRouter::dispatch(const Envelope& envelope) {
           break;
       }
     }
-    deliver(envelope.message, target);
+    deliver(envelope.message, *it->second, target);
   }
 }
 
-void RmrRouter::deliver(const RicMessage& message, const std::string& target) {
-  const auto it = endpoints_.find(target);
-  EXPLORA_ASSERT(it != endpoints_.end());
-  ++delivery_counts_[target];
+void RmrRouter::deliver(const RicMessage& message, RmrEndpoint& endpoint,
+                        std::string_view target) {
   tm_delivered_->add(1);
   if (tap_ != nullptr) tap_->on_deliver(message, target, round_);
-  it->second->on_message(message);
-}
-
-std::uint64_t RmrRouter::delivered_to(std::string_view target) const {
-  const auto it = delivery_counts_.find(target);
-  return it == delivery_counts_.end() ? 0 : it->second;
+  endpoint.on_message(message);
 }
 
 }  // namespace explora::oran

@@ -15,7 +15,6 @@
 // chaos run needs no wall clock and stays bit-reproducible.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -94,18 +93,6 @@ class RmrRouter {
   [[nodiscard]] std::size_t pending_delayed() const noexcept {
     return held_.size();
   }
-  /// Top-level dispatch rounds completed so far.
-  [[nodiscard]] std::uint64_t rounds() const noexcept { return round_; }
-
-  /// Messages delivered per target endpoint (telemetry / tests).
-  [[nodiscard]] std::uint64_t delivered_to(std::string_view target) const;
-  /// Messages that matched no route or an unregistered target (dropped,
-  /// like RMR — but loudly: each drop logs a warning).
-  [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
-  /// Unroutable drops broken down by message type.
-  [[nodiscard]] std::uint64_t dropped_by_type(MessageType type) const noexcept {
-    return dropped_by_type_[static_cast<std::size_t>(type)];
-  }
 
  private:
   struct RouteKey {
@@ -134,16 +121,14 @@ class RmrRouter {
   [[nodiscard]] const std::vector<std::string>* find_targets(
       const RicMessage& message) const;
   void dispatch(const Envelope& envelope);
-  void deliver(const RicMessage& message, const std::string& target);
+  void deliver(const RicMessage& message, RmrEndpoint& endpoint,
+               std::string_view target);
   void drop_unroutable(const RicMessage& message, std::string_view reason);
   void release_due(std::uint64_t up_to_round);
   void drain();
 
   std::map<std::string, RmrEndpoint*, std::less<>> endpoints_;
   std::map<RouteKey, std::vector<std::string>> routes_;
-  std::map<std::string, std::uint64_t, std::less<>> delivery_counts_;
-  std::uint64_t dropped_ = 0;
-  std::array<std::uint64_t, kNumMessageTypes> dropped_by_type_{};
   /// Pending deliveries, a FIFO from queue_head_ on that reuses its
   /// storage: every top-level send drains it, which rewinds it, so in
   /// steady state queueing allocates nothing.
@@ -155,7 +140,9 @@ class RmrRouter {
   std::uint64_t round_ = 0;
   bool dispatching_ = false;
 
-  // Telemetry (oran.rmr.*), bound at construction.
+  // Telemetry (oran.rmr.*), bound at construction. dropped_unroutable
+  // counts messages that matched no route or an unregistered target
+  // (dropped, like RMR — but loudly: each drop logs a warning).
   telemetry::Counter* tm_rounds_;
   telemetry::Counter* tm_delivered_;
   telemetry::Counter* tm_dropped_unroutable_;

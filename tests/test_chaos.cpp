@@ -46,29 +46,36 @@ ChaosConfig small_config() {
 }
 
 TEST(ChaosHarness, SweepSatisfiesRobustnessContract) {
+  if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   const ChaosReport report = run_chaos_sweep(chaos_system(), small_config());
   ASSERT_EQ(report.rows.size(), 2u);
   EXPECT_TRUE(report.all_exactly_once());
   EXPECT_TRUE(report.all_bounded());
   for (const ChaosRow& row : report.rows) {
-    EXPECT_EQ(row.telemetry.controls_applied,
-              row.telemetry.controls_decided);
-    EXPECT_EQ(row.telemetry.retries_expired, 0u);
+    EXPECT_EQ(row.telemetry.counter("oran.e2term.controls_applied"),
+              row.telemetry.counter("oran.drl_xapp.decisions"));
+    EXPECT_EQ(row.telemetry.counter("oran.reliable.expired"), 0u);
+    EXPECT_EQ(controls_in_flight(row.telemetry), 0u);
     EXPECT_LE(row.degradation, 0.20);
   }
   // The KPM-gap point must push the EXPLORA watchdog through at least one
   // degraded episode and back out.
-  EXPECT_GT(report.rows[1].telemetry.degradation_events, 0u);
-  EXPECT_GT(report.rows[1].telemetry.indications_missed, 0u);
+  const telemetry::TelemetrySnapshot& gap = report.rows[1].telemetry;
+  EXPECT_GT(gap.counter("explora.xapp.degraded_episodes"), 0u);
+  EXPECT_GT(gap.counter("explora.xapp.indications_missed"), 0u);
 }
 
 TEST(ChaosHarness, ReportJsonIsByteIdenticalAcrossRuns) {
+  if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   const ChaosReport a = run_chaos_sweep(chaos_system(), small_config());
   const ChaosReport b = run_chaos_sweep(chaos_system(), small_config());
   EXPECT_EQ(a.to_json(), b.to_json());
   // The JSON is well-formed enough to carry the headline fields.
   EXPECT_NE(a.to_json().find("\"baseline_reward\""), std::string::npos);
   EXPECT_NE(a.to_json().find("\"exactly_once\": true"), std::string::npos);
+  // Rows carry their counters under their registry names.
+  EXPECT_NE(a.to_json().find("\"oran.reliable.retransmissions\": "),
+            std::string::npos);
 }
 
 TEST(ChaosHarness, DefaultFaultPointsCoverAllFaultKinds) {

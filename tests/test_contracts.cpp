@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/parallel.hpp"
-#include "common/telemetry.hpp"
 #include "ml/matrix.hpp"
 #include "netsim/channel.hpp"
 #include "netsim/scenario.hpp"
@@ -335,23 +334,6 @@ TEST(ParallelContractScopes, SecondThreadHandlerInstallCaught) {
   other.join();
   EXPECT_TRUE(caught);
   EXPECT_EQ(contracts::contract_handler(), &throwing_handler);
-}
-
-TEST(ParallelContractScopes, SecondThreadRegistryInstallCaught) {
-  contracts::ScopedContractHandler guard(&throwing_handler);
-  telemetry::ScopedRegistry held;
-  bool caught = false;
-  std::thread other([&] {
-    try {
-      telemetry::ScopedRegistry competing;
-      FAIL() << "cross-thread install should have fired";
-    } catch (const ViolationError& e) {
-      caught = e.message.find("ScopedRegistry") != std::string::npos;
-    }
-  });
-  other.join();
-  EXPECT_TRUE(caught);
-  EXPECT_EQ(&telemetry::active_registry(), &held.registry());
 }
 
 TEST(ParallelContractScopes, RejectedEnterLeavesTheScopeBalanced) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "oran/rmr.hpp"
+#include "support/counters.hpp"
 
 namespace explora::core {
 namespace {
@@ -41,6 +42,8 @@ class E2Sink final : public oran::RmrEndpoint {
 };
 
 struct Pipeline {
+  /// First member: outlives every component that counts into it.
+  telemetry::ScopedRegistry registry;
   oran::RmrRouter router;
   oran::DataRepository repo;
   E2Sink sink;
@@ -66,6 +69,9 @@ struct Pipeline {
                    std::uint64_t id) {
     router.send(oran::make_ran_control("drl", action, id));
   }
+  void expect_counter(std::string_view name, std::uint64_t expected) {
+    testfix::expect_counter(registry.registry(), name, expected);
+  }
 };
 
 TEST(ExploraXapp, ForwardsControlsWhenObservingOnly) {
@@ -73,7 +79,7 @@ TEST(ExploraXapp, ForwardsControlsWhenObservingOnly) {
   pipe.drl_control(control(36, 3, 11), 1);
   ASSERT_EQ(pipe.sink.controls.size(), 1u);
   EXPECT_EQ(pipe.sink.controls[0], control(36, 3, 11));
-  EXPECT_EQ(pipe.xapp->controls_seen(), 1u);
+  pipe.expect_counter("explora.xapp.controls_seen", 1);
   EXPECT_EQ(pipe.xapp->controls_replaced(), 0u);
 }
 
@@ -246,8 +252,8 @@ TEST(ExploraXapp, KpmGapEntersDegradedModeAndArchives) {
   pipe.indication(report_at(150, 4));
   EXPECT_TRUE(pipe.xapp->degraded());
   EXPECT_EQ(pipe.xapp->degradation_events(), 1u);
-  EXPECT_EQ(pipe.xapp->indications_missed(), 2u);
-  EXPECT_EQ(pipe.xapp->reports_discarded(), 1u);  // the partial window
+  pipe.expect_counter("explora.xapp.indications_missed", 2);
+  pipe.expect_counter("explora.xapp.reports_discarded", 1);  // partial window
   ASSERT_EQ(pipe.repo.degradations().size(), 1u);
   EXPECT_EQ(pipe.repo.degradations()[0].phase,
             oran::DegradationRecord::Phase::kEnter);
@@ -295,7 +301,7 @@ TEST(ExploraXapp, InfersReportPeriodWhenUnconfigured) {
   EXPECT_FALSE(pipe.xapp->degraded());
   pipe.indication(report_at(125, 4));  // 75-TTI jump vs learned 25
   EXPECT_TRUE(pipe.xapp->degraded());
-  EXPECT_EQ(pipe.xapp->indications_missed(), 2u);
+  pipe.expect_counter("explora.xapp.indications_missed", 2);
 }
 
 TEST(ExploraXapp, DegradedModeHoldsLastSafeAction) {
@@ -353,8 +359,8 @@ TEST(ExploraXapp, DuplicateUpstreamControlsForwardedOnce) {
   pipe.router.send(oran::make_ran_control("drl", action, 1, /*seq=*/4));
   pipe.router.send(oran::make_ran_control("drl", action, 1, /*seq=*/4));
   EXPECT_EQ(pipe.sink.controls.size(), 1u);  // forwarded exactly once
-  EXPECT_EQ(pipe.xapp->controls_seen(), 1u);
-  EXPECT_EQ(pipe.xapp->duplicate_controls_ignored(), 1u);
+  pipe.expect_counter("explora.xapp.controls_seen", 1);
+  pipe.expect_counter("explora.xapp.duplicate_controls", 1);
   EXPECT_EQ(pipe.repo.explanations().size(), 1u);  // archived once
 }
 
@@ -368,7 +374,7 @@ TEST(ExploraXapp, ReliableForwardingCarriesOwnSequence) {
   pipe.drl_control(control(36, 3, 11), 1);
   const oran::ReliableControlSender* reliable = pipe.xapp->reliable();
   ASSERT_NE(reliable, nullptr);
-  EXPECT_EQ(reliable->sent(), 1u);
+  pipe.expect_counter("oran.reliable.sent", 1);
   EXPECT_EQ(reliable->in_flight(), 1u);  // sink never ACKs
 
   // An ACK from the e2term clears the in-flight entry.

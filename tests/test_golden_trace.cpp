@@ -67,12 +67,13 @@ TEST(GoldenTrace, ChaosCaseRecordsImpairmentActivity) {
   const std::string golden = read_golden("chaos_drop10");
   // The 10% drop faults must be visible in the trace: the impairment layer
   // recorded drops and the reliable sender retransmitted around them.
-  EXPECT_NE(golden.find("\"oran.impairments.dropped\""), std::string::npos);
+  EXPECT_NE(golden.find("\"oran.impairments.dropped.ran_control\""),
+            std::string::npos);
   EXPECT_NE(golden.find("\"oran.reliable.retransmissions\""),
             std::string::npos);
   // The fault-free baseline must not contain dropped messages.
   const std::string baseline = read_golden("baseline");
-  EXPECT_EQ(baseline.find("\"oran.impairments.dropped\""), std::string::npos);
+  EXPECT_EQ(baseline.find("\"oran.impairments.dropped."), std::string::npos);
 }
 
 }  // namespace

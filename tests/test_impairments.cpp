@@ -1,6 +1,7 @@
 // Tests for the deterministic link-impairment model (oran/impairments) and
 // its integration with the router's dispatch loop (drop / delay-by-rounds /
-// duplicate / reorder fates, per-type counters, bit-reproducibility).
+// duplicate / reorder fates, per-type registry counters,
+// bit-reproducibility).
 #include "oran/impairments.hpp"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include "oran/rmr.hpp"
+#include "support/counters.hpp"
 
 namespace explora::oran {
 namespace {
@@ -52,6 +54,7 @@ TEST(LinkImpairments, PolicyLookupPrefersExactTarget) {
 }
 
 TEST(LinkImpairments, CertainDropNeverDelivers) {
+  telemetry::ScopedRegistry registry;
   RmrRouter router;
   RecordingEndpoint sink("sink");
   router.register_endpoint(sink);
@@ -63,13 +66,15 @@ TEST(LinkImpairments, CertainDropNeverDelivers) {
     router.send(make_ran_control("drl", some_control(), 1));
   }
   EXPECT_TRUE(sink.received.empty());
-  EXPECT_EQ(
-      router.impairments()->dropped_by_type(MessageType::kRanControl), 5u);
+  testfix::expect_counter(registry.registry(),
+                          "oran.impairments.dropped.ran_control", 5);
   // Impairment drops are injected faults, not routing errors.
-  EXPECT_EQ(router.dropped(), 0u);
+  testfix::expect_counter(registry.registry(), "oran.rmr.dropped_unroutable",
+                          0);
 }
 
 TEST(LinkImpairments, DelayHoldsForConfiguredRounds) {
+  telemetry::ScopedRegistry registry;
   RmrRouter router;
   RecordingEndpoint sink("sink");
   router.register_endpoint(sink);
@@ -94,8 +99,8 @@ TEST(LinkImpairments, DelayHoldsForConfiguredRounds) {
   EXPECT_EQ(sink.received[1].type, MessageType::kKpmIndication);
   EXPECT_EQ(sink.received[2].type, MessageType::kRanControl);
   EXPECT_EQ(router.pending_delayed(), 0u);
-  EXPECT_EQ(
-      router.impairments()->delayed_by_type(MessageType::kRanControl), 1u);
+  testfix::expect_counter(registry.registry(),
+                          "oran.impairments.delayed.ran_control", 1);
 }
 
 TEST(LinkImpairments, FlushDelayedReleasesEverythingHeld) {
@@ -118,6 +123,7 @@ TEST(LinkImpairments, FlushDelayedReleasesEverythingHeld) {
 }
 
 TEST(LinkImpairments, DuplicateDeliversNowAndNextRound) {
+  telemetry::ScopedRegistry registry;
   RmrRouter router;
   RecordingEndpoint sink("sink");
   router.register_endpoint(sink);
@@ -135,12 +141,12 @@ TEST(LinkImpairments, DuplicateDeliversNowAndNextRound) {
   EXPECT_EQ(sink.received[1].type, MessageType::kKpmIndication);
   EXPECT_EQ(sink.received[2].type, MessageType::kRanControl);
   EXPECT_EQ(sink.received[2].ran_control().decision_id, 1u);
-  EXPECT_EQ(
-      router.impairments()->duplicated_by_type(MessageType::kRanControl),
-      1u);
+  testfix::expect_counter(registry.registry(),
+                          "oran.impairments.duplicated.ran_control", 1);
 }
 
 TEST(LinkImpairments, ReorderFallsBehindQueuedTraffic) {
+  telemetry::ScopedRegistry registry;
   RmrRouter router;
   RecordingEndpoint first("first");
   RecordingEndpoint second("second");
@@ -156,9 +162,8 @@ TEST(LinkImpairments, ReorderFallsBehindQueuedTraffic) {
   router.send(make_ran_control("drl", some_control(), 1));
   EXPECT_EQ(first.received.size(), 1u);
   EXPECT_EQ(second.received.size(), 1u);
-  EXPECT_EQ(
-      router.impairments()->reordered_by_type(MessageType::kRanControl),
-      1u);
+  testfix::expect_counter(registry.registry(),
+                          "oran.impairments.reordered.ran_control", 1);
 }
 
 TEST(LinkImpairments, SameSeedSamePolicyIsBitReproducible) {

@@ -314,45 +314,6 @@ TEST_P(TelemetryFuzzSweep, SpanNestingStaysWellFormed) {
   EXPECT_GE(stat.total(), stat.max());
 }
 
-TEST_P(TelemetryFuzzSweep, MergeIsOrderIndependent) {
-  if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
-  common::Rng rng(GetParam() ^ 0xcafe);
-  static constexpr std::int64_t kBounds[] = {8, 64, 512};
-  // Three shards with overlapping and disjoint metric sets, randomly
-  // populated as if each had observed a slice of one run.
-  std::array<telemetry::Registry, 3> shards;
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    telemetry::Registry& shard = shards[s];
-    shard.set_now(static_cast<std::int64_t>(rng.index(1000)));
-    shard.counter("shared.events").add(rng.index(100));
-    for (std::size_t i = 0; i < 40; ++i) {
-      shard.histogram("shared.values", kBounds)
-          .observe(static_cast<std::int64_t>(rng.index(1000)));
-      shard.span("shared.spans")
-          .record(static_cast<std::int64_t>(rng.index(64)));
-    }
-    shard.gauge("shard.peak").set(static_cast<std::int64_t>(rng.index(50)));
-    if (s != 1) shard.counter("sparse.only_some_shards").add(s + 1);
-  }
-  const telemetry::TelemetrySnapshot s0 = shards[0].snapshot();
-  const telemetry::TelemetrySnapshot s1 = shards[1].snapshot();
-  const telemetry::TelemetrySnapshot s2 = shards[2].snapshot();
-  // Commutative: a + b == b + a.
-  EXPECT_EQ(merge(s0, s1), merge(s1, s0));
-  // Associative: (a + b) + c == a + (b + c), and any fold order gives the
-  // same canonical JSON.
-  const telemetry::TelemetrySnapshot left = merge(merge(s0, s1), s2);
-  const telemetry::TelemetrySnapshot right = merge(s0, merge(s1, s2));
-  EXPECT_EQ(left, right);
-  EXPECT_EQ(left.to_json(), merge(merge(s2, s0), s1).to_json());
-  // Totals are conserved by the fold.
-  EXPECT_EQ(left.metrics.at("shared.events").count,
-            s0.metrics.at("shared.events").count +
-                s1.metrics.at("shared.events").count +
-                s2.metrics.at("shared.events").count);
-  EXPECT_EQ(left.metrics.at("shared.spans").count, 120u);
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, TelemetryFuzzSweep,
                          ::testing::Values(3u, 17u, 404u, 5150u));
 

@@ -11,6 +11,7 @@
 #include "netsim/scenario.hpp"
 #include "oran/e2_term.hpp"
 #include "oran/impairments.hpp"
+#include "support/counters.hpp"
 
 namespace explora::oran {
 namespace {
@@ -38,6 +39,7 @@ netsim::SlicingControl some_control() {
 }
 
 TEST(ReliableControlSender, AssignsMonotonicSequenceNumbers) {
+  telemetry::ScopedRegistry registry;
   RmrRouter router;
   RecordingEndpoint hop("hop");
   router.register_endpoint(hop);
@@ -51,10 +53,11 @@ TEST(ReliableControlSender, AssignsMonotonicSequenceNumbers) {
   EXPECT_EQ(hop.received[1].ran_control().seq, 2u);
   EXPECT_EQ(hop.received[0].ran_control().decision_id, 10u);
   EXPECT_EQ(sender.in_flight(), 2u);
-  EXPECT_EQ(sender.sent(), 2u);
+  testfix::expect_counter(registry.registry(), "oran.reliable.sent", 2);
 }
 
 TEST(ReliableControlSender, AckClearsInFlight) {
+  telemetry::ScopedRegistry registry;
   RmrRouter router;
   RecordingEndpoint hop("hop");
   router.register_endpoint(hop);
@@ -64,12 +67,17 @@ TEST(ReliableControlSender, AckClearsInFlight) {
   const std::uint64_t seq = sender.send(some_control(), 1);
   sender.on_ack(seq);
   EXPECT_EQ(sender.in_flight(), 0u);
-  EXPECT_EQ(sender.acked(), 1u);
+  testfix::expect_counter(registry.registry(), "oran.reliable.acked", 1);
   sender.on_ack(99);  // unknown seq: ignored, not a crash
-  EXPECT_EQ(sender.acked(), 1u);
+  testfix::expect_counter(registry.registry(), "oran.reliable.acked", 1);
 }
 
 TEST(ReliableControlSender, RetransmitsAfterTimeoutWithBackoff) {
+  telemetry::ScopedRegistry registry;
+  auto retransmissions = [&registry](std::uint64_t expected) {
+    testfix::expect_counter(registry.registry(),
+                            "oran.reliable.retransmissions", expected);
+  };
   RmrRouter router;
   RecordingEndpoint hop("hop");
   router.register_endpoint(hop);
@@ -80,21 +88,22 @@ TEST(ReliableControlSender, RetransmitsAfterTimeoutWithBackoff) {
 
   sender.send(some_control(), 1);
   sender.on_tick();
-  EXPECT_EQ(sender.retransmissions(), 0u);  // 1 tick < timeout 2
+  retransmissions(0);  // 1 tick < timeout 2
   sender.on_tick();
-  EXPECT_EQ(sender.retransmissions(), 1u);  // first resend at tick 2
+  retransmissions(1);  // first resend at tick 2
   // Backoff doubled the timeout to 4: the next resend needs 4 more ticks.
   sender.on_tick();
   sender.on_tick();
   sender.on_tick();
-  EXPECT_EQ(sender.retransmissions(), 1u);
+  retransmissions(1);
   sender.on_tick();
-  EXPECT_EQ(sender.retransmissions(), 2u);
+  retransmissions(2);
   ASSERT_EQ(hop.received.size(), 3u);
   EXPECT_EQ(hop.received[2].ran_control().seq, 1u);  // same seq throughout
 }
 
 TEST(ReliableControlSender, ExpiresAfterRetryBudget) {
+  telemetry::ScopedRegistry registry;
   RmrRouter router;
   RecordingEndpoint hop("hop");
   router.register_endpoint(hop);
@@ -106,15 +115,18 @@ TEST(ReliableControlSender, ExpiresAfterRetryBudget) {
   sender.send(some_control(), 1);
   sender.on_tick();  // retry 1
   sender.on_tick();  // retry 2
-  EXPECT_EQ(sender.retransmissions(), 2u);
+  testfix::expect_counter(registry.registry(),
+                          "oran.reliable.retransmissions", 2);
   sender.on_tick();  // budget exhausted: expire
-  EXPECT_EQ(sender.expired(), 1u);
+  testfix::expect_counter(registry.registry(), "oran.reliable.expired", 1);
   EXPECT_EQ(sender.in_flight(), 0u);
   sender.on_tick();  // nothing left to resend
-  EXPECT_EQ(sender.retransmissions(), 2u);
+  testfix::expect_counter(registry.registry(),
+                          "oran.reliable.retransmissions", 2);
 }
 
 TEST(ReliableControlSender, E2TermAcksAndAppliesExactlyOnce) {
+  telemetry::ScopedRegistry registry;
   netsim::ScenarioConfig scenario;
   scenario.users_per_slice = {1, 1, 1};
   auto gnb = netsim::make_gnb(scenario);
@@ -136,12 +148,14 @@ TEST(ReliableControlSender, E2TermAcksAndAppliesExactlyOnce) {
   // control is not applied a second time.
   router.send(make_ran_control("drl", some_control(), 1, /*seq=*/7));
   EXPECT_EQ(e2term.controls_applied(), 1u);
-  EXPECT_EQ(e2term.duplicate_controls_ignored(), 1u);
+  testfix::expect_counter(registry.registry(),
+                          "oran.e2term.duplicate_controls", 1);
   ASSERT_EQ(drl.received.size(), 2u);
   EXPECT_EQ(drl.received[1].control_ack().seq, 7u);
 }
 
 TEST(ReliableControlSender, LegacyUnsequencedControlsAreNotAcked) {
+  telemetry::ScopedRegistry registry;
   netsim::ScenarioConfig scenario;
   scenario.users_per_slice = {1, 1, 1};
   auto gnb = netsim::make_gnb(scenario);
@@ -156,7 +170,8 @@ TEST(ReliableControlSender, LegacyUnsequencedControlsAreNotAcked) {
   router.send(make_ran_control("drl", some_control(), 1));  // seq = 0
   router.send(make_ran_control("drl", some_control(), 2));
   EXPECT_EQ(e2term.controls_applied(), 2u);  // applied unconditionally
-  EXPECT_EQ(e2term.duplicate_controls_ignored(), 0u);
+  testfix::expect_counter(registry.registry(),
+                          "oran.e2term.duplicate_controls", 0);
   EXPECT_TRUE(drl.received.empty());  // never ACKed
 }
 
@@ -164,6 +179,7 @@ TEST(ReliableControlSender, RecoversFromCertainFirstLoss) {
   // The first transmission of every control is dropped; retries go through
   // after the fault window closes. This is the tight loop version of the
   // chaos sweep's drop points.
+  telemetry::ScopedRegistry registry;
   netsim::ScenarioConfig scenario;
   scenario.users_per_slice = {1, 1, 1};
   auto gnb = netsim::make_gnb(scenario);
@@ -188,7 +204,8 @@ TEST(ReliableControlSender, RecoversFromCertainFirstLoss) {
   impairments.set_policy(MessageType::kRanControl, "*", {});
   sender.on_tick();
   EXPECT_EQ(e2term.controls_applied(), 1u);
-  EXPECT_EQ(sender.retransmissions(), 1u);
+  testfix::expect_counter(registry.registry(),
+                          "oran.reliable.retransmissions", 1);
   // The ACK was routed to the "drl" endpoint; relay it to the sender the
   // way an owning xApp's on_message would.
   ASSERT_EQ(drl.received.size(), 1u);

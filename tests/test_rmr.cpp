@@ -10,6 +10,7 @@
 #include "netsim/scenario.hpp"
 #include "oran/data_repository.hpp"
 #include "oran/e2_term.hpp"
+#include "support/counters.hpp"
 
 namespace explora::oran {
 namespace {
@@ -82,6 +83,7 @@ TEST(RmrRouter, WildcardSenderIsFallback) {
 }
 
 TEST(RmrRouter, MulticastToMultipleTargets) {
+  telemetry::ScopedRegistry registry;
   RmrRouter router;
   RecordingEndpoint a("a");
   RecordingEndpoint b("b");
@@ -93,32 +95,56 @@ TEST(RmrRouter, MulticastToMultipleTargets) {
   router.send(make_kpm_indication("e2term", netsim::KpiReport{}));
   EXPECT_EQ(a.received.size(), 1u);
   EXPECT_EQ(b.received.size(), 1u);
-  EXPECT_EQ(router.delivered_to("a"), 1u);
-  EXPECT_EQ(router.delivered_to("b"), 1u);
+  testfix::expect_counter(registry.registry(), "oran.rmr.delivered", 2);
 }
 
 TEST(RmrRouter, UnroutedMessagesAreDropped) {
+  telemetry::ScopedRegistry registry;
   RmrRouter router;
   router.send(make_kpm_indication("nobody", netsim::KpiReport{}));
-  EXPECT_EQ(router.dropped(), 1u);
+  testfix::expect_counter(registry.registry(), "oran.rmr.dropped_unroutable",
+                          1);
 }
 
 TEST(RmrRouter, UnknownTargetCountsAsDrop) {
+  telemetry::ScopedRegistry registry;
   RmrRouter router;
   router.add_route(MessageType::kRanControl, "*", "ghost");
   router.send(make_ran_control("x", some_control(), 1));
-  EXPECT_EQ(router.dropped(), 1u);
+  testfix::expect_counter(registry.registry(), "oran.rmr.dropped_unroutable",
+                          1);
 }
 
 TEST(RmrRouter, DropCountersAreKeyedByMessageType) {
+  // Unroutable drops of every type share one counter; the drops a link
+  // impairment injects are counted per message type.
+  telemetry::ScopedRegistry registry;
   RmrRouter router;
   router.send(make_ran_control("nobody", some_control(), 1));
-  router.send(make_ran_control("nobody", some_control(), 2));
   router.send(make_kpm_indication("nobody", netsim::KpiReport{}));
-  EXPECT_EQ(router.dropped(), 3u);
-  EXPECT_EQ(router.dropped_by_type(MessageType::kRanControl), 2u);
-  EXPECT_EQ(router.dropped_by_type(MessageType::kKpmIndication), 1u);
-  EXPECT_EQ(router.dropped_by_type(MessageType::kRanControlAck), 0u);
+  router.send(make_ran_control_ack("nobody", 1));
+  testfix::expect_counter(registry.registry(), "oran.rmr.dropped_unroutable",
+                          3);
+
+  RecordingEndpoint sink("sink");
+  router.register_endpoint(sink);
+  router.add_route(MessageType::kRanControl, "*", "sink");
+  router.add_route(MessageType::kKpmIndication, "*", "sink");
+  LinkImpairments& impairments = router.configure_impairments(3);
+  impairments.set_policy(MessageType::kRanControl, "*", {.drop = 1.0});
+  impairments.set_policy(MessageType::kKpmIndication, "*", {.drop = 1.0});
+  router.send(make_ran_control("drl", some_control(), 2));
+  router.send(make_ran_control("drl", some_control(), 3));
+  router.send(make_kpm_indication("e2term", netsim::KpiReport{}));
+  EXPECT_TRUE(sink.received.empty());
+  testfix::expect_counter(registry.registry(),
+                          "oran.impairments.dropped.ran_control", 2);
+  testfix::expect_counter(registry.registry(),
+                          "oran.impairments.dropped.kpm_indication", 1);
+  testfix::expect_counter(registry.registry(),
+                          "oran.impairments.dropped.ric_control_ack", 0);
+  testfix::expect_counter(registry.registry(), "oran.rmr.dropped_unroutable",
+                          3);
 }
 
 TEST(RmrRouter, RemoveRouteRewiresPath) {
@@ -280,6 +306,7 @@ TEST(E2Termination, RejectsMalformedControlWithoutApplyOrAck) {
 }
 
 TEST(E2Termination, PublishesIndications) {
+  telemetry::ScopedRegistry registry;
   netsim::ScenarioConfig scenario;
   scenario.users_per_slice = {1, 0, 0};
   auto gnb = netsim::make_gnb(scenario);
@@ -293,7 +320,7 @@ TEST(E2Termination, PublishesIndications) {
   e2term.collect_and_publish();
   e2term.collect_and_publish();
   EXPECT_EQ(sink.received.size(), 2u);
-  EXPECT_EQ(e2term.indications_sent(), 2u);
+  testfix::expect_counter(registry.registry(), "oran.e2term.indications", 2);
   EXPECT_EQ(sink.received[1].kpm().report.window_end, 50);  // 2 x 25 TTIs
 }
 

@@ -272,7 +272,6 @@ struct Coverage {
 void run_case(SchedulerPolicy policy, std::uint64_t seed, int ttis,
               Coverage& coverage) {
   constexpr double kAlpha = 0.05;
-  telemetry::ScopedEnabled telemetry_on(true);
   telemetry::ScopedRegistry scoped;
   telemetry::Counter& granted =
       scoped.registry().counter("netsim.scheduler.prb_granted");

@@ -1,7 +1,8 @@
 // Tests for the deterministic telemetry layer (common/telemetry): metric
-// primitives, canonical snapshot JSON, registry scoping, runtime gating,
-// and the determinism contract — identical snapshots across thread counts
-// (exercised through the SHAP coalition fan-out) plus a concurrency smoke
+// primitives, canonical snapshot JSON, per-thread registry scoping, and the
+// determinism contract — identical snapshots across thread counts
+// (exercised through the SHAP coalition fan-out), concurrent closed-loop
+// runs that each count into their own registry, plus a concurrency smoke
 // that the tsan preset turns into a race check.
 #include "common/telemetry.hpp"
 
@@ -11,10 +12,14 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/contracts.hpp"
 #include "common/parallel.hpp"
+#include "harness/experiment.hpp"
+#include "harness/training.hpp"
+#include "oran/trace.hpp"
 #include "xai/shap.hpp"
 
 namespace explora::telemetry {
@@ -167,21 +172,31 @@ TEST(Telemetry, ScopeQualifiesNames) {
   EXPECT_EQ(registry.snapshot().metrics.count("oran.rmr.delivered"), 1u);
 }
 
-TEST(Telemetry, RuntimeDisableStopsRecording) {
-  if (!kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
-  Counter counter;
-  SpanStat stat;
-  {
-    ScopedEnabled off(false);
-    EXPECT_FALSE(enabled());
-    counter.add(5);
-    stat.record(5);
-  }
-  EXPECT_TRUE(enabled());
-  EXPECT_EQ(counter.value(), 0u);
-  EXPECT_EQ(stat.count(), 0u);
-  counter.add(5);
-  EXPECT_EQ(counter.value(), 5u);
+TEST(Telemetry, ScopedRegistriesArePerThread) {
+  // Both scopes are open at once, one per thread; each thread resolves
+  // metrics from its own registry only.
+  ScopedRegistry mine;
+  Registry* other_active = nullptr;
+  Registry* other_owned = nullptr;
+  bool other_restored = false;
+  std::thread other([&] {
+    EXPECT_EQ(&active_registry(), &global_registry());
+    {
+      ScopedRegistry theirs;
+      other_owned = &theirs.registry();
+      other_active = &active_registry();
+      Scope("t").counter("other").add(1);
+    }
+    other_restored = &active_registry() == &global_registry();
+  });
+  Scope("t").counter("mine").add(1);
+  other.join();
+  EXPECT_EQ(other_active, other_owned);
+  EXPECT_TRUE(other_restored);
+  EXPECT_EQ(&active_registry(), &mine.registry());
+  const TelemetrySnapshot snapshot = mine.registry().snapshot();
+  EXPECT_EQ(snapshot.metrics.size(), 1u);
+  EXPECT_EQ(snapshot.metrics.count("t.mine"), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -226,34 +241,17 @@ TEST(Telemetry, EmptyRegistrySnapshotsToEmptyDocument) {
   EXPECT_NE(json.find("\"metrics\": {}"), std::string::npos);
 }
 
-TEST(Telemetry, MergeFollowsPerKindRules) {
-  if (!kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
-  static constexpr std::int64_t kBounds[] = {10};
-  Registry left;
-  left.counter("c").add(2);
-  left.gauge("g").set(5);
-  left.histogram("h", kBounds).observe(4);
-  left.span("s").record(3);
-  left.set_now(10);
-  Registry right;
-  right.counter("c").add(3);
-  right.gauge("g").set(1);
-  right.histogram("h", kBounds).observe(40);
-  right.span("s").record(9);
-  right.counter("only_right").add(1);
-  right.set_now(20);
-
-  const TelemetrySnapshot merged = merge(left.snapshot(), right.snapshot());
-  EXPECT_EQ(merged.now, 20);
-  EXPECT_EQ(merged.metrics.at("c").count, 5u);
-  EXPECT_EQ(merged.metrics.at("g").value, 5);  // gauges keep the max
-  EXPECT_EQ(merged.metrics.at("h").count, 2u);
-  EXPECT_EQ(merged.metrics.at("h").min, 4);
-  EXPECT_EQ(merged.metrics.at("h").max, 40);
-  EXPECT_EQ(merged.metrics.at("h").buckets[1], 1u);  // 40 overflowed
-  EXPECT_EQ(merged.metrics.at("s").count, 2u);
-  EXPECT_EQ(merged.metrics.at("s").sum, 12);
-  EXPECT_EQ(merged.metrics.at("only_right").count, 1u);
+TEST(Telemetry, SnapshotCounterRejectsUnknownNames) {
+  contracts::ScopedContractHandler guard(&throwing_handler);
+  Registry registry;
+  registry.counter("a.count").add(2);
+  registry.gauge("a.level").set(1);
+  const TelemetrySnapshot snapshot = registry.snapshot();
+  EXPECT_EQ(snapshot.counter("a.count"), kCompiledIn ? 2u : 0u);
+  // A misspelt name or a metric of another kind fails loudly rather than
+  // reading 0.
+  EXPECT_THROW((void)snapshot.counter("a.cuont"), ViolationError);
+  EXPECT_THROW((void)snapshot.counter("a.level"), ViolationError);
 }
 
 // ---------------------------------------------------------------------------
@@ -327,6 +325,81 @@ TEST(Telemetry, ConcurrentRecordingIsExactAndRaceFree) {
     bucket_total += histogram.bucket_count(i);
   }
   EXPECT_EQ(bucket_total, kIterations);
+}
+
+// ---------------------------------------------------------------------------
+// Concurrent closed-loop runs
+// ---------------------------------------------------------------------------
+
+harness::TrainingConfig run_training() {
+  harness::TrainingConfig config;
+  config.collection_steps = 30;
+  config.autoencoder.epochs = 5;
+  config.ppo_iterations = 2;
+  config.steps_per_iteration = 32;
+  config.seed = 99;
+  return config;
+}
+
+netsim::ScenarioConfig run_scenario(std::uint64_t seed) {
+  netsim::ScenarioConfig scenario;
+  scenario.users_per_slice = {1, 1, 1};
+  scenario.seed = seed;
+  return scenario;
+}
+
+/// What one run leaves behind: its registry snapshot, its serving digest
+/// and its recorded trace.
+struct RunRecord {
+  TelemetrySnapshot telemetry;
+  std::uint64_t serving_digest = 0;
+  std::vector<std::uint8_t> trace;
+};
+
+RunRecord record_run(const harness::TrainedSystem& system,
+                     std::uint64_t seed) {
+  harness::ExperimentOptions options;
+  options.decisions = 8;
+  options.reliable = oran::ReliableControlSender::Config{};
+  options.serving = harness::ServingOptions{};
+  oran::TraceRecorder recorder("explora_xapp");
+  options.recorder = &recorder;
+  harness::ExperimentResult result = harness::run_experiment(
+      system, run_scenario(seed), options, run_training());
+  RunRecord record;
+  record.telemetry = std::move(result.telemetry);
+  record.serving_digest = result.serving->stream_digest;
+  record.trace = std::move(recorder).take();
+  return record;
+}
+
+TEST(Telemetry, ConcurrentRunsKeepTheirOwnRegistries) {
+  if (!kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
+  // Trained on this thread before any run, outside every run's registry.
+  const harness::TrainedSystem system = harness::train_system(
+      core::AgentProfile::kHighThroughput, run_scenario(31), run_training());
+  constexpr std::array<std::uint64_t, 3> kSeeds{31, 32, 33};
+  std::vector<RunRecord> serial;
+  for (const std::uint64_t seed : kSeeds) {
+    serial.push_back(record_run(system, seed));
+  }
+  std::vector<RunRecord> concurrent(kSeeds.size());
+  common::ThreadPool pool(kSeeds.size());
+  pool.parallel_for(0, kSeeds.size(), 1,
+                    [&](std::size_t begin, std::size_t end) {
+                      for (std::size_t i = begin; i < end; ++i) {
+                        concurrent[i] = record_run(system, kSeeds[i]);
+                      }
+                    });
+  for (std::size_t i = 0; i < kSeeds.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "seed " << kSeeds[i]);
+    EXPECT_EQ(concurrent[i].telemetry, serial[i].telemetry);
+    EXPECT_EQ(concurrent[i].serving_digest, serial[i].serving_digest);
+    EXPECT_EQ(concurrent[i].trace, serial[i].trace);
+  }
+  // The seeds drive different runs, so a mixed-up registry would show.
+  EXPECT_NE(serial[0].telemetry, serial[1].telemetry);
+  EXPECT_NE(serial[0].trace, serial[1].trace);
 }
 
 TEST(InterleaveTelemetry, RelaxedFoldsAreExactInEverySchedule) {
