@@ -8,6 +8,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/aligned.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "ml/nn.hpp"
@@ -210,7 +211,7 @@ void BM_MlpForwardBatch(benchmark::State& state) {
 BENCHMARK(BM_MlpForwardBatch)->Arg(64)->Arg(256);
 
 // One dense layer of the HT-shaped PPO actor (9 -> 64 -> 64 -> 34) through
-// the dispatched GEMM kernel, weight packing included: batch 1 is the
+// the dispatched GEMM kernel on its stored weight panels: batch 1 is the
 // decide path, batch 64 a SHAP probe chunk.
 void BM_GemmLayer(benchmark::State& state) {
   const auto in = static_cast<std::size_t>(state.range(0));
@@ -224,11 +225,13 @@ void BM_GemmLayer(benchmark::State& state) {
   for (auto& v : w) v = rng.normal(0.0, 0.3);
   for (auto& v : x) v = rng.normal(0.0, 1.0);
   for (auto& v : bias) v = rng.normal(0.0, 0.1);
+  common::AlignedVector<double> panels(ml::gemm::panel_size(out, in));
+  ml::gemm::pack(w.data(), out, in, panels.data());
   std::vector<double> y(batch * out);
   state.SetLabel(ml::gemm::to_string(ml::gemm::active_backend()));
   for (auto _ : state) {
-    ml::gemm::run(w.data(), out, in, x.data(), batch, y.data(), bias.data(),
-                  epilogue);
+    ml::gemm::run({panels.data(), out, in}, x.data(), batch, y.data(),
+                  bias.data(), epilogue);
     benchmark::DoNotOptimize(y.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -238,6 +241,27 @@ BENCHMARK(BM_GemmLayer)
     ->ArgNames({"in", "out", "batch", "epilogue"})
     ->ArgsProduct({{9}, {64}, {1, 64}, {1, 3}})
     ->ArgsProduct({{64}, {64, 34}, {1, 64}, {1, 3}});
+
+// Packing one row-major layer into the panel layout: what a model load
+// pays per layer, once.
+void BM_GemmPack(benchmark::State& state) {
+  const auto in = static_cast<std::size_t>(state.range(0));
+  const auto out = static_cast<std::size_t>(state.range(1));
+  common::Rng rng(8);
+  std::vector<double> w(out * in);
+  for (auto& v : w) v = rng.normal(0.0, 0.3);
+  common::AlignedVector<double> panels(ml::gemm::panel_size(out, in));
+  for (auto _ : state) {
+    ml::gemm::pack(w.data(), out, in, panels.data());
+    benchmark::DoNotOptimize(panels.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(out * in));
+}
+BENCHMARK(BM_GemmPack)
+    ->ArgNames({"in", "out"})
+    ->ArgsProduct({{64}, {64, 34}});
 
 // The SHAP model call on one 64-row probe chunk: the HT-shaped PPO actor
 // plus the chosen-component probabilities of every head.

@@ -100,13 +100,14 @@ void run_ppo_iterations(TrainedSystem& system, SliceEnv& env,
     for (std::size_t step = 0; step < config.steps_per_iteration; ++step) {
       ml::Vector state = env.latent();
       const ml::PolicyDecision decision = system.agent->act(state, rng);
+      const double value = system.agent->value(state);
       const double reward = env.step(ml::to_control(decision.action));
       reward_sum += reward;
       buffer.add(ml::Transition{
           .state = std::move(state),
           .action = decision.action,
           .log_prob = decision.log_prob,
-          .value = decision.value,
+          .value = value,
           .reward = reward,
           .terminal = false,
       });

@@ -40,7 +40,6 @@ inline constexpr std::size_t kNumHeads = 1 + netsim::kNumSlices;
 struct PolicyDecision {
   AgentAction action{};
   double log_prob = 0.0;
-  double value = 0.0;
   /// Per-head probability (or normalized preference) of the chosen
   /// component (diagnostics/XAI).
   std::array<double, kNumHeads> head_probs{};

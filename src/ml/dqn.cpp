@@ -93,12 +93,6 @@ PolicyDecision DqnAgent::act_greedy(std::span<const double> state) const {
     decision.head_probs[h] = heads[h][chosen[h]];
     decision.log_prob += std::log(std::max(heads[h][chosen[h]], 1e-12));
   }
-  // The greedy Q-value is the natural state-value analogue.
-  double value = 0.0;
-  for (std::size_t h = 0; h < kNumHeads; ++h) {
-    value += q[offsets[h] + chosen[h]];
-  }
-  decision.value = value / static_cast<double>(kNumHeads);
   return decision;
 }
 
@@ -136,11 +130,6 @@ PolicyDecision DqnAgent::act(
   for (std::size_t s = 0; s < netsim::kNumSlices; ++s) {
     decision.action.sched_choice[s] = chosen[1 + s];
   }
-  double value = 0.0;
-  for (std::size_t h = 0; h < kNumHeads; ++h) {
-    value += q[offsets[h] + chosen[h]];
-  }
-  decision.value = value / static_cast<double>(kNumHeads);
   return decision;
 }
 

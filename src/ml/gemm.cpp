@@ -1,8 +1,8 @@
-// Scalar reference kernels (GEMM, exp, chosen softmax), the x86 backends'
-// shared weight packing and runtime backend dispatch. Like every TU, this
-// one is compiled with -ffp-contract=off (root CMakeLists.txt) so the
-// compiler can never fuse the mul+add below into an FMA — the scalar
-// reduction order is the byte-identity contract every backend honors.
+// Scalar reference kernels (GEMM, exp, chosen softmax), the panel packing
+// and runtime backend dispatch. Like every TU, this one is compiled with
+// -ffp-contract=off (root CMakeLists.txt) so the compiler can never fuse
+// the mul+add below into an FMA — the scalar reduction order is the
+// byte-identity contract every backend honors.
 #include "ml/gemm.hpp"
 
 #include <algorithm>
@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/aligned.hpp"
 #include "common/contracts.hpp"
 #include "ml/exp.hpp"
 #include "ml/tanh.hpp"
@@ -21,73 +22,45 @@ const char* to_string(Backend backend) noexcept {
   switch (backend) {
     case Backend::kScalar: return "scalar";
     case Backend::kAvx2: return "avx2";
-    case Backend::kNeon: return "neon";
     case Backend::kAvx512: return "avx512";
   }
   return "?";
 }
 
-namespace detail {
-
-void scalar_kernel(const double* w, std::size_t out, std::size_t in,
-                   const double* x, std::size_t batch, double* y,
-                   const double* bias, Epilogue epilogue) {
-  for (std::size_t b = 0; b < batch; ++b) {
-    const double* row_in = x + b * in;
-    double* row_out = y + b * out;
-    for (std::size_t r = 0; r < out; ++r) {
-      const double* weights = w + r * in;
-      double acc = 0.0;
-      for (std::size_t c = 0; c < in; ++c) acc += weights[c] * row_in[c];
-      switch (epilogue) {
-        case Epilogue::kNone:
-          row_out[r] = acc;
-          break;
-        case Epilogue::kBias:
-          row_out[r] = acc + bias[r];
-          break;
-        case Epilogue::kBiasRelu: {
-          const double v = acc + bias[r];
-          row_out[r] = v > 0.0 ? v : 0.0;
-          break;
-        }
-        case Epilogue::kBiasTanh:
-          row_out[r] = fdlibm_tanh(acc + bias[r]);
-          break;
+void pack(const double* w, std::size_t out, std::size_t in,
+          double* panels) noexcept {
+  for (std::size_t r0 = 0; r0 < out; r0 += kPanelWidth) {
+    double* panel = panels + r0 * in;
+    for (std::size_t c = 0; c < in; ++c) {
+      for (std::size_t l = 0; l < kPanelWidth; ++l) {
+        panel[c * kPanelWidth + l] = r0 + l < out ? w[(r0 + l) * in + c] : 0.0;
       }
     }
   }
 }
 
-std::size_t pack_panels(const double* w, std::size_t out, std::size_t in,
-                        common::AlignedVector<double>& packed) {
+namespace detail {
+
+void scalar_kernel(PanelWeights w, const double* x, std::size_t batch,
+                   double* y, const double* bias, Epilogue epilogue) {
   constexpr std::size_t kWidth = kPanelWidth;
-  const std::size_t panels = (out + kWidth - 1) / kWidth;
-  // The thread-local panel scratch reaches steady-state capacity after the
-  // first call per layer shape; resize is then a no-op.
-  packed.resize(panels * in * kWidth);
-  for (std::size_t p = 0; p < panels; ++p) {
-    const double* rows = w + p * kWidth * in;
-    double* panel = packed.data() + p * in * kWidth;
-    const std::size_t valid = std::min(kWidth, out - p * kWidth);
-    if (valid == kWidth) {
-      // Full panels copy without a per-lane bound test: for the small
-      // layers of the agents, packing costs more than a batch-1 product.
+  const std::size_t in = w.in;
+  for (std::size_t b = 0; b < batch; ++b) {
+    const double* row_in = x + b * in;
+    double* row_out = y + b * w.out;
+    for (std::size_t r0 = 0; r0 < w.out; r0 += kWidth) {
+      // Lane l is neuron r0 + l, summed over c in ascending order.
+      const double* panel = w.panels + r0 * in;
+      double acc[kWidth] = {};
       for (std::size_t c = 0; c < in; ++c) {
-#pragma GCC unroll 8
         for (std::size_t l = 0; l < kWidth; ++l) {
-          panel[c * kWidth + l] = rows[l * in + c];
+          acc[l] += panel[c * kWidth + l] * row_in[c];
         }
       }
-      continue;
-    }
-    for (std::size_t c = 0; c < in; ++c) {
-      for (std::size_t l = 0; l < kWidth; ++l) {
-        panel[c * kWidth + l] = l < valid ? rows[l * in + c] : 0.0;
-      }
+      const std::size_t valid = std::min(kWidth, w.out - r0);
+      apply_epilogue(row_out + r0, acc, bias, r0, valid, epilogue);
     }
   }
-  return panels;
 }
 
 void apply_epilogue(double* dst, const double* acc, const double* bias,
@@ -152,12 +125,6 @@ namespace {
 #else
       return false;
 #endif
-    case Backend::kNeon:
-#if defined(EXPLORA_SIMD_NEON)
-      return true;
-#else
-      return false;
-#endif
     case Backend::kAvx512:
 #if defined(EXPLORA_SIMD_AVX512)
       return true;
@@ -180,10 +147,6 @@ namespace {
 #else
       return false;
 #endif
-    case Backend::kNeon:
-      // NEON with double lanes is baseline on aarch64; the TU only builds
-      // there.
-      return true;
     case Backend::kAvx512:
 #if defined(__x86_64__) || defined(__i386__)
       return __builtin_cpu_supports("avx512f") != 0;
@@ -205,14 +168,14 @@ namespace {
     }
     // Pin a specific backend by name; silently falls through to auto
     // detection when it is not available on this build/CPU.
-    for (Backend pin : {Backend::kAvx512, Backend::kAvx2, Backend::kNeon}) {
+    for (Backend pin : {Backend::kAvx512, Backend::kAvx2}) {
       if (std::strcmp(env, to_string(pin)) == 0 && compiled_in(pin) &&
           cpu_supports(pin)) {
         return pin;
       }
     }
   }
-  for (Backend best : {Backend::kAvx512, Backend::kAvx2, Backend::kNeon}) {
+  for (Backend best : {Backend::kAvx512, Backend::kAvx2}) {
     if (compiled_in(best) && cpu_supports(best)) return best;
   }
   return Backend::kScalar;
@@ -240,28 +203,26 @@ bool set_backend(Backend backend) noexcept {
   return true;
 }
 
-void run(const double* w, std::size_t out, std::size_t in, const double* x,
-         std::size_t batch, double* y, const double* bias, Epilogue epilogue) {
+void run(PanelWeights w, const double* x, std::size_t batch, double* y,
+         const double* bias, Epilogue epilogue) {
   EXPLORA_EXPECTS(bias != nullptr || epilogue == Epilogue::kNone);
-  if (batch == 0 || out == 0) return;
+  if (batch == 0 || w.out == 0) return;
+  EXPLORA_EXPECTS(reinterpret_cast<std::uintptr_t>(w.panels) %
+                      common::kKernelAlignment ==
+                  0);
   switch (active_backend()) {
 #if defined(EXPLORA_SIMD_AVX2)
     case Backend::kAvx2:
-      detail::avx2_kernel(w, out, in, x, batch, y, bias, epilogue);
+      detail::avx2_kernel(w, x, batch, y, bias, epilogue);
       return;
 #endif
 #if defined(EXPLORA_SIMD_AVX512)
     case Backend::kAvx512:
-      detail::avx512_kernel(w, out, in, x, batch, y, bias, epilogue);
-      return;
-#endif
-#if defined(EXPLORA_SIMD_NEON)
-    case Backend::kNeon:
-      detail::neon_kernel(w, out, in, x, batch, y, bias, epilogue);
+      detail::avx512_kernel(w, x, batch, y, bias, epilogue);
       return;
 #endif
     default:
-      detail::scalar_kernel(w, out, in, x, batch, y, bias, epilogue);
+      detail::scalar_kernel(w, x, batch, y, bias, epilogue);
       return;
   }
 }

@@ -1,5 +1,5 @@
-// Blocked GEMM core behind Matrix::multiply / Mlp::forward_batch, with a
-// deterministic fixed reduction order.
+// Blocked GEMM core behind DenseLayer::forward / Mlp::forward_batch, with
+// a deterministic fixed reduction order.
 //
 // Every backend computes, for each (batch row b, output neuron r):
 //
@@ -7,11 +7,13 @@
 //   y[b][r] = epilogue(acc [+ bias[r]])
 //
 // i.e. one multiply and one add per term, strictly in ascending input
-// order — the exact dependency chain of the naive scalar loop. The SIMD
-// backends vectorize ACROSS output neurons (each vector lane owns one r
-// and keeps its own sequential-over-c chain, reading a packed transposed
-// weight panel) and never accumulate with FMA or horizontal reductions,
-// so their results are byte-identical to the scalar fallback on every
+// order — the exact dependency chain of the naive scalar loop. Weights
+// reach the kernels in one layout only, PanelWeights: transposed panels of
+// kPanelWidth neurons, which a DenseLayer stores as its only copy. The
+// SIMD backends vectorize ACROSS output neurons (each vector lane owns one
+// r and keeps its own sequential-over-c chain, one aligned panel load per
+// input c) and never accumulate with FMA or horizontal reductions, so
+// their results are byte-identical to the scalar reference on every
 // input. The tanh epilogue is ml::fdlibm_tanh (ml/tanh.hpp) in every
 // backend: the SIMD ones run a lane-wise copy of its operation sequence,
 // fused sites included. So do exp_array and softmax_chosen_lanes (the
@@ -22,25 +24,23 @@
 // intrinsics outside these kernels and libm's tanh and exp under src/.
 //
 // Backend selection: the best compiled-in backend the CPU supports is
-// picked on first use (avx512 > avx2 > neon > scalar); the EXPLORA_SIMD
+// picked on first use (avx512 > avx2 > scalar); the EXPLORA_SIMD
 // environment variable ("off"/"0"/"scalar" to disable, or a backend name
 // like "avx2" to pin one) and set_backend()/ScopedBackend (tests, benches)
 // override it at runtime. Configure-time: the EXPLORA_SIMD CMake option
-// compiles the SIMD translation units out entirely.
+// compiles the SIMD translation units out entirely. On other
+// architectures the scalar kernel runs.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-
-#include "common/aligned.hpp"
 
 namespace explora::ml::gemm {
 
 enum class Backend : std::uint8_t {
   kScalar = 0,
   kAvx2 = 1,
-  kNeon = 2,
-  kAvx512 = 3,
+  kAvx512 = 2,
 };
 
 [[nodiscard]] const char* to_string(Backend backend) noexcept;
@@ -82,11 +82,44 @@ class ScopedBackend {
   bool engaged_;
 };
 
-/// y (batch x out) = x (batch x in) * w (out x in)^T, plus the fused
-/// epilogue. All pointers are row-major and must not alias. `bias` must
-/// have `out` elements unless the epilogue is kNone.
-void run(const double* w, std::size_t out, std::size_t in, const double* x,
-         std::size_t batch, double* y, const double* bias, Epilogue epilogue);
+/// Output neurons per weight panel: one 512-bit register, or two 256-bit
+/// halves.
+inline constexpr std::size_t kPanelWidth = 8;
+
+/// Doubles in the panel layout of an out x in weight matrix.
+[[nodiscard]] constexpr std::size_t panel_size(std::size_t out,
+                                               std::size_t in) noexcept {
+  return (out + kPanelWidth - 1) / kPanelWidth * in * kPanelWidth;
+}
+
+/// Offset of weight (r, c) in the panel layout: panel p = r / 8 holds
+/// neurons [8p, 8p + 8), and within it the 8 weights of input c sit
+/// contiguous at offset c * 8.
+[[nodiscard]] constexpr std::size_t panel_index(std::size_t r, std::size_t c,
+                                                std::size_t in) noexcept {
+  return (r / kPanelWidth) * in * kPanelWidth + c * kPanelWidth +
+         r % kPanelWidth;
+}
+
+/// An out x in weight matrix in the panel layout, the only form the
+/// kernels read: `panels` is 64-byte aligned, holds panel_size(out, in)
+/// doubles, and the lanes of the last panel past `out` are zero.
+struct PanelWeights {
+  const double* panels = nullptr;
+  std::size_t out = 0;
+  std::size_t in = 0;
+};
+
+/// Writes w (out x in, row-major) into `panels` (panel_size(out, in)
+/// doubles) in the panel layout, pad lanes zero.
+void pack(const double* w, std::size_t out, std::size_t in,
+          double* panels) noexcept;
+
+/// y (batch x out) = x (batch x in) * w^T, plus the fused epilogue. x and y
+/// are row-major and must not alias. `bias` must have `w.out` elements
+/// unless the epilogue is kNone.
+void run(PanelWeights w, const double* x, std::size_t batch, double* y,
+         const double* bias, Epilogue epilogue);
 
 /// y[i] = ml::glibc_exp(x[i]) for i < n (ml/exp.hpp), on the active
 /// backend's lanes; byte-identical to the scalar port on every backend.
@@ -111,50 +144,33 @@ namespace detail {
 
 /// Portable reference kernel — the reduction-order contract in executable
 /// form. Every SIMD backend must match it byte-for-byte.
-void scalar_kernel(const double* w, std::size_t out, std::size_t in,
-                   const double* x, std::size_t batch, double* y,
-                   const double* bias, Epilogue epilogue);
+void scalar_kernel(PanelWeights w, const double* x, std::size_t batch,
+                   double* y, const double* bias, Epilogue epilogue);
 /// Reference exp_array / softmax_chosen_lanes (ml::glibc_exp per
-/// element); the scalar and NEON backends run these.
+/// element); the scalar backend runs these.
 void scalar_exp_array(const double* x, double* y, std::size_t n) noexcept;
 void scalar_softmax_chosen_lanes(const double* block, std::size_t width,
                                  std::size_t chosen, double* probs) noexcept;
 
 #if defined(EXPLORA_SIMD_AVX2)
-void avx2_kernel(const double* w, std::size_t out, std::size_t in,
-                 const double* x, std::size_t batch, double* y,
-                 const double* bias, Epilogue epilogue);
+void avx2_kernel(PanelWeights w, const double* x, std::size_t batch,
+                 double* y, const double* bias, Epilogue epilogue);
 void avx2_exp_array(const double* x, double* y, std::size_t n) noexcept;
 void avx2_softmax_chosen_lanes(const double* block, std::size_t width,
                                std::size_t chosen, double* probs) noexcept;
 #endif
 #if defined(EXPLORA_SIMD_AVX512)
-void avx512_kernel(const double* w, std::size_t out, std::size_t in,
-                   const double* x, std::size_t batch, double* y,
-                   const double* bias, Epilogue epilogue);
+void avx512_kernel(PanelWeights w, const double* x, std::size_t batch,
+                   double* y, const double* bias, Epilogue epilogue);
 void avx512_exp_array(const double* x, double* y, std::size_t n) noexcept;
 void avx512_softmax_chosen_lanes(const double* block, std::size_t width,
                                  std::size_t chosen, double* probs) noexcept;
 #endif
-#if defined(EXPLORA_SIMD_NEON)
-void neon_kernel(const double* w, std::size_t out, std::size_t in,
-                 const double* x, std::size_t batch, double* y,
-                 const double* bias, Epilogue epilogue);
-#endif
 
-/// Output neurons per packed weight panel of the x86 backends: one 512-bit
-/// register, or two 256-bit halves.
-inline constexpr std::size_t kPanelWidth = 8;
-
-/// Packs w (out x in, row-major) into the x86 backends' transposed panels,
-/// resizing `packed` to fit: panel p holds neurons [p*8, p*8+8), the 8
-/// weights of input c contiguous at offset c*8 (one aligned vector load
-/// per (panel, c)), lanes past `out` zero. Returns the panel count.
-std::size_t pack_panels(const double* w, std::size_t out, std::size_t in,
-                        common::AlignedVector<double>& packed);
-
-/// Scalar epilogue over one packed tile; shared by the SIMD backends so
-/// the finisher semantics can't drift from scalar_kernel's.
+/// Scalar epilogue over one panel of one row: dst[l] for l < valid from
+/// acc[l] and bias[r0 + l]. The scalar kernel finishes every panel with it
+/// and the SIMD backends their partial ones, so the finisher semantics
+/// cannot drift between them.
 void apply_epilogue(double* dst, const double* acc, const double* bias,
                     std::size_t r0, std::size_t valid,
                     Epilogue epilogue) noexcept;

@@ -1,5 +1,6 @@
-// AVX2 backend: 6 batch rows x 8 output neurons per tile, packed
-// transposed weight panels, separate mul + add (never FMA).
+// AVX2 backend: 6 batch rows x 8 output neurons per tile, reading the
+// caller's weight panels (gemm::PanelWeights), separate mul + add (never
+// FMA).
 //
 // Register residency: micro_tile is a template over its rows R and every
 // loop over them carries `#pragma GCC unroll`, so the default -O2 build
@@ -29,7 +30,6 @@
 
 #include <cstddef>
 
-#include "common/aligned.hpp"
 #include "ml/exp.hpp"
 #include "ml/tanh.hpp"
 
@@ -346,20 +346,17 @@ void avx2_softmax_chosen_lanes(const double* block, std::size_t width,
   }
 }
 
-void avx2_kernel(const double* w, std::size_t out, std::size_t in,
-                 const double* x, std::size_t batch, double* y,
-                 const double* bias, Epilogue epilogue) {
-  // Per thread, so concurrent pool workers never share it.
-  thread_local common::AlignedVector<double> t_packed;
-  const std::size_t panels = pack_panels(w, out, in, t_packed);
-  const double* packed = t_packed.data();
-
+void avx2_kernel(PanelWeights w, const double* x, std::size_t batch,
+                 double* y, const double* bias, Epilogue epilogue) {
+  const std::size_t panels = (w.out + kPanel - 1) / kPanel;
+  const std::size_t in = w.in;
+  const std::size_t out = w.out;
   std::size_t b = 0;
   for (; b + kTileRows <= batch; b += kTileRows) {
-    row_block<kTileRows>(packed, panels, in, x + b * in, y + b * out, out,
+    row_block<kTileRows>(w.panels, panels, in, x + b * in, y + b * out, out,
                          bias, epilogue);
   }
-  tail_block<kTileRows - 1>(batch - b, packed, panels, in, x + b * in,
+  tail_block<kTileRows - 1>(batch - b, w.panels, panels, in, x + b * in,
                             y + b * out, out, bias, epilogue);
 }
 

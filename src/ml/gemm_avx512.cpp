@@ -1,6 +1,6 @@
-// AVX-512 backend: 6 batch rows x 2 panels of 8 output neurons per tile,
-// one 512-bit register per (row, panel) accumulator, separate mul + add
-// (never FMA).
+// AVX-512 backend: 6 batch rows x 2 panels of 8 output neurons per tile
+// (the caller's weight panels, gemm::PanelWeights), one 512-bit register
+// per (row, panel) accumulator, separate mul + add (never FMA).
 //
 // Register residency: micro_tile is a template over its rows R and panels
 // P, and every loop over them carries `#pragma GCC unroll`, so the default
@@ -31,7 +31,6 @@
 
 #include <cstddef>
 
-#include "common/aligned.hpp"
 #include "ml/exp.hpp"
 #include "ml/tanh.hpp"
 
@@ -349,20 +348,17 @@ void avx512_softmax_chosen_lanes(const double* block, std::size_t width,
   _mm512_storeu_pd(probs, _mm512_div_pd(picked, sum));
 }
 
-void avx512_kernel(const double* w, std::size_t out, std::size_t in,
-                   const double* x, std::size_t batch, double* y,
-                   const double* bias, Epilogue epilogue) {
-  // Per thread, so concurrent pool workers never share it.
-  thread_local common::AlignedVector<double> t_packed;
-  const std::size_t panels = pack_panels(w, out, in, t_packed);
-  const double* packed = t_packed.data();
-
+void avx512_kernel(PanelWeights w, const double* x, std::size_t batch,
+                   double* y, const double* bias, Epilogue epilogue) {
+  const std::size_t panels = (w.out + kPanel - 1) / kPanel;
+  const std::size_t in = w.in;
+  const std::size_t out = w.out;
   std::size_t b = 0;
   for (; b + kTileRows <= batch; b += kTileRows) {
-    row_block<kTileRows>(packed, panels, in, x + b * in, y + b * out, out,
+    row_block<kTileRows>(w.panels, panels, in, x + b * in, y + b * out, out,
                          bias, epilogue);
   }
-  tail_block<kTileRows - 1>(batch - b, packed, panels, in, x + b * in,
+  tail_block<kTileRows - 1>(batch - b, w.panels, panels, in, x + b * in,
                             y + b * out, out, bias, epilogue);
 }
 

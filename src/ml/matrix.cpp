@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/contracts.hpp"
-#include "ml/gemm.hpp"
 
 namespace explora::ml {
 
@@ -18,27 +17,6 @@ void Matrix::resize(std::size_t rows, std::size_t cols) {
   rows_ = rows;
   cols_ = cols;
   data_.resize(rows * cols);
-}
-
-void Matrix::multiply(std::span<const double> x, std::span<double> y) const {
-  EXPLORA_EXPECTS_MSG(x.size() == cols_, "x has {} elements, matrix has {} cols",
-                      x.size(), cols_);
-  EXPLORA_EXPECTS_MSG(y.size() == rows_, "y has {} elements, matrix has {} rows",
-                      y.size(), rows_);
-  EXPLORA_AUDIT(contracts::all_finite(x));
-  gemm::run(data_.data(), rows_, cols_, x.data(), 1, y.data(), nullptr,
-            gemm::Epilogue::kNone);
-}
-
-void Matrix::multiply_batch(const Matrix& x, Matrix& y) const {
-  EXPLORA_EXPECTS_MSG(x.cols() == cols_, "x is {}x{}, matrix has {} cols",
-                      x.rows(), x.cols(), cols_);
-  EXPLORA_EXPECTS_MSG(y.rows() == x.rows() && y.cols() == rows_,
-                      "y is {}x{}, want {}x{}", y.rows(), y.cols(), x.rows(),
-                      rows_);
-  EXPLORA_AUDIT(contracts::all_finite(x.data()));
-  gemm::run(data_.data(), rows_, cols_, x.data_.data(), x.rows(),
-            y.data_.data(), nullptr, gemm::Epilogue::kNone);
 }
 
 void Matrix::multiply_transposed(std::span<const double> x,

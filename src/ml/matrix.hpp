@@ -40,12 +40,6 @@ class Matrix {
   /// unspecified afterwards — callers overwrite every cell.
   void resize(std::size_t rows, std::size_t cols);
 
-  /// y = A x (x.size() == cols, y.size() == rows).
-  void multiply(std::span<const double> x, std::span<double> y) const;
-  /// Batched variant: Y = X A^T with X (batch x cols) and Y (batch x rows),
-  /// one GEMM-style loop instead of `batch` multiply() calls. Each output
-  /// row is bit-identical to multiply() on the corresponding input row.
-  void multiply_batch(const Matrix& x, Matrix& y) const;
   /// y = A^T x (x.size() == rows, y.size() == cols).
   void multiply_transposed(std::span<const double> x,
                            std::span<double> y) const;
@@ -56,7 +50,7 @@ class Matrix {
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  // Cache-line aligned so the SIMD GEMM backends get aligned panel loads.
+  // Cache-line aligned: batch rows feed the SIMD GEMM backends.
   common::AlignedVector<double> data_;
 };
 

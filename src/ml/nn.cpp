@@ -64,47 +64,70 @@ void softmax(std::span<double> logits) noexcept {
 
 DenseLayer::DenseLayer(std::size_t in, std::size_t out, Activation act,
                        common::Rng& rng)
-    : weights_(out, in),
+    : in_(in),
+      out_(out),
+      panels_(gemm::panel_size(out, in), 0.0),
       bias_(out, 0.0),
       weight_grad_(out, in),
       bias_grad_(out, 0.0),
       act_(act) {
   EXPLORA_EXPECTS(in > 0 && out > 0);
-  // He initialization for ReLU, Xavier for tanh/linear.
+  // He initialization for ReLU, Xavier for tanh/linear, drawn row-major.
   const double scale =
       act == Activation::kRelu
           ? std::sqrt(2.0 / static_cast<double>(in))
           : std::sqrt(1.0 / static_cast<double>(in));
-  for (double& w : weights_.data()) w = rng.normal(0.0, scale);
+  Vector weights(out * in);
+  for (double& w : weights) w = rng.normal(0.0, scale);
+  gemm::pack(weights.data(), out, in, panels_.data());
 }
 
 void DenseLayer::forward(std::span<const double> in,
                          std::span<double> out) const {
-  EXPLORA_EXPECTS(in.size() == in_size() && out.size() == out_size());
+  EXPLORA_EXPECTS_MSG(in.size() == in_, "in has {} elements, layer takes {}",
+                      in.size(), in_);
+  EXPLORA_EXPECTS_MSG(out.size() == out_,
+                      "out has {} elements, layer gives {}", out.size(),
+                      out_);
   EXPLORA_AUDIT(contracts::all_finite(in));
-  gemm::run(weights_.data().data(), out_size(), in_size(), in.data(), 1,
-            out.data(), bias_.data(), epilogue_for(act_));
+  gemm::run(weights(), in.data(), 1, out.data(), bias_.data(),
+            epilogue_for(act_));
 }
 
 void DenseLayer::forward_batch(const Matrix& in, Matrix& out) const {
-  EXPLORA_EXPECTS(in.cols() == in_size());
-  EXPLORA_EXPECTS(out.rows() == in.rows() && out.cols() == out_size());
+  EXPLORA_EXPECTS_MSG(in.cols() == in_, "in is {}x{}, layer takes {} inputs",
+                      in.rows(), in.cols(), in_);
+  EXPLORA_EXPECTS_MSG(out.rows() == in.rows() && out.cols() == out_,
+                      "out is {}x{}, want {}x{}", out.rows(), out.cols(),
+                      in.rows(), out_);
   EXPLORA_AUDIT(contracts::all_finite(in.data()));
-  gemm::run(weights_.data().data(), out_size(), in_size(), in.data().data(),
-            in.rows(), out.data().data(), bias_.data(), epilogue_for(act_));
+  gemm::run(weights(), in.data().data(), in.rows(), out.data().data(),
+            bias_.data(), epilogue_for(act_));
 }
 
 void DenseLayer::backward(std::span<const double> in,
                           std::span<const double> activated,
                           std::span<double> grad_out,
                           std::span<double> grad_in) {
+  EXPLORA_EXPECTS(grad_out.size() == out_ && grad_in.size() == in_);
   apply_activation_grad(act_, activated, grad_out);
   // dW += grad_out (x) in ; db += grad_out
   weight_grad_.add_outer(1.0, grad_out, in);
   for (std::size_t i = 0; i < grad_out.size(); ++i) {
     bias_grad_[i] += grad_out[i];
   }
-  weights_.multiply_transposed(grad_out, grad_in);
+  // grad_in = W^T grad_out, each grad_in[c] summed over r in ascending
+  // order, so training bits do not depend on the weights' layout.
+  EXPLORA_AUDIT(contracts::all_finite(grad_out));
+  std::fill(grad_in.begin(), grad_in.end(), 0.0);
+  for (std::size_t r = 0; r < out_; ++r) {
+    const double g = grad_out[r];
+    if (g == 0.0) continue;  // det-ok: float-eq (exact-zero skip is bit-safe)
+    const double* lane = panels_.data() + gemm::panel_index(r, 0, in_);
+    for (std::size_t c = 0; c < in_; ++c) {
+      grad_in[c] += lane[c * gemm::kPanelWidth] * g;
+    }
+  }
 }
 
 void DenseLayer::zero_grad() noexcept {
@@ -113,16 +136,17 @@ void DenseLayer::zero_grad() noexcept {
 }
 
 std::size_t DenseLayer::parameter_count() const noexcept {
-  return weights_.size() + bias_.size();
+  return out_ * in_ + bias_.size();
 }
 
 void DenseLayer::collect_parameters(std::vector<double*>& params,
                                     std::vector<double*>& grads) {
-  auto weight_data = weights_.data();
   auto grad_data = weight_grad_.data();
-  for (std::size_t i = 0; i < weight_data.size(); ++i) {
-    params.push_back(&weight_data[i]);
-    grads.push_back(&grad_data[i]);
+  for (std::size_t r = 0; r < out_; ++r) {
+    for (std::size_t c = 0; c < in_; ++c) {
+      params.push_back(&panels_[gemm::panel_index(r, c, in_)]);
+      grads.push_back(&grad_data[r * in_ + c]);
+    }
   }
   for (std::size_t i = 0; i < bias_.size(); ++i) {
     params.push_back(&bias_[i]);
@@ -131,10 +155,16 @@ void DenseLayer::collect_parameters(std::vector<double*>& params,
 }
 
 void DenseLayer::serialize(common::Writer& writer) const {
-  writer.varint(weights_.rows());
-  writer.varint(weights_.cols());
+  writer.varint(out_);
+  writer.varint(in_);
   writer.varint(static_cast<std::uint64_t>(act_));
-  writer.f64_list(weights_.data());
+  Vector weights(out_ * in_);
+  for (std::size_t r = 0; r < out_; ++r) {
+    for (std::size_t c = 0; c < in_; ++c) {
+      weights[r * in_ + c] = panels_[gemm::panel_index(r, c, in_)];
+    }
+  }
+  writer.f64_list(weights);
   writer.f64_list(bias_);
 }
 
@@ -142,19 +172,19 @@ void DenseLayer::deserialize(common::Reader& reader) {
   const auto rows = reader.varint();
   const auto cols = reader.varint();
   const auto act = reader.varint();
-  if (rows != weights_.rows() || cols != weights_.cols() ||
+  if (rows != out_ || cols != in_ ||
       act != static_cast<std::uint64_t>(act_)) {
     throw common::SerializeError("layer shape mismatch on load");
   }
   const auto weight_values = reader.f64_list();
   const auto bias_values = reader.f64_list();
-  if (weight_values.size() != weights_.size() ||
+  if (weight_values.size() != out_ * in_ ||
       bias_values.size() != bias_.size()) {
     throw common::SerializeError("layer payload size mismatch");
   }
-  std::copy(weight_values.begin(), weight_values.end(),
-            weights_.data().begin());
-  bias_ = bias_values;
+  // In place, so the optimizer's parameter pointers stay valid.
+  gemm::pack(weight_values.data(), out_, in_, panels_.data());
+  std::copy(bias_values.begin(), bias_values.end(), bias_.begin());
 }
 
 Mlp::Mlp(std::vector<std::size_t> layer_sizes, Activation hidden,

@@ -8,9 +8,11 @@
 #include <string>
 #include <vector>
 
+#include "common/aligned.hpp"
 #include "common/rng.hpp"
 #include "common/serialize.hpp"
 #include "common/telemetry.hpp"
+#include "ml/gemm.hpp"
 #include "ml/matrix.hpp"
 
 namespace explora::ml {
@@ -27,17 +29,26 @@ void apply_activation_grad(Activation act, std::span<const double> activated,
 void softmax(std::span<double> logits) noexcept;
 
 /// Fully-connected layer y = act(Wx + b) with gradient accumulation.
+///
+/// W's one copy is kept in the GEMM kernels' panel layout
+/// (gemm::PanelWeights), so a forward pass reads it as stored. Everything
+/// that writes W goes through that copy: the optimizer through the
+/// collect_parameters() pointers, a load through deserialize(). No second
+/// copy exists to go stale.
 class DenseLayer {
  public:
   /// He/Xavier-style initialization scaled for the activation.
   DenseLayer(std::size_t in, std::size_t out, Activation act,
              common::Rng& rng);
 
-  [[nodiscard]] std::size_t in_size() const noexcept { return weights_.cols(); }
-  [[nodiscard]] std::size_t out_size() const noexcept {
-    return weights_.rows();
-  }
+  [[nodiscard]] std::size_t in_size() const noexcept { return in_; }
+  [[nodiscard]] std::size_t out_size() const noexcept { return out_; }
   [[nodiscard]] Activation activation() const noexcept { return act_; }
+
+  /// W as the kernels read it; pad lanes past out_size() are zero.
+  [[nodiscard]] gemm::PanelWeights weights() const noexcept {
+    return {panels_.data(), out_, in_};
+  }
 
   /// Forward pass; `out.size() == out_size()`. Caches nothing — the MLP
   /// owns the activation tape so one layer can serve many passes.
@@ -55,18 +66,23 @@ class DenseLayer {
 
   void zero_grad() noexcept;
 
-  /// Flattened parameter / gradient access for the optimizer.
+  /// Flattened parameter / gradient access for the optimizer: W's
+  /// elements in row-major order (pointers into the panels, pad lanes
+  /// never included), then the bias.
   [[nodiscard]] std::size_t parameter_count() const noexcept;
   void collect_parameters(std::vector<double*>& params,
                           std::vector<double*>& grads);
 
+  /// W goes on the wire row-major, whatever its layout in memory.
   void serialize(common::Writer& writer) const;
   void deserialize(common::Reader& reader);
 
  private:
-  Matrix weights_;
+  std::size_t in_;
+  std::size_t out_;
+  common::AlignedVector<double> panels_;  ///< W, gemm::panel_index layout
   Vector bias_;
-  Matrix weight_grad_;
+  Matrix weight_grad_;  ///< dL/dW, row-major
   Vector bias_grad_;
   Activation act_;
 };
@@ -83,6 +99,9 @@ class Mlp {
 
   [[nodiscard]] std::size_t in_size() const noexcept;
   [[nodiscard]] std::size_t out_size() const noexcept;
+  [[nodiscard]] const std::vector<DenseLayer>& layers() const noexcept {
+    return layers_;
+  }
 
   /// Forward pass recording the activation tape; returns the output.
   [[nodiscard]] const Vector& forward(std::span<const double> in);
@@ -90,8 +109,8 @@ class Mlp {
   void infer(std::span<const double> in, std::span<double> out) const;
 
   /// Batched inference: pushes all rows of `in` (batch x in_size) through
-  /// the network layer by layer — one multiply_batch per layer instead of
-  /// `batch` infer() calls. Thread-compatible (no tape); each returned row
+  /// the network layer by layer — one GEMM per layer instead of `batch`
+  /// infer() calls. Thread-compatible (no tape); each returned row
   /// is bit-identical to infer() on that input row.
   [[nodiscard]] Matrix forward_batch(const Matrix& in) const;
 

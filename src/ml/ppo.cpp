@@ -174,7 +174,6 @@ PolicyDecision PpoAgent::decide(
   for (std::size_t s = 0; s < netsim::kNumSlices; ++s) {
     decision.action.sched_choice[s] = chosen[1 + s];
   }
-  decision.value = value(state);
   return decision;
 }
 

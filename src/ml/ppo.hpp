@@ -96,7 +96,8 @@ class PpoAgent final : public PolicyAgent {
   /// Deterministic argmax action (deployment).
   [[nodiscard]] PolicyDecision act_greedy(
       std::span<const double> state) const override;
-  /// Critic value of a state.
+  /// Critic value of a state. A decision does not run the critic: only
+  /// training reads it, for the rollout's advantages.
   [[nodiscard]] double value(std::span<const double> state) const;
   /// Full per-head probability vectors for a state (used by SHAP / XAI).
   [[nodiscard]] std::vector<Vector> head_distributions(

@@ -12,7 +12,8 @@
 #include <vector>
 
 #include "common/parallel.hpp"
-#include "ml/matrix.hpp"
+#include "common/rng.hpp"
+#include "ml/nn.hpp"
 #include "netsim/channel.hpp"
 #include "netsim/scenario.hpp"
 
@@ -79,13 +80,14 @@ TEST(Contracts, MsgVariantCarriesFormattedValues) {
 // Domain invariants fire through the handler
 // ---------------------------------------------------------------------------
 
-TEST(Contracts, MatrixShapeMismatchViolatesPrecondition) {
+TEST(Contracts, DenseLayerShapeMismatchViolatesPrecondition) {
   contracts::ScopedContractHandler guard(&throwing_handler);
-  ml::Matrix a(2, 3);
+  common::Rng rng(5);
+  const ml::DenseLayer layer(3, 2, ml::Activation::kLinear, rng);
   std::vector<double> x(4, 1.0);  // wrong: needs 3 elements
   std::vector<double> y(2, 0.0);
   try {
-    a.multiply(x, y);
+    layer.forward(x, y);
     FAIL() << "shape mismatch should have fired";
   } catch (const ViolationError& e) {
     EXPECT_EQ(e.kind, "precondition");

@@ -28,7 +28,7 @@ using ml::glibc_exp;
 
 constexpr ml::gemm::Backend kBackends[] = {
     ml::gemm::Backend::kScalar, ml::gemm::Backend::kAvx2,
-    ml::gemm::Backend::kAvx512, ml::gemm::Backend::kNeon};
+    ml::gemm::Backend::kAvx512};
 
 /// Uniform double in [lo, hi) from the top 53 bits of one draw.
 double uniform(common::Rng& rng, double lo, double hi) {

@@ -13,6 +13,7 @@
 #include "common/aligned.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
+#include "common/serialize.hpp"
 #include "ml/matrix.hpp"
 #include "ml/nn.hpp"
 #include "ml/tanh.hpp"
@@ -27,15 +28,15 @@ using ml::gemm::ScopedBackend;
 
 std::vector<Backend> simd_backends() {
   std::vector<Backend> backends;
-  for (Backend b : {Backend::kAvx2, Backend::kAvx512, Backend::kNeon}) {
+  for (Backend b : {Backend::kAvx2, Backend::kAvx512}) {
     if (ml::gemm::backend_available(b)) backends.push_back(b);
   }
   return backends;
 }
 
-/// Naive triple loop in the contract's reduction order — deliberately
-/// separate from detail::scalar_kernel so the reference cannot share a
-/// bug with the implementation. Its tanh is the repo's port, not the
+/// Naive triple loop in the contract's reduction order over row-major
+/// weights — deliberately separate from detail::scalar_kernel and the
+/// panel layout, so the reference cannot share a bug with either. Its tanh is the repo's port, not the
 /// host libm's, so the oracle means the same on every host.
 std::vector<double> naive_reference(const std::vector<double>& w,
                                     std::size_t out, std::size_t in,
@@ -60,6 +61,8 @@ std::vector<double> naive_reference(const std::vector<double>& w,
   return y;
 }
 
+/// Runs the kernel on `backend` with w (out x in, row-major) packed into
+/// the panel layout the kernels read.
 void run_backend(Backend backend, const std::vector<double>& w,
                  std::size_t out, std::size_t in,
                  const std::vector<double>& x, std::size_t batch,
@@ -67,7 +70,9 @@ void run_backend(Backend backend, const std::vector<double>& w,
                  std::vector<double>& y) {
   ScopedBackend forced(backend);
   ASSERT_TRUE(forced.engaged()) << ml::gemm::to_string(backend);
-  ml::gemm::run(w.data(), out, in, x.data(), batch, y.data(),
+  common::AlignedVector<double> panels(ml::gemm::panel_size(out, in));
+  ml::gemm::pack(w.data(), out, in, panels.data());
+  ml::gemm::run({panels.data(), out, in}, x.data(), batch, y.data(),
                 epilogue == Epilogue::kNone ? nullptr : bias.data(),
                 epilogue);
 }
@@ -173,12 +178,14 @@ TEST(GemmBackends, TileBoundarySweep) {
 }
 
 TEST(GemmBackends, EmptyBatchAndZeroOutAreNoOps) {
+  common::AlignedVector<double> panels(ml::gemm::panel_size(1, 1));
   const double w = 1.0;
+  ml::gemm::pack(&w, 1, 1, panels.data());
   const double x = 2.0;
   double y = 42.0;
-  ml::gemm::run(&w, 1, 1, &x, 0, &y, nullptr, Epilogue::kNone);
+  ml::gemm::run({panels.data(), 1, 1}, &x, 0, &y, nullptr, Epilogue::kNone);
   EXPECT_EQ(42.0, y);
-  ml::gemm::run(&w, 0, 1, &x, 1, &y, nullptr, Epilogue::kNone);
+  ml::gemm::run({panels.data(), 0, 1}, &x, 1, &y, nullptr, Epilogue::kNone);
   EXPECT_EQ(42.0, y);
 }
 
@@ -191,12 +198,10 @@ TEST(GemmBackends, ScopedBackendRestoresAndRejectsUnavailable) {
   }
   EXPECT_EQ(before, ml::gemm::active_backend());
 
-#if !defined(__aarch64__)
-  // NEON can never engage on x86; the backend must stay put.
-  ScopedBackend bogus(Backend::kNeon);
+  // No backend has this number; the backend must stay put.
+  ScopedBackend bogus(static_cast<Backend>(0x7f));
   EXPECT_FALSE(bogus.engaged());
   EXPECT_EQ(before, ml::gemm::active_backend());
-#endif
 }
 
 TEST(GemmBackends, MatrixStorageIs64ByteAligned) {
@@ -247,6 +252,121 @@ TEST(GemmBackends, MlpForwardByteIdenticalAcrossBackends) {
                                4 * sizeof(double)))
           << ml::gemm::to_string(backend);
     }
+  }
+}
+
+/// Checks a one-layer tanh network's layer against the row-major weights
+/// the optimizer sees through its parameter pointers: the panels' pad
+/// lanes read +0, and on every backend forward() and forward_batch() are
+/// byte-identical to the naive oracle and to detail::scalar_kernel on a
+/// fresh pack of those weights.
+void expect_layer_matches_row_major(ml::Mlp& net, const ml::Matrix& inputs) {
+  const ml::DenseLayer& layer = net.layers().front();
+  const std::size_t out = layer.out_size();
+  const std::size_t in = layer.in_size();
+  const std::size_t batch = inputs.rows();
+  const ml::gemm::PanelWeights stored = layer.weights();
+  for (std::size_t r = out; r < ml::gemm::panel_size(out, in) / in; ++r) {
+    for (std::size_t c = 0; c < in; ++c) {
+      const double pad = stored.panels[ml::gemm::panel_index(r, c, in)];
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &pad, sizeof bits);
+      ASSERT_EQ(0U, bits) << "pad lane r=" << r << " c=" << c;
+    }
+  }
+
+  std::vector<double*> params;
+  std::vector<double*> grads;
+  net.collect_parameters(params, grads);
+  ASSERT_EQ(out * in + out, params.size());
+  std::vector<double> w(out * in);
+  std::vector<double> bias(out);
+  for (std::size_t i = 0; i < w.size(); ++i) w[i] = *params[i];
+  for (std::size_t r = 0; r < out; ++r) bias[r] = *params[w.size() + r];
+  const std::vector<double> x(inputs.data().begin(), inputs.data().end());
+  const auto expected =
+      naive_reference(w, out, in, x, batch, bias, Epilogue::kBiasTanh);
+
+  common::AlignedVector<double> panels(ml::gemm::panel_size(out, in));
+  ml::gemm::pack(w.data(), out, in, panels.data());
+  std::vector<double> scalar_y(batch * out, -7.0);
+  ml::gemm::detail::scalar_kernel({panels.data(), out, in}, x.data(), batch,
+                                  scalar_y.data(), bias.data(),
+                                  Epilogue::kBiasTanh);
+  ASSERT_EQ(0, std::memcmp(scalar_y.data(), expected.data(),
+                           expected.size() * sizeof(double)));
+
+  std::vector<Backend> all = simd_backends();
+  all.push_back(Backend::kScalar);
+  for (Backend backend : all) {
+    ScopedBackend forced(backend);
+    ml::Matrix y(batch, out);
+    layer.forward_batch(inputs, y);
+    ASSERT_EQ(0, std::memcmp(y.data().data(), expected.data(),
+                             expected.size() * sizeof(double)))
+        << ml::gemm::to_string(backend);
+    std::vector<double> row(out, 3.0);
+    layer.forward(inputs.data().subspan(0, in), row);
+    ASSERT_EQ(0, std::memcmp(row.data(), expected.data(),
+                             out * sizeof(double)))
+        << ml::gemm::to_string(backend);
+  }
+}
+
+// A layer's one weight copy lives in the panel layout. With a partial
+// last panel (34 = 4 x 8 + 2 neurons, and a single neuron), it must keep
+// matching its row-major weights after construction, after an optimizer
+// step written through the parameter pointers, and after a load.
+TEST(GemmBackends, DenseLayerPanelsTrackRowMajorWeights) {
+  for (const std::size_t out : {std::size_t{34}, std::size_t{1}}) {
+    SCOPED_TRACE(out);
+    common::Rng rng(23);
+    ml::Mlp net({9, out}, ml::Activation::kTanh, ml::Activation::kTanh, rng);
+    ml::Matrix inputs(13, 9);
+    for (auto& v : inputs.data()) v = rng.normal(0.0, 1.0);
+    {
+      SCOPED_TRACE("constructed");
+      expect_layer_matches_row_major(net, inputs);
+    }
+
+    ml::AdamOptimizer adam;
+    adam.attach(net);
+    std::vector<double> before(net.parameter_count());
+    {
+      std::vector<double*> params;
+      std::vector<double*> grads;
+      net.collect_parameters(params, grads);
+      for (std::size_t i = 0; i < params.size(); ++i) before[i] = *params[i];
+    }
+    net.zero_grad();
+    const ml::Vector y = net.forward(inputs.data().subspan(0, 9));
+    (void)net.backward(y);
+    adam.step();
+    {
+      std::vector<double*> params;
+      std::vector<double*> grads;
+      net.collect_parameters(params, grads);
+      ASSERT_NE(before[0], *params[0]) << "the step moved no weight";
+    }
+    {
+      SCOPED_TRACE("after an Adam step");
+      expect_layer_matches_row_major(net, inputs);
+    }
+
+    common::Writer writer;
+    net.serialize(writer);
+    common::Rng other(99);
+    ml::Mlp loaded({9, out}, ml::Activation::kTanh, ml::Activation::kTanh,
+                   other);
+    common::Reader reader(writer.buffer());
+    loaded.deserialize(reader);
+    {
+      SCOPED_TRACE("after serialize/deserialize");
+      expect_layer_matches_row_major(loaded, inputs);
+    }
+    common::Writer again;
+    loaded.serialize(again);
+    EXPECT_EQ(writer.buffer(), again.buffer());
   }
 }
 

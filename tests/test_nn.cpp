@@ -1,6 +1,6 @@
-// Tests for the neural-network core (ml/matrix, ml/nn): matrix ops against
-// hand-computed values, backprop against numerical differentiation, Adam
-// convergence, and serialization round trips.
+// Tests for the neural-network core (ml/matrix, ml/nn): matrix and layer
+// ops against hand-computed values, backprop against numerical
+// differentiation, Adam convergence, and serialization round trips.
 #include "ml/nn.hpp"
 
 #include <gtest/gtest.h>
@@ -12,16 +12,26 @@
 namespace explora::ml {
 namespace {
 
-TEST(Matrix, MultiplyKnownValues) {
-  Matrix m(2, 3);
-  // [[1 2 3], [4 5 6]]
-  m(0, 0) = 1; m(0, 1) = 2; m(0, 2) = 3;
-  m(1, 0) = 4; m(1, 1) = 5; m(1, 2) = 6;
+/// Sets a layer's parameters in collect_parameters() order: W row-major,
+/// then the bias.
+void set_parameters(DenseLayer& layer, const Vector& values) {
+  std::vector<double*> params;
+  std::vector<double*> grads;
+  layer.collect_parameters(params, grads);
+  ASSERT_EQ(params.size(), values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) *params[i] = values[i];
+}
+
+TEST(DenseLayer, ForwardKnownValues) {
+  common::Rng rng(1);
+  DenseLayer layer(3, 2, Activation::kLinear, rng);
+  // W = [[1 2 3], [4 5 6]], b = [0.5, -1]
+  set_parameters(layer, {1, 2, 3, 4, 5, 6, 0.5, -1});
   Vector x{1.0, 0.0, -1.0};
   Vector y(2, 0.0);
-  m.multiply(x, y);
-  EXPECT_DOUBLE_EQ(y[0], -2.0);
-  EXPECT_DOUBLE_EQ(y[1], -2.0);
+  layer.forward(x, y);
+  EXPECT_DOUBLE_EQ(y[0], -1.5);
+  EXPECT_DOUBLE_EQ(y[1], -3.0);
 }
 
 TEST(Matrix, MultiplyTransposedKnownValues) {
@@ -197,18 +207,17 @@ TEST(Mlp, InferMatchesForwardPastTheStackRows) {
   }
 }
 
-TEST(Matrix, MultiplyBatchMatchesPerRowMultiply) {
+TEST(DenseLayer, ForwardBatchMatchesPerRowForward) {
   common::Rng rng(17);
-  Matrix a(5, 7);
-  for (auto& v : a.data()) v = rng.normal(0.0, 1.0);
+  const DenseLayer layer(7, 5, Activation::kLinear, rng);
   Matrix x(11, 7);
   for (auto& v : x.data()) v = rng.normal(0.0, 1.0);
 
   Matrix y(11, 5);
-  a.multiply_batch(x, y);
+  layer.forward_batch(x, y);
   Vector row_out(5, 0.0);
   for (std::size_t b = 0; b < x.rows(); ++b) {
-    a.multiply(x.data().subspan(b * 7, 7), row_out);
+    layer.forward(x.data().subspan(b * 7, 7), row_out);
     for (std::size_t r = 0; r < 5; ++r) {
       EXPECT_EQ(y(b, r), row_out[r]);  // bit-identical
     }

@@ -154,7 +154,7 @@ TEST(PpoAgent, LearnsContextualBandit) {
       buffer.add(Transition{.state = state,
                             .action = decision.action,
                             .log_prob = decision.log_prob,
-                            .value = decision.value,
+                            .value = agent->value(state),
                             .reward = reward_of(state, decision.action),
                             .terminal = true});
     }
