@@ -363,9 +363,9 @@ void BM_SinrToCqi(benchmark::State& state) {
 }
 BENCHMARK(BM_SinrToCqi);
 
-// One TTI of channel state for a 6-UE cell: each UE's advance() draws its
-// shadowing (and fading at block boundaries) and re-derives CQI and
-// bytes/PRB.
+// One TTI of channel state for a 6-UE cell, as Gnb::run_tti advances it:
+// one UeChannel::advance_all pass draws every UE's shadowing (and fading
+// at block boundaries) in SIMD lanes and re-derives CQI and bytes/PRB.
 void BM_UeChannelAdvance(benchmark::State& state) {
   common::Rng rng(21);
   std::vector<netsim::UeChannel> channels;
@@ -373,8 +373,10 @@ void BM_UeChannelAdvance(benchmark::State& state) {
     channels.emplace_back(rng.uniform(1000.0, 2200.0), netsim::ChannelConfig{},
                           rng.fork(ue));
   }
+  std::vector<netsim::UeChannel*> cell;
+  for (auto& channel : channels) cell.push_back(&channel);
   for (auto _ : state) {
-    for (auto& channel : channels) channel.advance();
+    netsim::UeChannel::advance_all(cell);
     benchmark::DoNotOptimize(channels.data());
     benchmark::ClobberMemory();
   }

@@ -1,7 +1,8 @@
-// Scalar port of glibc 2.36's exp (see ml/exp.hpp for the contract).
+// Scalar port of glibc 2.36's exp (see common/detmath.hpp for the
+// contract).
 // Compiled with -ffp-contract=off (root CMakeLists.txt): every fusion
 // below is an explicit std::fma, and every other operation rounds alone.
-#include "ml/exp.hpp"
+#include "common/detmath.hpp"
 
 #include <bit>
 #include <cmath>
@@ -9,7 +10,7 @@
 #include <limits>
 
 
-namespace explora::ml {
+namespace explora::detmath {
 
 namespace exp_constants {
 
@@ -180,21 +181,7 @@ using namespace exp_constants;
 
 }  // namespace
 
-// On x86-64 builds without FMA in the baseline ISA, glibc_exp is cloned:
-// CPUs with FMA run a clone whose std::fma calls are single vfmadd
-// instructions, older ones the default clone calling libm's fma. fma is
-// exactly rounded, so the two return the same bits; the clone only saves
-// seven calls per exp. ThreadSanitizer builds keep one body: GCC
-// instruments the clones' ifunc resolver, which the loader runs before
-// the TSan runtime is up, so every binary would crash at start-up.
-#if defined(__x86_64__) && defined(__ELF__) && !defined(__FMA__) && \
-    !defined(__SANITIZE_THREAD__)
-#define EXPLORA_FMA_CLONES __attribute__((target_clones("fma", "default")))
-#else
-#define EXPLORA_FMA_CLONES
-#endif
-
-EXPLORA_FMA_CLONES double glibc_exp(double x) noexcept {
+EXPLORA_DETMATH_FMA_CLONES double exp(double x) noexcept {
   std::uint32_t abstop = top12(x) & 0x7ffU;
   // One unsigned compare for |x| < 2^-54 or |x| >= 512 (and inf/NaN).
   if (abstop - top12(kExpVectorMin) >=
@@ -227,4 +214,4 @@ EXPLORA_FMA_CLONES double glibc_exp(double x) noexcept {
   return std::fma(scale, tmp, scale);
 }
 
-}  // namespace explora::ml
+}  // namespace explora::detmath

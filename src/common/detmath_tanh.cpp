@@ -1,14 +1,15 @@
-// Scalar port of fdlibm tanh + expm1 (see ml/tanh.hpp for the contract).
+// Scalar port of fdlibm tanh + expm1 (see common/detmath.hpp for the
+// contract).
 // Compiled with -ffp-contract=off (root CMakeLists.txt): every fusion
 // below is an explicit std::fma, and every other operation rounds alone.
-#include "ml/tanh.hpp"
+#include "common/detmath.hpp"
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
 
 
-namespace explora::ml {
+namespace explora::detmath {
 
 namespace {
 
@@ -83,7 +84,7 @@ using namespace tanh_constants;
 
 }  // namespace
 
-double fdlibm_tanh(double x) noexcept {
+double tanh(double x) noexcept {
   const std::uint32_t ix = high_word(x) & 0x7fffffffU;
   const bool negative = std::signbit(x);
   if (ix >= 0x7ff00000U) {  // +-inf -> +-1, NaN -> NaN
@@ -104,4 +105,4 @@ double fdlibm_tanh(double x) noexcept {
   return negative ? -z : z;
 }
 
-}  // namespace explora::ml
+}  // namespace explora::detmath

@@ -5,6 +5,7 @@
 #include <numbers>
 
 #include "common/contracts.hpp"
+#include "common/detmath.hpp"
 #include "common/fnv.hpp"
 
 namespace explora::common {
@@ -14,6 +15,15 @@ namespace {
 constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
   return (x << k) | (x >> (64 - k));
 }
+
+/// Box-Muller's angle for the second uniform of a pair.
+constexpr double angle_of(double u2) noexcept {
+  return 2.0 * std::numbers::pi * u2;
+}
+
+/// Streams one batched draw takes at a time; the scratch lives on the
+/// stack, so a batch of any size allocates nothing.
+constexpr std::size_t kBatchChunk = 16;
 
 }  // namespace
 
@@ -78,11 +88,49 @@ double Rng::normal() noexcept {
   double u1 = uniform();
   while (u1 <= 0.0) u1 = uniform();
   const double u2 = uniform();
-  const double radius = std::sqrt(-2.0 * std::log(u1));
-  const double angle = 2.0 * std::numbers::pi * u2;
-  cached_normal_ = radius * std::sin(angle);
+  const double radius = std::sqrt(-2.0 * detmath::log(u1));
+  const detmath::SinCos sc = detmath::sincos(angle_of(u2));
+  cached_normal_ = radius * sc.sin;
   has_cached_normal_ = true;
-  return radius * std::cos(angle);
+  return radius * sc.cos;
+}
+
+void Rng::normals(std::span<Rng* const> streams,
+                  std::span<double> out) noexcept {
+  EXPLORA_EXPECTS(out.size() == streams.size());
+  for (std::size_t base = 0; base < streams.size(); base += kBatchChunk) {
+    const std::size_t count = std::min(kBatchChunk, streams.size() - base);
+    // Gather the streams that need a fresh pair, in stream order.
+    std::size_t slot[kBatchChunk];
+    double u1[kBatchChunk];
+    double angle[kBatchChunk];
+    std::size_t fresh = 0;
+    for (std::size_t i = base; i < base + count; ++i) {
+      Rng& rng = *streams[i];
+      if (rng.has_cached_normal_) {
+        rng.has_cached_normal_ = false;
+        out[i] = rng.cached_normal_;
+        continue;
+      }
+      double u = rng.uniform();
+      while (u <= 0.0) u = rng.uniform();
+      u1[fresh] = u;
+      angle[fresh] = angle_of(rng.uniform());
+      slot[fresh++] = i;
+    }
+    if (fresh == 0) continue;
+    double log_u1[kBatchChunk];
+    double sin_a[kBatchChunk];
+    double cos_a[kBatchChunk];
+    detmath::log_sincos_array(u1, angle, log_u1, sin_a, cos_a, fresh);
+    for (std::size_t j = 0; j < fresh; ++j) {
+      Rng& rng = *streams[slot[j]];
+      const double radius = std::sqrt(-2.0 * log_u1[j]);
+      rng.cached_normal_ = radius * sin_a[j];
+      rng.has_cached_normal_ = true;
+      out[slot[j]] = radius * cos_a[j];
+    }
+  }
 }
 
 double Rng::normal(double mean, double stddev) noexcept {
@@ -93,7 +141,25 @@ double Rng::exponential(double rate) noexcept {
   EXPLORA_EXPECTS(rate > 0.0);
   double u = uniform();
   while (u <= 0.0) u = uniform();
-  return -std::log(u) / rate;
+  return -detmath::log(u) / rate;
+}
+
+void Rng::exponentials(std::span<Rng* const> streams,
+                       std::span<double> out) noexcept {
+  EXPLORA_EXPECTS(out.size() == streams.size());
+  for (std::size_t base = 0; base < streams.size(); base += kBatchChunk) {
+    const std::size_t count = std::min(kBatchChunk, streams.size() - base);
+    double u[kBatchChunk];
+    for (std::size_t i = 0; i < count; ++i) {
+      Rng& rng = *streams[base + i];
+      u[i] = rng.uniform();
+      while (u[i] <= 0.0) u[i] = rng.uniform();
+    }
+    double log_u[kBatchChunk];
+    detmath::log_array(u, log_u, count);
+    // exponential(1.0)'s -log(u) / 1.0 is -log(u) exactly.
+    for (std::size_t i = 0; i < count; ++i) out[base + i] = -log_u[i];
+  }
 }
 
 std::uint32_t Rng::poisson(double mean) noexcept {
@@ -101,7 +167,7 @@ std::uint32_t Rng::poisson(double mean) noexcept {
 }
 
 PoissonSampler::PoissonSampler(double mean)
-    : mean_(mean), threshold_(mean < 64.0 ? std::exp(-mean) : 0.0) {  // det-ok: libm-transcendental (ROADMAP item 3)
+    : mean_(mean), threshold_(mean < 64.0 ? detmath::exp(-mean) : 0.0) {
   EXPLORA_EXPECTS(mean >= 0.0);
 }
 

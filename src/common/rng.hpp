@@ -12,6 +12,7 @@
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string_view>
 
 namespace explora::common {
@@ -58,10 +59,22 @@ class Rng {
   [[nodiscard]] std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept;
   /// Standard normal via Box-Muller (cached second variate).
   [[nodiscard]] double normal() noexcept;
+  /// out[i] = streams[i]->normal() for every i, bit for bit: each stream
+  /// returns its cached variate or draws its uniform pair (redrawing a
+  /// zero u1) in its own order, and caches the pair's second variate.
+  /// The pairs' log and sincos run across SIMD lanes
+  /// (detmath::log_sincos_array). The streams must be distinct and out must
+  /// hold streams.size() doubles. Allocates nothing.
+  static void normals(std::span<Rng* const> streams,
+                      std::span<double> out) noexcept;
   /// Normal with the given mean and standard deviation.
   [[nodiscard]] double normal(double mean, double stddev) noexcept;
   /// Exponential with the given rate (lambda > 0).
   [[nodiscard]] double exponential(double rate) noexcept;
+  /// out[i] = streams[i]->exponential(1.0) for every i, bit for bit, with
+  /// the logs across SIMD lanes; the contract of normals() otherwise.
+  static void exponentials(std::span<Rng* const> streams,
+                           std::span<double> out) noexcept;
   /// Poisson-distributed count with the given mean (Knuth for small means,
   /// normal approximation above 64; see PoissonSampler).
   [[nodiscard]] std::uint32_t poisson(double mean) noexcept;

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/contracts.hpp"
+#include "common/detmath.hpp"
 #include "netsim/types.hpp"
 
 namespace explora::ml {
@@ -87,11 +88,11 @@ PolicyDecision DqnAgent::act_greedy(std::span<const double> state) const {
   const Vector q = q_values(online_, state);
   PolicyDecision decision;
   decision.action = greedy_from(q, offsets);
-  const auto heads = head_distributions(state);
+  const auto heads = boltzmann_heads(q, offsets);
   const auto chosen = head_choices(decision.action);
   for (std::size_t h = 0; h < kNumHeads; ++h) {
     decision.head_probs[h] = heads[h][chosen[h]];
-    decision.log_prob += std::log(std::max(heads[h][chosen[h]], 1e-12));
+    decision.log_prob += detmath::log(std::max(heads[h][chosen[h]], 1e-12));
   }
   return decision;
 }
@@ -124,7 +125,7 @@ PolicyDecision DqnAgent::act(
       }
     }
     decision.head_probs[h] = probs[chosen[h]];
-    decision.log_prob += std::log(std::max(probs[chosen[h]], 1e-12));
+    decision.log_prob += detmath::log(std::max(probs[chosen[h]], 1e-12));
   }
   decision.action.prb_choice = chosen[0];
   for (std::size_t s = 0; s < netsim::kNumSlices; ++s) {
@@ -135,8 +136,11 @@ PolicyDecision DqnAgent::act(
 
 std::vector<Vector> DqnAgent::head_distributions(
     std::span<const double> state) const {
-  const auto offsets = head_offsets();
-  const Vector q = q_values(online_, state);
+  return boltzmann_heads(q_values(online_, state), head_offsets());
+}
+
+std::vector<Vector> DqnAgent::boltzmann_heads(
+    const Vector& q, const std::array<std::size_t, kNumHeads + 1>& offsets) {
   std::vector<Vector> heads;
   heads.reserve(kNumHeads);
   for (std::size_t h = 0; h < kNumHeads; ++h) {

@@ -102,6 +102,9 @@ class DqnAgent final : public PolicyAgent {
                                 std::span<const double> state) const;
   [[nodiscard]] static AgentAction greedy_from(
       const Vector& q, const std::array<std::size_t, kNumHeads + 1>& offsets);
+  /// The Boltzmann view of one Q-value vector: softmax over each head.
+  [[nodiscard]] static std::vector<Vector> boltzmann_heads(
+      const Vector& q, const std::array<std::size_t, kNumHeads + 1>& offsets);
   void sync_target();
 
   Config config_;

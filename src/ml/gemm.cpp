@@ -1,31 +1,20 @@
 // Scalar reference kernels (GEMM, exp, chosen softmax), the panel packing
-// and runtime backend dispatch. Like every TU, this one is compiled with
+// and the dispatch to the backend detmath selects. Like every TU, this one
+// is compiled with
 // -ffp-contract=off (root CMakeLists.txt) so the compiler can never fuse
 // the mul+add below into an FMA — the scalar reduction order is the
 // byte-identity contract every backend honors.
 #include "ml/gemm.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/aligned.hpp"
 #include "common/contracts.hpp"
-#include "ml/exp.hpp"
-#include "ml/tanh.hpp"
+#include "common/detmath.hpp"
 
 namespace explora::ml::gemm {
-
-const char* to_string(Backend backend) noexcept {
-  switch (backend) {
-    case Backend::kScalar: return "scalar";
-    case Backend::kAvx2: return "avx2";
-    case Backend::kAvx512: return "avx512";
-  }
-  return "?";
-}
 
 void pack(const double* w, std::size_t out, std::size_t in,
           double* panels) noexcept {
@@ -81,14 +70,14 @@ void apply_epilogue(double* dst, const double* acc, const double* bias,
       return;
     case Epilogue::kBiasTanh:
       for (std::size_t l = 0; l < valid; ++l) {
-        dst[l] = fdlibm_tanh(acc[l] + bias[r0 + l]);
+        dst[l] = detmath::tanh(acc[l] + bias[r0 + l]);
       }
       return;
   }
 }
 
 void scalar_exp_array(const double* x, double* y, std::size_t n) noexcept {
-  for (std::size_t i = 0; i < n; ++i) y[i] = glibc_exp(x[i]);
+  for (std::size_t i = 0; i < n; ++i) y[i] = detmath::exp(x[i]);
 }
 
 void scalar_softmax_chosen_lanes(const double* block, std::size_t width,
@@ -103,7 +92,7 @@ void scalar_softmax_chosen_lanes(const double* block, std::size_t width,
     double sum = 0.0;
     double picked = 0.0;
     for (std::size_t j = 0; j < width; ++j) {
-      const double e = glibc_exp(block[j * kLanes + l] - peak);
+      const double e = detmath::exp(block[j * kLanes + l] - peak);
       sum += e;
       if (j == chosen) picked = e;
     }
@@ -112,96 +101,6 @@ void scalar_softmax_chosen_lanes(const double* block, std::size_t width,
 }
 
 }  // namespace detail
-
-namespace {
-
-[[nodiscard]] bool compiled_in(Backend backend) noexcept {
-  switch (backend) {
-    case Backend::kScalar:
-      return true;
-    case Backend::kAvx2:
-#if defined(EXPLORA_SIMD_AVX2)
-      return true;
-#else
-      return false;
-#endif
-    case Backend::kAvx512:
-#if defined(EXPLORA_SIMD_AVX512)
-      return true;
-#else
-      return false;
-#endif
-  }
-  return false;
-}
-
-[[nodiscard]] bool cpu_supports(Backend backend) noexcept {
-  switch (backend) {
-    case Backend::kScalar:
-      return true;
-    case Backend::kAvx2:
-#if defined(__x86_64__) || defined(__i386__)
-      // The tanh epilogue's fused sites (ml/tanh.hpp) are FMA instructions.
-      return __builtin_cpu_supports("avx2") != 0 &&
-             __builtin_cpu_supports("fma") != 0;
-#else
-      return false;
-#endif
-    case Backend::kAvx512:
-#if defined(__x86_64__) || defined(__i386__)
-      return __builtin_cpu_supports("avx512f") != 0;
-#else
-      return false;
-#endif
-  }
-  return false;
-}
-
-[[nodiscard]] Backend detect_backend() noexcept {
-  // Runtime escape hatch mirroring the CMake option, for A/B runs of an
-  // already-built binary. Results are byte-identical either way, so this
-  // only ever changes speed.
-  if (const char* env = std::getenv("EXPLORA_SIMD")) {
-    if (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0 ||
-        std::strcmp(env, "scalar") == 0) {
-      return Backend::kScalar;
-    }
-    // Pin a specific backend by name; silently falls through to auto
-    // detection when it is not available on this build/CPU.
-    for (Backend pin : {Backend::kAvx512, Backend::kAvx2}) {
-      if (std::strcmp(env, to_string(pin)) == 0 && compiled_in(pin) &&
-          cpu_supports(pin)) {
-        return pin;
-      }
-    }
-  }
-  for (Backend best : {Backend::kAvx512, Backend::kAvx2}) {
-    if (compiled_in(best) && cpu_supports(best)) return best;
-  }
-  return Backend::kScalar;
-}
-
-[[nodiscard]] std::atomic<Backend>& backend_slot() noexcept {
-  // Relaxed: any racing reader still gets a valid backend.
-  static std::atomic<Backend> slot{detect_backend()};
-  return slot;
-}
-
-}  // namespace
-
-bool backend_available(Backend backend) noexcept {
-  return compiled_in(backend) && cpu_supports(backend);
-}
-
-Backend active_backend() noexcept {
-  return backend_slot().load(std::memory_order_relaxed);
-}
-
-bool set_backend(Backend backend) noexcept {
-  if (!backend_available(backend)) return false;
-  backend_slot().store(backend, std::memory_order_relaxed);
-  return true;
-}
 
 void run(PanelWeights w, const double* x, std::size_t batch, double* y,
          const double* bias, Epilogue epilogue) {

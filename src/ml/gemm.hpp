@@ -14,36 +14,32 @@
 // r and keeps its own sequential-over-c chain, one aligned panel load per
 // input c) and never accumulate with FMA or horizontal reductions, so
 // their results are byte-identical to the scalar reference on every
-// input. The tanh epilogue is ml::fdlibm_tanh (ml/tanh.hpp) in every
+// input. The tanh epilogue is detmath::tanh (common/detmath.hpp) in every
 // backend: the SIMD ones run a lane-wise copy of its operation sequence,
 // fused sites included. So do exp_array and softmax_chosen_lanes (the
-// SHAP probe softmax) with ml::glibc_exp (ml/exp.hpp). That invariant is
+// SHAP probe softmax) with detmath::exp. That invariant is
 // what keeps golden traces and SHAP attributions unchanged when
 // EXPLORA_SIMD toggles; tests/test_gemm.cpp, tests/test_tanh.cpp and
 // tests/test_exp.cpp enforce it, and tools/lint_determinism.py bans raw
 // intrinsics outside these kernels and libm's tanh and exp under src/.
 //
-// Backend selection: the best compiled-in backend the CPU supports is
-// picked on first use (avx512 > avx2 > scalar); the EXPLORA_SIMD
-// environment variable ("off"/"0"/"scalar" to disable, or a backend name
-// like "avx2" to pin one) and set_backend()/ScopedBackend (tests, benches)
-// override it at runtime. Configure-time: the EXPLORA_SIMD CMake option
-// compiles the SIMD translation units out entirely. On other
-// architectures the scalar kernel runs.
+// Backend selection is the math layer's (common/detmath.hpp): one
+// selection, read by these kernels and by netsim's channel draws alike.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
+#include "common/detmath.hpp"
+
 namespace explora::ml::gemm {
 
-enum class Backend : std::uint8_t {
-  kScalar = 0,
-  kAvx2 = 1,
-  kAvx512 = 2,
-};
-
-[[nodiscard]] const char* to_string(Backend backend) noexcept;
+using detmath::active_backend;
+using detmath::Backend;
+using detmath::backend_available;
+using detmath::ScopedBackend;
+using detmath::set_backend;
+using detmath::to_string;
 
 /// Element-wise finisher fused into the kernel while the output tile is
 /// cache-hot: y = act(acc + bias). kNone ignores `bias` (may be null).
@@ -52,34 +48,6 @@ enum class Epilogue : std::uint8_t {
   kBias = 1,
   kBiasRelu = 2,
   kBiasTanh = 3,
-};
-
-/// True when `backend` is compiled in and supported by this CPU. kScalar
-/// is always available.
-[[nodiscard]] bool backend_available(Backend backend) noexcept;
-
-/// Backend the next run() call dispatches to.
-[[nodiscard]] Backend active_backend() noexcept;
-
-/// Selects the dispatch backend. Returns false (keeping the current one)
-/// when `backend` is unavailable on this build/CPU.
-bool set_backend(Backend backend) noexcept;
-
-/// RAII backend override for tests and benches; restores the previous
-/// backend on destruction. Selecting an unavailable backend is a no-op
-/// (engaged() reports whether the switch took).
-class ScopedBackend {
- public:
-  explicit ScopedBackend(Backend backend) noexcept
-      : previous_(active_backend()), engaged_(set_backend(backend)) {}
-  ~ScopedBackend() { set_backend(previous_); }
-  ScopedBackend(const ScopedBackend&) = delete;
-  ScopedBackend& operator=(const ScopedBackend&) = delete;
-  [[nodiscard]] bool engaged() const noexcept { return engaged_; }
-
- private:
-  Backend previous_;
-  bool engaged_;
 };
 
 /// Output neurons per weight panel: one 512-bit register, or two 256-bit
@@ -121,7 +89,7 @@ void pack(const double* w, std::size_t out, std::size_t in,
 void run(PanelWeights w, const double* x, std::size_t batch, double* y,
          const double* bias, Epilogue epilogue);
 
-/// y[i] = ml::glibc_exp(x[i]) for i < n (ml/exp.hpp), on the active
+/// y[i] = detmath::exp(x[i]) for i < n, on the active
 /// backend's lanes; byte-identical to the scalar port on every backend.
 void exp_array(const double* x, double* y, std::size_t n);
 
@@ -134,7 +102,7 @@ inline constexpr std::size_t kSoftmaxLanes = 8;
 /// of softmax l at block[j * kSoftmaxLanes + l] (so element j of every
 /// lane is one vector load). Each lane runs ml::softmax's arithmetic in
 /// its element order — first-maximum peak scan, exp(v - peak) by
-/// ml::glibc_exp's bits, a sequential sum from 0 — then divides its
+/// detmath::exp's bits, a sequential sum from 0 — then divides its
 /// chosen term by the sum, so probs[l] is bit-identical to element
 /// `chosen` of ml::softmax on lane l.
 void softmax_chosen_lanes(const double* block, std::size_t width,
@@ -146,7 +114,7 @@ namespace detail {
 /// form. Every SIMD backend must match it byte-for-byte.
 void scalar_kernel(PanelWeights w, const double* x, std::size_t batch,
                    double* y, const double* bias, Epilogue epilogue);
-/// Reference exp_array / softmax_chosen_lanes (ml::glibc_exp per
+/// Reference exp_array / softmax_chosen_lanes (detmath::exp per
 /// element); the scalar backend runs these.
 void scalar_exp_array(const double* x, double* y, std::size_t n) noexcept;
 void scalar_softmax_chosen_lanes(const double* block, std::size_t width,

@@ -18,10 +18,10 @@
 // -ffp-contract=off, so the compiler cannot re-fuse the explicit mul/add
 // pairs.
 //
-// The tanh epilogue is tanh4(): a lane-wise copy of ml::fdlibm_tanh's
-// operation sequence (ml/tanh.cpp). Its fused sites are the only FMA
-// instructions here, which is why this backend also requires the CPU's
-// FMA flag (ml/gemm.cpp).
+// The tanh epilogue is tanh4(): a lane-wise copy of detmath::tanh's
+// operation sequence (common/detmath_tanh.cpp). Its fused sites are the
+// only FMA instructions here, which is why this backend also requires the
+// CPU's FMA flag (common/detmath.cpp).
 #include "ml/gemm.hpp"
 
 #if defined(EXPLORA_SIMD_AVX2)
@@ -30,15 +30,14 @@
 
 #include <cstddef>
 
-#include "ml/exp.hpp"
-#include "ml/tanh.hpp"
+#include "common/detmath.hpp"
 
 namespace explora::ml::gemm::detail {
 
 namespace {
 
-using namespace exp_constants;
-using namespace tanh_constants;
+using namespace detmath::exp_constants;
+using namespace detmath::tanh_constants;
 
 constexpr std::size_t kPanel = kPanelWidth;  ///< neurons per packed panel
 constexpr std::size_t kLanes = 4;     ///< doubles per ymm register
@@ -58,7 +57,7 @@ constexpr std::size_t kTileRows = 6;  ///< batch rows per full tile
   return _mm256_cmp_pd(a, set1(bound), _CMP_LT_OQ);
 }
 
-/// fdlibm_tanh on 4 lanes — the AVX2 twin of gemm_avx512.cpp's tanh8, op
+/// detmath::tanh on 4 lanes — the AVX2 twin of gemm_avx512.cpp's tanh8, op
 /// for op. Lanes outside kTanhVectorMin <= |v| < kTanhVectorMax come back
 /// as bits of `scalar_lanes` for the caller to recompute with the scalar
 /// port.
@@ -146,7 +145,7 @@ void store_tanh4(double* dst, __m256d v) {
   alignas(32) double lanes[4];
   _mm256_store_pd(lanes, v);
   for (int l = 0; l < 4; ++l) {
-    if ((scalar_lanes >> l) & 1) dst[l] = fdlibm_tanh(lanes[l]);
+    if ((scalar_lanes >> l) & 1) dst[l] = detmath::tanh(lanes[l]);
   }
 }
 
@@ -249,7 +248,7 @@ void tail_block(std::size_t rows, const double* packed, std::size_t panels,
   }
 }
 
-/// glibc_exp on 4 lanes — the AVX2 twin of gemm_avx512.cpp's exp8, op for
+/// detmath::exp on 4 lanes — the AVX2 twin of gemm_avx512.cpp's exp8, op for
 /// op. Lanes at or above kExpVectorMax, inf and NaN come back as bits of
 /// `scalar_lanes` for the caller to recompute with the scalar port.
 [[nodiscard]] __m256d exp4(__m256d v, int& scalar_lanes) {
@@ -294,7 +293,7 @@ void tail_block(std::size_t rows, const double* packed, std::size_t panels,
   _mm256_store_pd(args, v);
   _mm256_store_pd(lanes, e);
   for (std::size_t l = 0; l < kLanes; ++l) {
-    if ((scalar_lanes >> l) & 1) lanes[l] = glibc_exp(args[l]);
+    if ((scalar_lanes >> l) & 1) lanes[l] = detmath::exp(args[l]);
   }
   return _mm256_load_pd(lanes);
 }
@@ -306,7 +305,7 @@ void avx2_exp_array(const double* x, double* y, std::size_t n) noexcept {
   for (; i + kLanes <= n; i += kLanes) {
     _mm256_storeu_pd(y + i, exp4_exact(_mm256_loadu_pd(x + i)));
   }
-  for (; i < n; ++i) y[i] = glibc_exp(x[i]);
+  for (; i < n; ++i) y[i] = detmath::exp(x[i]);
 }
 
 /// Each element j of the 8 softmaxes is two ymm halves; both halves

@@ -21,8 +21,9 @@
 // compiled with -mavx512f (src/ml/CMakeLists.txt) and, like every TU,
 // -ffp-contract=off.
 //
-// The tanh epilogue is tanh8(): a lane-wise copy of ml::fdlibm_tanh's
-// operation sequence (ml/tanh.cpp), using only AVX512F instructions.
+// The tanh epilogue is tanh8(): a lane-wise copy of detmath::tanh's
+// operation sequence (common/detmath_tanh.cpp), using only AVX512F
+// instructions.
 #include "ml/gemm.hpp"
 
 #if defined(EXPLORA_SIMD_AVX512)
@@ -31,15 +32,14 @@
 
 #include <cstddef>
 
-#include "ml/exp.hpp"
-#include "ml/tanh.hpp"
+#include "common/detmath.hpp"
 
 namespace explora::ml::gemm::detail {
 
 namespace {
 
-using namespace exp_constants;
-using namespace tanh_constants;
+using namespace detmath::exp_constants;
+using namespace detmath::tanh_constants;
 
 constexpr std::size_t kPanel = kPanelWidth;  ///< neurons per packed panel
 constexpr std::size_t kTileRows = 6;    ///< batch rows per full tile
@@ -52,7 +52,7 @@ constexpr std::size_t kTilePanels = 2;  ///< panels per full tile
                                               sign_bits));
 }
 
-/// fdlibm_tanh on 8 lanes, for lanes with kTanhVectorMin <= |v| <
+/// detmath::tanh on 8 lanes, for lanes with kTanhVectorMin <= |v| <
 /// kTanhVectorMax; the caller recomputes the lanes outside that range
 /// (returned in `scalar_lanes`) with the scalar port. fdlibm's branches
 /// become masks: |v| >= 1 takes expm1(2|v|), else expm1(-2|v|), and the
@@ -154,7 +154,7 @@ void store_tanh8(double* dst, __m512d v) {
   _mm512_store_pd(lanes, v);
   const unsigned fallback = scalar_lanes;
   for (std::size_t l = 0; l < kPanel; ++l) {
-    if (((fallback >> l) & 1U) != 0U) dst[l] = fdlibm_tanh(lanes[l]);
+    if (((fallback >> l) & 1U) != 0U) dst[l] = detmath::tanh(lanes[l]);
   }
 }
 
@@ -261,7 +261,7 @@ void tail_block(std::size_t rows, const double* packed, std::size_t panels,
   }
 }
 
-/// glibc_exp on 8 lanes: glibc's main path for kExpVectorMin <= |v| <
+/// detmath::exp on 8 lanes: glibc's main path for kExpVectorMin <= |v| <
 /// kExpVectorMax and 1 + v below it. Lanes at or above kExpVectorMax, inf
 /// and NaN come back set in `scalar_lanes` for the caller to recompute
 /// with the scalar port. The table lookups are two gathers (tail bits and
@@ -310,7 +310,7 @@ void tail_block(std::size_t rows, const double* packed, std::size_t panels,
   _mm512_store_pd(lanes, e);
   const unsigned fallback = scalar_lanes;
   for (std::size_t l = 0; l < kPanel; ++l) {
-    if (((fallback >> l) & 1U) != 0U) lanes[l] = glibc_exp(args[l]);
+    if (((fallback >> l) & 1U) != 0U) lanes[l] = detmath::exp(args[l]);
   }
   return _mm512_load_pd(lanes);
 }
@@ -322,7 +322,7 @@ void avx512_exp_array(const double* x, double* y, std::size_t n) noexcept {
   for (; i + kPanel <= n; i += kPanel) {
     _mm512_storeu_pd(y + i, exp8_exact(_mm512_loadu_pd(x + i)));
   }
-  for (; i < n; ++i) y[i] = glibc_exp(x[i]);
+  for (; i < n; ++i) y[i] = detmath::exp(x[i]);
 }
 
 /// One zmm per element j holds that element of all 8 softmaxes, so the

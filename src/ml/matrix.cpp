@@ -19,22 +19,6 @@ void Matrix::resize(std::size_t rows, std::size_t cols) {
   data_.resize(rows * cols);
 }
 
-void Matrix::multiply_transposed(std::span<const double> x,
-                                 std::span<double> y) const {
-  EXPLORA_EXPECTS_MSG(x.size() == rows_, "x has {} elements, matrix has {} rows",
-                      x.size(), rows_);
-  EXPLORA_EXPECTS_MSG(y.size() == cols_, "y has {} elements, matrix has {} cols",
-                      y.size(), cols_);
-  EXPLORA_AUDIT(contracts::all_finite(x));
-  std::fill(y.begin(), y.end(), 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double* row = data_.data() + r * cols_;
-    const double xr = x[r];
-    if (xr == 0.0) continue;  // det-ok: float-eq (exact-zero skip is bit-safe)
-    for (std::size_t c = 0; c < cols_; ++c) y[c] += row[c] * xr;
-  }
-}
-
 void Matrix::add_outer(double alpha, std::span<const double> u,
                        std::span<const double> v) {
   EXPLORA_EXPECTS_MSG(u.size() == rows_, "u has {} elements, matrix has {} rows",

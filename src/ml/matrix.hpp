@@ -40,9 +40,6 @@ class Matrix {
   /// unspecified afterwards — callers overwrite every cell.
   void resize(std::size_t rows, std::size_t cols);
 
-  /// y = A^T x (x.size() == rows, y.size() == cols).
-  void multiply_transposed(std::span<const double> x,
-                           std::span<double> y) const;
   /// A += alpha * outer(u, v) with u.size() == rows, v.size() == cols.
   void add_outer(double alpha, std::span<const double> u,
                  std::span<const double> v);

@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "common/contracts.hpp"
-#include "ml/exp.hpp"
+#include "common/detmath.hpp"
 #include "ml/gemm.hpp"
 
 namespace explora::ml {
@@ -53,7 +53,7 @@ void softmax(std::span<double> logits) noexcept {
   const double peak = *std::max_element(logits.begin(), logits.end());
   double sum = 0.0;
   for (double& v : logits) {
-    v = glibc_exp(v - peak);
+    v = detmath::exp(v - peak);
     sum += v;
   }
   for (double& v : logits) v /= sum;
@@ -330,8 +330,9 @@ void AdamOptimizer::step() {
     }
   }
   ++t_;
-  const double bias1 = 1.0 - std::pow(config_.beta1, static_cast<double>(t_));
-  const double bias2 = 1.0 - std::pow(config_.beta2, static_cast<double>(t_));
+  const auto t = static_cast<double>(t_);
+  const double bias1 = 1.0 - std::pow(config_.beta1, t);  // det-ok: libm-transcendental (ROADMAP item 3)
+  const double bias2 = 1.0 - std::pow(config_.beta2, t);  // det-ok: libm-transcendental (ROADMAP item 3)
   for (std::size_t i = 0; i < params_.size(); ++i) {
     const double g = *grads_[i];
     m_[i] = config_.beta1 * m_[i] + (1.0 - config_.beta1) * g;

@@ -25,7 +25,7 @@ void apply_activation_grad(Activation act, std::span<const double> activated,
                            std::span<double> grad) noexcept;
 
 /// Numerically stable in-place softmax: exp(v - max) / sum, with the
-/// repo's exp (ml::glibc_exp), so its bits do not depend on the host libm.
+/// repo's exp (detmath::exp), so its bits do not depend on the host libm.
 void softmax(std::span<double> logits) noexcept;
 
 /// Fully-connected layer y = act(Wx + b) with gradient accumulation.

@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "common/contracts.hpp"
+#include "common/detmath.hpp"
 #include "netsim/types.hpp"
 
 namespace explora::ml {
@@ -167,7 +168,7 @@ PolicyDecision PpoAgent::decide(
         probs.subspan(offsets[h], offsets[h + 1] - offsets[h]);
     chosen[h] = choose(head);
     const double p = std::max(head[chosen[h]], kProbFloor);
-    decision.log_prob += std::log(p);
+    decision.log_prob += detmath::log(p);
     decision.head_probs[h] = head[chosen[h]];
   }
   decision.action.prb_choice = chosen[0];
@@ -250,9 +251,10 @@ double PpoAgent::update(const RolloutBuffer& buffer) {
         const auto chosen = head_choices(step.action);
         double new_log_prob = 0.0;
         for (std::size_t h = 0; h < kNumHeads; ++h) {
-          new_log_prob += std::log(std::max(heads[h][chosen[h]], kProbFloor));
+          new_log_prob +=
+              detmath::log(std::max(heads[h][chosen[h]], kProbFloor));
         }
-        const double ratio = std::exp(new_log_prob - step.log_prob);  // det-ok: libm-transcendental (ROADMAP item 3)
+        const double ratio = detmath::exp(new_log_prob - step.log_prob);
         const double clipped = std::clamp(ratio, 1.0 - config_.clip_epsilon,
                                           1.0 + config_.clip_epsilon);
         const double surrogate =
@@ -271,8 +273,8 @@ double PpoAgent::update(const RolloutBuffer& buffer) {
           double mean_logp_term = 0.0;
           for (std::size_t j = 0; j < p.size(); ++j) {
             const double pj = std::max(p[j], kProbFloor);
-            h_ent -= pj * std::log(pj);
-            mean_logp_term += pj * std::log(pj);
+            h_ent -= pj * detmath::log(pj);
+            mean_logp_term += pj * detmath::log(pj);
           }
           entropy += h_ent;
           for (std::size_t j = 0; j < p.size(); ++j) {
@@ -281,7 +283,7 @@ double PpoAgent::update(const RolloutBuffer& buffer) {
             const double dlogp =
                 (j == chosen[h] ? 1.0 : 0.0) - p[j];
             // dH/dlogit_j = -p_j (log p_j - sum_k p_k log p_k)
-            const double dent = -pj * (std::log(pj) - mean_logp_term);
+            const double dent = -pj * (detmath::log(pj) - mean_logp_term);
             // Loss = -(surrogate + entropy_coef * H); average over batch.
             logit_grad[offsets[h] + j] =
                 -(dsurr_dlogp * dlogp + config_.entropy_coef * dent) /

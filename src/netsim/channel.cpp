@@ -7,6 +7,7 @@
 #include <functional>
 
 #include "common/contracts.hpp"
+#include "netsim/kpi.hpp"
 #include "netsim/types.hpp"
 
 namespace explora::netsim {
@@ -109,13 +110,13 @@ void UeChannel::set_distance(double distance_m) {
   EXPLORA_EXPECTS(distance_m > 1.0);
   distance_m_ = distance_m;
   // Log-distance path loss (3GPP macro): 128.1 + 37.6 log10(d/km).
-  const double pl_db = 128.1 + 37.6 * std::log10(distance_m_ / 1000.0);
+  const double pl_db = 128.1 + 37.6 * std::log10(distance_m_ / 1000.0);  // det-ok: libm-transcendental (ROADMAP item 3)
   // Noise over one PRB (180 kHz) plus receiver noise figure.
   const double noise_dbm =
-      -174.0 + 10.0 * std::log10(180e3) + config_.noise_figure_db;
+      -174.0 + 10.0 * std::log10(180e3) + config_.noise_figure_db;  // det-ok: libm-transcendental (ROADMAP item 3)
   // Power is split evenly across the carrier's PRBs.
   const double tx_per_prb_dbm =
-      config_.tx_power_dbm - 10.0 * std::log10(static_cast<double>(kTotalPrbs));
+      config_.tx_power_dbm - 10.0 * std::log10(static_cast<double>(kTotalPrbs));  // det-ok: libm-transcendental (ROADMAP item 3)
   mean_snr_db_ = tx_per_prb_dbm - pl_db - noise_dbm;
   refresh_sinr();
 }
@@ -128,31 +129,97 @@ void UeChannel::set_mobility(const MobilityConfig& mobility) {
 }
 
 void UeChannel::advance() noexcept {
-  if (mobility_.speed_mps > 0.0 && ++ttis_since_move_ >= 1000) {
+  UeChannel* self = this;
+  advance_all(std::span<UeChannel* const>(&self, 1));
+}
+
+namespace {
+
+/// Channels advance_all() takes at a time: a whole cell (three slices of
+/// kMaxUesPerSlice UEs) is one chunk, and the scratch is on the stack.
+constexpr std::size_t kAdvanceChunk = 3 * kMaxUesPerSlice;
+
+}  // namespace
+
+void UeChannel::advance_all(std::span<UeChannel* const> channels) noexcept {
+  for (std::size_t base = 0; base < channels.size(); base += kAdvanceChunk) {
+    const auto chunk = channels.subspan(
+        base, std::min(kAdvanceChunk, channels.size() - base));
+    // Scratch for the channels that draw in one phase; only the first n
+    // entries are ever read.
+    UeChannel* drawing[kAdvanceChunk];
+    common::Rng* streams[kAdvanceChunk];
+    double draws[kAdvanceChunk];
+    std::size_t n = 0;
+    const auto draw = [&](auto batch) {
+      if (n != 0) {
+        batch(std::span<common::Rng* const>(streams, n),
+              std::span<double>(draws, n));
+      }
+    };
+
     // One mobility step per simulated second.
-    ttis_since_move_ = 0;
-    double next = distance_m_ + rng_.normal(0.0, mobility_.speed_mps);
-    if (next < mobility_.min_distance_m) {
-      next = 2.0 * mobility_.min_distance_m - next;
+    for (UeChannel* channel : chunk) {
+      if (channel->mobility_.speed_mps > 0.0 &&
+          ++channel->ttis_since_move_ >= 1000) {
+        channel->ttis_since_move_ = 0;
+        drawing[n] = channel;
+        streams[n++] = &channel->rng_;
+      }
     }
-    if (next > mobility_.max_distance_m) {
-      next = 2.0 * mobility_.max_distance_m - next;
+    draw(common::Rng::normals);
+    for (std::size_t i = 0; i < n; ++i) {
+      UeChannel& channel = *drawing[i];
+      const MobilityConfig& mobility = channel.mobility_;
+      // Rng::normal(0, speed)'s arithmetic.
+      double next = channel.distance_m_ + (0.0 + mobility.speed_mps * draws[i]);
+      if (next < mobility.min_distance_m) {
+        next = 2.0 * mobility.min_distance_m - next;
+      }
+      if (next > mobility.max_distance_m) {
+        next = 2.0 * mobility.max_distance_m - next;
+      }
+      channel.set_distance(
+          std::clamp(next, mobility.min_distance_m, mobility.max_distance_m));
     }
-    set_distance(std::clamp(next, mobility_.min_distance_m,
-                            mobility_.max_distance_m));
+
+    // AR(1) shadowing every TTI.
+    n = 0;
+    for (UeChannel* channel : chunk) {
+      if (!channel->config_.fading_enabled) continue;
+      drawing[n] = channel;
+      streams[n++] = &channel->rng_;
+    }
+    draw(common::Rng::normals);
+    for (std::size_t i = 0; i < n; ++i) {
+      UeChannel& channel = *drawing[i];
+      channel.shadowing_db_ =
+          channel.config_.shadowing_rho * channel.shadowing_db_ +
+          (0.0 + channel.innovation_sigma_ * draws[i]);
+    }
+
+    // A Rayleigh power gain at each fading block boundary.
+    const std::size_t shadowed = n;
+    n = 0;
+    for (std::size_t i = 0; i < shadowed; ++i) {
+      UeChannel* channel = drawing[i];
+      if (++channel->ttis_into_block_ >= channel->config_.fading_block_ttis) {
+        channel->ttis_into_block_ = 0;
+        drawing[n] = channel;
+        streams[n++] = &channel->rng_;
+      }
+    }
+    draw(common::Rng::exponentials);
+    for (std::size_t i = 0; i < n; ++i) drawing[i]->set_fading_gain(draws[i]);
+
+    for (UeChannel* channel : chunk) {
+      if (channel->config_.fading_enabled) channel->refresh_sinr();
+    }
   }
-  if (!config_.fading_enabled) return;
-  shadowing_db_ = config_.shadowing_rho * shadowing_db_ +
-                  rng_.normal(0.0, innovation_sigma_);
-  if (++ttis_into_block_ >= config_.fading_block_ttis) {
-    ttis_into_block_ = 0;
-    set_fading_gain(rng_.exponential(1.0));  // Rayleigh power gain
-  }
-  refresh_sinr();
 }
 
 void UeChannel::set_fading_gain(double gain) noexcept {
-  fading_db_ = 10.0 * std::log10(std::max(gain, 1e-6));
+  fading_db_ = 10.0 * std::log10(std::max(gain, 1e-6));  // det-ok: libm-transcendental (ROADMAP item 3)
 }
 
 void UeChannel::refresh_sinr() noexcept {

@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "common/rng.hpp"
 #include "netsim/types.hpp"
@@ -52,8 +53,17 @@ class UeChannel {
   /// Enables mobility (disabled by default).
   void set_mobility(const MobilityConfig& mobility);
 
-  /// Evolves shadowing each TTI and redraws fading at block boundaries.
+  /// Evolves shadowing each TTI and redraws fading at block boundaries:
+  /// advance_all() over this channel alone.
   void advance() noexcept;
+
+  /// Advances every channel by one TTI, bit for bit as advance() on each
+  /// in turn: each channel's own stream draws its mobility step, then its
+  /// shadowing innovation, then its fading gain. Each kind of draw runs as
+  /// one batch over the channels that make it (common::Rng::normals and
+  /// exponentials), so a cell's Box-Muller logs and sincos run in SIMD
+  /// lanes. The channels must be distinct. Allocates nothing.
+  static void advance_all(std::span<UeChannel* const> channels) noexcept;
 
   /// Current post-fading SINR in dB.
   [[nodiscard]] double sinr_db() const noexcept { return sinr_db_; }

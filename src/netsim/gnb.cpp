@@ -69,8 +69,10 @@ void Gnb::flush_telemetry() noexcept {
 
 void Gnb::rebuild_slice_index() {
   for (auto& list : slice_ues_) list.clear();
+  channels_.clear();
   for (const auto& ue : ues_) {
     slice_ues_[static_cast<std::size_t>(ue->slice())].push_back(ue.get());
+    channels_.push_back(&ue->channel());
   }
 }
 
@@ -105,7 +107,10 @@ void Gnb::apply_control(const SlicingControl& control) {
 }
 
 void Gnb::run_tti() {
-  for (auto& ue : ues_) ue->begin_tti(now_);
+  // Each UE's channel and traffic draw from streams of their own, so
+  // advancing all channels before any arrival keeps every stream's order.
+  UeChannel::advance_all(channels_);
+  for (auto& ue : ues_) ue->pull_arrivals(now_);
   for (std::size_t s = 0; s < kNumSlices; ++s) {
     auto& ues = slice_ues_[s];
     if (ues.empty()) continue;

@@ -39,7 +39,8 @@ class Gnb {
     return control_;
   }
 
-  /// Advances one TTI: traffic arrivals, channel evolution, per-slice
+  /// Advances one TTI: every channel in one batched pass
+  /// (UeChannel::advance_all), then traffic arrivals, then per-slice
   /// scheduling under the current control.
   void run_tti();
 
@@ -61,6 +62,7 @@ class Gnb {
 
  private:
   std::vector<std::unique_ptr<Ue>> ues_;
+  std::vector<UeChannel*> channels_;  ///< ues_'s channels, in ues_ order
   PerSlice<std::vector<Ue*>> slice_ues_{};
   PerSlice<std::unique_ptr<Scheduler>> schedulers_{};
   SlicingControl control_{};

@@ -20,6 +20,10 @@ Ue::Ue(std::uint32_t id, Slice slice, UeChannel channel,
 
 void Ue::begin_tti(Tick now) {
   channel_.advance();
+  pull_arrivals(now);
+}
+
+void Ue::pull_arrivals(Tick now) {
   const ArrivalBatch batch = traffic_->arrivals(now);
   if (batch.packets == 0) return;
   const std::uint32_t packet_size =

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/contracts.hpp"
+#include "common/detmath.hpp"
 #include "ml/nn.hpp"
 
 namespace explora::xai {
@@ -32,7 +33,7 @@ void GradientBoostedClassifier::fit(const Dataset& data,
     for (std::size_t label : data.labels) freq[label] += 1.0;
     for (std::size_t c = 0; c < num_classes_; ++c) {
       base_scores_[c] =
-          std::log(std::max(freq[c] / static_cast<double>(n), 1e-6));
+          detmath::log(std::max(freq[c] / static_cast<double>(n), 1e-6));
     }
   }
 

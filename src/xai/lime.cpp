@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/contracts.hpp"
+#include "common/detmath.hpp"
 
 namespace explora::xai {
 
@@ -98,7 +99,7 @@ Vector LimeExplainer::explain(const Vector& x, std::size_t output_index) {
 
   for (std::size_t s = 0; s < config_.samples; ++s) {
     const auto probe = probes.data().subspan(s * num_features, num_features);
-    const double weight = std::exp(  // det-ok: libm-transcendental (ROADMAP item 3)
+    const double weight = detmath::exp(
         -distance_sq[s] / (config_.kernel_width * config_.kernel_width));
 
     Sample sample;

@@ -5,9 +5,11 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cfloat>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -121,6 +123,42 @@ TEST(UeChannel, SetDistanceUpdatesSinr) {
   channel.set_distance(1000.0);
   // Log-distance path loss: doubling distance costs 37.6*log10(2) = 11.3 dB.
   EXPECT_NEAR(before - channel.sinr_db(), 37.6 * 0.30103, 0.01);
+}
+
+// One batched pass over a cell equals advancing each channel alone, bit for
+// bit, with mobility steps and fading blocks falling on different TTIs and
+// one channel without fading in the batch.
+TEST(UeChannel, AdvanceAllMatchesAdvancingEachChannel) {
+  ChannelConfig fading;  // fading on
+  ChannelConfig still = deterministic_config();
+  MobilityConfig moving;
+  moving.speed_mps = 30.0;
+  std::vector<UeChannel> batched;
+  std::vector<UeChannel> alone;
+  for (std::size_t i = 0; i < 7; ++i) {
+    fading.fading_block_ttis = static_cast<Tick>(3 + i);
+    const ChannelConfig& config = i == 4 ? still : fading;
+    batched.emplace_back(200.0 + 150.0 * static_cast<double>(i), config,
+                         common::Rng(40 + i));
+    alone.emplace_back(200.0 + 150.0 * static_cast<double>(i), config,
+                       common::Rng(40 + i));
+    if (i % 3 == 0) {
+      batched.back().set_mobility(moving);
+      alone.back().set_mobility(moving);
+    }
+  }
+  std::vector<UeChannel*> cell;
+  for (auto& channel : batched) cell.push_back(&channel);
+  for (int tti = 0; tti < 2500; ++tti) {
+    UeChannel::advance_all(cell);
+    for (auto& channel : alone) channel.advance();
+    for (std::size_t i = 0; i < cell.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(batched[i].sinr_db()),
+                std::bit_cast<std::uint64_t>(alone[i].sinr_db()))
+          << "tti " << tti << ", channel " << i;
+      ASSERT_EQ(batched[i].distance_m(), alone[i].distance_m());
+    }
+  }
 }
 
 TEST(UeChannel, FadingVariesSinr) {

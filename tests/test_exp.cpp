@@ -1,9 +1,9 @@
-// The repo's one exp (ml/exp.hpp): its bits over a seeded sweep are pinned
-// by a committed digest, every backend's lanes must be byte-identical to
+// The repo's one exp (common/detmath.hpp): its bits over a seeded sweep are
+// pinned by a committed digest, every backend's lanes must be identical to
 // the scalar port, its error against expl is bounded, the special cases
 // keep glibc's results, and the lane-wise probe softmax (softmax_chosen)
 // matches ml::softmax bit for bit on batch tails and fallback lanes.
-#include "ml/exp.hpp"
+#include "common/detmath.hpp"
 
 #include <gtest/gtest.h>
 
@@ -24,7 +24,6 @@
 namespace explora {
 namespace {
 
-using ml::glibc_exp;
 
 constexpr ml::gemm::Backend kBackends[] = {
     ml::gemm::Backend::kScalar, ml::gemm::Backend::kAvx2,
@@ -81,7 +80,7 @@ std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
 /// FNV-1a over the result bytes of exp on sweep(), generated once by
 /// hashing std::exp of glibc 2.36 (x86-64, FMA variant) in place of
-/// glibc_exp below — the libm the golden traces were recorded with.
+/// detmath::exp below — the libm the golden traces were recorded with.
 constexpr std::uint64_t kSweepDigest = 0xc2123042b7d671ceULL;
 
 TEST(Exp, SweepBitsMatchPinnedDigest) {
@@ -89,7 +88,7 @@ TEST(Exp, SweepBitsMatchPinnedDigest) {
   ASSERT_GE(xs.size(), std::size_t{1000000});
   std::vector<double> ys;
   ys.reserve(xs.size());
-  for (const double x : xs) ys.push_back(glibc_exp(x));
+  for (const double x : xs) ys.push_back(detmath::exp(x));
   EXPECT_EQ(fnv1a(ys), kSweepDigest);
 }
 
@@ -106,7 +105,7 @@ TEST(Exp, EveryBackendLanesMatchScalarPort) {
     xs.push_back(special);
   }
   std::vector<double> expected(xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) expected[i] = glibc_exp(xs[i]);
+  for (std::size_t i = 0; i < xs.size(); ++i) expected[i] = detmath::exp(xs[i]);
   std::vector<double> ys(xs.size());
   for (const auto backend : kBackends) {
     ml::gemm::ScopedBackend forced(backend);
@@ -128,7 +127,7 @@ TEST(Exp, WithinOneUlpOfExpl) {
   long double worst = 0.0L;
   for (const double x : sweep()) {
     const long double reference = std::exp(static_cast<long double>(x));
-    const double y = glibc_exp(x);
+    const double y = detmath::exp(x);
     if (reference == 0.0L || std::isinf(y)) continue;
     // One ulp of the double nearest the reference (subnormals included).
     const int exponent =
@@ -146,25 +145,25 @@ TEST(Exp, WithinOneUlpOfExpl) {
 
 TEST(Exp, SpecialCases) {
   const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_EQ(bits(glibc_exp(0.0)), bits(1.0));
-  EXPECT_EQ(bits(glibc_exp(-0.0)), bits(1.0));
-  EXPECT_EQ(bits(glibc_exp(0x1p-60)), bits(1.0));
-  EXPECT_EQ(bits(glibc_exp(-0x1p-60)), bits(1.0));
-  EXPECT_EQ(bits(glibc_exp(1.0)), bits(0x1.5bf0a8b145769p+1));
+  EXPECT_EQ(bits(detmath::exp(0.0)), bits(1.0));
+  EXPECT_EQ(bits(detmath::exp(-0.0)), bits(1.0));
+  EXPECT_EQ(bits(detmath::exp(0x1p-60)), bits(1.0));
+  EXPECT_EQ(bits(detmath::exp(-0x1p-60)), bits(1.0));
+  EXPECT_EQ(bits(detmath::exp(1.0)), bits(0x1.5bf0a8b145769p+1));
   // Results at the bottom of the normal range, subnormal, and the last
   // nonzero one; then overflow's edge. Pinned from glibc 2.36's std::exp.
-  EXPECT_EQ(bits(glibc_exp(-708.4)), bits(0x0.ff15b469edf89p-1022));
-  EXPECT_EQ(bits(glibc_exp(-720.0)), bits(0x0.0000993b4dc95p-1022));
-  EXPECT_EQ(bits(glibc_exp(-745.13)), bits(0x0.0000000000001p-1022));
-  EXPECT_EQ(bits(glibc_exp(-746.0)), bits(0.0));
-  EXPECT_EQ(bits(glibc_exp(709.78)), bits(0x1.fe9ce5c4c52b4p+1023));
-  EXPECT_EQ(glibc_exp(709.79), inf);
-  EXPECT_EQ(glibc_exp(inf), inf);
-  EXPECT_EQ(bits(glibc_exp(-inf)), bits(0.0));
-  EXPECT_TRUE(std::isnan(glibc_exp(std::nan(""))));
-  EXPECT_TRUE(std::isnan(glibc_exp(-std::nan(""))));
+  EXPECT_EQ(bits(detmath::exp(-708.4)), bits(0x0.ff15b469edf89p-1022));
+  EXPECT_EQ(bits(detmath::exp(-720.0)), bits(0x0.0000993b4dc95p-1022));
+  EXPECT_EQ(bits(detmath::exp(-745.13)), bits(0x0.0000000000001p-1022));
+  EXPECT_EQ(bits(detmath::exp(-746.0)), bits(0.0));
+  EXPECT_EQ(bits(detmath::exp(709.78)), bits(0x1.fe9ce5c4c52b4p+1023));
+  EXPECT_EQ(detmath::exp(709.79), inf);
+  EXPECT_EQ(detmath::exp(inf), inf);
+  EXPECT_EQ(bits(detmath::exp(-inf)), bits(0.0));
+  EXPECT_TRUE(std::isnan(detmath::exp(std::nan(""))));
+  EXPECT_TRUE(std::isnan(detmath::exp(-std::nan(""))));
   for (const double x : {-708.4, -720.0, -745.13}) {
-    EXPECT_EQ(std::fpclassify(glibc_exp(x)), FP_SUBNORMAL) << x;
+    EXPECT_EQ(std::fpclassify(detmath::exp(x)), FP_SUBNORMAL) << x;
   }
 }
 

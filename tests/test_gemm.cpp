@@ -16,7 +16,7 @@
 #include "common/serialize.hpp"
 #include "ml/matrix.hpp"
 #include "ml/nn.hpp"
-#include "ml/tanh.hpp"
+#include "common/detmath.hpp"
 #include "xai/shap.hpp"
 
 namespace explora {
@@ -36,8 +36,9 @@ std::vector<Backend> simd_backends() {
 
 /// Naive triple loop in the contract's reduction order over row-major
 /// weights — deliberately separate from detail::scalar_kernel and the
-/// panel layout, so the reference cannot share a bug with either. Its tanh is the repo's port, not the
-/// host libm's, so the oracle means the same on every host.
+/// panel layout, so the reference cannot share a bug with either. Its tanh
+/// is the repo's port, not the host libm's, so the oracle means the same on
+/// every host.
 std::vector<double> naive_reference(const std::vector<double>& w,
                                     std::size_t out, std::size_t in,
                                     const std::vector<double>& x,
@@ -54,7 +55,7 @@ std::vector<double> naive_reference(const std::vector<double>& w,
       double v = acc;
       if (epilogue != Epilogue::kNone) v += bias[r];
       if (epilogue == Epilogue::kBiasRelu) v = v > 0.0 ? v : 0.0;
-      if (epilogue == Epilogue::kBiasTanh) v = ml::fdlibm_tanh(v);
+      if (epilogue == Epilogue::kBiasTanh) v = detmath::tanh(v);
       y[b * out + r] = v;
     }
   }

@@ -34,16 +34,21 @@ TEST(DenseLayer, ForwardKnownValues) {
   EXPECT_DOUBLE_EQ(y[1], -3.0);
 }
 
-TEST(Matrix, MultiplyTransposedKnownValues) {
-  Matrix m(2, 3);
-  m(0, 0) = 1; m(0, 1) = 2; m(0, 2) = 3;
-  m(1, 0) = 4; m(1, 1) = 5; m(1, 2) = 6;
-  Vector x{1.0, -1.0};
-  Vector y(3, 0.0);
-  m.multiply_transposed(x, y);
-  EXPECT_DOUBLE_EQ(y[0], -3.0);
-  EXPECT_DOUBLE_EQ(y[1], -3.0);
-  EXPECT_DOUBLE_EQ(y[2], -3.0);
+// The input gradient is W^T grad_out, read off the weight panels.
+TEST(DenseLayer, BackwardInputGradientKnownValues) {
+  common::Rng rng(1);
+  DenseLayer layer(3, 2, Activation::kLinear, rng);
+  // W = [[1 2 3], [4 5 6]], b = [0, 0]
+  set_parameters(layer, {1, 2, 3, 4, 5, 6, 0, 0});
+  const Vector x{0.0, 0.0, 0.0};
+  Vector activated(2, 0.0);
+  layer.forward(x, activated);
+  Vector grad_out{1.0, -1.0};
+  Vector grad_in(3, 0.0);
+  layer.backward(x, activated, grad_out, grad_in);
+  EXPECT_DOUBLE_EQ(grad_in[0], -3.0);
+  EXPECT_DOUBLE_EQ(grad_in[1], -3.0);
+  EXPECT_DOUBLE_EQ(grad_in[2], -3.0);
 }
 
 TEST(Matrix, AddOuter) {

@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <vector>
+
+#include "common/detmath.hpp"
 
 namespace explora::common {
 namespace {
@@ -115,6 +119,63 @@ TEST(Rng, ExponentialMeanIsInverseRate) {
     sum += x;
   }
   EXPECT_NEAR(sum / n, 0.25, 0.01);
+}
+
+/// Runs `rounds` batched draws over changing subsets of `count` streams,
+/// half of them starting with a cached normal, and checks each output
+/// against the same draw made one at a time on a twin stream.
+template <typename Batch, typename Scalar>
+void expect_batched_matches_scalar(Batch batch, Scalar scalar) {
+  constexpr std::size_t kStreams = 19;  // more than one 16-stream chunk
+  for (const auto backend :
+       {detmath::Backend::kScalar, detmath::Backend::kAvx2,
+        detmath::Backend::kAvx512}) {
+    detmath::ScopedBackend forced(backend);
+    if (!forced.engaged()) continue;
+    SCOPED_TRACE(detmath::to_string(backend));
+    std::vector<Rng> batched;
+    std::vector<Rng> twins;
+    for (std::size_t i = 0; i < kStreams; ++i) {
+      batched.emplace_back(0xb00 + i);
+      twins.emplace_back(0xb00 + i);
+      if (i % 2 == 1) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(batched.back().normal()),
+                  std::bit_cast<std::uint64_t>(twins.back().normal()));
+      }
+    }
+    for (std::size_t round = 0; round < 300; ++round) {
+      std::vector<Rng*> streams;
+      std::vector<std::size_t> ids;
+      for (std::size_t i = 0; i < kStreams; ++i) {
+        if ((round + i) % 5 == 0) continue;  // sits this round out
+        streams.push_back(&batched[i]);
+        ids.push_back(i);
+      }
+      std::vector<double> out(streams.size());
+      batch(streams, out);
+      for (std::size_t j = 0; j < ids.size(); ++j) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(out[j]),
+                  std::bit_cast<std::uint64_t>(scalar(twins[ids[j]])))
+            << "round " << round << ", stream " << ids[j];
+      }
+    }
+  }
+}
+
+TEST(Rng, BatchedNormalsMatchScalarDraws) {
+  expect_batched_matches_scalar(
+      [](std::span<Rng* const> streams, std::span<double> out) {
+        Rng::normals(streams, out);
+      },
+      [](Rng& rng) { return rng.normal(); });
+}
+
+TEST(Rng, BatchedExponentialsMatchScalarDraws) {
+  expect_batched_matches_scalar(
+      [](std::span<Rng* const> streams, std::span<double> out) {
+        Rng::exponentials(streams, out);
+      },
+      [](Rng& rng) { return rng.exponential(1.0); });
 }
 
 TEST(Rng, PoissonZeroMean) {

@@ -1,8 +1,8 @@
-// The repo's one tanh (ml/tanh.hpp): its bits over a seeded sweep are
+// The repo's one tanh (common/detmath.hpp): its bits over a seeded sweep are
 // pinned by a committed digest, every GEMM backend's tanh epilogue must be
 // byte-identical to the scalar port, its error against tanhl is bounded,
 // and the special cases keep fdlibm's semantics.
-#include "ml/tanh.hpp"
+#include "common/detmath.hpp"
 
 #include <gtest/gtest.h>
 
@@ -22,7 +22,6 @@
 namespace explora {
 namespace {
 
-using ml::fdlibm_tanh;
 
 /// Seeded inputs: 8192 uniform mantissas in every binade [2^e, 2^(e+1))
 /// for e = -60..5 and both signs (1,081,344 values), then the 64
@@ -30,7 +29,7 @@ using ml::fdlibm_tanh;
 /// 1 and 22, |2x| at expm1's 0.5 ln2 and 1.5 ln2 reduction edges, and the
 /// |x| where expm1's k reaches 20 and passes 56.
 std::vector<double> sweep() {
-  using namespace ml::tanh_constants;
+  using namespace detmath::tanh_constants;
   common::Rng rng(0x7a4e);
   std::vector<double> xs;
   for (int e = -60; e <= 5; ++e) {
@@ -66,7 +65,7 @@ std::uint64_t fnv1a(const std::vector<double>& values) {
 
 /// FNV-1a over the result bytes of tanh on sweep(), generated once by
 /// hashing std::tanh of glibc 2.36 (x86-64, FMA variant) in place of
-/// fdlibm_tanh below — the libm the golden traces were recorded with.
+/// detmath::tanh below — the libm the golden traces were recorded with.
 constexpr std::uint64_t kSweepDigest = 0x5590b6fa6864f400ULL;
 
 TEST(Tanh, SweepBitsMatchPinnedDigest) {
@@ -74,7 +73,7 @@ TEST(Tanh, SweepBitsMatchPinnedDigest) {
   ASSERT_GE(xs.size(), std::size_t{1} << 20);
   std::vector<double> ys;
   ys.reserve(xs.size());
-  for (const double x : xs) ys.push_back(fdlibm_tanh(x));
+  for (const double x : xs) ys.push_back(detmath::tanh(x));
   EXPECT_EQ(fnv1a(ys), kSweepDigest);
 }
 
@@ -110,7 +109,7 @@ TEST(Tanh, EveryBackendEpilogueMatchesScalarPort) {
     for (std::size_t first = 0; first < values.size(); first += kOut) {
       for (std::size_t r = 0; r < kOut; ++r) {
         bias[r] = values[(first + r) % values.size()];
-        expected[r] = fdlibm_tanh(0.0 + bias[r]);
+        expected[r] = detmath::tanh(0.0 + bias[r]);
       }
       ml::gemm::run({panels.data(), kOut, 1}, x.data(), kBatch, y.data(),
                     bias.data(), ml::gemm::Epilogue::kBiasTanh);
@@ -135,7 +134,7 @@ TEST(Tanh, WithinThreeUlpOfTanhl) {
         1.0L, std::ilogb(static_cast<double>(reference)) -
                   (std::numeric_limits<double>::digits - 1));
     const long double error =
-        std::fabs(static_cast<long double>(fdlibm_tanh(x)) - reference) / ulp;
+        std::fabs(static_cast<long double>(detmath::tanh(x)) - reference) / ulp;
     if (error > worst) worst = error;
   }
   RecordProperty("max_ulp", std::to_string(static_cast<double>(worst)));
@@ -144,24 +143,24 @@ TEST(Tanh, WithinThreeUlpOfTanhl) {
 
 TEST(Tanh, SpecialCases) {
   const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(fdlibm_tanh(0.0)),
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(detmath::tanh(0.0)),
             std::bit_cast<std::uint64_t>(0.0));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(fdlibm_tanh(-0.0)),
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(detmath::tanh(-0.0)),
             std::bit_cast<std::uint64_t>(-0.0));
-  EXPECT_EQ(fdlibm_tanh(inf), 1.0);
-  EXPECT_EQ(fdlibm_tanh(-inf), -1.0);
+  EXPECT_EQ(detmath::tanh(inf), 1.0);
+  EXPECT_EQ(detmath::tanh(-inf), -1.0);
   for (const double big : {22.0, 22.5, 700.0, 1e300,
                            std::numeric_limits<double>::max()}) {
-    EXPECT_EQ(fdlibm_tanh(big), 1.0) << big;
-    EXPECT_EQ(fdlibm_tanh(-big), -1.0) << big;
+    EXPECT_EQ(detmath::tanh(big), 1.0) << big;
+    EXPECT_EQ(detmath::tanh(-big), -1.0) << big;
   }
-  EXPECT_TRUE(std::isnan(fdlibm_tanh(std::nan(""))));
-  EXPECT_TRUE(std::isnan(fdlibm_tanh(-std::nan(""))));
+  EXPECT_TRUE(std::isnan(detmath::tanh(std::nan(""))));
+  EXPECT_TRUE(std::isnan(detmath::tanh(-std::nan(""))));
   for (const double tiny : {0x1.fffffffffffffp-56, 0x1p-60, 1e-300,
                             std::numeric_limits<double>::min(), 1e-310,
                             std::numeric_limits<double>::denorm_min()}) {
     for (const double x : {tiny, -tiny}) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(fdlibm_tanh(x)),
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(detmath::tanh(x)),
                 std::bit_cast<std::uint64_t>(x * (1.0 + x)))
           << x;
     }

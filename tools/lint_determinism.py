@@ -30,24 +30,27 @@ artifacts. This lint bans the constructs that historically break it:
                      snapshots serialise by iterating their containers, so
                      even declaring one risks ordering leaking into goldens
   simd-intrinsic     raw SIMD intrinsics (immintrin.h/arm_neon.h, _mm*/__m*,
-                     NEON vector ops) outside the approved GEMM kernel files
-                     (src/ml/gemm_<isa>.cpp) - ad-hoc vectorization is how
+                     NEON vector ops) outside the approved kernel files
+                     (src/ml/gemm_<isa>.cpp, src/common/detmath_<isa>.cpp)
+                     - ad-hoc vectorization is how
                      FMA/reassociation sneaks in and silently breaks the
                      byte-identity contract of DESIGN.md §10; new kernels
                      must live in an approved file and be covered by
-                     tests/test_gemm.cpp
-  libm-transcendental  tanh and exp from libm under src/, in any spelling
-                     (std::, ::, bare, the f/l variants, __builtin_) - the
-                     host libm's bits vary with the libm version and the
-                     CPU's FMA support, and golden traces pin them; every
-                     tanh runs ml::fdlibm_tanh (ml/tanh.hpp) and every exp
-                     ml::glibc_exp (ml/exp.hpp), or their lane-wise copies
-                     in the gemm_<isa>.cpp kernels. The libm exp sites that
-                     remain (ROADMAP item 3) carry det-ok markers
+                     tests/test_gemm.cpp or tests/test_detmath.cpp
+  libm-transcendental  tanh, exp, log, sin, cos, sincos, log10 and pow from
+                     libm under src/, in any spelling (std::, ::, bare, the
+                     f/l variants, __builtin_; a bare logf is the repo's
+                     logger, common::logf) - the host libm's bits vary with
+                     the libm version and the CPU's FMA support, and golden
+                     traces pin them; every tanh, exp, log and sincos runs
+                     the repo's math layer (common/detmath.hpp, whose own
+                     files are exempt) or its lane-wise copies. The libm
+                     log10 and pow sites that remain (ROADMAP item 3) carry
+                     det-ok markers
   concurrency-home   std::atomic*, the std:: mutex / lock / condition-variable
                      family and the __atomic_*/__sync_* builtins anywhere in
                      src/ outside CONCURRENCY_HOME (the pool, telemetry, the
-                     log sink, the contract slots and the GEMM dispatch
+                     log sink, the contract slots and the SIMD backend
                      slot) - shared state lives in one place, so a new lock
                      or atomic elsewhere is a design change, not a local
                      fix. No waiver: widening the list is a policy edit to
@@ -94,28 +97,37 @@ RULES = {
 
 DET_OK = lintlib.marker_pattern("det-ok")
 
-# SIMD kernels live only in these files (runtime-dispatched by ml/gemm.cpp,
-# compiled with -ffp-contract=off like every TU); intrinsics anywhere else
-# are findings.
-KERNEL_FILE = re.compile(r"gemm_(?:avx2|avx512|neon|sve|rvv)\.cpp$")
+# SIMD kernels live only in these files (runtime-dispatched by ml/gemm.cpp
+# and common/detmath.cpp, compiled with -ffp-contract=off like every TU);
+# intrinsics anywhere else are findings.
+KERNEL_FILE = re.compile(
+    r"(?:gemm|detmath)_(?:avx2|avx512|neon|sve|rvv)\.cpp$")
 SIMD_INTRINSIC = re.compile(
     r"\b_mm\d*_\w+\s*\(|\b__m(?:128|256|512)[di]?\b"
     r"|\bimmintrin\.h\b|\barm_neon\.h\b|\bfloat64x\d_t\b"
     r"|\bv(?:ld1q|st1q|dupq|mulq|addq|fmaq)_f64\b"
 )
 
-# The host libm's tanh and exp, in any spelling; the repo's ports are
-# named fdlibm_tanh and glibc_exp, which none of these alternatives match.
+# The host libm's transcendentals, in any spelling. A name qualified by
+# anything but std:: (detmath::log, common::logf) is not libm's, and a bare
+# logf is the repo's logger, so neither matches.
+_LIBM_NAMES = r"(?:tanh|exp|log|sin|cos|sincos|log10|pow)"
 LIBM_TRANSCENDENTAL = re.compile(
-    r"(?<![\w.>])(?:std::|::)?(?:tanh|exp)[fl]?\s*\("
-    r"|\bstd::(?:tanh|exp)[fl]?\b|\b__builtin_(?:tanh|exp)[fl]?\b"
+    r"(?<![\w.>:])(?:std::|::)?(?:" + _LIBM_NAMES + r"l?"
+    r"|(?!logf)" + _LIBM_NAMES + r"f)\s*\("
+    r"|\bstd::" + _LIBM_NAMES + r"[fl]?\b"
+    r"|\b__builtin_" + _LIBM_NAMES + r"[fl]?\b"
 )
+# The math layer itself defines detmath::log and friends.
+MATH_HOME = "src/common/detmath"
+
 
 # The only src/ files that may hold atomics, locks or condition variables.
 CONCURRENCY_HOME = (
     "src/common/parallel.hpp", "src/common/parallel.cpp",
     "src/common/telemetry.hpp", "src/common/telemetry.cpp",
-    "src/common/log.cpp", "src/common/contracts.hpp", "src/ml/gemm.cpp",
+    "src/common/log.cpp", "src/common/contracts.hpp",
+    "src/common/detmath.cpp",
 )
 CONCURRENCY_PRIMITIVE = re.compile(
     r"\bstd::(?:atomic\w*"
@@ -257,7 +269,7 @@ RANGE_FOR = re.compile(r"for\s*\(\s*[^;:()]*?:\s*([\w.\->]+)\s*\)")
 def lint_text(raw: str, code: str, unordered_names: set[str],
               fault_path: bool = False, telemetry_path: bool = False,
               kernel_file: bool = False, src_file: bool = False,
-              concurrency_home: bool = False):
+              concurrency_home: bool = False, math_home: bool = False):
     """All findings for one stripped source `code` (raw kept for det-ok)."""
     raw_lines = raw.splitlines()
     code_lines = code.splitlines()
@@ -268,7 +280,7 @@ def lint_text(raw: str, code: str, unordered_names: set[str],
             findings.append((line_of(code, match.start()), "concurrency-home",
                              match.group(0)))
 
-    if src_file:
+    if src_file and not math_home:
         for match in LIBM_TRANSCENDENTAL.finditer(code):
             lineno = line_of(code, match.start())
             if not allowed(raw_lines, lineno, "libm-transcendental"):
@@ -393,15 +405,31 @@ def self_test() -> int:
     double j = __builtin_exp(x);
     using std::exp;
     double k = std::exp(-mean);  // det-ok: libm-tanh (another rule's tag)
+    double l = std::log(u1);
+    double m = log(u1);
+    long double n = ::logl(u1);
+    double o = std::sin(angle);
+    double p = cos(angle);
+    sincos(angle, &s, &c);
+    double q = std::log10(gain);
+    double r = std::pow(beta, t);
+    double s2 = __builtin_log(u1);
+    using std::cos;
+    float t = sinf(angle);
     """
     libm_good = """
-    double a = ml::fdlibm_tanh(x);
-    double b = ml::glibc_exp(v - peak);
     // std::tanh( and std::exp( in a comment are fine
-    const char* doc = "tanh(x) and exp(x) live in ml/";
+    const char* doc = "tanh(x) and exp(x) live in common/detmath";
     case Epilogue::kBiasTanh: apply_tanh(v); layer.tanh_grad(y);
     double d = rng.exponential(1.0); gemm::exp_array(x, y, n);
     double w = std::exp(-d);  // det-ok: libm-transcendental (ROADMAP item 3)
+    double e = detmath::exp(x) + detmath::log(u1) + detmath::tanh(x);
+    const detmath::SinCos sc = detmath::sincos(angle); sc.sin + sc.cos;
+    detmath::log_array(u, y, n); detmath::log_sincos_array(u, a, l, s, c, n);
+    common::logf(common::LogLevel::kInfo, "chaos", "{} runs", n);
+    void logf(LogLevel level, std::string_view component);
+    double q = std::log10(gain);  // det-ok: libm-transcendental (item 3)
+    sink.log(line); stream->cos(x); double sinh_x = sinh(x);
     """
     concurrency_bad = """
     std::atomic<std::uint64_t> evaluations_{0};
@@ -439,8 +467,10 @@ def self_test() -> int:
     libm_good_code = strip_comments_and_strings(libm_good)
     libm_good_findings = lint_text(libm_good, libm_good_code, set(),
                                    src_file=True)
-    # Outside src/ (tools/) the rule does not apply.
+    # Outside src/ (tools/) and in the math layer the rule does not apply.
     libm_tools_findings = lint_text(libm_bad, libm_bad_code, set())
+    libm_home_findings = lint_text(libm_bad, libm_bad_code, set(),
+                                   src_file=True, math_home=True)
     concurrency_bad_code = strip_comments_and_strings(concurrency_bad)
     concurrency_bad_findings = lint_text(concurrency_bad, concurrency_bad_code,
                                          set(), src_file=True)
@@ -479,9 +509,10 @@ def self_test() -> int:
     ok = ok and not simd_kernel_findings
     libm_rules = {rule for _, rule, _ in libm_bad_findings}
     ok = ok and libm_rules == {"libm-transcendental"}
-    ok = ok and len(libm_bad_findings) == 13
+    ok = ok and len(libm_bad_findings) == 24
     ok = ok and not libm_good_findings
     ok = ok and not libm_tools_findings
+    ok = ok and not libm_home_findings
     concurrency_snippets = [snippet for _, _, snippet in concurrency_bad_findings]
     ok = ok and {rule for _, rule, _ in concurrency_bad_findings} == {
         "concurrency-home"}
@@ -557,7 +588,8 @@ def main() -> int:
                                                unordered_names, fault_path,
                                                telemetry_path, kernel_file,
                                                src_file,
-                                               rel in CONCURRENCY_HOME):
+                                               rel in CONCURRENCY_HOME,
+                                               rel.startswith(MATH_HOME)):
             findings.append((rel, lineno, rule, snippet))
         for lineno, rule, snippet in layering_findings(rel, raws[path]):
             findings.append((rel, lineno, rule, snippet))
