@@ -38,6 +38,12 @@
 
 namespace explora::detmath {
 
+/// Version of the bits this layer returns. Bump it whenever any function
+/// here (scalar port or lanes) changes a result on any input, by as little
+/// as one ulp: trained models are cached under it (harness::load_or_train),
+/// so weights trained under other numerics are never loaded.
+inline constexpr std::uint32_t kNumericsVersion = 1;
+
 /// exp(x): glibc's e_exp.c. Error below 1 ulp (tests/test_exp.cpp
 /// measures it against expl). Does not set errno.
 [[nodiscard]] double exp(double x) noexcept;

@@ -124,6 +124,35 @@ void Writer::f64_list_field(std::uint32_t field_id,
   f64_list(v);
 }
 
+std::size_t Writer::begin_sized() {
+  // One byte holds the length of a body under 128 bytes; end_sized moves
+  // a longer body up to make room for the rest of its varint.
+  buffer_.push_back(0);
+  return buffer_.size() - 1;
+}
+
+void Writer::end_sized(std::size_t start) {
+  std::uint64_t size = buffer_.size() - start - 1;
+  std::uint8_t prefix[kMaxVarintBytes];
+  std::size_t length = 0;
+  while (size >= 0x80) {
+    prefix[length++] = static_cast<std::uint8_t>(size) | 0x80u;
+    size >>= 7;
+  }
+  prefix[length++] = static_cast<std::uint8_t>(size);
+  buffer_[start] = prefix[0];
+  const auto body = buffer_.begin() + static_cast<std::ptrdiff_t>(start) + 1;
+  buffer_.insert(body, prefix + 1, prefix + length);
+}
+
+void Writer::raw(std::span<const std::uint8_t> v) {
+  buffer_.insert(buffer_.end(), v.begin(), v.end());
+}
+
+void Writer::truncate(std::size_t size) noexcept {
+  if (size < buffer_.size()) buffer_.resize(size);
+}
+
 // ---- Reader ----------------------------------------------------------------
 
 void Reader::throw_truncated() { throw SerializeError("truncated input"); }

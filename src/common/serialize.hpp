@@ -78,6 +78,18 @@ class Writer {
   void string_field(std::uint32_t field_id, std::string_view v);
   void f64_list_field(std::uint32_t field_id, std::span<const double> v);
 
+  /// Starts a length-prefixed value written in place, for a body whose
+  /// size is known only once it is written: returns the offset that
+  /// end_sized takes. Write the body, then call end_sized.
+  [[nodiscard]] std::size_t begin_sized();
+  /// Ends the value begin_sized started at `start`, writing its length
+  /// prefix; same bytes as bytes() over the body.
+  void end_sized(std::size_t start);
+  /// Appends bytes as they are, with no length prefix.
+  void raw(std::span<const std::uint8_t> v);
+  /// Drops every byte past the first `size`.
+  void truncate(std::size_t size) noexcept;
+
   [[nodiscard]] const std::vector<std::uint8_t>& buffer() const& noexcept {
     return buffer_;
   }

@@ -5,6 +5,7 @@
 #include <system_error>
 
 #include "common/contracts.hpp"
+#include "common/detmath.hpp"
 #include "common/format.hpp"
 #include "common/log.hpp"
 
@@ -315,14 +316,20 @@ TrainedSystem load_system(const std::filesystem::path& path,
   return deserialize_system(common::read_file(path), profile, config);
 }
 
+std::filesystem::path artifact_path(core::AgentProfile profile,
+                                    const netsim::ScenarioConfig& scenario,
+                                    const TrainingConfig& config) {
+  return artifact_dir() /
+         sanitize(common::format("system-{}-{}-t{}-v{}-n{}.bin",
+                                 core::to_string(profile), scenario.name(),
+                                 config.seed, kSystemVersion,
+                                 detmath::kNumericsVersion));
+}
+
 TrainedSystem load_or_train(core::AgentProfile profile,
                             const netsim::ScenarioConfig& scenario,
                             const TrainingConfig& config) {
-  const auto path =
-      artifact_dir() /
-      sanitize(common::format("system-{}-{}-t{}-v{}.bin",
-                              core::to_string(profile), scenario.name(),
-                              config.seed, kSystemVersion));
+  const auto path = artifact_path(profile, scenario, config);
   if (std::filesystem::exists(path)) {
     try {
       return load_system(path, profile, config);

@@ -116,6 +116,14 @@ void save_system(const TrainedSystem& system,
                                         core::AgentProfile profile,
                                         const TrainingConfig& config);
 
+/// Where load_or_train caches the system for (profile, scenario, config
+/// seed). The file name carries the model-file major version and the
+/// math layer's detmath::kNumericsVersion, so a cache written by another
+/// layout or other numerics is never opened.
+[[nodiscard]] std::filesystem::path artifact_path(
+    core::AgentProfile profile, const netsim::ScenarioConfig& scenario,
+    const TrainingConfig& config);
+
 /// Loads the cached system for (profile, scenario/config seed) or trains
 /// and caches it. This is the single entry point benches/examples use.
 [[nodiscard]] TrainedSystem load_or_train(core::AgentProfile profile,

@@ -18,11 +18,6 @@ Ue::Ue(std::uint32_t id, Slice slice, UeChannel channel,
   EXPLORA_EXPECTS(buffer_capacity_bytes > 0);
 }
 
-void Ue::begin_tti(Tick now) {
-  channel_.advance();
-  pull_arrivals(now);
-}
-
 void Ue::pull_arrivals(Tick now) {
   const ArrivalBatch batch = traffic_->arrivals(now);
   if (batch.packets == 0) return;

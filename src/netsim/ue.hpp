@@ -38,12 +38,8 @@ class Ue {
   [[nodiscard]] UeChannel& channel() noexcept { return channel_; }
   [[nodiscard]] const UeChannel& channel() const noexcept { return channel_; }
 
-  /// Advances the channel and pulls this TTI's arrivals into the buffer.
-  void begin_tti(Tick now);
-
-  /// Pulls this TTI's arrivals into the buffer, for a caller that has
-  /// advanced the channel itself (Gnb::run_tti, through
-  /// UeChannel::advance_all).
+  /// Pulls this TTI's arrivals into the buffer. The caller advances the
+  /// channel first (Gnb::run_tti, through UeChannel::advance_all).
   void pull_arrivals(Tick now);
 
   /// Serves up to `bytes` from the head of the buffer; returns bytes

@@ -106,6 +106,7 @@ void RmrRouter::drop_unroutable(const RicMessage& message,
 }
 
 void RmrRouter::dispatch(const Envelope& envelope) {
+  ++dispatches_;
   // Router-reinjected deliveries (released delays, duplicate copies,
   // reordered messages) bypass routing and the impairment model.
   if (envelope.direct_target.has_value()) {
@@ -159,7 +160,8 @@ void RmrRouter::dispatch(const Envelope& envelope) {
 void RmrRouter::deliver(const RicMessage& message, RmrEndpoint& endpoint,
                         std::string_view target) {
   tm_delivered_->add(1);
-  if (tap_ != nullptr) tap_->on_deliver(message, target, round_);
+  // Handlers only queue their sends, so no dispatch runs inside this one.
+  if (tap_ != nullptr) tap_->on_deliver(message, target, round_, dispatches_);
   endpoint.on_message(message);
 }
 

@@ -42,11 +42,15 @@ class RmrEndpoint {
 /// per delivered (message, target) pair, in delivery order, immediately
 /// before the endpoint handler runs — so a recorded stream replayed into
 /// an endpoint presents exactly the inputs the live endpoint saw.
+/// `dispatch` numbers the router's dispatches: deliveries that share it
+/// carry one message, fanned out by one route lookup, and arrive one
+/// after another. A re-injected delivery (a released delay, a duplicate
+/// copy, a reordered message) is a dispatch of its own.
 class DeliveryTap {
  public:
   virtual ~DeliveryTap() = default;
   virtual void on_deliver(const RicMessage& message, std::string_view target,
-                          std::uint64_t round) = 0;
+                          std::uint64_t round, std::uint64_t dispatch) = 0;
 };
 
 class RmrRouter {
@@ -138,6 +142,7 @@ class RmrRouter {
   std::unique_ptr<LinkImpairments> impairments_;
   DeliveryTap* tap_ = nullptr;
   std::uint64_t round_ = 0;
+  std::uint64_t dispatches_ = 0;  ///< dispatch() calls so far
   bool dispatching_ = false;
 
   // Telemetry (oran.rmr.*), bound at construction. dropped_unroutable

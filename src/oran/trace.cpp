@@ -1,8 +1,10 @@
 #include "oran/trace.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
+#include "common/format.hpp"
 #include "oran/wire.hpp"
 
 namespace explora::oran::wire {
@@ -20,14 +22,6 @@ void wire_fields(V& v, TraceHeader& h) {
   v.str(1, "label", h.label);
 }
 
-template <typename V>
-void wire_fields(V& v, TraceFrame& f) {
-  v.i64(1, "tick", f.tick);
-  v.u64(2, "round", f.round);
-  v.str(3, "target", f.target);
-  v.blob(4, "message", f.message);
-}
-
 }  // namespace explora::oran::wire
 
 namespace explora::oran {
@@ -38,37 +32,89 @@ RicMessage TraceFrame::decode() const {
 
 namespace {
 
-/// Appends one length-prefixed tagged-field body, encoded via `scratch`.
-template <typename T>
-void append_sized_body(common::Writer& writer, common::Writer& scratch,
-                       T& value) {
-  scratch.clear();
-  wire::Encoder encoder(scratch);
-  wire_fields(encoder, value);
-  writer.bytes(scratch.buffer());
-}
+/// Frame field ids (frozen wire contract, see the grammar in trace.hpp).
+enum FrameField : std::uint32_t {
+  kTickField = 1,
+  kRoundField = 2,
+  kTargetField = 3,
+  kMessageField = 4,
+};
 
-/// Reads one length-prefixed body and decodes it into `out`.
-template <typename T>
-void read_sized_body(common::Reader& reader, T& out) {
-  common::Reader body(reader.bytes());
-  wire::decode_fields(body, out);
-}
+using FrameIndex = std::vector<TraceFrame, common::PageAllocator<TraceFrame>>;
 
-/// Number of length-prefixed bodies left in `reader` (a copy), counted up
-/// to the first malformed length: the indexing walk that follows reports
-/// it, with the same error a walk without this count would throw.
-std::size_t count_bodies(common::Reader reader) {
+/// Number of deliveries (target fields) in the frames left in `reader` (a
+/// copy), counted up to the first malformed byte: the indexing walk that
+/// follows reports it, with the same error a walk without this count
+/// would throw.
+std::size_t count_deliveries(common::Reader reader) {
   std::size_t count = 0;
   try {
     while (!reader.at_end()) {
-      (void)reader.bytes();
-      ++count;
+      common::Reader body(reader.bytes());
+      while (!body.at_end()) {
+        const common::Reader::Tag tag = body.tag();
+        if (tag.field_id == kTargetField) ++count;
+        body.skip(tag.type);
+      }
     }
   } catch (const common::SerializeError&) {
-    return count;
   }
   return count;
+}
+
+void expect_type(common::Reader::Tag tag, common::WireType type,
+                 const char* name) {
+  if (tag.type != type) {
+    throw common::SerializeError(common::format(
+        "trace frame field '{}' has wire type {} (expected {})", name,
+        common::to_string(tag.type), common::to_string(type)));
+  }
+}
+
+/// Indexes one frame body: one TraceFrame per target, in order, each
+/// viewing the frame's one message.
+void read_frame(common::Reader& body, FrameIndex& frames) {
+  const std::size_t first = frames.size();
+  std::int64_t tick = 0;
+  std::uint64_t round = 0;
+  std::optional<std::span<const std::uint8_t>> message;
+  while (!body.at_end()) {
+    const common::Reader::Tag tag = body.tag();
+    switch (tag.field_id) {
+      case kTickField:
+        expect_type(tag, common::WireType::kVarint, "tick");
+        tick = body.zigzag();
+        break;
+      case kRoundField:
+        expect_type(tag, common::WireType::kVarint, "round");
+        round = body.varint();
+        break;
+      case kTargetField: {
+        expect_type(tag, common::WireType::kBytes, "target");
+        const auto bytes = body.bytes();
+        frames.emplace_back().target = std::string_view(
+            reinterpret_cast<const char*>(bytes.data()), bytes.size());
+        break;
+      }
+      case kMessageField:
+        expect_type(tag, common::WireType::kBytes, "message");
+        message = body.bytes();
+        break;
+      default:
+        body.skip(tag.type);
+    }
+  }
+  if (frames.size() == first) {
+    throw common::SerializeError("trace frame has no target");
+  }
+  if (!message.has_value()) {
+    throw common::SerializeError("trace frame has no message");
+  }
+  for (std::size_t i = first; i < frames.size(); ++i) {
+    frames[i].tick = tick;
+    frames[i].round = round;
+    frames[i].message = *message;
+  }
 }
 
 }  // namespace
@@ -76,20 +122,35 @@ std::size_t count_bodies(common::Reader reader) {
 TraceRecorder::TraceRecorder(std::string label) {
   file_.header(kTraceFormat);
   wire::TraceHeader header{std::move(label)};
-  append_sized_body(file_, body_, header);
+  const std::size_t start = file_.begin_sized();
+  wire::Encoder encoder(file_);
+  wire_fields(encoder, header);
+  file_.end_sized(start);
 }
 
 void TraceRecorder::on_deliver(const RicMessage& message,
-                               std::string_view target, std::uint64_t round) {
-  const std::vector<std::uint8_t> encoded =
-      wire::encode_message_frame(message);
-  TraceFrame frame{
-      .tick = tick_source_ ? tick_source_() : 0,
-      .round = round,
-      .target = target,
-      .message = encoded,
-  };
-  append_sized_body(file_, body_, frame);
+                               std::string_view target, std::uint64_t round,
+                               std::uint64_t dispatch) {
+  const std::int64_t tick = tick_source_ ? tick_source_() : 0;
+  if (open_ && dispatch == dispatch_ && tick == tick_) {
+    // Another target of the last frame's message: rewrite that frame.
+    file_.truncate(last_frame_);
+  } else {
+    open_ = true;
+    dispatch_ = dispatch;
+    tick_ = tick;
+    last_frame_ = file_.size();
+    head_.clear();
+    head_.i64_field(kTickField, tick);
+    head_.u64_field(kRoundField, round);
+    message_.clear();
+    wire::encode_frame(message, message_);
+  }
+  head_.string_field(kTargetField, target);
+  const std::size_t start = file_.begin_sized();
+  file_.raw(head_.buffer());
+  file_.bytes_field(kMessageField, message_.buffer());
+  file_.end_sized(start);
 }
 
 void TraceRecorder::save(const std::string& path) const {
@@ -104,12 +165,15 @@ TraceReplaySource TraceReplaySource::parse(std::span<const std::uint8_t> data) {
   common::Reader reader({out.bytes_.get(), data.size()});
   reader.header(kTraceFormat);
   wire::TraceHeader header;
-  read_sized_body(reader, header);
+  {
+    common::Reader body(reader.bytes());
+    wire::decode_fields(body, header);
+  }
   out.label_ = std::move(header.label);
-  out.frames_.reserve(count_bodies(reader));
+  out.frames_.reserve(count_deliveries(reader));
   while (!reader.at_end()) {
-    TraceFrame& frame = out.frames_.emplace_back();
-    read_sized_body(reader, frame);
+    common::Reader body(reader.bytes());
+    read_frame(body, out.frames_);
   }
   return out;
 }

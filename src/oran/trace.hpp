@@ -8,13 +8,18 @@
 //
 // File grammar (the common/serialize header and primitives):
 //
-//   file   := magic:u32le("ETRC") major:u8 minor:u8
+//   file   := magic:u32le("ETRC") major:u8(2) minor:u8
 //             header_len:varint header frame*
 //   header := field*        (1: label string)
 //   frame  := len:varint field*
 //             (1: tick zigzag, 2: dispatch round varint,
-//              3: target string, 4: encoded RicMessage frame bytes)
+//              3: target string, once per delivered endpoint, in
+//                 delivery order,
+//              4: encoded RicMessage frame bytes, once)
 //
+// One frame is one dispatched message: the deliveries of one router
+// dispatch at one tick share it, so a KPM fanned out to three endpoints
+// is stored once. A frame with no target or no message is malformed.
 // The same compatibility rules as wire frames apply: unknown field ids
 // are skipped (minor growth is free), a different major version is
 // rejected naming both versions, and every length is bounds-checked.
@@ -36,7 +41,7 @@ namespace explora::oran {
 
 /// Trace-file magic: "ETRC" as a little-endian u32.
 inline constexpr std::uint32_t kTraceMagic = 0x43525445u;
-inline constexpr std::uint8_t kTraceMajor = 1;
+inline constexpr std::uint8_t kTraceMajor = 2;
 inline constexpr std::uint8_t kTraceMinor = 0;
 inline constexpr common::StreamFormat kTraceFormat{"trace", kTraceMagic,
                                                    kTraceMajor, kTraceMinor};
@@ -45,8 +50,8 @@ inline constexpr common::StreamFormat kTraceFormat{"trace", kTraceMagic,
 /// delivery time), which router dispatch round, which endpoint received
 /// it, and the message in its versioned wire-frame encoding. A borrowed
 /// view: `target` and `message` point into the bytes of the trace that
-/// holds the frame (a TraceReplaySource, or the caller's buffers when
-/// recording), which must outlive it.
+/// holds the frame, which must outlive it. The deliveries of one stored
+/// frame all view its one message.
 struct TraceFrame {
   std::int64_t tick = 0;
   std::uint64_t round = 0;
@@ -59,9 +64,12 @@ struct TraceFrame {
 };
 
 /// Delivery tap that writes every routed delivery into `.etrace` bytes
-/// as it happens: the header at construction, one frame per delivery.
-/// Install on a router with set_delivery_tap(&recorder); ticks come from
-/// the registered tick source (typically the telemetry registry clock).
+/// as it happens: the header at construction, one frame per dispatched
+/// message. A delivery of the same dispatch at the same tick as the one
+/// before adds its target to the last frame (rewritten in place, the
+/// message encoded once); any other starts a frame. Install on a router
+/// with set_delivery_tap(&recorder); ticks come from the registered tick
+/// source (typically the telemetry registry clock).
 class TraceRecorder final : public DeliveryTap {
  public:
   explicit TraceRecorder(std::string label = "");
@@ -72,7 +80,7 @@ class TraceRecorder final : public DeliveryTap {
   }
 
   void on_deliver(const RicMessage& message, std::string_view target,
-                  std::uint64_t round) override;
+                  std::uint64_t round, std::uint64_t dispatch) override;
 
   /// The trace recorded so far (header + every frame), as `.etrace` bytes.
   [[nodiscard]] std::vector<std::uint8_t> serialize() const {
@@ -88,8 +96,13 @@ class TraceRecorder final : public DeliveryTap {
 
  private:
   std::function<std::int64_t()> tick_source_;
-  common::Writer file_;  ///< the `.etrace` bytes
-  common::Writer body_;  ///< scratch: one frame body before its length
+  common::Writer file_;     ///< the `.etrace` bytes, last frame included
+  common::Writer head_;     ///< the last frame's tick, round and targets
+  common::Writer message_;  ///< the last frame's message, encoded once
+  std::size_t last_frame_ = 0;  ///< where the last frame starts in file_
+  bool open_ = false;           ///< a frame has been written
+  std::uint64_t dispatch_ = 0;  ///< the last frame's dispatch
+  std::int64_t tick_ = 0;       ///< the last frame's tick
 };
 
 /// Parsed `.etrace` stream, ready to feed back into an endpoint: one owned
@@ -105,7 +118,8 @@ class TraceReplaySource {
   TraceReplaySource(TraceReplaySource&&) noexcept = default;
   TraceReplaySource& operator=(TraceReplaySource&&) noexcept = default;
 
-  /// Copies and indexes serialized trace bytes; throws
+  /// Copies and indexes serialized trace bytes, one TraceFrame per
+  /// (stored frame, target) in delivery order; throws
   /// common::SerializeError on malformed input or an incompatible trace
   /// major version. Messages are not decoded until TraceFrame::decode.
   [[nodiscard]] static TraceReplaySource parse(

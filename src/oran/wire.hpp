@@ -104,12 +104,13 @@ class Encoder {
             std::span<const std::uint8_t> v) {
     writer_->bytes_field(id, v);
   }
+  /// Writes the nested body in place, then puts its length in front.
   template <typename T>
   void msg(std::uint32_t id, const char* /*name*/, T& v) {
-    Writer sub;
-    Encoder nested(sub);
-    wire_fields(nested, v);
-    writer_->bytes_field(id, sub.buffer());
+    writer_->tag(id, WireType::kBytes);
+    const std::size_t start = writer_->begin_sized();
+    wire_fields(*this, v);
+    writer_->end_sized(start);
   }
   template <typename T, std::size_t N>
   void msg_array(std::uint32_t id, const char* name, std::array<T, N>& v) {
@@ -464,15 +465,21 @@ class JsonView {
 // Frame-level API.
 // ---------------------------------------------------------------------------
 
-/// Encodes a value as one self-contained versioned frame.
+/// Appends one self-contained versioned frame of `value` to `writer`.
 template <typename T>
-[[nodiscard]] std::vector<std::uint8_t> encode_frame(const T& value) {
-  Writer writer;
+void encode_frame(const T& value, Writer& writer) {
   writer.header(kFrameFormat);
   Encoder encoder(writer);
   // The encode pass only reads; the shared field list is declared on
   // mutable references so the decode pass can write through it.
   wire_fields(encoder, const_cast<T&>(value));
+}
+
+/// Encodes a value as one self-contained versioned frame.
+template <typename T>
+[[nodiscard]] std::vector<std::uint8_t> encode_frame(const T& value) {
+  Writer writer;
+  encode_frame(value, writer);
   return std::move(writer).take();
 }
 

@@ -9,6 +9,7 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
 #include <optional>
 #include <string>
@@ -18,6 +19,7 @@
 
 #include "common/page_allocator.hpp"
 #include "common/rng.hpp"
+#include "common/telemetry.hpp"
 #include "harness/training.hpp"
 #include "oran/trace.hpp"
 #include "oran/wire.hpp"
@@ -43,20 +45,39 @@ std::size_t allocations_during(Fn&& fn) {
 struct Delivery {
   std::int64_t tick = 0;
   std::uint64_t round = 0;
+  std::uint64_t dispatch = 0;
   std::string target;
   oran::RicMessage message;
 };
 
-/// A deterministic mixed-target stream of deliveries.
+/// A deterministic mixed-target stream of deliveries, one per dispatch.
 std::vector<Delivery> sample_deliveries() {
   common::Rng rng(7);
   std::vector<Delivery> deliveries;
   std::int64_t tick = 0;
   for (std::uint64_t round = 1; round <= 12; ++round) {
     tick += static_cast<std::int64_t>(rng.index(30));
-    deliveries.push_back({tick, round,
+    deliveries.push_back({tick, round, round,
                           round % 3 == 0 ? "drl_xapp" : "explora_xapp",
                           testfix::random_message(rng)});
+  }
+  return deliveries;
+}
+
+/// A deterministic stream of dispatches fanned out to one, two or three
+/// targets each, as a KPM route fans out to its subscribers.
+std::vector<Delivery> fanout_deliveries() {
+  static constexpr std::array<const char*, 3> kTargets = {
+      "data_repository", "drl_xapp", "explora_xapp"};
+  common::Rng rng(11);
+  std::vector<Delivery> deliveries;
+  std::int64_t tick = 0;
+  for (std::uint64_t round = 1; round <= 12; ++round) {
+    tick += static_cast<std::int64_t>(rng.index(30));
+    const oran::RicMessage message = testfix::random_message(rng);
+    for (std::size_t t = 0; t < 1 + round % 3; ++t) {
+      deliveries.push_back({tick, round, round, kTargets[t], message});
+    }
   }
   return deliveries;
 }
@@ -68,7 +89,8 @@ oran::TraceRecorder record(const std::vector<Delivery>& deliveries) {
   recorder.set_tick_source([&tick] { return tick; });
   for (const Delivery& delivery : deliveries) {
     tick = delivery.tick;
-    recorder.on_deliver(delivery.message, delivery.target, delivery.round);
+    recorder.on_deliver(delivery.message, delivery.target, delivery.round,
+                        delivery.dispatch);
   }
   recorder.set_tick_source({});  // the clock reads a local of this call
   return recorder;
@@ -76,6 +98,36 @@ oran::TraceRecorder record(const std::vector<Delivery>& deliveries) {
 
 /// Builds a recorder pre-loaded with a deterministic mixed-target stream.
 oran::TraceRecorder sample_recorder() { return record(sample_deliveries()); }
+
+/// The `.etrace` bytes of both sample streams: one delivery per frame,
+/// and fanned-out frames of up to three targets.
+std::vector<std::vector<std::uint8_t>> sample_traces() {
+  return {sample_recorder().serialize(),
+          record(fanout_deliveries()).serialize()};
+}
+
+/// Targets per stored frame of `trace`, read straight off the grammar.
+std::vector<std::size_t> targets_per_frame(
+    std::span<const std::uint8_t> trace) {
+  common::Reader reader(trace);
+  reader.header(oran::kTraceFormat);
+  (void)reader.bytes();  // the header body
+  std::vector<std::size_t> targets;
+  while (!reader.at_end()) {
+    common::Reader body(reader.bytes());
+    std::size_t count = 0;
+    std::size_t messages = 0;
+    while (!body.at_end()) {
+      const common::Reader::Tag tag = body.tag();
+      count += tag.field_id == 3 ? 1 : 0;
+      messages += tag.field_id == 4 ? 1 : 0;
+      body.skip(tag.type);
+    }
+    EXPECT_EQ(messages, 1u);
+    targets.push_back(count);
+  }
+  return targets;
+}
 
 /// Each parsed frame carries exactly the (tick, round, target, message)
 /// that was delivered, in delivery order.
@@ -97,11 +149,13 @@ void expect_frames_match(const oran::TraceReplaySource& source,
 }
 
 TEST(TraceRoundTrip, SerializeParsePreservesEveryFrame) {
-  const std::vector<Delivery> deliveries = sample_deliveries();
-  const oran::TraceRecorder recorder = record(deliveries);
-  const auto source = oran::TraceReplaySource::parse(recorder.serialize());
-  EXPECT_EQ(source.label(), "explora_xapp");
-  expect_frames_match(source, deliveries);
+  for (const std::vector<Delivery>& deliveries :
+       {sample_deliveries(), fanout_deliveries()}) {
+    const oran::TraceRecorder recorder = record(deliveries);
+    const auto source = oran::TraceReplaySource::parse(recorder.serialize());
+    EXPECT_EQ(source.label(), "explora_xapp");
+    expect_frames_match(source, deliveries);
+  }
 }
 
 TEST(TraceRoundTrip, SaveLoadPreservesEveryFrame) {
@@ -168,13 +222,14 @@ oran::RicMessage two_ue_kpm() {
   return oran::make_kpm_indication("gnb", std::move(report));
 }
 
-/// `.etrace` bytes of `frames` deliveries of one KPM message.
+/// `.etrace` bytes of `frames` deliveries of one KPM message, two
+/// targets per dispatch.
 std::vector<std::uint8_t> uniform_trace(std::size_t frames) {
   const oran::RicMessage message = two_ue_kpm();
   oran::TraceRecorder recorder("explora_xapp");
   for (std::size_t i = 0; i < frames; ++i) {
     recorder.on_deliver(message, i % 2 == 0 ? "explora_xapp" : "drl_xapp",
-                        i);
+                        i / 2, i / 2);
   }
   return std::move(recorder).take();
 }
@@ -324,16 +379,20 @@ TEST(TraceTamper, RejectsBadMagicAndIncompatibleMajor) {
     EXPECT_THROW((void)oran::TraceReplaySource::parse(bad),
                  common::SerializeError);
   }
-  {
+  // The next major, and the first: one frame per delivery, never read.
+  for (const int major : {oran::kTraceMajor + 1, 1}) {
     auto bad = bytes;
-    bad[4] = oran::kTraceMajor + 1;
+    bad[4] = static_cast<std::uint8_t>(major);
     try {
       (void)oran::TraceReplaySource::parse(bad);
       FAIL() << "expected SerializeError";
     } catch (const common::SerializeError& error) {
       const std::string what = error.what();
-      EXPECT_NE(what.find("major version 2"), std::string::npos) << what;
-      EXPECT_NE(what.find("major version 1"), std::string::npos) << what;
+      const std::string input = "major version " + std::to_string(major);
+      const std::string reader =
+          "major version " + std::to_string(oran::kTraceMajor);
+      EXPECT_NE(what.find(input), std::string::npos) << what;
+      EXPECT_NE(what.find(reader), std::string::npos) << what;
     }
   }
 }
@@ -346,37 +405,260 @@ TEST(TraceTamper, ToleratesFutureMinorVersion) {
 }
 
 TEST(TraceTamper, EveryTruncationEitherParsesOrThrows) {
-  const auto bytes = sample_recorder().serialize();
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    try {
-      (void)oran::TraceReplaySource::parse(
-          std::span<const std::uint8_t>(bytes.data(), len));
-      // Truncation at a frame boundary yields a valid shorter trace.
-    } catch (const common::SerializeError&) {
+  for (const auto& bytes : sample_traces()) {
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
+      try {
+        (void)oran::TraceReplaySource::parse(
+            std::span<const std::uint8_t>(bytes.data(), len));
+        // Truncation at a frame boundary yields a valid shorter trace.
+      } catch (const common::SerializeError&) {
+      }
     }
   }
 }
 
 TEST(TraceTamper, SeededCorruptionSweepNeverCrashes) {
   common::Rng rng(99);
-  const auto bytes = sample_recorder().serialize();
   const std::size_t iters = testfix::fuzz_iters(100);
-  for (std::size_t trial = 0; trial < iters; ++trial) {
-    auto corrupted = bytes;
-    const std::size_t flips = 1 + rng.index(6);
-    for (std::size_t f = 0; f < flips; ++f) {
-      corrupted[rng.index(corrupted.size())] =
-          static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    }
-    try {
-      const auto source = oran::TraceReplaySource::parse(corrupted);
-      // The container may still parse with the corruption inside a stored
-      // message blob; decoding the frames must then throw cleanly too.
-      for (const oran::TraceFrame& frame : source.frames()) {
-        (void)frame.decode();
+  for (const auto& bytes : sample_traces()) {
+    for (std::size_t trial = 0; trial < iters; ++trial) {
+      auto corrupted = bytes;
+      const std::size_t flips = 1 + rng.index(6);
+      for (std::size_t f = 0; f < flips; ++f) {
+        corrupted[rng.index(corrupted.size())] =
+            static_cast<std::uint8_t>(rng.uniform_int(0, 255));
       }
-    } catch (const common::SerializeError&) {
+      try {
+        const auto source = oran::TraceReplaySource::parse(corrupted);
+        // The container may still parse with the corruption inside a
+        // stored message blob; decoding the frames must then throw
+        // cleanly too.
+        for (const oran::TraceFrame& frame : source.frames()) {
+          (void)frame.decode();
+        }
+      } catch (const common::SerializeError&) {
+      }
     }
+  }
+}
+
+/// A one-frame trace whose frame body is `frame`.
+std::vector<std::uint8_t> trace_of_frame(const common::Writer& frame) {
+  common::Writer file;
+  file.header(oran::kTraceFormat);
+  file.bytes({});  // an empty header body: no label
+  file.bytes(frame.buffer());
+  return std::move(file).take();
+}
+
+/// Parses `bytes`, expecting a SerializeError that mentions `needle`.
+void expect_parse_error(std::span<const std::uint8_t> bytes,
+                        const std::string& needle) {
+  try {
+    (void)oran::TraceReplaySource::parse(bytes);
+    FAIL() << "expected SerializeError";
+  } catch (const common::SerializeError& error) {
+    EXPECT_NE(std::string(error.what()).find(needle), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(TraceTamper, RejectsFramesWithoutTargetOrMessage) {
+  const std::vector<std::uint8_t> message =
+      oran::wire::encode_message_frame(two_ue_kpm());
+  common::Writer complete;
+  complete.i64_field(1, 250);
+  complete.u64_field(2, 1);
+  complete.string_field(3, "explora_xapp");
+  complete.bytes_field(4, message);
+  EXPECT_EQ(oran::TraceReplaySource::parse(trace_of_frame(complete))
+                .frames()
+                .size(),
+            1u);
+
+  common::Writer no_target;
+  no_target.i64_field(1, 250);
+  no_target.u64_field(2, 1);
+  no_target.bytes_field(4, message);
+  expect_parse_error(trace_of_frame(no_target), "no target");
+
+  common::Writer no_message;
+  no_message.i64_field(1, 250);
+  no_message.u64_field(2, 1);
+  no_message.string_field(3, "explora_xapp");
+  no_message.string_field(3, "drl_xapp");
+  expect_parse_error(trace_of_frame(no_message), "no message");
+
+  common::Writer empty;
+  expect_parse_error(trace_of_frame(empty), "no target");
+
+  common::Writer wrong_type;  // the target as a varint
+  wrong_type.u64_field(3, 7);
+  wrong_type.bytes_field(4, message);
+  expect_parse_error(trace_of_frame(wrong_type), "wire type");
+}
+
+// ---------------------------------------------------------------------------
+// Recording at the router: one frame per dispatch, each endpoint's input
+// exactly what it saw live.
+// ---------------------------------------------------------------------------
+
+/// An endpoint that keeps every message it is handed with the tick it
+/// arrived at, and answers each KPM with a control to `reply_to`.
+class LiveCapture final : public oran::RmrEndpoint {
+ public:
+  LiveCapture(std::string name, const std::int64_t& clock,
+              oran::RmrRouter* router = nullptr)
+      : name_(std::move(name)), clock_(&clock), router_(router) {}
+
+  std::string_view endpoint_name() const noexcept override { return name_; }
+  void on_message(const oran::RicMessage& message) override {
+    received.emplace_back(*clock_, message);
+    if (router_ != nullptr &&
+        message.type == oran::MessageType::kKpmIndication) {
+      router_->send(oran::make_ran_control(name_, testfix::sample_control(),
+                                           received.size()));
+    }
+  }
+
+  std::vector<std::pair<std::int64_t, oran::RicMessage>> received;
+
+ private:
+  std::string name_;
+  const std::int64_t* clock_;
+  oran::RmrRouter* router_;
+};
+
+/// The replayed input of `target`: each recorded frame's tick and message.
+std::vector<std::pair<std::int64_t, oran::RicMessage>> recorded_input(
+    const oran::TraceReplaySource& source, std::string_view target) {
+  std::vector<std::pair<std::int64_t, oran::RicMessage>> input;
+  for (const oran::TraceFrame* frame : source.frames_for(target)) {
+    input.emplace_back(frame->tick, frame->decode());
+  }
+  return input;
+}
+
+TEST(TraceFormat, KpmRoutedToThreeEndpointsIsOneFrame) {
+  telemetry::ScopedRegistry scope;
+  std::int64_t clock = 40;
+  oran::RmrRouter router;
+  LiveCapture repository("data_repository", clock);
+  LiveCapture drl("drl_xapp", clock);
+  LiveCapture xapp("explora_xapp", clock);
+  for (LiveCapture* endpoint : {&repository, &drl, &xapp}) {
+    router.register_endpoint(*endpoint);
+    router.add_route(oran::MessageType::kKpmIndication, "gnb",
+                     std::string(endpoint->endpoint_name()));
+  }
+  oran::TraceRecorder recorder("explora_xapp");
+  recorder.set_tick_source([&clock] { return clock; });
+  router.set_delivery_tap(&recorder);
+  router.send(two_ue_kpm());
+  router.set_delivery_tap(nullptr);
+  recorder.set_tick_source({});
+
+  const std::vector<std::uint8_t> bytes = std::move(recorder).take();
+  EXPECT_EQ(targets_per_frame(bytes), std::vector<std::size_t>{3});
+  const auto source = oran::TraceReplaySource::parse(bytes);
+  ASSERT_EQ(source.frames().size(), 3u);
+  const std::array<std::string_view, 3> order = {
+      "data_repository", "drl_xapp", "explora_xapp"};
+  for (std::size_t i = 0; i < 3; ++i) {
+    const oran::TraceFrame& frame = source.frames()[i];
+    EXPECT_EQ(frame.target, order[i]);
+    EXPECT_EQ(frame.tick, 40);
+    EXPECT_EQ(frame.round, 1u);
+    // One stored message, viewed by all three deliveries.
+    EXPECT_EQ(frame.message.data(), source.frames()[0].message.data());
+    EXPECT_EQ(frame.message.size(), source.frames()[0].message.size());
+    EXPECT_EQ(frame.decode(), two_ue_kpm());
+  }
+}
+
+TEST(TraceFormat, MergesOnlyDeliveriesOfOneDispatchAtOneTick) {
+  const oran::RicMessage message = two_ue_kpm();
+  oran::TraceRecorder recorder;
+  std::int64_t tick = 5;
+  recorder.set_tick_source([&tick] { return tick; });
+  recorder.on_deliver(message, "a", 1, 1);
+  recorder.on_deliver(message, "b", 1, 1);  // merged
+  tick = 6;
+  recorder.on_deliver(message, "c", 1, 1);  // the clock moved: a new frame
+  recorder.on_deliver(message, "a", 1, 2);  // another dispatch: a new frame
+  recorder.on_deliver(message, "b", 2, 2);  // merged, round from the first
+  recorder.set_tick_source({});
+
+  const std::vector<std::uint8_t> bytes = recorder.serialize();
+  EXPECT_EQ(targets_per_frame(bytes), (std::vector<std::size_t>{2, 1, 2}));
+  const auto source = oran::TraceReplaySource::parse(bytes);
+  ASSERT_EQ(source.frames().size(), 5u);
+  const std::array<std::string_view, 5> targets = {"a", "b", "c", "a", "b"};
+  const std::array<std::int64_t, 5> ticks = {5, 5, 6, 6, 6};
+  for (std::size_t i = 0; i < 5; ++i) {
+    EXPECT_EQ(source.frames()[i].target, targets[i]) << "frame " << i;
+    EXPECT_EQ(source.frames()[i].tick, ticks[i]) << "frame " << i;
+    EXPECT_EQ(source.frames()[i].round, 1u) << "frame " << i;
+  }
+}
+
+TEST(TraceFormat, ImpairedRecordingGivesEveryEndpointItsLiveInput) {
+  telemetry::ScopedRegistry scope;
+  std::int64_t clock = 0;
+  oran::RmrRouter router;
+  LiveCapture repository("data_repository", clock);
+  LiveCapture drl("drl_xapp", clock, &router);
+  LiveCapture xapp("explora_xapp", clock, &router);
+  LiveCapture e2("e2_term", clock);
+  for (LiveCapture* endpoint : {&repository, &drl, &xapp, &e2}) {
+    router.register_endpoint(*endpoint);
+  }
+  for (const char* subscriber : {"data_repository", "drl_xapp",
+                                 "explora_xapp"}) {
+    router.add_route(oran::MessageType::kKpmIndication, "gnb", subscriber);
+  }
+  router.add_route(oran::MessageType::kRanControl, "*", "e2_term");
+  oran::LinkImpairments& impairments = router.configure_impairments(17);
+  const oran::LinkImpairments::Policy lossy{.drop = 0.1,
+                                            .delay = 0.1,
+                                            .delay_rounds = 2,
+                                            .duplicate = 0.1,
+                                            .reorder = 0.15};
+  impairments.set_policy(oran::MessageType::kKpmIndication, "*", lossy);
+  impairments.set_policy(oran::MessageType::kRanControl, "*", lossy);
+
+  oran::TraceRecorder recorder("explora_xapp");
+  recorder.set_tick_source([&clock] { return clock; });
+  router.set_delivery_tap(&recorder);
+  common::Rng rng(23);
+  std::size_t deliveries = 0;
+  for (int report = 0; report < 200; ++report) {
+    clock += 25;
+    router.send(oran::make_kpm_indication("gnb", testfix::random_report(rng)));
+  }
+  router.flush_delayed();
+  router.set_delivery_tap(nullptr);
+  recorder.set_tick_source({});
+
+  const std::vector<std::uint8_t> bytes = std::move(recorder).take();
+  const auto source = oran::TraceReplaySource::parse(bytes);
+  for (const LiveCapture* endpoint : {&repository, &drl, &xapp, &e2}) {
+    SCOPED_TRACE(std::string(endpoint->endpoint_name()));
+    EXPECT_FALSE(endpoint->received.empty());
+    EXPECT_EQ(recorded_input(source, endpoint->endpoint_name()),
+              endpoint->received);
+    deliveries += endpoint->received.size();
+  }
+  EXPECT_EQ(source.frames().size(), deliveries);
+  // Fan-out still shares frames under impairments.
+  EXPECT_LT(targets_per_frame(bytes).size(), deliveries);
+  // Every fate came up.
+  const auto snapshot = scope.registry().snapshot();
+  for (const char* fate : {"dropped", "delayed", "duplicated", "reordered"}) {
+    EXPECT_GT(snapshot.counter(std::string("oran.impairments.") + fate +
+                               ".kpm_indication"),
+              0u)
+        << fate;
   }
 }
 
@@ -434,6 +716,34 @@ TEST(ReplayDeterminism, ReplayReproducesAttributionByteIdentically) {
   EXPECT_TRUE(report.bytes_identical);
   EXPECT_TRUE(report.telemetry_identical);
   EXPECT_TRUE(report.ok());
+  EXPECT_EQ(report.live.attribution, report.replayed.attribution);
+}
+
+TEST(ReplayDeterminism, ImpairedRunReplaysAttributionByteIdentically) {
+  harness::ExperimentOptions options = tiny_options();
+  options.decisions = 8;
+  harness::FaultInjectionOptions faults;
+  const oran::LinkImpairments::Policy lossy{.drop = 0.1,
+                                            .delay = 0.1,
+                                            .delay_rounds = 2,
+                                            .duplicate = 0.1,
+                                            .reorder = 0.1};
+  faults.indication = lossy;
+  faults.control = lossy;
+  faults.ack = lossy;
+  options.faults = faults;
+  options.reliable = oran::ReliableControlSender::Config{};
+  const harness::RoundTripReport report = harness::replay_roundtrip(
+      tiny_system(), tiny_scenario(), options, tiny_training());
+  for (const char* fate : {"dropped", "delayed", "duplicated", "reordered"}) {
+    EXPECT_GT(report.live.result.telemetry.counter(
+                  std::string("oran.impairments.") + fate + ".kpm_indication"),
+              0u)
+        << fate;
+  }
+  EXPECT_GT(report.replayed.frames_delivered, 0u);
+  EXPECT_TRUE(report.bytes_identical);
+  EXPECT_TRUE(report.telemetry_identical);
   EXPECT_EQ(report.live.attribution, report.replayed.attribution);
 }
 

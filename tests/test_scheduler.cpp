@@ -11,6 +11,7 @@
 #include "common/rng.hpp"
 #include "common/telemetry.hpp"
 #include "support/reference_scheduler.hpp"
+#include "support/ue_step.hpp"
 
 namespace explora::netsim {
 namespace {
@@ -39,7 +40,7 @@ std::uint64_t run_ttis(Scheduler& scheduler, std::vector<std::unique_ptr<Ue>>& u
   for (auto& ue : ues) raw.push_back(ue.get());
   std::uint64_t total = 0;
   for (int t = 0; t < ttis; ++t) {
-    for (auto& ue : ues) ue->begin_tti(t);
+    testfix::step_tti(ues, t);
     scheduler.schedule_tti(raw, prbs);
   }
   for (auto& ue : ues) total += ue->harvest_window().tx_bytes;
@@ -68,7 +69,7 @@ TEST(RoundRobin, SplitsEvenlyAmongEqualUes) {
   RoundRobinScheduler scheduler{SchedulerMetrics::bind()};
   std::vector<Ue*> raw{ues[0].get(), ues[1].get()};
   for (int t = 0; t < 100; ++t) {
-    for (auto& ue : ues) ue->begin_tti(t);
+    testfix::step_tti(ues, t);
     scheduler.schedule_tti(raw, 10);
   }
   const auto bytes = per_ue_bytes(ues);
@@ -97,7 +98,7 @@ TEST(RoundRobin, OddBudgetDoesNotStarveAnyUe) {
   std::vector<Ue*> raw;
   for (auto& ue : ues) raw.push_back(ue.get());
   for (int t = 0; t < 300; ++t) {
-    for (auto& ue : ues) ue->begin_tti(t);
+    testfix::step_tti(ues, t);
     scheduler.schedule_tti(raw, 7);  // 7 PRBs over 3 users
   }
   const auto bytes = per_ue_bytes(ues);
@@ -114,7 +115,7 @@ TEST(Waterfilling, FavorsBestChannel) {
   WaterfillingScheduler scheduler{SchedulerMetrics::bind()};
   std::vector<Ue*> raw{ues[0].get(), ues[1].get()};
   for (int t = 0; t < 100; ++t) {
-    for (auto& ue : ues) ue->begin_tti(t);
+    testfix::step_tti(ues, t);
     scheduler.schedule_tti(raw, 10);
   }
   const auto bytes = per_ue_bytes(ues);
@@ -143,7 +144,7 @@ TEST(Waterfilling, SpillsOverWhenStrongUserDrains) {
   WaterfillingScheduler scheduler{SchedulerMetrics::bind()};
   std::vector<Ue*> raw{ues[0].get(), ues[1].get()};
   for (int t = 0; t < 10; ++t) {
-    for (auto& ue : ues) ue->begin_tti(t);
+    testfix::step_tti(ues, t);
     scheduler.schedule_tti(raw, 10);
   }
   const auto bytes = per_ue_bytes(ues);
@@ -159,7 +160,7 @@ TEST(ProportionalFair, BalancesThroughputAndFairness) {
   ProportionalFairScheduler scheduler(0.05, SchedulerMetrics::bind());
   std::vector<Ue*> raw{ues[0].get(), ues[1].get()};
   for (int t = 0; t < 500; ++t) {
-    for (auto& ue : ues) ue->begin_tti(t);
+    testfix::step_tti(ues, t);
     scheduler.schedule_tti(raw, 10);
   }
   const auto bytes = per_ue_bytes(ues);
@@ -174,7 +175,7 @@ TEST(ProportionalFair, EqualChannelsShareEvenly) {
   ProportionalFairScheduler scheduler(0.1, SchedulerMetrics::bind());
   std::vector<Ue*> raw{ues[0].get(), ues[1].get()};
   for (int t = 0; t < 500; ++t) {
-    for (auto& ue : ues) ue->begin_tti(t);
+    testfix::step_tti(ues, t);
     scheduler.schedule_tti(raw, 10);
   }
   const auto bytes = per_ue_bytes(ues);
@@ -288,9 +289,9 @@ void run_case(SchedulerPolicy policy, std::uint64_t seed, int ttis,
   std::size_t rr_next = 0;
   for (int t = 0; t < ttis; ++t) {
     SCOPED_TRACE(::testing::Message() << "seed " << seed << " tti " << t);
+    testfix::step_tti(raw, t);
+    testfix::step_tti(raw_twins, t);
     for (std::size_t i = 0; i < ues.size(); ++i) {
-      ues[i]->begin_tti(t);
-      twins[i]->begin_tti(t);
       const UeChannel& channel = ues[i]->channel();
       coverage.cqi[channel.cqi()] = true;
       if (ues[i]->has_data()) {

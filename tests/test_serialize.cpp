@@ -13,6 +13,7 @@
 #include <limits>
 #include <vector>
 
+#include "common/detmath.hpp"
 #include "common/rng.hpp"
 #include "harness/training.hpp"
 #include "ml/nn.hpp"
@@ -221,6 +222,19 @@ TEST(ModelFile, SaveLoadIsBitExact) {
   const ml::Vector input(6, 0.1);
   EXPECT_EQ(original.autoencoder->encode(input),
             loaded.autoencoder->encode(input));
+}
+
+TEST(ModelFile, ArtifactNameCarriesTheNumericsVersion) {
+  netsim::ScenarioConfig scenario;
+  const auto path = artifact_path(core::AgentProfile::kHighThroughput,
+                                  scenario, small_model_config());
+  EXPECT_EQ(path.parent_path(), artifact_dir());
+  const std::string name = path.filename().string();
+  const std::string numerics =
+      "-n" + std::to_string(detmath::kNumericsVersion) + ".bin";
+  ASSERT_GE(name.size(), numerics.size()) << name;
+  EXPECT_EQ(name.substr(name.size() - numerics.size()), numerics) << name;
+  EXPECT_NE(name.find("-v3-"), std::string::npos) << name;
 }
 
 TEST(ModelFile, LoadFromDirectoryThrowsSerializeError) {

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "common/rng.hpp"
+#include "support/ue_step.hpp"
 
 namespace explora::netsim {
 namespace {
@@ -43,14 +44,14 @@ TEST(Ue, StartsEmpty) {
 
 TEST(Ue, ArrivalsFillBuffer) {
   Ue ue = make_ue({{.bytes = 3000, .packets = 2}});
-  ue.begin_tti(0);
+  testfix::step_tti(ue, 0);
   EXPECT_EQ(ue.buffer_bytes(), 3000u);
   EXPECT_TRUE(ue.has_data());
 }
 
 TEST(Ue, ServeDrainsWholePackets) {
   Ue ue = make_ue({{.bytes = 3000, .packets = 2}});  // 2 x 1500 B
-  ue.begin_tti(0);
+  testfix::step_tti(ue, 0);
   EXPECT_EQ(ue.serve(1500), 1500u);
   EXPECT_EQ(ue.buffer_bytes(), 1500u);
   const auto counters = ue.harvest_window();
@@ -60,7 +61,7 @@ TEST(Ue, ServeDrainsWholePackets) {
 
 TEST(Ue, ServePartialPacketCountsBytesNotPacket) {
   Ue ue = make_ue({{.bytes = 1500, .packets = 1}});
-  ue.begin_tti(0);
+  testfix::step_tti(ue, 0);
   EXPECT_EQ(ue.serve(700), 700u);
   EXPECT_EQ(ue.buffer_bytes(), 800u);
   auto counters = ue.harvest_window();
@@ -74,7 +75,7 @@ TEST(Ue, ServePartialPacketCountsBytesNotPacket) {
 
 TEST(Ue, ServeMoreThanBuffered) {
   Ue ue = make_ue({{.bytes = 1000, .packets = 1}});
-  ue.begin_tti(0);
+  testfix::step_tti(ue, 0);
   EXPECT_EQ(ue.serve(5000), 1000u);
   EXPECT_EQ(ue.buffer_bytes(), 0u);
   EXPECT_FALSE(ue.has_data());
@@ -82,14 +83,14 @@ TEST(Ue, ServeMoreThanBuffered) {
 
 TEST(Ue, ServeZeroIsNoOp) {
   Ue ue = make_ue({{.bytes = 1000, .packets = 1}});
-  ue.begin_tti(0);
+  testfix::step_tti(ue, 0);
   EXPECT_EQ(ue.serve(0), 0u);
   EXPECT_EQ(ue.buffer_bytes(), 1000u);
 }
 
 TEST(Ue, OverflowDropsArrivals) {
   Ue ue = make_ue({{.bytes = 3000, .packets = 2}}, /*buffer_capacity=*/2000);
-  ue.begin_tti(0);
+  testfix::step_tti(ue, 0);
   EXPECT_EQ(ue.buffer_bytes(), 1500u);  // second packet dropped
   const auto counters = ue.harvest_window();
   EXPECT_EQ(counters.dropped_bytes, 1500u);
@@ -97,7 +98,7 @@ TEST(Ue, OverflowDropsArrivals) {
 
 TEST(Ue, HarvestResetsCounters) {
   Ue ue = make_ue({{.bytes = 1500, .packets = 1}});
-  ue.begin_tti(0);
+  testfix::step_tti(ue, 0);
   (void)ue.serve(1500);
   (void)ue.harvest_window();
   const auto counters = ue.harvest_window();
@@ -108,7 +109,7 @@ TEST(Ue, HarvestResetsCounters) {
 
 TEST(Ue, BufferPersistsAcrossWindows) {
   Ue ue = make_ue({{.bytes = 1500, .packets = 1}});
-  ue.begin_tti(0);
+  testfix::step_tti(ue, 0);
   (void)ue.harvest_window();
   EXPECT_EQ(ue.buffer_bytes(), 1500u);  // unserved data survives harvest
 }
@@ -119,9 +120,9 @@ TEST(Ue, MultipleArrivalBatches) {
       {.bytes = 250, .packets = 2},  // 2 x 125 B
       {},
   });
-  ue.begin_tti(0);
-  ue.begin_tti(1);
-  ue.begin_tti(2);
+  testfix::step_tti(ue, 0);
+  testfix::step_tti(ue, 1);
+  testfix::step_tti(ue, 2);
   EXPECT_EQ(ue.buffer_bytes(), 1750u);
   // Head-of-line order: 1500 first, then 125 + 125.
   EXPECT_EQ(ue.serve(1500 + 125), 1625u);
