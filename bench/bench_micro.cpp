@@ -109,8 +109,6 @@ void BM_KnowledgeDistillation(benchmark::State& state) {
   for (std::size_t i = 0; i < n; ++i) {
     core::TransitionEvent event;
     event.cls = static_cast<core::TransitionClass>(rng.index(4));
-    event.delta.resize(core::kNumAttributes);
-    event.js_divergence.resize(core::kNumAttributes);
     for (auto& d : event.delta) d = rng.normal(0.0, 1.0);
     for (auto& j : event.js_divergence) j = rng.uniform();
     events.push_back(std::move(event));

@@ -167,9 +167,8 @@ double jensen_shannon_divergence(std::span<const double> a,
   }
   if (!(hi > lo)) return 0.0;  // all samples identical across both sets
   // Bin counts live on the stack up to kStackBins bins. The arithmetic is
-  // Histogram's: pmf entries are count / total, the mixture is their
-  // mean, and the two KL sums run in bin order, so the result keeps its
-  // bits whichever storage holds the counts.
+  // Histogram's: pmf entries are count / total and the mixture is their
+  // mean, so the result keeps its bits whichever storage holds the counts.
   EXPLORA_EXPECTS(bins > 0);
   constexpr std::size_t kStackBins = 64;
   std::array<std::size_t, 2 * kStackBins> stack_counts{};
@@ -185,19 +184,28 @@ double jensen_shannon_divergence(std::span<const double> a,
   for (double x : b) ++counts_b[bin_of(x, lo, hi, bins)];
   const auto total_a = static_cast<double>(a.size());
   const auto total_b = static_cast<double>(b.size());
-  // KL(p || m) with m = (p_a + p_b) / 2; `from_a` picks p.
-  auto kl_to_mixture = [&](bool from_a) {
-    double sum = 0.0;
-    for (std::size_t i = 0; i < bins; ++i) {
-      const double pa = static_cast<double>(counts_a[i]) / total_a;
-      const double pb = static_cast<double>(counts_b[i]) / total_b;
-      const double p = from_a ? pa : pb;
+  // KL(p_a || m) and KL(p_b || m) with m = (p_a + p_b) / 2, each summed in
+  // bin order. A bin only one side occupies adds exactly that side's p,
+  // since p / (0.5 * p) == 2 and log2(2) == 1; log2 runs on shared bins only.
+  double kl_a = 0.0;
+  double kl_b = 0.0;
+  for (std::size_t i = 0; i < bins; ++i) {
+    const std::size_t ca = counts_a[i];
+    const std::size_t cb = counts_b[i];
+    if (ca == 0 && cb == 0) continue;
+    const double pa = static_cast<double>(ca) / total_a;
+    const double pb = static_cast<double>(cb) / total_b;
+    if (cb == 0) {
+      kl_a += pa;
+    } else if (ca == 0) {
+      kl_b += pb;
+    } else {
       const double mid = 0.5 * (pa + pb);
-      if (p > 0.0 && mid > 0.0) sum += p * std::log2(p / mid);
+      kl_a += pa * std::log2(pa / mid);  // det-ok: libm-transcendental (ROADMAP item 3)
+      kl_b += pb * std::log2(pb / mid);  // det-ok: libm-transcendental (ROADMAP item 3)
     }
-    return sum;
-  };
-  return 0.5 * kl_to_mixture(true) + 0.5 * kl_to_mixture(false);
+  }
+  return 0.5 * kl_a + 0.5 * kl_b;
 }
 
 std::vector<double> cdf_points(std::span<const double> data,

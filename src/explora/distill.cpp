@@ -50,7 +50,7 @@ xai::Dataset build_transition_dataset(
   data.features.reserve(events.size());
   data.labels.reserve(events.size());
   for (const auto& event : events) {
-    xai::Vector row = event.delta;
+    xai::Vector row(event.delta.begin(), event.delta.end());
     if (include_js_features) {
       row.insert(row.end(), event.js_divergence.begin(),
                  event.js_divergence.end());

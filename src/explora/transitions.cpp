@@ -68,8 +68,6 @@ void TransitionTracker::record_step(
     event.from = previous_.action;
     event.to = current_.action;
     event.cls = classify_transition(event.from, event.to);
-    event.delta.resize(kNumAttributes);
-    event.js_divergence.resize(kNumAttributes);
     for (std::size_t p = 0; p < kNumAttributes; ++p) {
       event.delta[p] = current_.means[p] - previous_.means[p];
       event.js_divergence[p] = common::jensen_shannon_divergence(

@@ -40,10 +40,10 @@ struct TransitionEvent {
   netsim::SlicingControl from;
   netsim::SlicingControl to;
   TransitionClass cls = TransitionClass::kSelf;
-  /// v: mean-delta per attribute (size kNumAttributes).
-  std::vector<double> delta;
-  /// Jensen-Shannon divergence per attribute (size kNumAttributes).
-  std::vector<double> js_divergence;
+  /// v: mean-delta per attribute.
+  std::array<double, kNumAttributes> delta{};
+  /// Jensen-Shannon divergence per attribute.
+  std::array<double, kNumAttributes> js_divergence{};
 
   /// Sum of the deltas of one KPI across slices (scatter-plot axes).
   [[nodiscard]] double kpi_delta(netsim::Kpi kpi) const;

@@ -2,14 +2,125 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <span>
+#include <utility>
 
 #include "common/contracts.hpp"
 #include "common/format.hpp"
 
 namespace explora::xai {
 
+namespace detail {
+
+/// One node's rows: the same range [begin, end) of every PresortedRows
+/// list.
+struct NodeRows {
+  std::size_t begin = 0;
+  std::size_t end = 0;
+  [[nodiscard]] std::size_t size() const noexcept { return end - begin; }
+};
+
+/// One fit's presorted row orders (DESIGN.md §16). The fit copies the
+/// features once into column-major storage and sorts each feature's row
+/// ids once, stably by value, into that feature's list; one more list
+/// holds the ids in ascending row order. A node owns the same range of
+/// every list, so it reads each feature's rows already sorted. `split`
+/// stably partitions each list's range into the children's ranges, which
+/// keeps every list sorted, so no node sorts again. The scratch is
+/// (features + 1) x rows ids plus the column copy, freed with the fit.
+class PresortedRows {
+ public:
+  explicit PresortedRows(const std::vector<Vector>& features)
+      : num_rows_(features.size()),
+        num_features_(features.front().size()),
+        columns_(num_rows_ * num_features_),
+        lists_((num_features_ + 1) * num_rows_),
+        goes_left_(num_rows_),
+        spill_(num_rows_) {
+    EXPLORA_EXPECTS(num_rows_ <= std::numeric_limits<std::uint32_t>::max());
+    for (std::size_t r = 0; r < num_rows_; ++r) {
+      EXPLORA_EXPECTS(features[r].size() == num_features_);
+      for (std::size_t f = 0; f < num_features_; ++f) {
+        columns_[f * num_rows_ + r] = features[r][f];
+      }
+    }
+    for (std::size_t list = 0; list <= num_features_; ++list) {
+      const auto ids = lists_.begin() + static_cast<std::ptrdiff_t>(
+                                            list * num_rows_);
+      std::iota(ids, ids + static_cast<std::ptrdiff_t>(num_rows_), 0U);
+      if (list == num_features_) break;  // the row-order list
+      const std::span<const double> x = column(list);
+      std::stable_sort(ids, ids + static_cast<std::ptrdiff_t>(num_rows_),
+                       [x](std::uint32_t a, std::uint32_t b) {
+                         return x[a] < x[b];
+                       });
+    }
+  }
+
+  [[nodiscard]] std::size_t num_features() const noexcept {
+    return num_features_;
+  }
+  [[nodiscard]] NodeRows all() const noexcept { return {0, num_rows_}; }
+  /// Feature `f`'s value of every row, indexed by row id.
+  [[nodiscard]] std::span<const double> column(std::size_t f) const {
+    return {columns_.data() + f * num_rows_, num_rows_};
+  }
+  /// The node's rows sorted by feature `f` (ties in ascending row order).
+  [[nodiscard]] std::span<const std::uint32_t> sorted(std::size_t f,
+                                                      NodeRows node) const {
+    return {lists_.data() + f * num_rows_ + node.begin, node.size()};
+  }
+  /// The node's rows in ascending row order.
+  [[nodiscard]] std::span<const std::uint32_t> rows(NodeRows node) const {
+    return sorted(num_features_, node);
+  }
+
+  /// Sends each of the node's rows left when x[feature] <= threshold and
+  /// returns the children's ranges. The split feature's own list is
+  /// already in place: its left rows are a prefix.
+  std::pair<NodeRows, NodeRows> split(NodeRows node, std::size_t feature,
+                                      double threshold) {
+    const std::span<const double> x = column(feature);
+    std::size_t left_n = 0;
+    for (const std::uint32_t r : rows(node)) {
+      goes_left_[r] = x[r] <= threshold ? 1 : 0;
+      left_n += goes_left_[r];
+    }
+    for (std::size_t list = 0; list <= num_features_; ++list) {
+      if (list == feature) continue;
+      std::uint32_t* ids = lists_.data() + list * num_rows_;
+      std::size_t left = node.begin;
+      std::size_t right = 0;
+      for (std::size_t i = node.begin; i < node.end; ++i) {
+        const std::uint32_t r = ids[i];
+        ids[left] = r;
+        spill_[right] = r;
+        left += goes_left_[r];
+        right += 1U - goes_left_[r];
+      }
+      std::copy_n(spill_.begin(), right, ids + left);
+    }
+    const std::size_t mid = node.begin + left_n;
+    return {{node.begin, mid}, {mid, node.end}};
+  }
+
+ private:
+  std::size_t num_rows_;
+  std::size_t num_features_;
+  std::vector<double> columns_;  ///< columns_[f * rows + r] = x_r[f]
+  std::vector<std::uint32_t> lists_;  ///< list l at [l * rows, (l+1) * rows)
+  std::vector<std::uint8_t> goes_left_;  ///< per row, set by split()
+  std::vector<std::uint32_t> spill_;  ///< right rows of one list's partition
+};
+
+}  // namespace detail
+
 namespace {
+
+using detail::NodeRows;
+using detail::PresortedRows;
 
 /// Best split found so far: a feature and a midpoint between two of its
 /// distinct sorted values.
@@ -20,31 +131,26 @@ struct SplitResult {
   double gain = 0.0;
 };
 
-/// The CART split search both trees share. For each feature it sorts the
-/// rows by that column and scans every boundary between distinct adjacent
-/// values that leaves at least `min_leaf` rows on each side. `score` holds
-/// the criterion's left-side state: reset() before each feature, add(row)
-/// as a row joins the left side, gain(left_n, right_n) per candidate. A
-/// candidate wins when its gain beats the best so far by more than
-/// `min_gain`.
+/// The CART split search both trees share. For each feature it walks the
+/// node's presorted rows and scans every boundary between distinct
+/// adjacent values that leaves at least `min_leaf` rows on each side.
+/// `score` holds the criterion's left-side state: reset() before each
+/// feature, add(row) as a row joins the left side, gain(left_n, right_n)
+/// per candidate. A candidate wins when its gain beats the best so far by
+/// more than `min_gain`.
 template <typename Score>
-SplitResult best_split(const std::vector<Vector>& features,
-                       const std::vector<std::size_t>& rows,
+SplitResult best_split(const PresortedRows& presort, NodeRows node,
                        std::size_t min_leaf, double min_gain, Score& score) {
   SplitResult best;
-  const double n = static_cast<double>(rows.size());
-  const std::size_t num_features = features.front().size();
-  std::vector<std::size_t> sorted = rows;
-  for (std::size_t f = 0; f < num_features; ++f) {
-    std::sort(sorted.begin(), sorted.end(),
-              [&](std::size_t a, std::size_t b) {
-                return features[a][f] < features[b][f];
-              });
+  const auto n = static_cast<double>(node.size());
+  for (std::size_t f = 0; f < presort.num_features(); ++f) {
+    const std::span<const std::uint32_t> sorted = presort.sorted(f, node);
+    const std::span<const double> x = presort.column(f);
     score.reset();
     for (std::size_t i = 0; i + 1 < sorted.size(); ++i) {
       score.add(sorted[i]);
-      const double x_now = features[sorted[i]][f];
-      const double x_next = features[sorted[i + 1]][f];
+      const double x_now = x[sorted[i]];
+      const double x_next = x[sorted[i + 1]];
       if (x_now == x_next) continue;
       const auto left_n = static_cast<double>(i + 1);
       const double right_n = n - left_n;
@@ -62,20 +168,6 @@ SplitResult best_split(const std::vector<Vector>& features,
     }
   }
   return best;
-}
-
-/// Splits `rows` by `split` into the rows that go left and right.
-void partition(const std::vector<Vector>& features,
-               const std::vector<std::size_t>& rows, const SplitResult& split,
-               std::vector<std::size_t>& left, std::vector<std::size_t>& right) {
-  for (std::size_t r : rows) {
-    if (features[r][static_cast<std::size_t>(split.feature)] <=
-        split.threshold) {
-      left.push_back(r);
-    } else {
-      right.push_back(r);
-    }
-  }
 }
 
 /// Squared-error reduction from running left-side sums.
@@ -119,7 +211,7 @@ double impurity(Criterion criterion, const std::vector<double>& counts,
     for (double c : counts) {
       if (c > 0.0) {
         const double p = c / total;
-        result -= p * std::log2(p);
+        result -= p * std::log2(p);  // det-ok: libm-transcendental (ROADMAP item 3)
       }
     }
   }
@@ -162,19 +254,17 @@ void RegressionTree::fit(const std::vector<Vector>& features,
   EXPLORA_EXPECTS(!features.empty());
   EXPLORA_EXPECTS(features.size() == targets.size());
   nodes_.clear();
-  std::vector<std::size_t> rows(features.size());
-  std::iota(rows.begin(), rows.end(), 0);
-  build(features, targets, rows, 0);
+  PresortedRows presort(features);
+  build(presort, targets, presort.all(), 0);
 }
 
-std::int32_t RegressionTree::build(const std::vector<Vector>& features,
-                                   const Vector& targets,
-                                   std::vector<std::size_t>& rows,
+std::int32_t RegressionTree::build(PresortedRows& presort,
+                                   const Vector& targets, NodeRows rows,
                                    std::size_t depth) {
   const double n = static_cast<double>(rows.size());
   double sum = 0.0;
   double sum_sq = 0.0;
-  for (std::size_t r : rows) {
+  for (const std::uint32_t r : presort.rows(rows)) {
     sum += targets[r];
     sum_sq += targets[r] * targets[r];
   }
@@ -192,14 +282,13 @@ std::int32_t RegressionTree::build(const std::vector<Vector>& features,
 
   SquaredErrorScore score{targets, sum, sum_sq, sse};
   const SplitResult best = best_split(
-      features, rows, config_.min_samples_leaf, config_.min_gain, score);
+      presort, rows, config_.min_samples_leaf, config_.min_gain, score);
   if (!best.found) return node_index;
 
-  std::vector<std::size_t> left_rows;
-  std::vector<std::size_t> right_rows;
-  partition(features, rows, best, left_rows, right_rows);
-  const std::int32_t left = build(features, targets, left_rows, depth + 1);
-  const std::int32_t right = build(features, targets, right_rows, depth + 1);
+  const auto [left_rows, right_rows] = presort.split(
+      rows, static_cast<std::size_t>(best.feature), best.threshold);
+  const std::int32_t left = build(presort, targets, left_rows, depth + 1);
+  const std::int32_t right = build(presort, targets, right_rows, depth + 1);
   TreeNode& node = nodes_[static_cast<std::size_t>(node_index)];
   node.feature = best.feature;
   node.threshold = best.threshold;
@@ -240,9 +329,8 @@ void DecisionTreeClassifier::fit(const Dataset& data,
   num_features_ = data.features.front().size();
   nodes_.clear();
   importances_.assign(num_features_, 0.0);
-  std::vector<std::size_t> rows(data.size());
-  std::iota(rows.begin(), rows.end(), 0);
-  build(data, rows, 0);
+  PresortedRows presort(data.features);
+  build(presort, data.labels, presort.all(), 0);
   // Normalize importances to sum to one (when any split was made).
   const double total =
       std::accumulate(importances_.begin(), importances_.end(), 0.0);
@@ -251,12 +339,12 @@ void DecisionTreeClassifier::fit(const Dataset& data,
   }
 }
 
-std::int32_t DecisionTreeClassifier::build(const Dataset& data,
-                                           std::vector<std::size_t>& rows,
-                                           std::size_t depth) {
+std::int32_t DecisionTreeClassifier::build(
+    PresortedRows& presort, const std::vector<std::size_t>& labels,
+    NodeRows rows, std::size_t depth) {
   const double n = static_cast<double>(rows.size());
   std::vector<double> counts(num_classes_, 0.0);
-  for (std::size_t r : rows) counts[data.labels[r]] += 1.0;
+  for (const std::uint32_t r : presort.rows(rows)) counts[labels[r]] += 1.0;
   const double node_impurity = impurity(config_.criterion, counts, n);
 
   const auto node_index = static_cast<std::int32_t>(nodes_.size());
@@ -275,19 +363,18 @@ std::int32_t DecisionTreeClassifier::build(const Dataset& data,
     return node_index;
   }
 
-  ImpurityScore score{config_.criterion, data.labels, counts, n,
-                      node_impurity};
+  ImpurityScore score{config_.criterion, labels, counts, n, node_impurity};
   const SplitResult best = best_split(
-      data.features, rows, config_.min_samples_leaf, config_.min_gain, score);
+      presort, rows, config_.min_samples_leaf, config_.min_gain, score);
   if (!best.found) return node_index;
 
-  importances_[static_cast<std::size_t>(best.feature)] += best.gain * n;
+  const auto feature = static_cast<std::size_t>(best.feature);
+  importances_[feature] += best.gain * n;
 
-  std::vector<std::size_t> left_rows;
-  std::vector<std::size_t> right_rows;
-  partition(data.features, rows, best, left_rows, right_rows);
-  const std::int32_t left = build(data, left_rows, depth + 1);
-  const std::int32_t right = build(data, right_rows, depth + 1);
+  const auto [left_rows, right_rows] =
+      presort.split(rows, feature, best.threshold);
+  const std::int32_t left = build(presort, labels, left_rows, depth + 1);
+  const std::int32_t right = build(presort, labels, right_rows, depth + 1);
   TreeNode& node = nodes_[static_cast<std::size_t>(node_index)];
   node.feature = best.feature;
   node.threshold = best.threshold;

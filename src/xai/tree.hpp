@@ -18,6 +18,11 @@ namespace explora::xai {
 
 using ml::Vector;
 
+namespace detail {
+class PresortedRows;  // one fit's presorted row orders (tree.cpp)
+struct NodeRows;
+}  // namespace detail
+
 /// Training data: row-major feature matrix plus a label per row.
 struct Dataset {
   std::vector<Vector> features;
@@ -54,11 +59,14 @@ class RegressionTree {
   [[nodiscard]] std::size_t node_count() const noexcept {
     return nodes_.size();
   }
+  /// The fitted nodes in preorder (root first).
+  [[nodiscard]] const std::vector<TreeNode>& nodes() const noexcept {
+    return nodes_;
+  }
 
  private:
-  std::int32_t build(const std::vector<Vector>& features,
-                     const Vector& targets, std::vector<std::size_t>& rows,
-                     std::size_t depth);
+  std::int32_t build(detail::PresortedRows& presort, const Vector& targets,
+                     detail::NodeRows rows, std::size_t depth);
 
   Config config_;
   std::vector<TreeNode> nodes_;
@@ -114,14 +122,19 @@ class DecisionTreeClassifier {
   [[nodiscard]] std::size_t node_count() const noexcept {
     return nodes_.size();
   }
+  /// The fitted nodes in preorder (root first).
+  [[nodiscard]] const std::vector<TreeNode>& nodes() const noexcept {
+    return nodes_;
+  }
   [[nodiscard]] std::size_t depth() const noexcept;
   [[nodiscard]] std::size_t num_classes() const noexcept {
     return num_classes_;
   }
 
  private:
-  std::int32_t build(const Dataset& data, std::vector<std::size_t>& rows,
-                     std::size_t depth);
+  std::int32_t build(detail::PresortedRows& presort,
+                     const std::vector<std::size_t>& labels,
+                     detail::NodeRows rows, std::size_t depth);
   [[nodiscard]] const TreeNode& walk(const Vector& x) const;
 
   Config config_;

@@ -22,8 +22,6 @@ std::vector<TransitionEvent> structured_events(std::size_t per_class,
                   double d_buffer) {
     TransitionEvent event;
     event.cls = cls;
-    event.delta.assign(kNumAttributes, 0.0);
-    event.js_divergence.assign(kNumAttributes, 0.0);
     for (std::size_t l = 0; l < netsim::kNumSlices; ++l) {
       const auto slice = static_cast<netsim::Slice>(l);
       event.delta[attribute_index(netsim::Kpi::kTxBitrate, slice)] =
@@ -102,8 +100,8 @@ TEST(Distill, SingleClassSkipsTreeButSummarizes) {
   for (int i = 0; i < 10; ++i) {
     TransitionEvent event;
     event.cls = TransitionClass::kDistinct;
-    event.delta.assign(kNumAttributes, 1.0);
-    event.js_divergence.assign(kNumAttributes, 0.1);
+    event.delta.fill(1.0);
+    event.js_divergence.fill(0.1);
     events.push_back(std::move(event));
   }
   KnowledgeDistiller distiller;

@@ -189,11 +189,12 @@ TEST(RealtimeContract, GnbReportWindow) {
 // RMR router, the data repository, the DRL xApp and the EXPLORA xApp with
 // AR1 steering, then the harness's reads of the repository. What a
 // decision may still allocate is the archive growth ROADMAP item 6 leaves
-// open: the explanation record's rationale string, the transition event's
-// two vectors, the archives' amortized doubling, and the attribute stores
-// of an action the graph has not seen yet.
+// open: the explanation record's rationale string, the archives' amortized
+// doubling, and the attribute stores of an action the graph has not seen
+// yet (2,938 in 500 decisions, ~5.9 each, since the transition event holds
+// its attributes inline).
 TEST(RealtimeContract, ClosedLoopDecisionStaysWithinItsBudget) {
-  constexpr std::size_t kBudgetPerDecision = 10;
+  constexpr std::size_t kBudgetPerDecision = 6;
   constexpr std::size_t kReportsPerDecision = ml::kHistory;
   telemetry::ScopedRegistry owner;
   const ml::KpiNormalizer normalizer;

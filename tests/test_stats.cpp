@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -234,21 +235,46 @@ double histogram_jsd(std::span<const double> a, std::span<const double> b,
   return 0.5 * kl(pa) + 0.5 * kl(pb);
 }
 
-// 32 and 64 bins count on the stack, 100 on the heap.
+// Random sets, and sets built for the one-pass sum's shortcuts: it skips
+// empty bins and adds p for a bin only one side occupies. 1 to 64 bins
+// count on the stack, 100 on the heap.
 TEST(JensenShannon, MatchesTheHistogramFormBitForBit) {
   Rng rng(23);
+  std::vector<std::pair<std::vector<double>, std::vector<double>>> cases;
   for (int round = 0; round < 50; ++round) {
     std::vector<double> a(10);
     std::vector<double> b(10);
     for (double& x : a) x = rng.uniform(0.0, 10.0);
     for (double& x : b) x = rng.uniform(2.0, 14.0);
-    for (const std::size_t bins : {std::size_t{32}, std::size_t{64},
-                                   std::size_t{100}}) {
+    cases.emplace_back(a, b);
+  }
+  for (int round = 0; round < 20; ++round) {
+    // Integer-valued samples of unequal counts: ties, shared and
+    // one-sided bins.
+    std::vector<double> a(7 + rng.index(9));
+    std::vector<double> b(3 + rng.index(17));
+    for (double& x : a) x = static_cast<double>(rng.index(6));
+    for (double& x : b) x = static_cast<double>(rng.index(6) + 3);
+    cases.emplace_back(a, b);
+    cases.emplace_back(a, a);  // identical sets
+    // Disjoint ranges: every occupied bin is one-sided.
+    std::vector<double> far = b;
+    for (double& x : far) x += 100.0;
+    cases.emplace_back(a, far);
+  }
+  // One side constant inside the other's spread.
+  cases.emplace_back(std::vector<double>(5, 2.0),
+                     std::vector<double>{0.0, 1.0, 2.0, 3.0, 4.0});
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const auto& [a, b] = cases[i];
+    for (const std::size_t bins :
+         {std::size_t{1}, std::size_t{7}, std::size_t{32}, std::size_t{64},
+          std::size_t{100}}) {
       const double got = jensen_shannon_divergence(a, b, bins);
       const double want = histogram_jsd(a, b, bins);
       EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
                 std::bit_cast<std::uint64_t>(want))
-          << "round " << round << ", " << bins << " bins";
+          << "case " << i << ", " << bins << " bins";
     }
   }
 }

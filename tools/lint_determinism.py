@@ -37,16 +37,16 @@ artifacts. This lint bans the constructs that historically break it:
                      byte-identity contract of DESIGN.md §10; new kernels
                      must live in an approved file and be covered by
                      tests/test_gemm.cpp or tests/test_detmath.cpp
-  libm-transcendental  tanh, exp, log, sin, cos, sincos, log10 and pow from
-                     libm under src/, in any spelling (std::, ::, bare, the
+  libm-transcendental  tanh, exp, log, sin, cos, sincos, log2, log10 and pow
+                     from libm under src/, in any spelling (std::, ::, bare, the
                      f/l variants, __builtin_; a bare logf is the repo's
                      logger, common::logf) - the host libm's bits vary with
                      the libm version and the CPU's FMA support, and golden
                      traces pin them; every tanh, exp, log and sincos runs
                      the repo's math layer (common/detmath.hpp, whose own
                      files are exempt) or its lane-wise copies. The libm
-                     log10 and pow sites that remain (ROADMAP item 3) carry
-                     det-ok markers
+                     log2, log10 and pow sites that remain (ROADMAP item 3)
+                     carry det-ok markers
   concurrency-home   std::atomic*, the std:: mutex / lock / condition-variable
                      family and the __atomic_*/__sync_* builtins anywhere in
                      src/ outside CONCURRENCY_HOME (the pool, telemetry, the
@@ -111,7 +111,7 @@ SIMD_INTRINSIC = re.compile(
 # The host libm's transcendentals, in any spelling. A name qualified by
 # anything but std:: (detmath::log, common::logf) is not libm's, and a bare
 # logf is the repo's logger, so neither matches.
-_LIBM_NAMES = r"(?:tanh|exp|log|sin|cos|sincos|log10|pow)"
+_LIBM_NAMES = r"(?:tanh|exp|log|sin|cos|sincos|log2|log10|pow)"
 LIBM_TRANSCENDENTAL = re.compile(
     r"(?<![\w.>:])(?:std::|::)?(?:" + _LIBM_NAMES + r"l?"
     r"|(?!logf)" + _LIBM_NAMES + r"f)\s*\("
@@ -412,6 +412,7 @@ def self_test() -> int:
     double p = cos(angle);
     sincos(angle, &s, &c);
     double q = std::log10(gain);
+    double q2 = p * std::log2(p / mid);
     double r = std::pow(beta, t);
     double s2 = __builtin_log(u1);
     using std::cos;
@@ -429,6 +430,7 @@ def self_test() -> int:
     common::logf(common::LogLevel::kInfo, "chaos", "{} runs", n);
     void logf(LogLevel level, std::string_view component);
     double q = std::log10(gain);  // det-ok: libm-transcendental (item 3)
+    sum += p * std::log2(p);  // det-ok: libm-transcendental (item 3)
     sink.log(line); stream->cos(x); double sinh_x = sinh(x);
     """
     concurrency_bad = """
@@ -509,7 +511,7 @@ def self_test() -> int:
     ok = ok and not simd_kernel_findings
     libm_rules = {rule for _, rule, _ in libm_bad_findings}
     ok = ok and libm_rules == {"libm-transcendental"}
-    ok = ok and len(libm_bad_findings) == 24
+    ok = ok and len(libm_bad_findings) == 25
     ok = ok and not libm_good_findings
     ok = ok and not libm_tools_findings
     ok = ok and not libm_home_findings
